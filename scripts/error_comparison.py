@@ -33,9 +33,11 @@ def main() -> None:
     for scheme, n_cycles in (("schemeA", 50), ("schemeB", 17)):
         d = strength_divisor(scheme)
         spec = ExperimentSpec(scheme, args.n_spins, n_cycles, 1.5 * d * ideal.t_opt)
-        emit_trace_csv(run_trace(spec), out / f"{scheme}_seq.csv")
-        emit_trace_csv(run_trace(effective_counterpart(spec)), out / f"{scheme}_eff.csv")
-        curve = relative_error_curve(spec, effective_counterpart(spec))
+        trace_seq = run_trace(spec)
+        trace_eff = run_trace(effective_counterpart(spec))
+        emit_trace_csv(trace_seq, out / f"{scheme}_seq.csv")
+        emit_trace_csv(trace_eff, out / f"{scheme}_eff.csv")
+        curve = relative_error_curve(trace_seq, trace_eff)
         (out / f"{scheme}_err.csv").write_text(error_curve_csv(curve), newline="\n")
         pre_opt = curve.relative_errors[curve.times <= d * ideal.t_opt]
         print(

@@ -38,6 +38,7 @@ from .squeezing import (
     SqueezingTrace,
     find_optimum,
     squeezing_parameter,
+    xi2_columns,
 )
 
 PULSE_SCHEMES = ("liu1", "schemeA", "schemeB", "general")
@@ -48,6 +49,15 @@ IDEAL_SCHEMES = ("ideal-TAT", "ideal-OAT")
 PRE_OPTIMUM_FACTOR = 1.5
 
 SCAN_GRID_POINTS = 2000
+# Grid times evaluated per batch.  It bounds the scan's temporaries to a few
+# (N+1) x 256 complex arrays, about 8 MB each at N = 2000.
+SCAN_CHUNK_COLUMNS = 256
+# Grid points this close to the grid minimum, relative to it, are re-checked
+# on the scalar path.  The two paths differ by roundoff that grows like N^2
+# (the second moments weigh amplitude errors by J^2): 3e-10 relative at
+# N = 800 and 2e-9 at N = 2000.  Neighbouring grid values near the minimum
+# differ by about 1e-5, so the band rarely holds more than one point.
+SCAN_TIE_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -242,9 +252,10 @@ def run_many(specs, max_workers: int | None = None) -> list[SqueezingTrace]:
         return list(pool.map(run_trace, specs))
 
 
-def strobe_indices(spec: ExperimentSpec) -> np.ndarray:
-    k = spec.subsamples if spec.sampling == "fine" else 0
-    return np.arange(0, spec.n_cycles * (k + 1) + 1, k + 1)
+def strobe_indices(trace: SqueezingTrace) -> np.ndarray:
+    """Indices of the period-boundary samples, skipping any interior samples."""
+    step = (len(trace.samples) - 1) // trace.n_cycles
+    return np.arange(0, len(trace.samples), step)
 
 
 @dataclass(frozen=True)
@@ -255,24 +266,27 @@ class ErrorCurve:
     scheme_eff: str
 
 
-def relative_error_curve(spec_seq: ExperimentSpec, spec_eff: ExperimentSpec) -> ErrorCurve:
-    """Pointwise |xi2_seq - xi2_eff| / xi2_eff at the shared stroboscopic instants."""
-    for field in ("n_spins", "chi", "n_cycles", "t_total"):
-        if getattr(spec_seq, field) != getattr(spec_eff, field):
+def relative_error_curve(trace_seq: SqueezingTrace, trace_eff: SqueezingTrace) -> ErrorCurve:
+    """Pointwise |xi2_seq - xi2_eff| / xi2_eff at the shared stroboscopic instants.
+
+    Takes traces that were already run, so callers that also write them out
+    run each one once.  Traces of different spin number, cycle count or
+    stroboscopic instants are a grid mismatch.
+    """
+    for field in ("n_spins", "n_cycles"):
+        if getattr(trace_seq, field) != getattr(trace_eff, field):
             raise ValueError(
                 f"grid mismatch: {field} differs "
-                f"({getattr(spec_seq, field)} vs {getattr(spec_eff, field)})"
+                f"({getattr(trace_seq, field)} vs {getattr(trace_eff, field)})"
             )
-    trace_seq = run_trace(spec_seq)
-    trace_eff = run_trace(spec_eff)
-    t_seq = trace_seq.times()[strobe_indices(spec_seq)]
-    t_eff = trace_eff.times()[strobe_indices(spec_eff)]
+    t_seq = trace_seq.times()[strobe_indices(trace_seq)]
+    t_eff = trace_eff.times()[strobe_indices(trace_eff)]
     if not np.array_equal(t_seq, t_eff):
         raise ValueError("grid mismatch: stroboscopic instants differ")
-    xi_seq = trace_seq.xi2()[strobe_indices(spec_seq)]
-    xi_eff = trace_eff.xi2()[strobe_indices(spec_eff)]
+    xi_seq = trace_seq.xi2()[strobe_indices(trace_seq)]
+    xi_eff = trace_eff.xi2()[strobe_indices(trace_eff)]
     errors = np.abs(xi_seq - xi_eff) / xi_eff
-    return ErrorCurve(t_seq, errors, spec_seq.scheme, spec_eff.scheme)
+    return ErrorCurve(t_seq, errors, trace_seq.scheme, trace_eff.scheme)
 
 
 def _golden_section(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -293,8 +307,18 @@ def _golden_section(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return (c, fc) if fc < fd else (d, fd)
 
 
-def _scan_minimize(f, lo: float, hi: float) -> tuple[float, float]:
+def _scan_minimize(f, f_grid, lo: float, hi: float) -> tuple[float, float]:
     """Coarse grid scan followed by golden-section refinement around the best cell.
+
+    `f` maps one time to xi^2; `f_grid` maps the whole time grid to xi^2 at
+    once (batched over SCAN_CHUNK_COLUMNS times, see `_chunked`).  The batch
+    only picks the cell: its values differ from `f` by roundoff, while the
+    golden section stops at 1e-6 (hi - lo), where such roundoff can flip its
+    last comparisons and move the optimum.  So every grid point within
+    SCAN_TIE_RTOL of the grid minimum is re-evaluated with `f`, the first
+    smallest of those is the cell, and the refinement and the final
+    comparison use `f` only: the result equals that of a scan made with `f`
+    alone.
 
     Samples where the mean spin vanishes count as +inf: they only occur past
     the pre-revival minimum this search is after, so the window is effectively
@@ -308,19 +332,36 @@ def _scan_minimize(f, lo: float, hi: float) -> tuple[float, float]:
             return math.inf
 
     ts = np.linspace(lo, hi, SCAN_GRID_POINTS)
-    vals = np.array([guarded(t) for t in ts])
-    i = int(np.argmin(vals))
+    grid = f_grid(ts)
+    best = grid.min()
+    candidates = np.flatnonzero(grid <= best + SCAN_TIE_RTOL * abs(best))
+    exact = [guarded(t) for t in ts[candidates]]
+    k = int(np.argmin(exact))
+    i, v_i = int(candidates[k]), exact[k]
     a = ts[max(i - 1, 0)]
     b = ts[min(i + 1, ts.size - 1)]
     t_ref, v_ref = _golden_section(guarded, a, b, tol=1e-6 * (hi - lo))
-    if v_ref <= vals[i]:
+    if v_ref <= v_i:
         return float(t_ref), float(v_ref)
-    return float(ts[i]), float(vals[i])
+    return float(ts[i]), float(v_i)
 
 
-@lru_cache(maxsize=32)
-def tat_optimum(n_spins: int) -> Optimum:
-    """Optimal time and squeezing of unit-strength xy twisting from |J,J>."""
+def _chunked(columns_at, ops):
+    """Grid evaluator from a map of times to a (dim x k) array of states."""
+
+    def evaluate(ts: np.ndarray) -> np.ndarray:
+        return np.concatenate(
+            [
+                xi2_columns(columns_at(ts[s : s + SCAN_CHUNK_COLUMNS]), ops)
+                for s in range(0, ts.size, SCAN_CHUNK_COLUMNS)
+            ]
+        )
+
+    return evaluate
+
+
+def _tat_scan(n_spins: int):
+    """Scalar and grid xi^2 of unit-strength xy twisting from |J,J>."""
     ops = build_operators(n_spins)
     fac = twist_factorization(n_spins)
     base = real_matvec(fac.eigenvectors.T, coherent_state_z(n_spins).amplitudes)
@@ -329,13 +370,26 @@ def tat_optimum(n_spins: int) -> Optimum:
         amps = real_matvec(fac.eigenvectors, np.exp(-1j * t * fac.eigenvalues) * base)
         return squeezing_parameter(DickeState(n_spins, amps), ops).xi2
 
-    t_opt, xi2_min = _scan_minimize(xi2_at, 0.0, 10.0 / n_spins)
-    return Optimum(t_opt=t_opt, xi2_min=xi2_min)
+    # |J,J> lies in the even-index block, which fills the first n_spins//2 + 1
+    # columns of the factorization; the odd-block entries of `base` are exact
+    # zeros, so grid states are V_even (phases * base_even) in the even rows.
+    half = n_spins // 2 + 1
+    v_even = np.ascontiguousarray(fac.eigenvectors[0::2, :half])
+    w_even = fac.eigenvalues[:half]
+    b_even = v_even[0]
+
+    def columns_at(ts: np.ndarray) -> np.ndarray:
+        coeffs = np.exp(-1j * np.outer(w_even, ts)) * b_even[:, None]
+        amps = np.zeros((ops.dim, ts.size), dtype=complex)
+        amps.real[0::2] = v_even @ coeffs.real
+        amps.imag[0::2] = v_even @ coeffs.imag
+        return amps
+
+    return xi2_at, _chunked(columns_at, ops)
 
 
-@lru_cache(maxsize=32)
-def oat_optimum(n_spins: int) -> Optimum:
-    """Optimal time and squeezing of unit-strength z^2 twisting from an x-polarized state."""
+def _oat_scan(n_spins: int):
+    """Scalar and grid xi^2 of unit-strength z^2 twisting from an x-polarized state."""
     ops = build_operators(n_spins)
     psi_x = rotate(coherent_state_z(n_spins), "y", HALF_PI).amplitudes
 
@@ -343,8 +397,24 @@ def oat_optimum(n_spins: int) -> Optimum:
         amps = psi_x * np.exp(-1j * t * ops.jz_sq_diag)
         return squeezing_parameter(DickeState(n_spins, amps), ops).xi2
 
+    def columns_at(ts: np.ndarray) -> np.ndarray:
+        return psi_x[:, None] * np.exp(-1j * np.outer(ops.jz_sq_diag, ts))
+
+    return xi2_at, _chunked(columns_at, ops)
+
+
+@lru_cache(maxsize=32)
+def tat_optimum(n_spins: int) -> Optimum:
+    """Optimal time and squeezing of unit-strength xy twisting from |J,J>."""
+    t_opt, xi2_min = _scan_minimize(*_tat_scan(n_spins), 0.0, 10.0 / n_spins)
+    return Optimum(t_opt=t_opt, xi2_min=xi2_min)
+
+
+@lru_cache(maxsize=32)
+def oat_optimum(n_spins: int) -> Optimum:
+    """Optimal time and squeezing of unit-strength z^2 twisting from an x-polarized state."""
     hi = 5.0 * n_spins ** (-2.0 / 3.0)
-    t_opt, xi2_min = _scan_minimize(xi2_at, 0.0, hi)
+    t_opt, xi2_min = _scan_minimize(*_oat_scan(n_spins), 0.0, hi)
     return Optimum(t_opt=t_opt, xi2_min=xi2_min)
 
 
@@ -388,6 +458,7 @@ class FitResult:
     exponent: float
     intercept: float
     r_squared: float
+    y: tuple[float, ...]  # the data fitted, as log y = exponent * log x + intercept
 
 
 def _loglog_fit(x: np.ndarray, y: np.ndarray) -> FitResult:
@@ -398,7 +469,7 @@ def _loglog_fit(x: np.ndarray, y: np.ndarray) -> FitResult:
     ss_res = float(np.sum((ly - predicted) ** 2))
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return FitResult(float(coeffs[0]), float(coeffs[1]), r2)
+    return FitResult(float(coeffs[0]), float(coeffs[1]), r2, tuple(y.tolist()))
 
 
 def scaling_fit(scheme: str, n_list, chi: float = 1.0, order: int = 2) -> FitResult:

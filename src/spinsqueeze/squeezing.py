@@ -118,6 +118,51 @@ def squeezing_parameter(
     return SqueezingSample(t=t, xi2=xi2, mean_spin=mean, min_variance_direction=direction)
 
 
+def _column_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re <a_c|b_c> for every column c."""
+    return (a.real * b.real + a.imag * b.imag).sum(axis=0)
+
+
+def xi2_columns(amps: np.ndarray, ops: SpinOperators) -> np.ndarray:
+    """xi^2 of every column of a (dim x k) amplitude array, +inf where the mean spin vanishes.
+
+    The quantity of `squeezing_parameter`, equal to it up to roundoff: the
+    transverse covariance is projected from the 3x3 symmetrized second
+    moments Re <J_a psi|J_b psi> onto the same transverse basis, and its
+    smaller eigenvalue is taken in closed form per column.
+    """
+    ladder = ops.ladder[:, None]
+    up = np.zeros_like(amps)
+    up[:-1] = ladder * amps[1:]
+    down = np.zeros_like(amps)
+    down[1:] = ladder * amps[:-1]
+    v = (0.5 * (up + down), -0.5j * (up - down), ops.m_values[:, None] * amps)
+    del up, down
+    mean = np.array([_column_dots(amps, va) for va in v])  # (3, k)
+    second = np.empty((3, 3, amps.shape[1]))
+    for a in range(3):
+        for b in range(a, 3):
+            second[a, b] = second[b, a] = _column_dots(v[a], v[b])
+
+    j = ops.total_spin
+    length = np.linalg.norm(mean, axis=0)
+    vanishing = length <= MEAN_SPIN_EPS_FACTOR * j
+    u = mean / np.where(vanishing, 1.0, length)
+    # transverse_basis per column: seed axis least aligned with u, then n2 = u x n1.
+    seed = np.zeros_like(u)
+    seed[np.argmin(np.abs(u), axis=0), np.arange(u.shape[1])] = 1.0
+    n1 = seed - (seed * u).sum(axis=0) * u
+    n1 /= np.linalg.norm(n1, axis=0)
+    n2 = np.cross(u, n1, axis=0)
+
+    def cov(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        return np.einsum("ak,abk,bk->k", p, second, q) - (p * mean).sum(axis=0) * (q * mean).sum(axis=0)
+
+    c11, c22, c12 = cov(n1, n1), cov(n2, n2), cov(n1, n2)
+    lam_min = (c11 + c22) / 2.0 - np.hypot((c11 - c22) / 2.0, c12)
+    return np.where(vanishing, np.inf, 2.0 * np.maximum(lam_min, 0.0) / j)
+
+
 def find_optimum(trace: SqueezingTrace) -> Optimum:
     """Sample with minimal xi^2; earliest time wins ties."""
     if not trace.samples:

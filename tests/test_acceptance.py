@@ -260,7 +260,7 @@ def test_criterion_9_error_curve_comparison(opt1250):
     for scheme, n_cycles in (("schemeA", 50), ("schemeB", 17)):
         d = strength_divisor(scheme)
         spec = ExperimentSpec(scheme, 1250, n_cycles, PRE_OPTIMUM_FACTOR * d * opt1250.t_opt)
-        curve = relative_error_curve(spec, effective_counterpart(spec))
+        curve = relative_error_curve(run_trace(spec), run_trace(effective_counterpart(spec)))
         mask = curve.times <= d * opt1250.t_opt
         n = curve.relative_errors.size
         curves[scheme] = {

@@ -1,12 +1,18 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import spinsqueeze
 from spinsqueeze import build_operators, coherent_state_z, run_trace, squeezing_parameter
 from spinsqueeze.cli import main, trace_csv
 from spinsqueeze.config import ConfigError, parse_config, parse_sampling, to_spec
-from spinsqueeze.experiments import ExperimentSpec
+from spinsqueeze.experiments import ExperimentSpec, oat_optimum
 from spinsqueeze.squeezing import SqueezingTrace
 
 
@@ -149,6 +155,45 @@ def test_scaling_command(capsys):
     assert main(["scaling", "--scheme", "ideal-OAT", "--n-list", "30,60,120"]) == 0
     out = capsys.readouterr().out
     assert "exponent=" in out
+
+
+def test_scaling_csv_holds_the_fitted_minima(tmp_path, capsys):
+    """Refitting the CSV rows of a pulse-scheme scaling run gives the printed exponent."""
+    out = tmp_path / "scaling.csv"
+    assert main(["scaling", "--scheme", "schemeA", "--n-list", "20,40,80", "--out", str(out)]) == 0
+    printed = float(capsys.readouterr().out.split("exponent=")[1].split()[0])
+    lines = out.read_text().splitlines()
+    assert lines[0] == "n,xi2_min"
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    np.testing.assert_array_equal(rows[:, 0], [20, 40, 80])
+    exponent = np.polyfit(np.log(rows[:, 0]), np.log(rows[:, 1]), 1)[0]
+    assert abs(exponent - printed) <= 5e-5
+    ideal_oat = [oat_optimum(n).xi2_min for n in (20, 40, 80)]
+    assert not np.allclose(rows[:, 1], ideal_oat, rtol=1e-3)
+
+
+def _cli_bytes(args: list[str], threads: str, tmp_path) -> bytes:
+    src = Path(spinsqueeze.__file__).resolve().parent.parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    out = tmp_path / f"out-{threads}.csv"
+    argv = [arg.replace("{out}", str(out)) for arg in args]
+    result = subprocess.run(
+        [sys.executable, "-m", "spinsqueeze.cli", *argv], env=env, capture_output=True, check=True
+    )
+    return result.stdout + (out.read_bytes() if "{out}" in args else b"")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["timecost", "--n-spins", "300"],
+        ["scaling", "--scheme", "ideal-TAT", "--n-list", "60,121,240", "--out", "{out}"],
+    ],
+)
+def test_optimum_search_output_is_thread_count_independent(args, tmp_path):
+    """timecost and scaling print and write the same bytes with 1 and 2 BLAS threads."""
+    assert _cli_bytes(args, "1", tmp_path) == _cli_bytes(args, "2", tmp_path)
 
 
 def test_validation_errors_exit_2():

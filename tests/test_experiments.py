@@ -3,8 +3,12 @@ import pytest
 
 from spinsqueeze import find_optimum, run_many, run_trace, tat_optimum, time_cost
 from spinsqueeze.experiments import (
+    SCAN_CHUNK_COLUMNS,
     ExperimentSpec,
     _loglog_fit,
+    _oat_scan,
+    _scan_minimize,
+    _tat_scan,
     default_t_total,
     effective_counterpart,
     nc_convergence,
@@ -15,8 +19,10 @@ from spinsqueeze.experiments import (
     strobe_indices,
     validate_spec,
 )
+from spinsqueeze.propagate import HALF_PI, evolve_oat, evolve_twist, rotate
 from spinsqueeze.schedules import S_PARAM
-from spinsqueeze.squeezing import MeanSpinVanishing
+from spinsqueeze.spin_ops import build_operators, coherent_state_z
+from spinsqueeze.squeezing import MeanSpinVanishing, squeezing_parameter
 
 
 def test_spec_validation():
@@ -48,7 +54,7 @@ def test_stroboscopic_slice_of_fine_run_is_bit_identical():
     fine = ExperimentSpec("schemeA", 24, 9, 0.06, sampling="fine", subsamples=5)
     strobe = ExperimentSpec("schemeA", 24, 9, 0.06)
     tf, ts = run_trace(fine), run_trace(strobe)
-    idx = strobe_indices(fine)
+    idx = strobe_indices(tf)
     assert np.array_equal(tf.xi2()[idx], ts.xi2())
     assert np.array_equal(tf.times()[idx], ts.times())
 
@@ -68,14 +74,15 @@ def test_ideal_runs_share_grid_with_pulse_runs():
     eff = effective_counterpart(seq)
     assert eff.scheme == "ideal-TAT"
     assert eff.divisor == pytest.approx(3.0)
-    curve = relative_error_curve(seq, eff)
+    curve = relative_error_curve(run_trace(seq), run_trace(eff))
     assert curve.times.shape == (8,)
     assert np.all(curve.relative_errors >= 0)
 
 
 def test_identical_specs_give_zero_error():
     spec = ExperimentSpec("ideal-TAT", 14, 6, 0.2)
-    curve = relative_error_curve(spec, spec)
+    trace = run_trace(spec)
+    curve = relative_error_curve(trace, trace)
     np.testing.assert_array_equal(curve.relative_errors, np.zeros(7))
 
 
@@ -83,10 +90,13 @@ def test_grid_mismatch_rejected():
     a = ExperimentSpec("schemeA", 16, 7, 0.12)
     b = ExperimentSpec("ideal-TAT", 16, 8, 0.12)
     with pytest.raises(ValueError, match="grid mismatch"):
-        relative_error_curve(a, b)
+        relative_error_curve(run_trace(a), run_trace(b))
     c = ExperimentSpec("ideal-TAT", 18, 7, 0.12)
     with pytest.raises(ValueError, match="grid mismatch"):
-        relative_error_curve(a, c)
+        relative_error_curve(run_trace(a), run_trace(c))
+    d = ExperimentSpec("ideal-TAT", 16, 7, 0.13)
+    with pytest.raises(ValueError, match="grid mismatch: stroboscopic instants"):
+        relative_error_curve(run_trace(a), run_trace(d))
 
 
 def test_mean_spin_vanishing_reports_sample_index():
@@ -169,3 +179,56 @@ def test_general_scheme_runs():
     assert len(trace.samples) == 6
     opt = find_optimum(trace)
     assert 0 <= opt.xi2_min <= 1.0
+
+
+def _or_inf(evaluate, *args) -> float:
+    """evaluate(*args), or +inf where the mean spin vanishes."""
+    try:
+        return evaluate(*args)
+    except MeanSpinVanishing:
+        return np.inf
+
+
+@pytest.mark.parametrize("n", [8, 9, 40, 41])
+@pytest.mark.parametrize("scheme", ["ideal-TAT", "ideal-OAT"])
+def test_batched_scan_grid_matches_scalar_path(n, scheme):
+    """The chunked grid gives per-point squeezing_parameter, +inf exactly where it raises."""
+    ops = build_operators(n)
+    start = coherent_state_z(n)
+
+    def xi2(state):
+        return squeezing_parameter(state, ops).xi2
+
+    if scheme == "ideal-TAT":
+        _, grid = _tat_scan(n)
+        ts = np.linspace(0.0, 10.0 / n, 3 * SCAN_CHUNK_COLUMNS - 17)
+        scalar = [_or_inf(xi2, evolve_twist(start, 1.0, t)) for t in ts]
+    else:  # [0, 3] runs past the mean-spin collapse around t = pi/2
+        _, grid = _oat_scan(n)
+        ts = np.linspace(0.0, 3.0, 3 * SCAN_CHUNK_COLUMNS - 17)
+        psi_x = rotate(start, "y", HALF_PI)
+        scalar = [_or_inf(xi2, evolve_oat(psi_x, 1.0, t)) for t in ts]
+    scalar = np.array(scalar)
+    batched = grid(ts)
+    assert batched.shape == ts.shape
+    vanishing = np.isinf(scalar)
+    np.testing.assert_array_equal(np.isinf(batched), vanishing)
+    if scheme == "ideal-OAT":
+        assert vanishing.any()
+    np.testing.assert_allclose(batched[~vanishing], scalar[~vanishing], rtol=1e-9, atol=0.0)
+    assert np.argmin(batched) == np.argmin(scalar)
+
+
+@pytest.mark.parametrize("n", [8, 9, 40, 41])
+def test_batched_scan_gives_the_scalar_scan_optimum(n):
+    """Batching the grid leaves the optimum of a point-by-point scan unchanged, bit for bit."""
+    for scan, optimum, hi in (
+        (_tat_scan, tat_optimum, 10.0 / n),
+        (_oat_scan, oat_optimum, 5.0 * n ** (-2.0 / 3.0)),
+    ):
+        xi2_at, _ = scan(n)
+
+        def pointwise(ts):
+            return np.array([_or_inf(xi2_at, t) for t in ts])
+
+        assert _scan_minimize(xi2_at, pointwise, 0.0, hi) == (optimum(n).t_opt, optimum(n).xi2_min)
