@@ -1,9 +1,14 @@
 """Run squeezing experiments: pulse-driven traces, ideal references, sweeps and fits.
 
-Pulse schemes are propagated period by period from a prebuilt per-period
-itinerary.  Interior (fine-sampling) snapshots fork off the segment-start
-state, so the main propagation line applies exactly the same operators as a
-stroboscopic run and both produce bit-identical period-boundary samples.
+Pulse schemes run on the even-index Dicke sector (see `propagate`): each
+period is a list of steps, free z^2 twisting or a pulse pair (a+, tau, a-)
+evolved through its eigen-coefficients.  A fine sample inside a pair is
+taken from those coefficients in the frame rotated by the opening pulse,
+and its mean spin and minimal-variance direction are mapped back with the
+pulse's fixed signed permutation.  Samples fork off the main line, so a
+fine run applies exactly the operations of a stroboscopic one and both give
+bit-identical period-boundary samples.  At every period boundary the state
+norm is checked against `tolerances.NORM_DRIFT`.
 """
 
 from __future__ import annotations
@@ -15,9 +20,13 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import tolerances
 from .propagate import (
     HALF_PI,
-    evolve_oat,
+    evolve_free,
+    pair_coefficients,
+    pair_evolve,
+    pulse_frame,
     real_matvec,
     rotate,
     schedule_unitary,
@@ -30,7 +39,15 @@ from .schedules import (
     delta_t_for,
     period_in_delta_t_units,
 )
-from .spin_ops import DickeState, _frozen, build_operators, coherent_state_z
+from .spin_ops import (
+    DickeState,
+    NumericalConsistencyError,
+    _frozen,
+    build_operators,
+    coherent_state_z,
+    even_sector_dim,
+    even_sector_state,
+)
 from .squeezing import (
     MeanSpinVanishing,
     Optimum,
@@ -50,8 +67,11 @@ PRE_OPTIMUM_FACTOR = 1.5
 
 SCAN_GRID_POINTS = 2000
 # Grid times evaluated per batch.  It bounds the scan's temporaries to a few
-# (N+1) x 256 complex arrays, about 8 MB each at N = 2000.
-SCAN_CHUNK_COLUMNS = 256
+# (N+1) x 128 complex arrays, about 4 MB each at N = 2000.  At 256 columns
+# (8 MB) glibc mapped and unmapped each temporary afresh, page faults
+# included, unless freeing larger blocks had raised its mmap threshold; the
+# dense operators, no longer built, used to do that as a side effect.
+SCAN_CHUNK_COLUMNS = 128
 # Grid points this close to the grid minimum, relative to it, are re-checked
 # on the scalar path.  The two paths differ by roundoff that grows like N^2
 # (the second moments weigh amplitude errors by J^2): 3e-10 relative at
@@ -115,43 +135,67 @@ def _interior_offsets(spec: ExperimentSpec, period: float) -> list[float]:
 
 
 @dataclass(frozen=True)
-class _FreeAction:
+class _Step:
+    """Free z^2 twisting (no axis) or a pulse pair about `axis` opened by a `sign` pulse."""
+
     duration: float
-    snapshots: tuple[tuple[int, float], ...]  # (sample slot, partial duration)
+    axis: str = ""
+    sign: int = 0
+    snapshots: tuple[tuple[int, float], ...] = ()  # (sample slot, time into the step)
 
 
-@dataclass(frozen=True)
-class _PulseAction:
-    axis: str
-    sign: int
+def _pair_steps(schedule: Schedule) -> list[_Step]:
+    """One period's segments as free steps and (a+, tau, a-) pair steps.
+
+    Every pulse the compilers emit opens or closes such a pair; anything else
+    cannot run on the even sector and is rejected.
+    """
+    segs = schedule.segments
+    steps = []
+    i = 0
+    while i < len(segs):
+        seg = segs[i]
+        if seg.kind == "free":
+            steps.append(_Step(seg.duration))
+            i += 1
+            continue
+        pair = segs[i : i + 3]
+        if not (
+            len(pair) == 3
+            and pair[1].kind == "free"
+            and pair[2].kind == "pulse"
+            and (pair[2].axis, pair[2].sign) == (seg.axis, -seg.sign)
+        ):
+            raise ValueError(
+                f"{schedule.scheme}: pulse {seg.axis}{seg.sign:+d} at segment {i} "
+                "does not open a (pulse, free, inverse pulse) pair"
+            )
+        steps.append(_Step(pair[1].duration, seg.axis, seg.sign))
+        i += 3
+    return steps
 
 
-def _build_itinerary(schedule: Schedule, offsets: list[float]):
-    """Attach interior sample offsets to the free segments that contain them.
+def _itinerary(schedule: Schedule, offsets: list[float]) -> list[_Step]:
+    """Attach interior sample offsets to the steps that contain them.
 
-    Offsets landing exactly on a segment boundary are taken at the end of the
-    preceding free segment, i.e. before any pulse at the same instant.
+    Offsets on a step boundary are taken at the end of the earlier step, i.e.
+    before any pulse at the same instant; float slop past the period's end
+    lands at the end of the last step.
     """
     tol = 1e-12 * max(schedule.t_c, 1.0)
     remaining = list(enumerate(offsets))
-    actions = []
-    seg_start = 0.0
-    for seg in schedule.segments:
-        if seg.kind == "pulse":
-            actions.append(_PulseAction(seg.axis, seg.sign))
-            continue
+    steps = _pair_steps(schedule)
+    out = []
+    start = 0.0
+    for i, step in enumerate(steps):
+        last = i == len(steps) - 1
         snaps = []
-        while remaining and remaining[0][1] <= seg_start + seg.duration + tol:
+        while remaining and (last or remaining[0][1] <= start + step.duration + tol):
             slot, off = remaining.pop(0)
-            snaps.append((slot, min(max(off - seg_start, 0.0), seg.duration)))
-        actions.append(_FreeAction(seg.duration, tuple(snaps)))
-        seg_start += seg.duration
-    if remaining:  # float slop pushed an offset past the last segment
-        slot, _ = remaining[0]
-        last = max(i for i, a in enumerate(actions) if isinstance(a, _FreeAction))
-        extra = tuple((s, actions[last].duration) for s, _ in remaining)
-        actions[last] = _FreeAction(actions[last].duration, actions[last].snapshots + extra)
-    return actions
+            snaps.append((slot, min(max(off - start, 0.0), step.duration)))
+        out.append(replace(step, snapshots=tuple(snaps)))
+        start += step.duration
+    return out
 
 
 def _sample(ops, state: DickeState, t: float, index: int) -> SqueezingSample:
@@ -161,30 +205,66 @@ def _sample(ops, state: DickeState, t: float, index: int) -> SqueezingSample:
         raise MeanSpinVanishing(f"sample {index} at t={t:.6g}: {exc}") from None
 
 
+def _evolve_step(ops, step: _Step, psi: np.ndarray, coeffs, chi: float, t: float) -> np.ndarray:
+    """The even-sector vector at time `t` into a step; inside a pair, in its opening pulse's frame."""
+    if step.axis:
+        return pair_evolve(ops.n_spins, step.axis, coeffs, chi, t)
+    return evolve_free(ops, psi, chi, t)
+
+
+def _step_sample(ops, step: _Step, amps: np.ndarray, t: float, index: int) -> SqueezingSample:
+    """Sample of a vector from `_evolve_step`.
+
+    Inside a pair, xi^2 is evaluated in the rotated frame, where it is the
+    same; the mean spin and the minimal-variance direction are rotated back
+    by the opening pulse.
+    """
+    sample = _sample(ops, even_sector_state(ops.n_spins, amps), t, index)
+    if not step.axis:
+        return sample
+    frame = pulse_frame(step.axis, step.sign)
+    return replace(
+        sample,
+        mean_spin=frame @ sample.mean_spin,
+        min_variance_direction=frame @ sample.min_variance_direction,
+    )
+
+
+def _check_norm(amps: np.ndarray, t: float, index: int) -> None:
+    drift = abs(float(np.linalg.norm(amps)) - 1.0)
+    if not drift <= tolerances.NORM_DRIFT:
+        raise NumericalConsistencyError(
+            f"sample {index} at t={t:.6g}: state norm drifted by {drift:.3e} "
+            f"(tolerance {tolerances.NORM_DRIFT:.0e})"
+        )
+
+
 def _run_pulse_trace(spec: ExperimentSpec) -> SqueezingTrace:
-    ops = build_operators(spec.n_spins)
+    n = spec.n_spins
+    ops = build_operators(n)
     delta_t = delta_t_for(spec.scheme, spec.t_total, spec.n_cycles, spec.order)
     schedule = compile_scheme(spec.scheme, delta_t, spec.n_cycles, spec.order)
     period = spec.t_total / spec.n_cycles
     offsets = _interior_offsets(spec, schedule.t_c)
-    actions = _build_itinerary(schedule, offsets)
+    steps = _itinerary(schedule, offsets)
     k = len(offsets)
 
-    state = coherent_state_z(spec.n_spins)
-    samples = [_sample(ops, state, 0.0, 0)]
+    psi = np.zeros(even_sector_dim(n), dtype=complex)
+    psi[0] = 1.0  # |J,J>
+    samples = [_sample(ops, even_sector_state(n, psi), 0.0, 0)]
     for cycle in range(spec.n_cycles):
         t0 = cycle * period
-        for action in actions:
-            if isinstance(action, _PulseAction):
-                state = rotate(state, action.axis, action.sign * HALF_PI)
-                continue
-            for slot, partial in action.snapshots:
-                fork = evolve_oat(state, spec.chi, partial)
-                index = cycle * (k + 1) + slot + 1
-                samples.append(_sample(ops, fork, t0 + (slot + 1) * period / (k + 1), index))
-            state = evolve_oat(state, spec.chi, action.duration)
+        for step in steps:
+            coeffs = pair_coefficients(n, step.axis, psi) if step.axis else None
+            for slot, partial in step.snapshots:
+                fork = _evolve_step(ops, step, psi, coeffs, spec.chi, partial)
+                t = t0 + (slot + 1) * period / (k + 1)
+                samples.append(_step_sample(ops, step, fork, t, cycle * (k + 1) + slot + 1))
+            psi = _evolve_step(ops, step, psi, coeffs, spec.chi, step.duration)
         index = (cycle + 1) * (k + 1)
-        samples.append(_sample(ops, state, (cycle + 1) * period, index))
+        t = (cycle + 1) * period
+        _check_norm(psi, t, index)
+        samples.append(_sample(ops, even_sector_state(n, psi), t, index))
     return SqueezingTrace(
         samples=tuple(samples),
         scheme=spec.scheme,

@@ -1,13 +1,26 @@
 """Exact unitary time evolution.
 
-Three propagation primitives cover every dynamics in the package:
+Every pulse schedule starts from |J,J> and is a sequence of free z^2
+twisting and pulse pairs (a +/- pi/2 pulse about a, free time tau, the
+inverse pulse).  A pair about y is exp(-i chi tau J_x^2) and a pair about x
+is exp(-i chi tau J_y^2); both, like free twisting, keep the state in the
+even-index Dicke sector of dimension N//2 + 1.  On that sector J_x^2 is real
+symmetric tridiagonal and J_y^2 is the same matrix in the (-1)^i gauge, so
+the pulse engine is
 
-* free twisting about z (diagonal phases, O(N), never a matrix),
-* instantaneous x/y rotation pulses (cached dense matrices for +/- pi/2,
-  eigenbasis application for generic angles),
-* evolution under the xy twisting generator J_x^2 - J_y^2 (eigendecomposition
-  computed once per spin number, split over the two parity blocks the
-  generator cannot couple).
+* free twisting: diagonal phases on the even sector, O(N);
+* pair evolution: one cached `eigh_tridiagonal` factorization of J_x^2 per
+  spin number, applied as two real products per pair (`pair_coefficients`,
+  then `pair_evolve` for any time inside the pair);
+* `pulse_frame`: the 3x3 signed permutation that maps the mean spin and the
+  minimal-variance direction of a state inside a pair back from the frame
+  rotated by the opening pulse.
+
+The small-N reference paths keep full-dimension tools: dense +/- pi/2
+rotations (`rotation_matrix`, `rotate`), the per-period unitary
+(`schedule_unitary`), the parity-block eigendecomposition of the xy
+twisting generator J_x^2 - J_y^2 (`twist_factorization`) and the
+phase-stripped unitary distance.
 """
 
 from __future__ import annotations
@@ -27,6 +40,7 @@ from .spin_ops import (
     SpinOperators,
     _frozen,
     build_operators,
+    check_dense_fits,
 )
 
 HALF_PI = math.pi / 2.0
@@ -145,6 +159,7 @@ def _rotation_factorization(n_spins: int, axis: str) -> EigenFactorization:
     -ladder/2, and the eigenvectors transform back as D^dagger u.
     """
     ops = build_operators(n_spins)
+    check_dense_fits(ops.dim, ops.dim, 16, f"dense {axis} rotation at N={n_spins}")
     diag = np.zeros(ops.dim)
     if axis == "x":
         w, u = eigh_tridiagonal(diag, ops.ladder / 2.0)
@@ -184,11 +199,13 @@ def twist_factorization(n_spins: int) -> EigenFactorization:
     """Eigendecomposition of J_x^2 - J_y^2, solved block-by-block.
 
     The generator only couples basis indices two apart, so even and odd index
-    sets diagonalize independently; the two half-size real-symmetric solves
+    sets diagonalize independently; each block is the symmetric tridiagonal
+    matrix of every other `twist_band` value, and the two half-size solves
     are reassembled into one factorization.
     """
     ops = build_operators(n_spins)
     dim = ops.dim
+    check_dense_fits(dim, dim, 8, f"twist factorization at N={n_spins}")
     values = np.empty(dim)
     vectors = np.zeros((dim, dim))
     col = 0
@@ -196,7 +213,8 @@ def twist_factorization(n_spins: int) -> EigenFactorization:
         idx = np.arange(start, dim, 2)
         if idx.size == 0:
             continue
-        w, v = np.linalg.eigh(ops.twist_xy[np.ix_(idx, idx)])
+        band = ops.twist_band[start::2]
+        w, v = np.linalg.eigh(np.diag(band, 1) + np.diag(band, -1))
         values[col : col + idx.size] = w
         vectors[np.ix_(idx, np.arange(col, col + idx.size))] = v
         col += idx.size
@@ -245,3 +263,73 @@ def schedule_unitary(ops: SpinOperators, segments, chi: float) -> Propagator:
         else:
             u = rotation_matrix(ops.n_spins, seg.axis, seg.sign * HALF_PI) @ u
     return Propagator(u, "compiled-period", total)
+
+
+# -- even-sector pulse engine ----------------------------------------------------
+
+
+@lru_cache(maxsize=8)
+def pair_factorization(n_spins: int) -> EigenFactorization:
+    """Eigendecomposition of J_x^2 on the even-index sector, the generator of a y pulse pair.
+
+    On that sector J_x^2 = (J+^2 + J-^2 + J+J- + J-J+)/4 is real symmetric
+    tridiagonal: diagonal (ladder[k-1]^2 + ladder[k]^2)/4 and off-diagonal
+    ladder[k] ladder[k+1]/4 at even k.  J_y^2 differs only in the sign of
+    the off-diagonal, i.e. by the gauge diag((-1)^i), so this one
+    factorization serves pairs about both axes.
+
+    The MRRR driver (`stemr`) uses no threaded BLAS, so the eigenvectors, and
+    every pulse trace built on them, do not depend on the BLAS thread count;
+    scipy's default divide-and-conquer driver does.
+    """
+    ops = build_operators(n_spins)
+    squares = np.zeros(ops.dim + 1)
+    squares[1:-1] = ops.ladder**2
+    diag = (squares[:-1] + squares[1:])[0::2] / 4.0
+    off = ops.twist_band[0::2] / 2.0
+    w, v = eigh_tridiagonal(diag, off, lapack_driver="stemr")
+    return EigenFactorization(_frozen(w), _frozen(v), f"jx^2 even[N={n_spins}]")
+
+
+def _gauge(amps: np.ndarray) -> np.ndarray:
+    """diag((-1)^i) applied to an even-sector vector."""
+    out = amps.copy()
+    out[1::2] *= -1.0
+    return out
+
+
+def evolve_free(ops: SpinOperators, amps: np.ndarray, chi: float, t: float) -> np.ndarray:
+    """exp(-i chi J_z^2 t) on an even-sector amplitude vector."""
+    return amps * np.exp(-1j * chi * t * ops.jz_sq_diag[0::2])
+
+
+def pair_coefficients(n_spins: int, axis: str, amps: np.ndarray) -> np.ndarray:
+    """Eigen-coefficients of an even-sector state for a pair of pulses about `axis`.
+
+    A pair about y twists with J_x^2, one about x with J_y^2 (the gauged J_x^2).
+    """
+    fac = pair_factorization(n_spins)
+    return real_matvec(fac.eigenvectors.T, _gauge(amps) if axis == "x" else amps)
+
+
+def pair_evolve(n_spins: int, axis: str, coeffs: np.ndarray, chi: float, t: float) -> np.ndarray:
+    """exp(-i chi t J_b^2) psi from the `pair_coefficients` of psi, with b the axis twisted about.
+
+    Between the two pulses of the pair the true state is the opening pulse
+    applied to this vector; at t = tau, the pair's free time, the closing
+    pulse undoes it and this is the state after the pair.
+    """
+    fac = pair_factorization(n_spins)
+    amps = real_matvec(fac.eigenvectors, np.exp(-1j * chi * t * fac.eigenvalues) * coeffs)
+    return _gauge(amps) if axis == "x" else amps
+
+
+def pulse_frame(axis: str, sign: int) -> np.ndarray:
+    """Signed permutation P with <J>(exp(-i sign pi/2 J_axis) psi) = P <J>(psi).
+
+    The rotation by sign * pi/2 about the axis, acting on 3-vectors (Rodrigues'
+    formula with cos = 0): it also maps the minimal-variance direction.
+    """
+    n = np.array([axis == "x", axis == "y", False], dtype=float)
+    cross = np.array([[0.0, -n[2], n[1]], [n[2], 0.0, -n[0]], [-n[1], n[0], 0.0]])
+    return np.outer(n, n) + sign * cross

@@ -3,17 +3,20 @@
 Everything downstream shares one basis convention: |J,m> ordered from m = J
 down to m = -J, so the fully z-polarized state is the first basis vector and
 Jz is diagonal with descending entries.
+
+Only O(N) band data is built per spin number.  The dense (N+1) x (N+1)
+matrices J_x, J_y, J_z and J_x^2 - J_y^2 are built on first access, for the
+small-N reference paths and the tests; no production path touches them.
 """
 
 from __future__ import annotations
 
+import os
+import resource
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
-
-# Dimension N+1 must stay a sane dense-matrix size.
-MAX_SPINS = 100_000
 
 IMAG_TOL = 1e-9
 
@@ -27,28 +30,77 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def memory_limit_bytes() -> int:
+    """Physical memory, or the address-space limit of this process if that is lower."""
+    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    if soft != resource.RLIM_INFINITY:
+        limit = min(limit, soft)
+    return limit
+
+
+def check_dense_fits(rows: int, cols: int, itemsize: int, what: str) -> None:
+    """Raise ValueError, before allocating, if a dense rows x cols array cannot fit in memory."""
+    nbytes = rows * cols * itemsize
+    limit = memory_limit_bytes()
+    if nbytes > limit:
+        raise ValueError(
+            f"{what} needs a dense {rows} x {cols} array of {nbytes / 2**30:.1f} GiB, "
+            f"more than the {limit / 2**30:.1f} GiB of memory available"
+        )
+
+
+def even_sector_dim(n_spins: int) -> int:
+    """Dimension of the even-index Dicke sector, which holds |J,J> and every pulse-pair state."""
+    return n_spins // 2 + 1
+
+
 @dataclass(frozen=True)
 class SpinOperators:
-    """Dense collective angular-momentum matrices for a fixed spin number.
+    """Band data of the collective angular-momentum operators for a fixed spin number.
 
     ``ladder[k]`` couples basis indices k and k+1 (the raising-operator matrix
     element between m = J-k-1 and m = J-k); it lets observables be applied in
-    O(N) without touching the dense matrices.
+    O(N) without touching dense matrices.  ``twist_band[k]`` couples k and
+    k+2 in J_x^2 - J_y^2 = (J+^2 + J-^2)/2, its only nonzero entries.
     """
 
     n_spins: int
     dim: int
-    jx: np.ndarray
-    jy: np.ndarray
-    jz: np.ndarray
     jz_sq_diag: np.ndarray
-    twist_xy: np.ndarray
     m_values: np.ndarray
     ladder: np.ndarray
+    twist_band: np.ndarray
 
     @property
     def total_spin(self) -> float:
         return self.n_spins / 2.0
+
+    def _dense(self, what: str) -> None:
+        check_dense_fits(self.dim, self.dim, 16, f"dense {what} at N={self.n_spins}")
+
+    @cached_property
+    def jx(self) -> np.ndarray:
+        self._dense("J_x")
+        jp = np.diag(self.ladder, 1)
+        return _frozen(((jp + jp.T) / 2.0).astype(complex))
+
+    @cached_property
+    def jy(self) -> np.ndarray:
+        self._dense("J_y")
+        jp = np.diag(self.ladder, 1)
+        return _frozen((jp - jp.T) / 2j)
+
+    @cached_property
+    def jz(self) -> np.ndarray:
+        self._dense("J_z")
+        return _frozen(np.diag(self.m_values).astype(complex))
+
+    @cached_property
+    def twist_xy(self) -> np.ndarray:
+        """J_x^2 - J_y^2 from its +/-2 diagonals; every other entry is exactly zero."""
+        self._dense("J_x^2 - J_y^2")
+        return _frozen(np.diag(self.twist_band, 2) + np.diag(self.twist_band, -2))
 
 
 @dataclass(frozen=True)
@@ -73,19 +125,21 @@ def state_from_amplitudes(n_spins: int, amplitudes: np.ndarray) -> DickeState:
 
 @lru_cache(maxsize=8)
 def build_operators(n_spins: int) -> SpinOperators:
-    """Construct the dense J_x, J_y, J_z and the xy twisting generator J_x^2 - J_y^2.
+    """Band data of J_x, J_y, J_z and the xy twisting generator J_x^2 - J_y^2.
 
     Ladder convention: J+|J,m> = sqrt(J(J+1) - m(m+1)) |J,m+1>, with
-    J_x = (J+ + J-)/2 and J_y = (J+ - J-)/(2i).  The twisting generator is
-    assembled from its only nonzero diagonals (m coupled to m +/- 2), so all
-    other entries are exactly zero.
+    J_x = (J+ + J-)/2 and J_y = (J+ - J-)/(2i).
+
+    Every run at this spin number builds at least one dense array as large as
+    the even-index block, so a spin number whose block cannot fit in memory
+    is rejected here, before anything large is allocated.
     """
     if not isinstance(n_spins, (int, np.integer)) or isinstance(n_spins, bool):
         raise ValueError(f"n_spins must be a positive integer, got {n_spins!r}")
     if n_spins < 1:
         raise ValueError(f"n_spins must be >= 1, got {n_spins}")
-    if n_spins > MAX_SPINS:
-        raise ValueError(f"n_spins={n_spins} exceeds the dense-matrix limit {MAX_SPINS}")
+    half = even_sector_dim(int(n_spins))
+    check_dense_fits(half, half, 8, f"n_spins={n_spins}")
 
     n = int(n_spins)
     dim = n + 1
@@ -93,26 +147,23 @@ def build_operators(n_spins: int) -> SpinOperators:
     m = j - np.arange(dim)
     # ladder[k] = <J,m[k]| J+ |J,m[k+1]>
     ladder = np.sqrt(j * (j + 1.0) - m[1:] * (m[1:] + 1.0))
-
-    jp = np.diag(ladder, 1)
-    jx = (jp + jp.T) / 2.0
-    jy = (jp - jp.T) / 2j
-    jz = np.diag(m)
-
     twist_band = ladder[:-1] * ladder[1:] / 2.0  # (J+^2 + J-^2)/2, only +/-2 diagonals
-    twist_xy = np.diag(twist_band, 2) + np.diag(twist_band, -2)
 
     return SpinOperators(
         n_spins=n,
         dim=dim,
-        jx=_frozen(jx.astype(complex)),
-        jy=_frozen(jy),
-        jz=_frozen(jz.astype(complex)),
         jz_sq_diag=_frozen(m**2),
-        twist_xy=_frozen(twist_xy),
         m_values=_frozen(m),
         ladder=_frozen(ladder),
+        twist_band=_frozen(twist_band),
     )
+
+
+def even_sector_state(n_spins: int, amplitudes: np.ndarray) -> DickeState:
+    """The state with these even-index amplitudes and exact zeros at every odd index."""
+    amps = np.zeros(n_spins + 1, dtype=complex)
+    amps[0::2] = amplitudes
+    return DickeState(n_spins, _frozen(amps))
 
 
 def coherent_state_z(n_spins: int) -> DickeState:

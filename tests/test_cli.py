@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -189,11 +190,36 @@ def _cli_bytes(args: list[str], threads: str, tmp_path) -> bytes:
     [
         ["timecost", "--n-spins", "300"],
         ["scaling", "--scheme", "ideal-TAT", "--n-list", "60,121,240", "--out", "{out}"],
+        ["simulate", "--scheme", "schemeB", "--n-spins", "1250", "--n-cycles", "17", "--out", "{out}"],
     ],
 )
 def test_optimum_search_output_is_thread_count_independent(args, tmp_path):
-    """timecost and scaling print and write the same bytes with 1 and 2 BLAS threads."""
+    """timecost, scaling and simulate print and write the same bytes with 1 and 2 BLAS threads."""
     assert _cli_bytes(args, "1", tmp_path) == _cli_bytes(args, "2", tmp_path)
+
+
+def _limit_address_space():
+    limit = 3 * 2**30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_run_too_large_for_memory_exits_2_before_allocating():
+    """N = 100000 would need a 20 GB even-sector block: rejected at once, not killed."""
+    src = Path(spinsqueeze.__file__).resolve().parent.parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    argv = ["simulate", "--scheme", "schemeA", "--n-spins", "100000", "--n-cycles", "1",
+            "--t-total", "0.001"]
+    result = subprocess.run(
+        [sys.executable, "-m", "spinsqueeze.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=5,
+        preexec_fn=_limit_address_space,
+    )
+    assert result.returncode == 2, result.stderr
+    assert "memory" in result.stderr
 
 
 def test_validation_errors_exit_2():

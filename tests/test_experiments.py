@@ -1,12 +1,22 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from spinsqueeze import find_optimum, run_many, run_trace, tat_optimum, time_cost
+import spinsqueeze
+from spinsqueeze import cli, find_optimum, propagate, run_many, run_trace, tat_optimum, time_cost
 from spinsqueeze.experiments import (
     SCAN_CHUNK_COLUMNS,
     ExperimentSpec,
+    _interior_offsets,
+    _itinerary,
     _loglog_fit,
     _oat_scan,
+    _pair_steps,
     _scan_minimize,
     _tat_scan,
     default_t_total,
@@ -19,9 +29,9 @@ from spinsqueeze.experiments import (
     strobe_indices,
     validate_spec,
 )
-from spinsqueeze.propagate import HALF_PI, evolve_oat, evolve_twist, rotate
-from spinsqueeze.schedules import S_PARAM
-from spinsqueeze.spin_ops import build_operators, coherent_state_z
+from spinsqueeze.propagate import HALF_PI, EigenFactorization, evolve_oat, evolve_twist, rotate
+from spinsqueeze.schedules import S_PARAM, Schedule, compile_scheme, delta_t_for, free, pulse
+from spinsqueeze.spin_ops import NumericalConsistencyError, build_operators, coherent_state_z
 from spinsqueeze.squeezing import MeanSpinVanishing, squeezing_parameter
 
 
@@ -232,3 +242,176 @@ def test_batched_scan_gives_the_scalar_scan_optimum(n):
             return np.array([_or_inf(xi2_at, t) for t in ts])
 
         assert _scan_minimize(xi2_at, pointwise, 0.0, hi) == (optimum(n).t_opt, optimum(n).xi2_min)
+
+
+# -- even-sector pulse engine against dense expm ----------------------------------
+
+PULSE_CASES = (("liu1", 2), ("schemeA", 2), ("schemeB", 4), ("general", 6))
+# Interior samples per period: liu1 fine(2) samples at the opening pulse of its
+# pair and inside it; schemeA fine(5) at both pulses of its pair and inside it.
+FINE_SUBSAMPLES = {"liu1": 2, "schemeA": 5, "schemeB": 3, "general": 4}
+
+
+def _dense_spin(n_spins):
+    """J_x, J_y, J_z built here from the Dicke matrix elements, m = J ... -J."""
+    j = n_spins / 2.0
+    m = j - np.arange(n_spins + 1)
+    raising = np.diag(np.sqrt((j - m[1:]) * (j + m[1:] + 1.0)), 1)
+    return (raising + raising.T) / 2.0 + 0j, (raising - raising.T) / 2j, np.diag(m) + 0j
+
+
+def _dense_sample(state, ops):
+    """(xi^2, mean spin) from eigvalsh of the covariance projected on the transverse plane."""
+    applied = [op @ state for op in ops]
+    mean = np.array([np.vdot(state, v).real for v in applied])
+    second = np.array([[np.vdot(a, b).real for b in applied] for a in applied])
+    cov = (second + second.T) / 2.0 - np.outer(mean, mean)
+    plane = np.linalg.svd(mean[None, :])[2][1:]
+    j = (len(state) - 1) / 2.0
+    return 2.0 * max(np.linalg.eigvalsh(plane @ cov @ plane.T)[0], 0.0) / j, mean
+
+
+def _dense_pulse_trace(spec, segments):
+    """Times, xi^2 and mean spins of a pulse run, one dense expm per segment and pulse.
+
+    An interior sample at a pulse instant is taken before the pulse.
+    """
+    ops = _dense_spin(spec.n_spins)
+    jx, jy, jz = ops
+    t_c = sum(s.duration for s in segments if s.kind == "free")
+    k = spec.subsamples if spec.sampling == "fine" else 0
+    offsets = [i * t_c / (k + 1) for i in range(1, k + 1)]
+    tol = 1e-12 * max(t_c, 1.0)
+    period = spec.t_total / spec.n_cycles
+    state = np.zeros(spec.n_spins + 1, dtype=complex)
+    state[0] = 1.0
+    times, states = [0.0], [state]
+    for cycle in range(spec.n_cycles):
+        pending, elapsed = list(range(k)), 0.0
+        for seg in segments:
+            if seg.kind == "free":
+                while pending and offsets[pending[0]] <= elapsed + seg.duration + tol:
+                    i = pending.pop(0)
+                    partial = max(offsets[i] - elapsed, 0.0)
+                    states.append(expm(-1j * spec.chi * partial * (jz @ jz)) @ state)
+                    times.append(cycle * period + (i + 1) * period / (k + 1))
+                elapsed += seg.duration
+                state = expm(-1j * spec.chi * seg.duration * (jz @ jz)) @ state
+            else:
+                generator = jx if seg.axis == "x" else jy
+                state = expm(-1j * seg.sign * HALF_PI * generator) @ state
+        assert not pending
+        times.append((cycle + 1) * period)
+        states.append(state)
+    xi2, means = zip(*(_dense_sample(s, ops) for s in states))
+    return np.array(times), np.array(xi2), np.array(means)
+
+
+def _pulse_spec(scheme, order, n, sampling):
+    k = FINE_SUBSAMPLES[scheme] if sampling == "fine" else 0
+    d = strength_divisor(scheme, order)
+    t_total = d * np.log(2.0 * n + 1.0) / (2.0 * n + 1.0)
+    cycles = 3 if scheme == "general" else 4
+    return ExperimentSpec(scheme, n, cycles, t_total, sampling=sampling, subsamples=k, order=order)
+
+
+@pytest.mark.parametrize("sampling", ["stroboscopic", "fine"])
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 17])
+@pytest.mark.parametrize("scheme,order", PULSE_CASES)
+def test_pulse_trace_matches_dense_expm(scheme, order, n, sampling):
+    spec = _pulse_spec(scheme, order, n, sampling)
+    schedule = compile_scheme(scheme, delta_t_for(scheme, spec.t_total, spec.n_cycles, order), 1, order)
+    times, xi2, means = _dense_pulse_trace(spec, schedule.segments)
+    trace = run_trace(spec)
+    np.testing.assert_allclose(trace.times(), times, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(trace.xi2(), xi2, rtol=1e-10, atol=0.0)
+    got = np.array([s.mean_spin for s in trace.samples])
+    assert np.abs(got - means).max() <= 1e-10 * n / 2.0
+
+
+@pytest.mark.parametrize("scheme,order", PULSE_CASES)
+def test_fine_samples_fall_inside_pairs_and_on_pulses(scheme, order):
+    """The fine(k) oracle cases sample inside pairs; liu1 and schemeA also at pulse instants."""
+    spec = _pulse_spec(scheme, order, 16, "fine")
+    schedule = compile_scheme(scheme, delta_t_for(scheme, spec.t_total, spec.n_cycles, order), 1, order)
+    steps = _itinerary(schedule, _interior_offsets(spec, schedule.t_c))
+    snaps = [(step, partial) for step in steps for _, partial in step.snapshots]
+    assert any(step.axis and 0.0 < partial < step.duration for step, partial in snaps)
+    if scheme in ("liu1", "schemeA"):
+        opening = [s for i, s in enumerate(steps[:-1]) if steps[i + 1].axis and s.snapshots]
+        assert any(s.snapshots[-1][1] == s.duration for s in opening)
+    if scheme == "schemeA":
+        assert any(step.axis and partial == step.duration for step, partial in snaps)
+
+
+@pytest.mark.parametrize("n", [16, 17])
+@pytest.mark.parametrize("scheme,order", PULSE_CASES)
+def test_stroboscopic_mean_spin_has_exact_transverse_zeros(scheme, order, n):
+    """Period boundaries lie in the even sector, where <J_x> and <J_y> are exactly 0."""
+    trace = run_trace(_pulse_spec(scheme, order, n, "fine"))
+    for i in strobe_indices(trace):
+        mean = trace.samples[i].mean_spin
+        assert mean[0] == 0.0 and mean[1] == 0.0
+
+
+def test_pulse_outside_a_pair_is_rejected():
+    lone = Schedule("liu1", 1, (free(0.1), pulse("y", 1), free(0.2)), 0.1, 0.3, 1, 1, 3.0)
+    with pytest.raises(ValueError, match="does not open a"):
+        _pair_steps(lone)
+    crossed = Schedule(
+        "liu1", 1, (free(0.1), pulse("y", 1), free(0.2), pulse("x", -1)), 0.1, 0.3, 1, 2, 3.0
+    )
+    with pytest.raises(ValueError, match="does not open a"):
+        _pair_steps(crossed)
+
+
+def _leaky_factorization(monkeypatch):
+    """Make every pair phase non-unitary: eigenvalues with a 1e-6 imaginary part."""
+    real = propagate.pair_factorization
+
+    def leaky(n_spins):
+        fac = real(n_spins)
+        return EigenFactorization(fac.eigenvalues - 1e-6j, fac.eigenvectors, "leaky")
+
+    monkeypatch.setattr(propagate, "pair_factorization", leaky)
+
+
+def test_norm_drift_raises_naming_the_sample(monkeypatch):
+    _leaky_factorization(monkeypatch)
+    spec = ExperimentSpec("schemeA", 40, 5, 0.5)
+    with pytest.raises(NumericalConsistencyError, match=r"sample 1 at t=.*norm drifted"):
+        run_trace(spec)
+    fine = ExperimentSpec("schemeA", 40, 5, 0.5, sampling="fine", subsamples=3)
+    with pytest.raises(NumericalConsistencyError, match=r"sample 4 at"):
+        run_trace(fine)
+
+
+def test_norm_drift_exits_1_from_the_cli(monkeypatch, capsys):
+    _leaky_factorization(monkeypatch)
+    argv = ["simulate", "--scheme", "liu1", "--n-spins", "40", "--n-cycles", "5", "--t-total", "0.5"]
+    assert cli.main(argv) == 1
+    assert "norm drifted" in capsys.readouterr().err
+
+
+def test_pulse_run_builds_no_dense_matrix():
+    """A fresh process runs every pulse scheme at N = 2000 without an (N+1)^2 array."""
+    script = """
+import tracemalloc
+from spinsqueeze.experiments import ExperimentSpec, run_trace
+from spinsqueeze.propagate import rotation_matrix
+from spinsqueeze.spin_ops import build_operators
+n = 2000
+tracemalloc.start()
+for scheme, order in (("liu1", 2), ("schemeA", 2), ("schemeB", 4), ("general", 6)):
+    run_trace(ExperimentSpec(scheme, n, 2, 0.004, sampling="fine", subsamples=3, order=order))
+peak = tracemalloc.get_traced_memory()[1]
+assert peak < 8 * (n + 1) ** 2, peak
+assert rotation_matrix.cache_info().currsize == 0
+lazy = {"jx", "jy", "jz", "twist_xy"} & set(vars(build_operators(n)))
+assert not lazy, lazy
+"""
+    src = Path(spinsqueeze.__file__).resolve().parent.parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

@@ -18,11 +18,17 @@ from spinsqueeze.propagate import (
     HALF_PI,
     EigenFactorization,
     _rotation_factorization,
+    evolve_free,
     frobenius_norm,
+    pair_coefficients,
+    pair_evolve,
+    pair_factorization,
+    pulse_frame,
     rotation_propagator,
     schedule_unitary,
     spectral_norm_estimate,
 )
+from spinsqueeze.spin_ops import DickeState, mean_spin_vector
 from spinsqueeze.schedules import compile_scheme_a, compile_scheme_b
 from spinsqueeze.experiments import trotter_order_fit
 
@@ -227,3 +233,63 @@ def test_eigenfactorization_of_generic_hermitian():
     fac = EigenFactorization.of(mat, "random")
     assert fac.reconstruction_error(mat) <= 1e-10
     assert np.abs(fac.propagator(0.8) - expm(-0.8j * mat)).max() <= 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16, 21, 40])
+def test_pair_factorization_is_jx_squared_on_the_even_sector(n):
+    """One factorization gives J_x^2 and, through the (-1)^i gauge, J_y^2 on the even sector."""
+    ops = build_operators(n)
+    fac = pair_factorization(n)
+    even = np.arange(0, n + 1, 2)
+    jx_sq = np.asarray(ops.jx @ ops.jx)[np.ix_(even, even)]
+    jy_sq = np.asarray(ops.jy @ ops.jy)[np.ix_(even, even)]
+    assert fac.reconstruction_error(jx_sq) <= 1e-10 * n**2
+    gauge = (-1.0) ** np.arange(even.size)
+    assert np.abs(gauge[:, None] * gauge[None, :] * jx_sq - jy_sq).max() <= 1e-10 * n**2
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+@pytest.mark.parametrize("n", [2, 9, 16])
+def test_pair_evolution_matches_pulse_conjugated_twisting(axis, n):
+    ops = build_operators(n)
+    rng = np.random.default_rng(n)
+    psi = rng.normal(size=n // 2 + 1) + 1j * rng.normal(size=n // 2 + 1)
+    psi /= np.linalg.norm(psi)
+    full = np.zeros(n + 1, dtype=complex)
+    full[0::2] = psi
+    tau = 0.37
+    pair = (
+        rotation_propagator(n, axis, -HALF_PI).matrix
+        @ np.diag(np.exp(-1j * tau * ops.jz_sq_diag))
+        @ rotation_propagator(n, axis, HALF_PI).matrix
+    )
+    expected = pair @ full
+    got = pair_evolve(n, axis, pair_coefficients(n, axis, psi), 1.0, tau)
+    assert np.abs(expected[1::2]).max() <= 1e-12
+    assert np.abs(got - expected[0::2]).max() <= 1e-10
+    free_full = evolve_oat(DickeState(n, full), 1.3, 0.2).amplitudes
+    np.testing.assert_array_equal(evolve_free(ops, psi, 1.3, 0.2), free_full[0::2])
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_pulse_frame_maps_mean_spin_through_the_pulse(axis, sign):
+    ops = build_operators(7)
+    state = random_state(7, seed=4)
+    rotated = rotate(state, axis, sign * HALF_PI)
+    frame = pulse_frame(axis, sign)
+    assert set(np.abs(frame).ravel()) == {0.0, 1.0}
+    np.testing.assert_allclose(
+        mean_spin_vector(ops, rotated), frame @ mean_spin_vector(ops, state), atol=1e-12
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 40, 41])
+def test_twist_blocks_are_built_from_the_band_values(n):
+    """The parity blocks eigh sees equal the dense generator's blocks, bit for bit."""
+    ops = build_operators(n)
+    for start in (0, 1):
+        idx = np.arange(start, n + 1, 2)
+        band = ops.twist_band[start::2]
+        block = np.diag(band, 1) + np.diag(band, -1)
+        assert np.array_equal(block, ops.twist_xy[np.ix_(idx, idx)])

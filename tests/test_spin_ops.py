@@ -129,3 +129,19 @@ def test_state_dimension_is_validated():
     assert state.norm() == pytest.approx(1.0)
     with pytest.raises(ValueError):
         state_from_amplitudes(2, [1.0, 0.0])
+
+
+def test_dense_operators_are_built_on_first_access_only():
+    ops = build_operators.__wrapped__(31)  # a fresh instance, not the cached one
+    assert not {"jx", "jy", "jz", "twist_xy"} & set(vars(ops))
+    assert ops.jx is ops.jx
+    assert "jx" in vars(ops) and "jy" not in vars(ops)
+
+
+def test_dense_size_check_against_memory():
+    from spinsqueeze.spin_ops import check_dense_fits, memory_limit_bytes
+
+    check_dense_fits(1000, 1000, 16, "small")
+    rows = int(np.sqrt(memory_limit_bytes() / 8)) + 1
+    with pytest.raises(ValueError, match="big needs a dense"):
+        check_dense_fits(rows, rows, 8, "big")
