@@ -8,7 +8,8 @@ and its mean spin and minimal-variance direction are mapped back with the
 pulse's fixed signed permutation.  Samples fork off the main line, so a
 fine run applies exactly the operations of a stroboscopic one and both give
 bit-identical period-boundary samples.  At every period boundary the state
-norm is checked against `tolerances.NORM_DRIFT`.
+norm is checked against `tolerances.NORM_DRIFT`.  Ideal xy twisting (the
+ideal-TAT trace, `tat_optimum`) runs on the same sector, on `twist_window`.
 """
 
 from __future__ import annotations
@@ -22,15 +23,15 @@ import numpy as np
 
 from . import tolerances
 from .propagate import (
-    HALF_PI,
     evolve_free,
+    evolve_oat,
     pair_coefficients,
     pair_evolve,
     pulse_frame,
     real_matvec,
-    rotate,
     schedule_unitary,
     twist_factorization,
+    twist_window,
     unitary_distance,
 )
 from .schedules import (
@@ -42,9 +43,8 @@ from .schedules import (
 from .spin_ops import (
     DickeState,
     NumericalConsistencyError,
-    _frozen,
     build_operators,
-    coherent_state_z,
+    coherent_state_x,
     even_sector_dim,
     even_sector_state,
 )
@@ -53,6 +53,7 @@ from .squeezing import (
     Optimum,
     SqueezingSample,
     SqueezingTrace,
+    even_sector_xi2,
     find_optimum,
     squeezing_parameter,
     xi2_columns,
@@ -286,20 +287,16 @@ def _run_ideal_trace(spec: ExperimentSpec) -> SqueezingTrace:
         times.append((cycle + 1) * period)
 
     if spec.scheme == "ideal-TAT":
-        fac = twist_factorization(spec.n_spins)
-        base = real_matvec(fac.eigenvectors.T, coherent_state_z(spec.n_spins).amplitudes)
-        rate = spec.chi / spec.divisor
+        states_at = _tat_states(spec.n_spins, spec.chi / spec.divisor)
 
         def state_at(t: float) -> DickeState:
-            amps = real_matvec(fac.eigenvectors, np.exp(-1j * rate * t * fac.eigenvalues) * base)
-            return DickeState(spec.n_spins, _frozen(amps))
+            return even_sector_state(spec.n_spins, states_at(np.array([t]))[:, 0])
 
     else:  # ideal-OAT: spin polarized along x, then free z^2 twisting
-        psi_x = rotate(coherent_state_z(spec.n_spins), "y", HALF_PI).amplitudes
+        psi_x = coherent_state_x(spec.n_spins)
 
         def state_at(t: float) -> DickeState:
-            amps = psi_x * np.exp(-1j * spec.chi * t * ops.jz_sq_diag)
-            return DickeState(spec.n_spins, _frozen(amps))
+            return evolve_oat(psi_x, spec.chi, t)
 
     samples = [_sample(ops, state_at(t), t, i) for i, t in enumerate(times)]
     return SqueezingTrace(
@@ -390,8 +387,8 @@ def _golden_section(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
 def _scan_minimize(f, f_grid, lo: float, hi: float) -> tuple[float, float]:
     """Coarse grid scan followed by golden-section refinement around the best cell.
 
-    `f` maps one time to xi^2; `f_grid` maps the whole time grid to xi^2 at
-    once (batched over SCAN_CHUNK_COLUMNS times, see `_chunked`).  The batch
+    `f` maps one time to xi^2; `f_grid` maps an array of times to xi^2 at
+    once and gets the grid SCAN_CHUNK_COLUMNS times at a time.  The batch
     only picks the cell: its values differ from `f` by roundoff, while the
     golden section stops at 1e-6 (hi - lo), where such roundoff can flip its
     last comparisons and move the optimum.  So every grid point within
@@ -412,7 +409,9 @@ def _scan_minimize(f, f_grid, lo: float, hi: float) -> tuple[float, float]:
             return math.inf
 
     ts = np.linspace(lo, hi, SCAN_GRID_POINTS)
-    grid = f_grid(ts)
+    grid = np.concatenate(
+        [f_grid(ts[s : s + SCAN_CHUNK_COLUMNS]) for s in range(0, ts.size, SCAN_CHUNK_COLUMNS)]
+    )
     best = grid.min()
     candidates = np.flatnonzero(grid <= best + SCAN_TIE_RTOL * abs(best))
     exact = [guarded(t) for t in ts[candidates]]
@@ -426,61 +425,38 @@ def _scan_minimize(f, f_grid, lo: float, hi: float) -> tuple[float, float]:
     return float(ts[i]), float(v_i)
 
 
-def _chunked(columns_at, ops):
-    """Grid evaluator from a map of times to a (dim x k) array of states."""
+def _tat_states(n_spins: int, rate: float):
+    """Map of times to the (N//2 + 1) x k even-sector states of xy twisting at `rate` from |J,J>."""
+    fac = twist_window(n_spins)
+    v, w = fac.eigenvectors, fac.eigenvalues
 
-    def evaluate(ts: np.ndarray) -> np.ndarray:
-        return np.concatenate(
-            [
-                xi2_columns(columns_at(ts[s : s + SCAN_CHUNK_COLUMNS]), ops)
-                for s in range(0, ts.size, SCAN_CHUNK_COLUMNS)
-            ]
-        )
+    def states_at(ts: np.ndarray) -> np.ndarray:
+        return real_matvec(v, np.exp(-1j * rate * np.outer(w, ts)) * v[0][:, None])
 
-    return evaluate
+    return states_at
 
 
 def _tat_scan(n_spins: int):
-    """Scalar and grid xi^2 of unit-strength xy twisting from |J,J>."""
+    """Grid xi^2 of unit-strength xy twisting from |J,J>, and its one-column call as the scalar."""
     ops = build_operators(n_spins)
-    fac = twist_factorization(n_spins)
-    base = real_matvec(fac.eigenvectors.T, coherent_state_z(n_spins).amplitudes)
+    states_at = _tat_states(n_spins, 1.0)
 
-    def xi2_at(t: float) -> float:
-        amps = real_matvec(fac.eigenvectors, np.exp(-1j * t * fac.eigenvalues) * base)
-        return squeezing_parameter(DickeState(n_spins, amps), ops).xi2
+    def xi2_of_times(ts: np.ndarray) -> np.ndarray:
+        return even_sector_xi2(states_at(ts), ops)
 
-    # |J,J> lies in the even-index block, which fills the first n_spins//2 + 1
-    # columns of the factorization; the odd-block entries of `base` are exact
-    # zeros, so grid states are V_even (phases * base_even) in the even rows.
-    half = n_spins // 2 + 1
-    v_even = np.ascontiguousarray(fac.eigenvectors[0::2, :half])
-    w_even = fac.eigenvalues[:half]
-    b_even = v_even[0]
-
-    def columns_at(ts: np.ndarray) -> np.ndarray:
-        coeffs = np.exp(-1j * np.outer(w_even, ts)) * b_even[:, None]
-        amps = np.zeros((ops.dim, ts.size), dtype=complex)
-        amps.real[0::2] = v_even @ coeffs.real
-        amps.imag[0::2] = v_even @ coeffs.imag
-        return amps
-
-    return xi2_at, _chunked(columns_at, ops)
+    return (lambda t: float(xi2_of_times(np.array([t]))[0])), xi2_of_times
 
 
 def _oat_scan(n_spins: int):
     """Scalar and grid xi^2 of unit-strength z^2 twisting from an x-polarized state."""
     ops = build_operators(n_spins)
-    psi_x = rotate(coherent_state_z(n_spins), "y", HALF_PI).amplitudes
+    psi_x = coherent_state_x(n_spins)
 
-    def xi2_at(t: float) -> float:
-        amps = psi_x * np.exp(-1j * t * ops.jz_sq_diag)
-        return squeezing_parameter(DickeState(n_spins, amps), ops).xi2
+    def xi2_of_times(ts: np.ndarray) -> np.ndarray:
+        phases = np.exp(-1j * np.outer(ops.jz_sq_diag, ts))
+        return xi2_columns(psi_x.amplitudes[:, None] * phases, ops)
 
-    def columns_at(ts: np.ndarray) -> np.ndarray:
-        return psi_x[:, None] * np.exp(-1j * np.outer(ops.jz_sq_diag, ts))
-
-    return xi2_at, _chunked(columns_at, ops)
+    return (lambda t: squeezing_parameter(evolve_oat(psi_x, 1.0, t), ops).xi2), xi2_of_times
 
 
 @lru_cache(maxsize=32)

@@ -16,11 +16,12 @@ the pulse engine is
   minimal-variance direction of a state inside a pair back from the frame
   rotated by the opening pulse.
 
+Ideal xy twisting from |J,J> stays in that sector too, where J_x^2 - J_y^2
+is tridiagonal: `twist_window` solves only the eigenpairs |J,J> overlaps.
 The small-N reference paths keep full-dimension tools: dense +/- pi/2
 rotations (`rotation_matrix`, `rotate`), the per-period unitary
-(`schedule_unitary`), the parity-block eigendecomposition of the xy
-twisting generator J_x^2 - J_y^2 (`twist_factorization`) and the
-phase-stripped unitary distance.
+(`schedule_unitary`), the full parity-block eigendecomposition of J_x^2 -
+J_y^2 (`twist_factorization`) and the phase-stripped unitary distance.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ from .spin_ops import (
 )
 
 HALF_PI = math.pi / 2.0
+
+TWIST_WINDOW_HALF_WIDTH = 96  # of the first window; wide enough up to N = 10^4
 
 POWER_ITER_TOL = 1e-6
 POWER_ITER_MAX = 500
@@ -219,6 +222,34 @@ def twist_factorization(n_spins: int) -> EigenFactorization:
         vectors[np.ix_(idx, np.arange(col, col + idx.size))] = v
         col += idx.size
     return EigenFactorization(_frozen(values), _frozen(vectors), f"twist_xy[N={n_spins}]")
+
+
+@lru_cache(maxsize=32)  # an entry is (N//2 + 1) x ~200 floats, 8 MB at N = 10^4
+def twist_window(n_spins: int) -> EigenFactorization:
+    """The eigenpairs of the even block of J_x^2 - J_y^2 that overlap |J,J>, a middle window.
+
+    xy twisting from |J,J> is then V (exp(-i w t) V[0]), V of size (N//2 + 1) x
+    window.  The window is solved by index (bisection and inverse iteration,
+    no matrix products) and doubled until |V[0]| <= TWIST_WINDOW_EDGE at both
+    ends, or it is the whole block; if sum |V[0]|^2 is then off 1 by more than
+    TWIST_WINDOW_WEIGHT, it raises NumericalConsistencyError, not truncating.
+    """
+    band = build_operators(n_spins).twist_band[0::2]
+    h, half = band.size + 1, TWIST_WINDOW_HALF_WIDTH
+    while True:
+        lo, hi = max(h // 2 - half, 0), min(h // 2 + half, h - 1)
+        w, v = eigh_tridiagonal(
+            np.zeros(h), band, select="i", select_range=(lo, hi), lapack_driver="stebz"
+        )
+        if hi - lo == h - 1 or max(abs(v[0, 0]), abs(v[0, -1])) <= tolerances.TWIST_WINDOW_EDGE:
+            break
+        half *= 2
+    missing = abs(float(v[0] @ v[0]) - 1.0)
+    if not missing <= tolerances.TWIST_WINDOW_WEIGHT:
+        raise NumericalConsistencyError(
+            f"twist window {lo}..{hi} of {h} at N={n_spins} misses weight {missing:.1e}"
+        )
+    return EigenFactorization(_frozen(w), _frozen(v), f"twist window[N={n_spins}]")
 
 
 def evolve_twist(state: DickeState, chi: float, t: float) -> DickeState:

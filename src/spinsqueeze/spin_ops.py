@@ -11,6 +11,7 @@ small-N reference paths and the tests; no production path touches them.
 
 from __future__ import annotations
 
+import math
 import os
 import resource
 from dataclasses import dataclass
@@ -172,6 +173,18 @@ def coherent_state_z(n_spins: int) -> DickeState:
     amps = np.zeros(ops.dim, dtype=complex)
     amps[0] = 1.0
     return DickeState(n_spins, _frozen(amps))
+
+
+def coherent_state_x(n_spins: int) -> DickeState:
+    """exp(-i pi/2 J_y)|J,J>, every spin along +x: amplitudes sqrt(C(N, k)) / 2^(N/2) > 0.
+
+    Built from log-factorials relative to the largest binomial and then
+    normalized, which removes their common roundoff; no rotation matrix is needed.
+    """
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(n_spins + 1)])
+    log_c = log_fact[-1] - (log_fact + log_fact[::-1])
+    amps = np.exp(0.5 * (log_c - log_c.max()))
+    return DickeState(n_spins, _frozen((amps / np.linalg.norm(amps)).astype(complex)))
 
 
 def expectation(state: DickeState, operator_matrix: np.ndarray) -> float:

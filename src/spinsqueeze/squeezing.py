@@ -163,6 +163,23 @@ def xi2_columns(amps: np.ndarray, ops: SpinOperators) -> np.ndarray:
     return np.where(vanishing, np.inf, 2.0 * np.maximum(lam_min, 0.0) / j)
 
 
+def even_sector_xi2(amps: np.ndarray, ops: SpinOperators) -> np.ndarray:
+    """xi^2 of every column of an (N//2 + 1) x k array of even-sector amplitudes.
+
+    There <J_x> = <J_y> = 0 exactly, so xi^2 = (J(J+1) - <J_z^2> - 2|S|) / J with
+    S = <J_+^2>/2 = sum_i twist_band[2i] conj(a_i) a_(i+1) (Kitagawa and Ueda,
+    PRA 47, 5138, 1993), the first two terms summed with exact per-entry weights.
+    +inf where |<J_z>| <= MEAN_SPIN_EPS_FACTOR * J, clipped at 0 like `squeezing_parameter`.
+    """
+    j = ops.total_spin
+    weight = amps.real**2 + amps.imag**2
+    jz = (ops.m_values[0::2, None] * weight).sum(axis=0)
+    transverse = ((j * (j + 1.0) - ops.jz_sq_diag[0::2])[:, None] * weight).sum(axis=0)
+    s = (ops.twist_band[0::2, None] * amps[:-1].conj() * amps[1:]).sum(axis=0)
+    xi2 = np.maximum(transverse - 2.0 * np.abs(s), 0.0) / j
+    return np.where(np.abs(jz) <= MEAN_SPIN_EPS_FACTOR * j, np.inf, xi2)
+
+
 def find_optimum(trace: SqueezingTrace) -> Optimum:
     """Sample with minimal xi^2; earliest time wins ties."""
     if not trace.samples:

@@ -191,6 +191,8 @@ def _cli_bytes(args: list[str], threads: str, tmp_path) -> bytes:
         ["timecost", "--n-spins", "300"],
         ["scaling", "--scheme", "ideal-TAT", "--n-list", "60,121,240", "--out", "{out}"],
         ["simulate", "--scheme", "schemeB", "--n-spins", "1250", "--n-cycles", "17", "--out", "{out}"],
+        ["timecost", "--n-spins", "4000"],
+        ["simulate", "--scheme", "ideal-TAT", "--n-spins", "2000", "--n-cycles", "50", "--out", "{out}"],
     ],
 )
 def test_optimum_search_output_is_thread_count_independent(args, tmp_path):

@@ -394,19 +394,28 @@ def test_norm_drift_exits_1_from_the_cli(monkeypatch, capsys):
 
 
 def test_pulse_run_builds_no_dense_matrix():
-    """A fresh process runs every pulse scheme at N = 2000 without an (N+1)^2 array."""
+    """A fresh process runs every scheme and the TAT scan at N = 2000 without an (N+1)^2 array.
+
+    The OAT scan's (N+1) x SCAN_CHUNK_COLUMNS temporaries peak above the
+    bound at this N, so it is run after the peak is read and checked only for
+    the dense rotation and twist factorizations it must not build.
+    """
     script = """
 import tracemalloc
-from spinsqueeze.experiments import ExperimentSpec, run_trace
-from spinsqueeze.propagate import rotation_matrix
+from spinsqueeze.experiments import ExperimentSpec, oat_optimum, run_trace, tat_optimum
+from spinsqueeze.propagate import _rotation_factorization, rotation_matrix, twist_factorization
 from spinsqueeze.spin_ops import build_operators
 n = 2000
 tracemalloc.start()
-for scheme, order in (("liu1", 2), ("schemeA", 2), ("schemeB", 4), ("general", 6)):
+for scheme, order in (("liu1", 2), ("schemeA", 2), ("schemeB", 4), ("general", 6),
+                      ("ideal-TAT", 2), ("ideal-OAT", 2)):
     run_trace(ExperimentSpec(scheme, n, 2, 0.004, sampling="fine", subsamples=3, order=order))
+tat_optimum(n)
 peak = tracemalloc.get_traced_memory()[1]
 assert peak < 8 * (n + 1) ** 2, peak
-assert rotation_matrix.cache_info().currsize == 0
+oat_optimum(n)
+for cached in (rotation_matrix, _rotation_factorization, twist_factorization):
+    assert cached.cache_info().currsize == 0, cached
 lazy = {"jx", "jy", "jz", "twist_xy"} & set(vars(build_operators(n)))
 assert not lazy, lazy
 """

@@ -27,8 +27,10 @@ from spinsqueeze.propagate import (
     rotation_propagator,
     schedule_unitary,
     spectral_norm_estimate,
+    twist_window,
 )
-from spinsqueeze.spin_ops import DickeState, mean_spin_vector
+from spinsqueeze import propagate, tolerances
+from spinsqueeze.spin_ops import DickeState, NumericalConsistencyError, mean_spin_vector
 from spinsqueeze.schedules import compile_scheme_a, compile_scheme_b
 from spinsqueeze.experiments import trotter_order_fit
 
@@ -293,3 +295,63 @@ def test_twist_blocks_are_built_from_the_band_values(n):
         band = ops.twist_band[start::2]
         block = np.diag(band, 1) + np.diag(band, -1)
         assert np.array_equal(block, ops.twist_xy[np.ix_(idx, idx)])
+
+
+@pytest.mark.parametrize("n", [8, 9, 40, 41, 400, 401])
+def test_pair_spectrum_is_exactly_the_squares(n):
+    """J_x^2 on the even sector has the eigenvalues m^2, m = J mod 1, ..., J."""
+    j = n / 2.0
+    exact = np.arange(j % 1.0, j + 0.5) ** 2
+    got = pair_factorization(n).eigenvalues
+    assert got.shape == exact.shape
+    assert np.abs(got - exact).max() <= 64 * np.finfo(float).eps * j**2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 40, 41])
+def test_twist_window_is_the_whole_even_block_at_small_n(n):
+    h = n // 2 + 1
+    fac = twist_window(n)
+    assert fac.eigenvectors.shape == (h, h)
+    band = build_operators(n).twist_band[0::2]
+    np.testing.assert_allclose(
+        fac.eigenvalues, np.linalg.eigvalsh(np.diag(band, 1) + np.diag(band, -1)), atol=1e-12 * n**2
+    )
+
+
+@pytest.mark.parametrize("n", [400, 401, 2000])
+def test_twist_window_states_match_dense_twisting(n):
+    """V (exp(-i w t) V[0]) on the window is exp(-i t (J_x^2 - J_y^2))|J,J>, odd rows zero."""
+    fac = twist_window(n)
+    assert fac.eigenvectors.shape[1] < n // 2 + 1
+    start = np.zeros(n // 2 + 1, dtype=complex)
+    start[0] = 1.0
+    for t in np.linspace(0.0, 10.0 / n, 5):
+        dense = evolve_twist(coherent_state_z(n), 1.0, t).amplitudes
+        assert np.abs(dense[1::2]).max() == 0.0
+        assert np.abs(fac.apply(start, t) - dense[0::2]).max() <= 1e-12
+
+
+@pytest.fixture
+def fresh_twist_window():
+    twist_window.cache_clear()
+    yield
+    twist_window.cache_clear()
+
+
+def test_narrow_first_window_widens_until_its_edges_vanish(monkeypatch, fresh_twist_window):
+    monkeypatch.setattr(propagate, "TWIST_WINDOW_HALF_WIDTH", 4)
+    v = twist_window(400).eigenvectors
+    assert 9 < v.shape[1] < 201
+    assert max(abs(v[0, 0]), abs(v[0, -1])) <= tolerances.TWIST_WINDOW_EDGE
+    start = np.zeros(201, dtype=complex)
+    start[0] = 1.0
+    dense = evolve_twist(coherent_state_z(400), 1.0, 0.0125).amplitudes
+    assert np.abs(twist_window(400).apply(start, 0.0125) - dense[0::2]).max() <= 1e-12
+
+
+def test_loose_window_edge_raises_instead_of_truncating(monkeypatch, fresh_twist_window):
+    """An edge test that accepts a narrow window is caught by the captured-weight check."""
+    monkeypatch.setattr(tolerances, "TWIST_WINDOW_EDGE", 1.0)
+    monkeypatch.setattr(propagate, "TWIST_WINDOW_HALF_WIDTH", 4)
+    with pytest.raises(NumericalConsistencyError, match="misses weight"):
+        twist_window(400)

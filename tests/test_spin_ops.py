@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinsqueeze import build_operators, coherent_state_z, expectation
+from spinsqueeze import build_operators, coherent_state_z, expectation, rotate
+from spinsqueeze.propagate import HALF_PI
 from spinsqueeze.spin_ops import (
     NumericalConsistencyError,
+    coherent_state_x,
     apply_jx,
     apply_jy,
     apply_jz,
@@ -85,6 +87,15 @@ def test_coherent_state_is_highest_weight():
     np.testing.assert_array_equal(state.amplitudes, [1, 0, 0, 0, 0])
     ops = build_operators(4)
     np.testing.assert_allclose(mean_spin_vector(ops, state), [0, 0, 2], atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 40, 41])
+def test_x_polarized_start_is_the_rotated_highest_weight_state(n):
+    """sqrt(C(N, k)) / 2^(N/2), all positive, is exp(-i pi/2 J_y)|J,J> in this basis."""
+    closed = coherent_state_x(n).amplitudes
+    assert np.all(closed.real > 0.0) and np.all(closed.imag == 0.0)
+    dense = rotate(coherent_state_z(n), "y", HALF_PI).amplitudes
+    assert np.abs(closed - dense).max() <= 1e-14
 
 
 def test_expectation_examples():

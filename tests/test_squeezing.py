@@ -11,10 +11,13 @@ from spinsqueeze import (
     rotate,
     squeezing_parameter,
 )
+from spinsqueeze.propagate import twist_window
+from spinsqueeze.spin_ops import even_sector_state
 from spinsqueeze.squeezing import (
     MeanSpinVanishing,
     SqueezingSample,
     SqueezingTrace,
+    even_sector_xi2,
     transverse_basis,
 )
 
@@ -163,3 +166,38 @@ def test_random_states_match_brute_force(seed):
     except MeanSpinVanishing:
         return
     assert sample.xi2 == pytest.approx(brute_force_xi2(state, ops), abs=2e-5)
+
+
+def _even_sector_columns(n):
+    """TAT-evolved states from the twist window, random states, and one with <J_z> = 0."""
+    h = n // 2 + 1
+    fac = twist_window(n)
+    v, w = fac.eigenvectors, fac.eigenvalues
+    ts = np.linspace(0.0, 40.0 / n, 9)
+    evolved = v @ (np.exp(-1j * np.outer(w, ts)) * v[0][:, None])
+    rng = np.random.default_rng(n)
+    rand = rng.normal(size=(h, 6)) + 1j * rng.normal(size=(h, 6))
+    rand /= np.linalg.norm(rand, axis=0)
+    m = build_operators(n).m_values[0::2]
+    balanced = np.zeros(h, dtype=complex)  # weights on m[0] > 0 and m[-1] < 0 with zero mean
+    balanced[0], balanced[-1] = np.sqrt(-m[-1] / (m[0] - m[-1])), 1j * np.sqrt(m[0] / (m[0] - m[-1]))
+    return np.column_stack([evolved, rand, balanced])
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 40, 41])
+def test_even_sector_kernel_matches_squeezing_parameter(n):
+    """Per column it gives squeezing_parameter of the scattered state, +inf exactly where that raises."""
+    ops = build_operators(n)
+    amps = _even_sector_columns(n)
+    expected = []
+    for col in amps.T:
+        try:
+            expected.append(squeezing_parameter(even_sector_state(n, col), ops).xi2)
+        except MeanSpinVanishing:
+            expected.append(np.inf)
+    expected = np.array(expected)
+    got = even_sector_xi2(amps, ops)
+    vanishing = np.isinf(expected)
+    assert vanishing[-1]
+    np.testing.assert_array_equal(np.isinf(got), vanishing)
+    np.testing.assert_allclose(got[~vanishing], expected[~vanishing], rtol=1e-12, atol=0.0)
