@@ -10,6 +10,8 @@ fine run applies exactly the operations of a stroboscopic one and both give
 bit-identical period-boundary samples.  At every period boundary the state
 norm is checked against `tolerances.NORM_DRIFT`.  Ideal xy twisting (the
 ideal-TAT trace, `tat_optimum`) runs on the same sector, on `twist_window`.
+Ideal z^2 twisting (the ideal-OAT trace, `oat_optimum`) evolves no state:
+it is the closed form `squeezing.oat_moments`.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import numpy as np
 from . import tolerances
 from .propagate import (
     evolve_free,
-    evolve_oat,
     pair_coefficients,
     pair_evolve,
     pulse_frame,
@@ -44,19 +45,21 @@ from .spin_ops import (
     DickeState,
     NumericalConsistencyError,
     build_operators,
-    coherent_state_x,
     even_sector_dim,
     even_sector_state,
 )
 from .squeezing import (
+    MEAN_SPIN_EPS_FACTOR,
     MeanSpinVanishing,
     Optimum,
     SqueezingSample,
     SqueezingTrace,
     even_sector_xi2,
     find_optimum,
+    min_variance,
+    oat_moments,
     squeezing_parameter,
-    xi2_columns,
+    transverse_basis,
 )
 
 PULSE_SCHEMES = ("liu1", "schemeA", "schemeB", "general")
@@ -67,11 +70,8 @@ IDEAL_SCHEMES = ("ideal-TAT", "ideal-OAT")
 PRE_OPTIMUM_FACTOR = 1.5
 
 SCAN_GRID_POINTS = 2000
-# Grid times evaluated per batch.  It bounds the scan's temporaries to a few
-# (N+1) x 128 complex arrays, about 4 MB each at N = 2000.  At 256 columns
-# (8 MB) glibc mapped and unmapped each temporary afresh, page faults
-# included, unless freeing larger blocks had raised its mmap threshold; the
-# dense operators, no longer built, used to do that as a side effect.
+# Grid times evaluated per batch.  It bounds the TAT scan's temporaries to a
+# few window x 128 complex arrays; the closed-form OAT grid needs no bound.
 SCAN_CHUNK_COLUMNS = 128
 # Grid points this close to the grid minimum, relative to it, are re-checked
 # on the scalar path.  The two paths differ by roundoff that grows like N^2
@@ -240,7 +240,7 @@ def _check_norm(amps: np.ndarray, t: float, index: int) -> None:
         )
 
 
-def _run_pulse_trace(spec: ExperimentSpec) -> SqueezingTrace:
+def _pulse_samples(spec: ExperimentSpec) -> list[SqueezingSample]:
     n = spec.n_spins
     ops = build_operators(n)
     delta_t = delta_t_for(spec.scheme, spec.t_total, spec.n_cycles, spec.order)
@@ -266,17 +266,10 @@ def _run_pulse_trace(spec: ExperimentSpec) -> SqueezingTrace:
         t = (cycle + 1) * period
         _check_norm(psi, t, index)
         samples.append(_sample(ops, even_sector_state(n, psi), t, index))
-    return SqueezingTrace(
-        samples=tuple(samples),
-        scheme=spec.scheme,
-        n_spins=spec.n_spins,
-        n_cycles=spec.n_cycles,
-        sampling=_sampling_tag(spec),
-    )
+    return samples
 
 
-def _run_ideal_trace(spec: ExperimentSpec) -> SqueezingTrace:
-    ops = build_operators(spec.n_spins)
+def _ideal_samples(spec: ExperimentSpec) -> list[SqueezingSample]:
     period = spec.t_total / spec.n_cycles
     k = spec.subsamples if spec.sampling == "fine" else 0
 
@@ -286,38 +279,39 @@ def _run_ideal_trace(spec: ExperimentSpec) -> SqueezingTrace:
         times.extend(t0 + j * period / (k + 1) for j in range(1, k + 1))
         times.append((cycle + 1) * period)
 
-    if spec.scheme == "ideal-TAT":
-        states_at = _tat_states(spec.n_spins, spec.chi / spec.divisor)
-
-        def state_at(t: float) -> DickeState:
-            return even_sector_state(spec.n_spins, states_at(np.array([t]))[:, 0])
-
-    else:  # ideal-OAT: spin polarized along x, then free z^2 twisting
-        psi_x = coherent_state_x(spec.n_spins)
-
-        def state_at(t: float) -> DickeState:
-            return evolve_oat(psi_x, spec.chi, t)
-
-    samples = [_sample(ops, state_at(t), t, i) for i, t in enumerate(times)]
-    return SqueezingTrace(
-        samples=tuple(samples),
-        scheme=spec.scheme,
-        n_spins=spec.n_spins,
-        n_cycles=spec.n_cycles,
-        sampling=_sampling_tag(spec),
-    )
+    if spec.scheme == "ideal-OAT":
+        return _oat_samples(spec.n_spins, spec.chi, times)
+    ops = build_operators(spec.n_spins)
+    states_at = _tat_states(spec.n_spins, spec.chi / spec.divisor)
+    return [
+        _sample(ops, even_sector_state(spec.n_spins, states_at(np.array([t]))[:, 0]), t, i)
+        for i, t in enumerate(times)
+    ]
 
 
-def _sampling_tag(spec: ExperimentSpec) -> str:
-    return "stroboscopic" if spec.sampling == "stroboscopic" else f"fine({spec.subsamples})"
+def _oat_samples(n_spins: int, chi: float, times: list[float]) -> list[SqueezingSample]:
+    """Samples of `oat_moments`, the direction found as `squeezing_parameter` finds it."""
+    m = oat_moments(n_spins, chi * np.array(times))
+    samples = []
+    for i, t in enumerate(times):
+        mean = np.array([m.mean_x[i], 0.0, 0.0])
+        if math.isinf(m.xi2[i]):
+            raise MeanSpinVanishing(
+                f"sample {i} at t={t:.6g}: |<J>| = {abs(mean[0]):.3e} <= "
+                f"{MEAN_SPIN_EPS_FACTOR * n_spins / 2.0:.3e}; transverse plane undefined"
+            )
+        n1, n2 = transverse_basis(mean)  # e_y, and e_z signed by <J_x>
+        _, direction = min_variance(m.var_y[i], m.var_z, n2[2] * m.cov_yz[i], (n1, n2))
+        samples.append(SqueezingSample(t, float(m.xi2[i]), mean, direction))
+    return samples
 
 
 def run_trace(spec: ExperimentSpec) -> SqueezingTrace:
     """Deterministic squeezing trace for one experiment description."""
     validate_spec(spec)
-    if spec.scheme in PULSE_SCHEMES:
-        return _run_pulse_trace(spec)
-    return _run_ideal_trace(spec)
+    samples = _pulse_samples(spec) if spec.scheme in PULSE_SCHEMES else _ideal_samples(spec)
+    sampling = "stroboscopic" if spec.sampling == "stroboscopic" else f"fine({spec.subsamples})"
+    return SqueezingTrace(tuple(samples), spec.scheme, spec.n_spins, spec.n_cycles, sampling)
 
 
 def run_many(specs, max_workers: int | None = None) -> list[SqueezingTrace]:
@@ -447,18 +441,6 @@ def _tat_scan(n_spins: int):
     return (lambda t: float(xi2_of_times(np.array([t]))[0])), xi2_of_times
 
 
-def _oat_scan(n_spins: int):
-    """Scalar and grid xi^2 of unit-strength z^2 twisting from an x-polarized state."""
-    ops = build_operators(n_spins)
-    psi_x = coherent_state_x(n_spins)
-
-    def xi2_of_times(ts: np.ndarray) -> np.ndarray:
-        phases = np.exp(-1j * np.outer(ops.jz_sq_diag, ts))
-        return xi2_columns(psi_x.amplitudes[:, None] * phases, ops)
-
-    return (lambda t: squeezing_parameter(evolve_oat(psi_x, 1.0, t), ops).xi2), xi2_of_times
-
-
 @lru_cache(maxsize=32)
 def tat_optimum(n_spins: int) -> Optimum:
     """Optimal time and squeezing of unit-strength xy twisting from |J,J>."""
@@ -469,8 +451,12 @@ def tat_optimum(n_spins: int) -> Optimum:
 @lru_cache(maxsize=32)
 def oat_optimum(n_spins: int) -> Optimum:
     """Optimal time and squeezing of unit-strength z^2 twisting from an x-polarized state."""
-    hi = 5.0 * n_spins ** (-2.0 / 3.0)
-    t_opt, xi2_min = _scan_minimize(*_oat_scan(n_spins), 0.0, hi)
+    t_opt, xi2_min = _scan_minimize(
+        lambda t: float(oat_moments(n_spins, np.array([t])).xi2[0]),
+        lambda ts: oat_moments(n_spins, ts).xi2,
+        0.0,
+        5.0 * n_spins ** (-2.0 / 3.0),
+    )
     return Optimum(t_opt=t_opt, xi2_min=xi2_min)
 
 

@@ -47,6 +47,7 @@ from .spin_ops import (
 HALF_PI = math.pi / 2.0
 
 TWIST_WINDOW_HALF_WIDTH = 96  # of the first window; wide enough up to N = 10^4
+TWIST_WINDOW_N = 10**4  # past it the first window doubles per doubling of N
 
 POWER_ITER_TOL = 1e-6
 POWER_ITER_MAX = 500
@@ -230,14 +231,18 @@ def twist_window(n_spins: int) -> EigenFactorization:
 
     xy twisting from |J,J> is then V (exp(-i w t) V[0]), V of size (N//2 + 1) x
     window.  The window is solved by index (bisection and inverse iteration,
-    no matrix products) and doubled until |V[0]| <= TWIST_WINDOW_EDGE at both
-    ends, or it is the whole block; if sum |V[0]|^2 is then off 1 by more than
-    TWIST_WINDOW_WEIGHT, it raises NumericalConsistencyError, not truncating.
+    no matrix products), starts at 2 TWIST_WINDOW_HALF_WIDTH + 1 columns (twice
+    that per doubling of N past TWIST_WINDOW_N) and is doubled until |V[0]| <=
+    TWIST_WINDOW_EDGE at both ends, or it is the whole block; if sum |V[0]|^2 is
+    then off 1 by more than TWIST_WINDOW_WEIGHT, it raises
+    NumericalConsistencyError, not truncating.
     """
     band = build_operators(n_spins).twist_band[0::2]
-    h, half = band.size + 1, TWIST_WINDOW_HALF_WIDTH
+    h = band.size + 1
+    half = TWIST_WINDOW_HALF_WIDTH * 2 ** max(0, math.ceil(math.log2(n_spins / TWIST_WINDOW_N)))
     while True:
         lo, hi = max(h // 2 - half, 0), min(h // 2 + half, h - 1)
+        check_dense_fits(h, hi - lo + 1, 8, f"twist window at N={n_spins}")
         w, v = eigh_tridiagonal(
             np.zeros(h), band, select="i", select_range=(lo, hi), lapack_driver="stebz"
         )
@@ -311,15 +316,21 @@ def pair_factorization(n_spins: int) -> EigenFactorization:
 
     The MRRR driver (`stemr`) uses no threaded BLAS, so the eigenvectors, and
     every pulse trace built on them, do not depend on the BLAS thread count;
-    scipy's default divide-and-conquer driver does.
+    scipy's default divide-and-conquer driver does.  The exact eigenvalues m^2,
+    m = J mod 1, ..., J, replace `stemr`'s once those are within 64 eps J^2.
     """
     ops = build_operators(n_spins)
     squares = np.zeros(ops.dim + 1)
     squares[1:-1] = ops.ladder**2
     diag = (squares[:-1] + squares[1:])[0::2] / 4.0
+    check_dense_fits(diag.size, diag.size, 8, f"pair factorization at N={n_spins}")
     off = ops.twist_band[0::2] / 2.0
     w, v = eigh_tridiagonal(diag, off, lapack_driver="stemr")
-    return EigenFactorization(_frozen(w), _frozen(v), f"jx^2 even[N={n_spins}]")
+    exact = ops.m_values[: diag.size][::-1] ** 2  # m = J mod 1, ..., J
+    error = float(np.abs(w - exact).max())
+    if not error <= 64 * np.finfo(float).eps * ops.total_spin**2:
+        raise NumericalConsistencyError(f"pair spectrum at N={n_spins} is off m^2 by {error:.3e}")
+    return EigenFactorization(_frozen(exact), _frozen(v), f"jx^2 even[N={n_spins}]")
 
 
 def _gauge(amps: np.ndarray) -> np.ndarray:

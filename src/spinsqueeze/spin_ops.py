@@ -129,18 +129,13 @@ def build_operators(n_spins: int) -> SpinOperators:
     """Band data of J_x, J_y, J_z and the xy twisting generator J_x^2 - J_y^2.
 
     Ladder convention: J+|J,m> = sqrt(J(J+1) - m(m+1)) |J,m+1>, with
-    J_x = (J+ + J-)/2 and J_y = (J+ - J-)/(2i).
-
-    Every run at this spin number builds at least one dense array as large as
-    the even-index block, so a spin number whose block cannot fit in memory
-    is rejected here, before anything large is allocated.
+    J_x = (J+ + J-)/2 and J_y = (J+ - J-)/(2i).  Only O(N) arrays are built
+    here; the routines that make a dense array check that it fits first.
     """
     if not isinstance(n_spins, (int, np.integer)) or isinstance(n_spins, bool):
         raise ValueError(f"n_spins must be a positive integer, got {n_spins!r}")
     if n_spins < 1:
         raise ValueError(f"n_spins must be >= 1, got {n_spins}")
-    half = even_sector_dim(int(n_spins))
-    check_dense_fits(half, half, 8, f"n_spins={n_spins}")
 
     n = int(n_spins)
     dim = n + 1

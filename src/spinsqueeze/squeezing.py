@@ -66,6 +66,21 @@ def transverse_basis(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return n1, n2
 
 
+def min_variance(c11: float, c22: float, c12: float, basis) -> tuple[float, np.ndarray]:
+    """lambda_min of the covariance [[c11, c12], [c12, c22]] in `basis`, and its direction."""
+    n1, n2 = basis
+    half_trace = (c11 + c22) / 2.0
+    radius = math.hypot((c11 - c22) / 2.0, c12)
+    lam_min = half_trace - radius
+    if radius <= DEGENERACY_TOL * max(abs(half_trace), 1.0):
+        return lam_min, n1
+    if abs(c12) <= DEGENERACY_TOL * max(abs(half_trace), 1.0):
+        return lam_min, n1 if c11 <= c22 else n2
+    v = np.array([c12, lam_min - c11])
+    v /= np.linalg.norm(v)
+    return lam_min, v[0] * n1 + v[1] * n2
+
+
 def squeezing_parameter(
     state: DickeState,
     ops: SpinOperators,
@@ -101,66 +116,9 @@ def squeezing_parameter(
     c22 = float(np.vdot(w2, w2).real) - m2 * m2
     c12 = float(np.vdot(w1, w2).real) - m1 * m2
 
-    # Closed-form eigenpair of [[c11, c12], [c12, c22]].
-    half_trace = (c11 + c22) / 2.0
-    radius = math.hypot((c11 - c22) / 2.0, c12)
-    lam_min = half_trace - radius
-    if radius <= DEGENERACY_TOL * max(abs(half_trace), 1.0):
-        direction = n1
-    elif abs(c12) <= DEGENERACY_TOL * max(abs(half_trace), 1.0):
-        direction = n1 if c11 <= c22 else n2
-    else:
-        v = np.array([c12, lam_min - c11])
-        v /= np.linalg.norm(v)
-        direction = v[0] * n1 + v[1] * n2
-
+    lam_min, direction = min_variance(c11, c22, c12, (n1, n2))
     xi2 = 2.0 * max(lam_min, 0.0) / j
     return SqueezingSample(t=t, xi2=xi2, mean_spin=mean, min_variance_direction=direction)
-
-
-def _column_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re <a_c|b_c> for every column c."""
-    return (a.real * b.real + a.imag * b.imag).sum(axis=0)
-
-
-def xi2_columns(amps: np.ndarray, ops: SpinOperators) -> np.ndarray:
-    """xi^2 of every column of a (dim x k) amplitude array, +inf where the mean spin vanishes.
-
-    The quantity of `squeezing_parameter`, equal to it up to roundoff: the
-    transverse covariance is projected from the 3x3 symmetrized second
-    moments Re <J_a psi|J_b psi> onto the same transverse basis, and its
-    smaller eigenvalue is taken in closed form per column.
-    """
-    ladder = ops.ladder[:, None]
-    up = np.zeros_like(amps)
-    up[:-1] = ladder * amps[1:]
-    down = np.zeros_like(amps)
-    down[1:] = ladder * amps[:-1]
-    v = (0.5 * (up + down), -0.5j * (up - down), ops.m_values[:, None] * amps)
-    del up, down
-    mean = np.array([_column_dots(amps, va) for va in v])  # (3, k)
-    second = np.empty((3, 3, amps.shape[1]))
-    for a in range(3):
-        for b in range(a, 3):
-            second[a, b] = second[b, a] = _column_dots(v[a], v[b])
-
-    j = ops.total_spin
-    length = np.linalg.norm(mean, axis=0)
-    vanishing = length <= MEAN_SPIN_EPS_FACTOR * j
-    u = mean / np.where(vanishing, 1.0, length)
-    # transverse_basis per column: seed axis least aligned with u, then n2 = u x n1.
-    seed = np.zeros_like(u)
-    seed[np.argmin(np.abs(u), axis=0), np.arange(u.shape[1])] = 1.0
-    n1 = seed - (seed * u).sum(axis=0) * u
-    n1 /= np.linalg.norm(n1, axis=0)
-    n2 = np.cross(u, n1, axis=0)
-
-    def cov(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        return np.einsum("ak,abk,bk->k", p, second, q) - (p * mean).sum(axis=0) * (q * mean).sum(axis=0)
-
-    c11, c22, c12 = cov(n1, n1), cov(n2, n2), cov(n1, n2)
-    lam_min = (c11 + c22) / 2.0 - np.hypot((c11 - c22) / 2.0, c12)
-    return np.where(vanishing, np.inf, 2.0 * np.maximum(lam_min, 0.0) / j)
 
 
 def even_sector_xi2(amps: np.ndarray, ops: SpinOperators) -> np.ndarray:
@@ -178,6 +136,55 @@ def even_sector_xi2(amps: np.ndarray, ops: SpinOperators) -> np.ndarray:
     s = (ops.twist_band[0::2, None] * amps[:-1].conj() * amps[1:]).sum(axis=0)
     xi2 = np.maximum(transverse - 2.0 * np.abs(s), 0.0) / j
     return np.where(np.abs(jz) <= MEAN_SPIN_EPS_FACTOR * j, np.inf, xi2)
+
+
+@dataclass(frozen=True)
+class OatMoments:
+    """Per time: xi^2 (+inf where the mean spin vanishes), <J_x> and the transverse moments."""
+
+    xi2: np.ndarray
+    mean_x: np.ndarray
+    var_y: np.ndarray
+    var_z: float
+    cov_yz: np.ndarray  # symmetrized
+
+
+def _cos_power(sin_sq: np.ndarray, cos: np.ndarray, k: int) -> np.ndarray:
+    """cos^k, its magnitude (1 - sin^2)^(k/2) through log1p, exact near cos = 1."""
+    if k == 0:
+        return np.ones_like(cos)
+    with np.errstate(divide="ignore"):
+        return np.where(cos < 0.0, (-1.0) ** k, 1.0) * np.exp(0.5 * k * np.log1p(-sin_sq))
+
+
+def oat_moments(n_spins: int, chi_t: np.ndarray) -> OatMoments:
+    """z^2 twisting exp(-i chi t J_z^2) of the x-polarized state in closed form, per chi*t.
+
+    Kitagawa and Ueda, PRA 47, 5138 (1993).  With mu = 2 chi t, A = 1 - cos^(N-2) mu
+    and B = 4 sin(mu/2) cos^(N-2)(mu/2): <J_x> = J cos^(N-1)(mu/2), Var J_y =
+    N/4 (1 + (N-1) A/2), Var J_z = N/4, Cov(J_y, J_z) = N(N-1) B/16 and xi^2 =
+    1 - (N-1)/4 B^2 / (A + sqrt(A^2 + B^2)), +inf where |cos chi t|^(N-1) <=
+    MEAN_SPIN_EPS_FACTOR.  A (where cos mu > 0) and |B| go through log1p, which
+    keeps xi^2 within 2e-13 of exact up to N = 10^4; B keeps its sign, which sets
+    the squeezing direction.
+    """
+    n = int(n_spins)
+    sin_h, cos_h = np.sin(chi_t), np.cos(chi_t)
+    sin_sq = sin_h**2
+    k = max(n - 2, 0)  # N = 1 enters only through factors N - 1 = 0
+    cos_mu = 1.0 - 2.0 * sin_sq
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.where(cos_mu > 0.0, -np.expm1(k * np.log1p(-2.0 * sin_sq)), 1.0 - cos_mu**k)
+        b = 4.0 * sin_h * _cos_power(sin_sq, cos_h, k)
+        denom = a + np.hypot(a, b)
+        xi2 = 1.0 - (n - 1) / 4.0 * np.where(denom > 0.0, b * b / denom, 0.0)
+    if n == 2:  # xi^2 = 1 - |sin chi t|, written without its cancellation at chi t = pi/2
+        xi2 = cos_h**2 / (1.0 + np.abs(sin_h))
+    mean = _cos_power(sin_sq, cos_h, n - 1)
+    xi2 = np.where(np.abs(mean) <= MEAN_SPIN_EPS_FACTOR, np.inf, np.maximum(xi2, 0.0))
+    return OatMoments(
+        xi2, n / 2.0 * mean, n / 4.0 * (1.0 + (n - 1) * a / 2.0), n / 4.0, n * (n - 1) * b / 16.0
+    )
 
 
 def find_optimum(trace: SqueezingTrace) -> Optimum:

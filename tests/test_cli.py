@@ -224,6 +224,25 @@ def test_run_too_large_for_memory_exits_2_before_allocating():
     assert "memory" in result.stderr
 
 
+def test_closed_form_oat_run_at_large_n_fits_the_same_limit():
+    """ideal-OAT builds no dense array: N = 100000 runs under the 3 GiB limit that refuses schemeA."""
+    src = Path(spinsqueeze.__file__).resolve().parent.parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    argv = ["simulate", "--scheme", "ideal-OAT", "--n-spins", "100000", "--n-cycles", "5"]
+    result = subprocess.run(
+        [sys.executable, "-m", "spinsqueeze.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=_limit_address_space,
+    )
+    assert result.returncode == 0, result.stderr
+    rows = result.stdout.splitlines()
+    assert rows[0] == "t,xi2,jx,jy,jz" and len(rows) == 7
+
+
 def test_validation_errors_exit_2():
     assert main(["simulate", "--scheme", "schemeA", "--n-spins", "0", "--n-cycles", "5"]) == 2
     assert main(["simulate", "--scheme", "schemeA", "--n-cycles", "5"]) == 2  # missing n_spins

@@ -15,7 +15,6 @@ from spinsqueeze.experiments import (
     _interior_offsets,
     _itinerary,
     _loglog_fit,
-    _oat_scan,
     _pair_steps,
     _scan_minimize,
     _tat_scan,
@@ -31,8 +30,13 @@ from spinsqueeze.experiments import (
 )
 from spinsqueeze.propagate import HALF_PI, EigenFactorization, evolve_oat, evolve_twist, rotate
 from spinsqueeze.schedules import S_PARAM, Schedule, compile_scheme, delta_t_for, free, pulse
-from spinsqueeze.spin_ops import NumericalConsistencyError, build_operators, coherent_state_z
-from spinsqueeze.squeezing import MeanSpinVanishing, squeezing_parameter
+from spinsqueeze.spin_ops import (
+    NumericalConsistencyError,
+    build_operators,
+    coherent_state_x,
+    coherent_state_z,
+)
+from spinsqueeze.squeezing import MeanSpinVanishing, oat_moments, squeezing_parameter
 
 
 def test_spec_validation():
@@ -202,7 +206,11 @@ def _or_inf(evaluate, *args) -> float:
 @pytest.mark.parametrize("n", [8, 9, 40, 41])
 @pytest.mark.parametrize("scheme", ["ideal-TAT", "ideal-OAT"])
 def test_batched_scan_grid_matches_scalar_path(n, scheme):
-    """The chunked grid gives per-point squeezing_parameter, +inf exactly where it raises."""
+    """The scan's grid gives per-point squeezing_parameter, +inf exactly where it raises.
+
+    For z^2 twisting the grid is the closed form `oat_moments`, checked here
+    against the evolved state vector.
+    """
     ops = build_operators(n)
     start = coherent_state_z(n)
 
@@ -213,11 +221,12 @@ def test_batched_scan_grid_matches_scalar_path(n, scheme):
         _, grid = _tat_scan(n)
         ts = np.linspace(0.0, 10.0 / n, 3 * SCAN_CHUNK_COLUMNS - 17)
         scalar = [_or_inf(xi2, evolve_twist(start, 1.0, t)) for t in ts]
+        rtol = 1e-9
     else:  # [0, 3] runs past the mean-spin collapse around t = pi/2
-        _, grid = _oat_scan(n)
         ts = np.linspace(0.0, 3.0, 3 * SCAN_CHUNK_COLUMNS - 17)
         psi_x = rotate(start, "y", HALF_PI)
         scalar = [_or_inf(xi2, evolve_oat(psi_x, 1.0, t)) for t in ts]
+        grid, rtol = (lambda ts: oat_moments(n, ts).xi2), 1e-12
     scalar = np.array(scalar)
     batched = grid(ts)
     assert batched.shape == ts.shape
@@ -225,23 +234,63 @@ def test_batched_scan_grid_matches_scalar_path(n, scheme):
     np.testing.assert_array_equal(np.isinf(batched), vanishing)
     if scheme == "ideal-OAT":
         assert vanishing.any()
-    np.testing.assert_allclose(batched[~vanishing], scalar[~vanishing], rtol=1e-9, atol=0.0)
+    np.testing.assert_allclose(batched[~vanishing], scalar[~vanishing], rtol=rtol, atol=0.0)
     assert np.argmin(batched) == np.argmin(scalar)
 
 
 @pytest.mark.parametrize("n", [8, 9, 40, 41])
 def test_batched_scan_gives_the_scalar_scan_optimum(n):
     """Batching the grid leaves the optimum of a point-by-point scan unchanged, bit for bit."""
-    for scan, optimum, hi in (
-        (_tat_scan, tat_optimum, 10.0 / n),
-        (_oat_scan, oat_optimum, 5.0 * n ** (-2.0 / 3.0)),
-    ):
-        xi2_at, _ = scan(n)
+    xi2_at, _ = _tat_scan(n)
 
-        def pointwise(ts):
-            return np.array([_or_inf(xi2_at, t) for t in ts])
+    def pointwise(ts):
+        return np.array([_or_inf(xi2_at, t) for t in ts])
 
-        assert _scan_minimize(xi2_at, pointwise, 0.0, hi) == (optimum(n).t_opt, optimum(n).xi2_min)
+    optimum = tat_optimum(n)
+    assert _scan_minimize(xi2_at, pointwise, 0.0, 10.0 / n) == (optimum.t_opt, optimum.xi2_min)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 13, 40])
+def test_oat_trace_matches_the_state_vector_path(n):
+    """Closed-form ideal-OAT samples against squeezing_parameter of the evolved state.
+
+    xi^2, the mean spin and the minimal-variance axis (a direction up to sign)
+    agree within 1e-12.  Where the state path's own roundoff is the larger,
+    next to the collapse, the bounds widen: xi^2 by 1e-15 absolute (at N = 2,
+    xi^2 -> 0 there), the axis by the factor J/|<J>| (the state path's
+    transverse basis tilts by its mean spin's roundoff over |<J>|).  The
+    closed form is +inf, and the trace raises, exactly where the state path
+    raises.  The times run past chi t = pi/2, where the mean spin vanishes
+    for every N >= 2.
+    """
+    ops = build_operators(n)
+    psi_x = coherent_state_x(n)
+    chi = 1.3
+    times = np.append(np.linspace(0.0, 2.6, 97), HALF_PI / chi)
+
+    def trace_sample(t):
+        spec = ExperimentSpec("ideal-OAT", n, 1, t if t > 0 else 1e-3, chi=chi)
+        return run_trace(spec).samples[1 if t > 0 else 0]
+
+    vanished = 0
+    for t, xi2_closed in zip(times, oat_moments(n, chi * times).xi2):
+        try:
+            want = squeezing_parameter(evolve_oat(psi_x, chi, t), ops, t=t)
+        except MeanSpinVanishing:
+            vanished += 1
+            assert np.isinf(xi2_closed)
+            with pytest.raises(MeanSpinVanishing, match="sample 1"):
+                trace_sample(t)
+            continue
+        got = trace_sample(t)
+        assert got.t == t and got.xi2 == xi2_closed
+        assert abs(got.xi2 - want.xi2) <= 1e-12 * want.xi2 + 1e-15
+        assert np.abs(got.mean_spin - want.mean_spin).max() <= 1e-12 * n / 2.0
+        assert got.mean_spin[1] == got.mean_spin[2] == 0.0
+        d, e = got.min_variance_direction, want.min_variance_direction
+        tilt = n / 2.0 / abs(got.mean_spin[0])
+        assert min(np.abs(d - e).max(), np.abs(d + e).max()) <= 1e-12 * tilt
+    assert (vanished > 0) == (n > 1)
 
 
 # -- even-sector pulse engine against dense expm ----------------------------------
@@ -394,12 +443,7 @@ def test_norm_drift_exits_1_from_the_cli(monkeypatch, capsys):
 
 
 def test_pulse_run_builds_no_dense_matrix():
-    """A fresh process runs every scheme and the TAT scan at N = 2000 without an (N+1)^2 array.
-
-    The OAT scan's (N+1) x SCAN_CHUNK_COLUMNS temporaries peak above the
-    bound at this N, so it is run after the peak is read and checked only for
-    the dense rotation and twist factorizations it must not build.
-    """
+    """A fresh process runs every scheme and both optimum scans at N = 2000, no (N+1)^2 array."""
     script = """
 import tracemalloc
 from spinsqueeze.experiments import ExperimentSpec, oat_optimum, run_trace, tat_optimum
@@ -411,9 +455,9 @@ for scheme, order in (("liu1", 2), ("schemeA", 2), ("schemeB", 4), ("general", 6
                       ("ideal-TAT", 2), ("ideal-OAT", 2)):
     run_trace(ExperimentSpec(scheme, n, 2, 0.004, sampling="fine", subsamples=3, order=order))
 tat_optimum(n)
+oat_optimum(n)
 peak = tracemalloc.get_traced_memory()[1]
 assert peak < 8 * (n + 1) ** 2, peak
-oat_optimum(n)
 for cached in (rotation_matrix, _rotation_factorization, twist_factorization):
     assert cached.cache_info().currsize == 0, cached
 lazy = {"jx", "jy", "jz", "twist_xy"} & set(vars(build_operators(n)))

@@ -302,9 +302,34 @@ def test_pair_spectrum_is_exactly_the_squares(n):
     """J_x^2 on the even sector has the eigenvalues m^2, m = J mod 1, ..., J."""
     j = n / 2.0
     exact = np.arange(j % 1.0, j + 0.5) ** 2
-    got = pair_factorization(n).eigenvalues
-    assert got.shape == exact.shape
-    assert np.abs(got - exact).max() <= 64 * np.finfo(float).eps * j**2
+    assert np.array_equal(pair_factorization(n).eigenvalues, exact)
+
+
+def test_pair_spectrum_off_the_squares_raises(monkeypatch):
+    """`stemr`'s eigenvalues replace nothing unless they lie within 64 eps J^2 of m^2."""
+    real = propagate.eigh_tridiagonal
+
+    def shifted(*args, **kwargs):
+        w, v = real(*args, **kwargs)
+        return w + 1e-9, v
+
+    monkeypatch.setattr(propagate, "eigh_tridiagonal", shifted)
+    pair_factorization.cache_clear()
+    try:
+        with pytest.raises(NumericalConsistencyError, match="pair spectrum"):
+            pair_factorization(401)
+    finally:
+        pair_factorization.cache_clear()
+
+
+def test_oversized_dense_arrays_are_refused_before_allocating():
+    """The h x h pair eigenvectors and the twist window check memory; the band data does not."""
+    n = 10**6  # h = 500001: the pair block needs 2 TB, the first twist window 98 GB
+    assert build_operators(n).dim == n + 1
+    with pytest.raises(ValueError, match="memory"):
+        pair_factorization(n)
+    with pytest.raises(ValueError, match="memory"):
+        twist_window(n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 40, 41])
@@ -355,3 +380,20 @@ def test_loose_window_edge_raises_instead_of_truncating(monkeypatch, fresh_twist
     monkeypatch.setattr(propagate, "TWIST_WINDOW_HALF_WIDTH", 4)
     with pytest.raises(NumericalConsistencyError, match="misses weight"):
         twist_window(400)
+
+
+@pytest.mark.parametrize("n,columns", [(10**4, 193), (10**4 + 2, 385)])
+def test_first_twist_window_is_wide_enough_past_ten_thousand(
+    monkeypatch, fresh_twist_window, n, columns
+):
+    """One solve per N: the first window doubles with N past 10^4 instead of solving twice."""
+    real, widths = propagate.eigh_tridiagonal, []
+
+    def counting(*args, **kwargs):
+        lo, hi = kwargs["select_range"]
+        widths.append(hi - lo + 1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(propagate, "eigh_tridiagonal", counting)
+    assert twist_window(n).eigenvectors.shape[1] == columns
+    assert widths == [columns]

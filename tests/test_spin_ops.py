@@ -77,11 +77,6 @@ def test_build_rejects_nonpositive(bad):
         build_operators(bad)
 
 
-def test_build_rejects_oversized():
-    with pytest.raises(ValueError):
-        build_operators(10**7)
-
-
 def test_coherent_state_is_highest_weight():
     state = coherent_state_z(4)
     np.testing.assert_array_equal(state.amplitudes, [1, 0, 0, 0, 0])

@@ -18,6 +18,7 @@ from spinsqueeze.squeezing import (
     SqueezingSample,
     SqueezingTrace,
     even_sector_xi2,
+    oat_moments,
     transverse_basis,
 )
 
@@ -201,3 +202,29 @@ def test_even_sector_kernel_matches_squeezing_parameter(n):
     assert vanishing[-1]
     np.testing.assert_array_equal(np.isinf(got), vanishing)
     np.testing.assert_allclose(got[~vanishing], expected[~vanishing], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 13, 40, 41, 805, 2000, 10**4])
+def test_oat_closed_form_matches_50_digit_arithmetic(n):
+    """oat_moments' xi^2 over the optimum scan's window [0, 5 N^(-2/3)], within 1e-12 relative.
+
+    The window passes mu = 2 chi t = pi/2 for N <= 16, where cos mu < 0, and
+    chi t = pi/2 for N <= 3, where the mean spin vanishes (+inf there).
+    """
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    ts = np.linspace(0.0, 5.0 * n ** (-2.0 / 3.0), 201)
+    assert (2.0 * ts[-1] > np.pi / 2.0) == (n <= 16)
+    if ts[-1] > np.pi / 2.0:
+        ts = np.append(ts, np.pi / 2.0)
+    got = oat_moments(n, ts).xi2
+    for t, xi2 in zip(ts, got):
+        x = mp.mpf(float(t))
+        if abs(mp.cos(x)) ** (n - 1) <= 1e-8:
+            assert np.isinf(xi2)
+            continue
+        a = 1 - mp.cos(2 * x) ** (n - 2)
+        b = 4 * mp.sin(x) * mp.cos(x) ** (n - 2)
+        exact = 1 - mp.mpf(n - 1) / 4 * b**2 / (a + mp.sqrt(a**2 + b**2)) if t > 0 else mp.mpf(1)
+        assert abs(mp.mpf(float(xi2)) - exact) <= 1e-12 * exact, (t, xi2)
+    assert np.isinf(got).any() == (n <= 3)
