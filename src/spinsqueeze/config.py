@@ -8,7 +8,6 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import tolerances
 from .experiments import ExperimentSpec, IDEAL_SCHEMES, PULSE_SCHEMES, default_t_total
 
 
@@ -17,7 +16,7 @@ class ConfigError(ValueError):
 
 
 REQUIRED_KEYS = ("scheme", "n_spins", "n_cycles")
-OPTIONAL_KEYS = ("chi", "t_total", "sampling", "order", "out", "format", "strictness")
+OPTIONAL_KEYS = ("chi", "t_total", "sampling", "order", "out", "format")
 KNOWN_KEYS = REQUIRED_KEYS + OPTIONAL_KEYS
 
 FORMATS = ("csv", "schedule-text")
@@ -36,7 +35,6 @@ class RunConfig:
     order: int = 2
     out: str | None = None
     format: str = "csv"
-    strictness: float = 1.0
 
 
 def parse_sampling(tag: str) -> tuple[str, int]:
@@ -110,11 +108,6 @@ def parse_config(document: dict) -> RunConfig:
         fmt = _require(document, "format", str, "one of " + ", ".join(FORMATS))
         if fmt not in FORMATS:
             raise ConfigError(f"field 'format' must be one of {FORMATS}, got {fmt!r}")
-    strictness = 1.0
-    if "strictness" in document:
-        strictness = _require(document, "strictness", float, "a positive number")
-        if not strictness > 0:
-            raise ConfigError(f"field 'strictness' must be positive, got {strictness}")
 
     return RunConfig(
         scheme=scheme,
@@ -126,7 +119,6 @@ def parse_config(document: dict) -> RunConfig:
         order=order,
         out=out,
         format=fmt,
-        strictness=strictness,
     )
 
 
@@ -140,7 +132,6 @@ def load_config(path: str | Path) -> RunConfig:
 
 def to_spec(config: RunConfig) -> ExperimentSpec:
     """Resolve a RunConfig into a concrete ExperimentSpec, filling the default run length."""
-    tolerances.set_strictness(config.strictness)
     mode, k = parse_sampling(config.sampling)
     t_total = config.t_total
     if t_total is None:

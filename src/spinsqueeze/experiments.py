@@ -6,12 +6,16 @@ evolved through its eigen-coefficients.  A fine sample inside a pair is
 taken from those coefficients in the frame rotated by the opening pulse,
 and its mean spin and minimal-variance direction are mapped back with the
 pulse's fixed signed permutation.  Samples fork off the main line, so a
-fine run applies exactly the operations of a stroboscopic one and both give
-bit-identical period-boundary samples.  At every period boundary the state
-norm is checked against `tolerances.NORM_DRIFT`.  Ideal xy twisting (the
-ideal-TAT trace, `tat_optimum`) runs on the same sector, on `twist_window`.
-Ideal z^2 twisting (the ideal-OAT trace, `oat_optimum`) evolves no state:
-it is the closed form `squeezing.oat_moments`.
+fine run applies exactly the operations of a stroboscopic one.  Their
+vectors are buffered and measured SAMPLE_BUFFER_ROWS at a time by the
+batched moment kernel `squeezing.even_sector_samples`, whose per-column
+bits do not depend on the batch, so both runs give bit-identical
+period-boundary samples.  No sample builds a full (N+1)-dimensional state.
+At every period boundary the state norm is checked against
+`tolerances.NORM_DRIFT`.  Ideal xy twisting (the ideal-TAT trace,
+`tat_optimum`) runs on the same sector, on `twist_window`, with the same
+kernel.  Ideal z^2 twisting (the ideal-OAT trace, `oat_optimum`) evolves no
+state: it is the closed form `squeezing.oat_moments`.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from .propagate import (
     pair_coefficients,
     pair_evolve,
     pulse_frame,
-    real_matvec,
     schedule_unitary,
     twist_factorization,
     twist_window,
@@ -41,25 +44,18 @@ from .schedules import (
     delta_t_for,
     period_in_delta_t_units,
 )
-from .spin_ops import (
-    DickeState,
-    NumericalConsistencyError,
-    build_operators,
-    even_sector_dim,
-    even_sector_state,
-)
+from .spin_ops import NumericalConsistencyError, build_operators, even_sector_dim
 from .squeezing import (
     MEAN_SPIN_EPS_FACTOR,
     MeanSpinVanishing,
     Optimum,
     SqueezingSample,
     SqueezingTrace,
+    even_sector_samples,
     even_sector_xi2,
     find_optimum,
     min_variance,
     oat_moments,
-    squeezing_parameter,
-    transverse_basis,
 )
 
 PULSE_SCHEMES = ("liu1", "schemeA", "schemeB", "general")
@@ -79,6 +75,7 @@ SCAN_CHUNK_COLUMNS = 128
 # N = 800 and 2e-9 at N = 2000.  Neighbouring grid values near the minimum
 # differ by about 1e-5, so the band rarely holds more than one point.
 SCAN_TIE_RTOL = 1e-6
+SAMPLE_BUFFER_ROWS = 4  # samples per batched evaluation: more rows run no faster and raise peak RSS
 
 
 @dataclass(frozen=True)
@@ -199,13 +196,6 @@ def _itinerary(schedule: Schedule, offsets: list[float]) -> list[_Step]:
     return out
 
 
-def _sample(ops, state: DickeState, t: float, index: int) -> SqueezingSample:
-    try:
-        return squeezing_parameter(state, ops, t=t)
-    except MeanSpinVanishing as exc:
-        raise MeanSpinVanishing(f"sample {index} at t={t:.6g}: {exc}") from None
-
-
 def _evolve_step(ops, step: _Step, psi: np.ndarray, coeffs, chi: float, t: float) -> np.ndarray:
     """The even-sector vector at time `t` into a step; inside a pair, in its opening pulse's frame."""
     if step.axis:
@@ -213,34 +203,26 @@ def _evolve_step(ops, step: _Step, psi: np.ndarray, coeffs, chi: float, t: float
     return evolve_free(ops, psi, chi, t)
 
 
-def _step_sample(ops, step: _Step, amps: np.ndarray, t: float, index: int) -> SqueezingSample:
-    """Sample of a vector from `_evolve_step`.
+def _samples(stamps, xi2, mean, direction, j: float) -> list[SqueezingSample]:
+    """Samples from per-column kernel output and one (t, index, frame) stamp per column.
 
-    Inside a pair, xi^2 is evaluated in the rotated frame, where it is the
-    same; the mean spin and the minimal-variance direction are rotated back
-    by the opening pulse.
+    A pulse pair's `pulse_frame` maps its samples' mean spin and direction back.
     """
-    sample = _sample(ops, even_sector_state(ops.n_spins, amps), t, index)
-    if not step.axis:
-        return sample
-    frame = pulse_frame(step.axis, step.sign)
-    return replace(
-        sample,
-        mean_spin=frame @ sample.mean_spin,
-        min_variance_direction=frame @ sample.min_variance_direction,
-    )
-
-
-def _check_norm(amps: np.ndarray, t: float, index: int) -> None:
-    drift = abs(float(np.linalg.norm(amps)) - 1.0)
-    if not drift <= tolerances.NORM_DRIFT:
-        raise NumericalConsistencyError(
-            f"sample {index} at t={t:.6g}: state norm drifted by {drift:.3e} "
-            f"(tolerance {tolerances.NORM_DRIFT:.0e})"
-        )
+    samples = []
+    for (t, index, frame), x, mu, d in zip(stamps, xi2, mean, direction):
+        if math.isinf(x):
+            raise MeanSpinVanishing(
+                f"sample {index} at t={t:.6g}: |<J>| = {np.linalg.norm(mu):.3e} <= "
+                f"{MEAN_SPIN_EPS_FACTOR * j:.3e}; transverse plane undefined"
+            )
+        if frame is not None:
+            mu, d = frame @ mu, frame @ d
+        samples.append(SqueezingSample(t, float(x), mu, d))
+    return samples
 
 
 def _pulse_samples(spec: ExperimentSpec) -> list[SqueezingSample]:
+    """Main-line propagation; sample vectors are copied into a buffer evaluated whenever full."""
     n = spec.n_spins
     ops = build_operators(n)
     delta_t = delta_t_for(spec.scheme, spec.t_total, spec.n_cycles, spec.order)
@@ -248,24 +230,45 @@ def _pulse_samples(spec: ExperimentSpec) -> list[SqueezingSample]:
     period = spec.t_total / spec.n_cycles
     offsets = _interior_offsets(spec, schedule.t_c)
     steps = _itinerary(schedule, offsets)
+    frames = [pulse_frame(step.axis, step.sign) if step.axis else None for step in steps]
     k = len(offsets)
+
+    samples: list[SqueezingSample] = []
+    buffer = np.empty((SAMPLE_BUFFER_ROWS, even_sector_dim(n)), dtype=complex)
+    stamps = []
+
+    def flush() -> None:
+        samples.extend(_samples(stamps, *even_sector_samples(buffer[: len(stamps)].T, ops), n / 2))
+        stamps.clear()
+
+    def take(amps: np.ndarray, t: float, index: int, frame=None) -> None:
+        buffer[len(stamps)] = amps
+        stamps.append((t, index, frame))
+        if len(stamps) == SAMPLE_BUFFER_ROWS:
+            flush()
 
     psi = np.zeros(even_sector_dim(n), dtype=complex)
     psi[0] = 1.0  # |J,J>
-    samples = [_sample(ops, even_sector_state(n, psi), 0.0, 0)]
+    take(psi, 0.0, 0)
     for cycle in range(spec.n_cycles):
         t0 = cycle * period
-        for step in steps:
+        for step, frame in zip(steps, frames):
             coeffs = pair_coefficients(n, step.axis, psi) if step.axis else None
             for slot, partial in step.snapshots:
                 fork = _evolve_step(ops, step, psi, coeffs, spec.chi, partial)
-                t = t0 + (slot + 1) * period / (k + 1)
-                samples.append(_step_sample(ops, step, fork, t, cycle * (k + 1) + slot + 1))
+                take(fork, t0 + (slot + 1) * period / (k + 1), cycle * (k + 1) + slot + 1, frame)
             psi = _evolve_step(ops, step, psi, coeffs, spec.chi, step.duration)
         index = (cycle + 1) * (k + 1)
         t = (cycle + 1) * period
-        _check_norm(psi, t, index)
-        samples.append(_sample(ops, even_sector_state(n, psi), t, index))
+        drift = abs(float(np.linalg.norm(psi)) - 1.0)
+        if not drift <= tolerances.NORM_DRIFT:
+            flush()  # an earlier sample's vanishing mean spin is reported first
+            raise NumericalConsistencyError(
+                f"sample {index} at t={t:.6g}: state norm drifted by {drift:.3e} "
+                f"(tolerance {tolerances.NORM_DRIFT:.0e})"
+            )
+        take(psi, t, index)
+    flush()
     return samples
 
 
@@ -283,27 +286,22 @@ def _ideal_samples(spec: ExperimentSpec) -> list[SqueezingSample]:
         return _oat_samples(spec.n_spins, spec.chi, times)
     ops = build_operators(spec.n_spins)
     states_at = _tat_states(spec.n_spins, spec.chi / spec.divisor)
-    return [
-        _sample(ops, even_sector_state(spec.n_spins, states_at(np.array([t]))[:, 0]), t, i)
-        for i, t in enumerate(times)
-    ]
+    samples = []
+    for s in range(0, len(times), SAMPLE_BUFFER_ROWS):
+        chunk = times[s : s + SAMPLE_BUFFER_ROWS]
+        moments = even_sector_samples(states_at(np.array(chunk)), ops)
+        samples += _samples([(t, s + i, None) for i, t in enumerate(chunk)], *moments, ops.total_spin)
+    return samples
 
 
 def _oat_samples(n_spins: int, chi: float, times: list[float]) -> list[SqueezingSample]:
-    """Samples of `oat_moments`, the direction found as `squeezing_parameter` finds it."""
+    """Samples of `oat_moments`; directions in (e_y, sign<J_x> e_z), as `transverse_basis` picks."""
     m = oat_moments(n_spins, chi * np.array(times))
-    samples = []
-    for i, t in enumerate(times):
-        mean = np.array([m.mean_x[i], 0.0, 0.0])
-        if math.isinf(m.xi2[i]):
-            raise MeanSpinVanishing(
-                f"sample {i} at t={t:.6g}: |<J>| = {abs(mean[0]):.3e} <= "
-                f"{MEAN_SPIN_EPS_FACTOR * n_spins / 2.0:.3e}; transverse plane undefined"
-            )
-        n1, n2 = transverse_basis(mean)  # e_y, and e_z signed by <J_x>
-        _, direction = min_variance(m.var_y[i], m.var_z, n2[2] * m.cov_yz[i], (n1, n2))
-        samples.append(SqueezingSample(t, float(m.xi2[i]), mean, direction))
-    return samples
+    sign = np.sign(m.mean_x)
+    basis = (np.array([0.0, 1.0, 0.0]), sign[:, None] * np.array([0.0, 0.0, 1.0]))
+    _, direction = min_variance(m.var_y, np.full_like(m.var_y, m.var_z), sign * m.cov_yz, basis)
+    mean = np.column_stack([m.mean_x, np.zeros((len(times), 2))])
+    return _samples([(t, i, None) for i, t in enumerate(times)], m.xi2, mean, direction, n_spins / 2)
 
 
 def run_trace(spec: ExperimentSpec) -> SqueezingTrace:
@@ -425,7 +423,12 @@ def _tat_states(n_spins: int, rate: float):
     v, w = fac.eigenvectors, fac.eigenvalues
 
     def states_at(ts: np.ndarray) -> np.ndarray:
-        return real_matvec(v, np.exp(-1j * rate * np.outer(w, ts)) * v[0][:, None])
+        # Built as k contiguous rows, which the moment kernel reduces without a copy.
+        phases = np.exp(-1j * rate * np.outer(ts, w)) * v[0]
+        rows = np.empty((ts.size, v.shape[0]), dtype=complex)
+        rows.real = phases.real @ v.T
+        rows.imag = phases.imag @ v.T
+        return rows.T
 
     return states_at
 

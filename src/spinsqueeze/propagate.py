@@ -88,14 +88,6 @@ class EigenFactorization:
         rebuilt = (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
         return float(np.max(np.abs(rebuilt - matrix)))
 
-    def check_reconstruction(self, matrix: np.ndarray) -> None:
-        error = self.reconstruction_error(matrix)
-        if error > tolerances.reconstruction_tol():
-            raise NumericalConsistencyError(
-                f"{self.source_tag}: reconstruction error {error:.3e} exceeds "
-                f"{tolerances.reconstruction_tol():.3e}"
-            )
-
 
 @dataclass(frozen=True)
 class Propagator:
@@ -108,14 +100,6 @@ class Propagator:
     def unitarity_defect(self) -> float:
         gram = self.matrix.conj().T @ self.matrix
         return spectral_norm_estimate(gram - np.eye(gram.shape[0]))
-
-    def check_unitary(self) -> None:
-        defect = self.unitarity_defect()
-        if defect > tolerances.unitarity_tol():
-            raise NumericalConsistencyError(
-                f"{self.generator_tag}: unitarity defect {defect:.3e} exceeds "
-                f"{tolerances.unitarity_tol():.3e}"
-            )
 
 
 def spectral_norm_estimate(

@@ -1,12 +1,15 @@
 """Kitagawa-Ueda squeezing parameter and trace containers.
 
 xi^2 = 2 * (minimal spin variance perpendicular to the mean spin) / J,
-normalized so a coherent state gives exactly 1.
+normalized so a coherent state gives exactly 1.  Every production sample
+comes from a closed form: even-sector states (pulse and ideal-TAT traces,
+the TAT scan) from the batched band moments of `even_sector_moments`, one
+column per sample, and z^2 twisting from `oat_moments`.  The
+full-dimension `squeezing_parameter` is the oracle they are tested against.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,35 +53,46 @@ class Optimum:
     xi2_min: float
 
 
-def transverse_basis(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def transverse_basis(direction: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic orthonormal pair spanning the plane perpendicular to `direction`.
 
     The first vector is built from the canonical axis least aligned with the
     direction, which also fixes the convention reported for degenerate
-    covariances.
+    covariances.  Components within 64 eps of `scale`, the size their
+    roundoff scales with (J for a mean spin, whatever |<J>| is), count as
+    zero and ties go to the lowest axis, so roundoff picks neither the axis
+    nor the sign of the direction reported.
     """
     u = direction / np.linalg.norm(direction)
+    zero = np.abs(direction) <= 64 * np.finfo(float).eps * scale
     seed = np.zeros(3)
-    seed[int(np.argmin(np.abs(u)))] = 1.0
+    seed[int(np.argmin(np.where(zero, 0.0, np.abs(u))))] = 1.0
     n1 = seed - np.dot(seed, u) * u
     n1 /= np.linalg.norm(n1)
     n2 = np.cross(u, n1)
     return n1, n2
 
 
-def min_variance(c11: float, c22: float, c12: float, basis) -> tuple[float, np.ndarray]:
-    """lambda_min of the covariance [[c11, c12], [c12, c22]] in `basis`, and its direction."""
+def min_variance(c11, c22, c12, basis) -> tuple[np.ndarray, np.ndarray]:
+    """Per column of length-k c11, c22, c12: lambda_min of [[c11, c12], [c12, c22]] and its direction.
+
+    `basis` is a pair of 3-vectors or of k x 3 arrays; the directions are k x 3.
+    A degenerate covariance (radius <= DEGENERACY_TOL max(|half trace|, 1)) reports
+    the first basis vector, a diagonal one (|c12| within that bound) the basis
+    vector of the smaller variance.
+    """
     n1, n2 = basis
     half_trace = (c11 + c22) / 2.0
-    radius = math.hypot((c11 - c22) / 2.0, c12)
+    radius = np.hypot((c11 - c22) / 2.0, c12)
     lam_min = half_trace - radius
-    if radius <= DEGENERACY_TOL * max(abs(half_trace), 1.0):
-        return lam_min, n1
-    if abs(c12) <= DEGENERACY_TOL * max(abs(half_trace), 1.0):
-        return lam_min, n1 if c11 <= c22 else n2
-    v = np.array([c12, lam_min - c11])
-    v /= np.linalg.norm(v)
-    return lam_min, v[0] * n1 + v[1] * n2
+    bound = DEGENERACY_TOL * np.maximum(np.abs(half_trace), 1.0)
+    v1, v2 = c12, lam_min - c11
+    with np.errstate(divide="ignore", invalid="ignore"):
+        norm = np.hypot(v1, v2)
+        rotated = (v1 / norm)[:, None] * n1 + (v2 / norm)[:, None] * n2
+    diagonal = np.where((c11 <= c22)[:, None], n1, n2)
+    direction = np.where((np.abs(c12) <= bound)[:, None], diagonal, rotated)
+    return lam_min, np.where((radius <= bound)[:, None], n1, direction)
 
 
 def squeezing_parameter(
@@ -87,11 +101,12 @@ def squeezing_parameter(
     t: float = 0.0,
     basis: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> SqueezingSample:
-    """Evaluate xi^2 = 2 lambda_min(C) / J from the 2x2 transverse covariance.
+    """Evaluate xi^2 = 2 lambda_min(C) / J from the 2x2 transverse covariance of any state.
 
     `basis` overrides the deterministic transverse pair (the eigenvalues, and
     hence xi^2, cannot depend on that choice).  Raises MeanSpinVanishing when
-    |<J>| <= 1e-8 * J, where no transverse plane exists.
+    |<J>| <= 1e-8 * J, where no transverse plane exists.  Production traces
+    use `even_sector_samples`; this full-dimension path is their oracle.
     """
     amps = state.amplitudes
     vx = apply_jx(ops, amps)
@@ -107,7 +122,7 @@ def squeezing_parameter(
             f"|<J>| = {length:.3e} <= {MEAN_SPIN_EPS_FACTOR * j:.3e}; transverse plane undefined"
         )
 
-    n1, n2 = transverse_basis(mean) if basis is None else basis
+    n1, n2 = transverse_basis(mean, j) if basis is None else basis
     w1 = n1[0] * vx + n1[1] * vy + n1[2] * vz
     w2 = n2[0] * vx + n2[1] * vy + n2[2] * vz
     m1 = float(np.vdot(amps, w1).real)
@@ -116,26 +131,53 @@ def squeezing_parameter(
     c22 = float(np.vdot(w2, w2).real) - m2 * m2
     c12 = float(np.vdot(w1, w2).real) - m1 * m2
 
-    lam_min, direction = min_variance(c11, c22, c12, (n1, n2))
-    xi2 = 2.0 * max(lam_min, 0.0) / j
-    return SqueezingSample(t=t, xi2=xi2, mean_spin=mean, min_variance_direction=direction)
+    lam_min, direction = min_variance(np.array([c11]), np.array([c22]), np.array([c12]), (n1, n2))
+    xi2 = 2.0 * max(float(lam_min[0]), 0.0) / j
+    return SqueezingSample(t=t, xi2=xi2, mean_spin=mean, min_variance_direction=direction[0])
+
+
+def even_sector_moments(amps: np.ndarray, ops: SpinOperators):
+    """xi^2, <J_z>, T = J(J+1) - <J_z^2> and P = <J_+^2> of every column of an (N//2 + 1) x k block.
+
+    On the even-index sector <J_x> = <J_y> = 0 exactly and the transverse covariance
+    is <J_x^2> = (T + Re P)/2, <J_y^2> = (T - Re P)/2, Cov(J_x, J_y) = Im P/2, with
+    P = 2 sum_i twist_band[2i] conj(a_i) a_(i+1); so xi^2 = (T - |P|) / J (Kitagawa
+    and Ueda, PRA 47, 5138, 1993), clipped at 0, +inf where |<J_z>| <=
+    MEAN_SPIN_EPS_FACTOR * J.  Each column is summed as one contiguous row of the
+    transposed block with no BLAS product, so its bits do not depend on k.
+    """
+    rows = np.ascontiguousarray(amps.T)  # no copy for the transposed rows callers pass
+    j = ops.total_spin
+    p = rows[:, :-1].conj()  # the k x (h - 1) products, in place, then their sums
+    p *= ops.twist_band[0::2]
+    p *= rows[:, 1:]
+    p = 2.0 * p.sum(axis=-1)
+    weight = rows.real**2
+    weight += rows.imag**2
+    jz = (ops.m_values[0::2] * weight).sum(axis=-1)
+    transverse = ((j * (j + 1.0) - ops.jz_sq_diag[0::2]) * weight).sum(axis=-1)
+    xi2 = np.maximum(transverse - np.abs(p), 0.0) / j
+    return np.where(np.abs(jz) <= MEAN_SPIN_EPS_FACTOR * j, np.inf, xi2), jz, transverse, p
 
 
 def even_sector_xi2(amps: np.ndarray, ops: SpinOperators) -> np.ndarray:
-    """xi^2 of every column of an (N//2 + 1) x k array of even-sector amplitudes.
+    """The xi^2 column of `even_sector_moments`, no directions."""
+    return even_sector_moments(amps, ops)[0]
 
-    There <J_x> = <J_y> = 0 exactly, so xi^2 = (J(J+1) - <J_z^2> - 2|S|) / J with
-    S = <J_+^2>/2 = sum_i twist_band[2i] conj(a_i) a_(i+1) (Kitagawa and Ueda,
-    PRA 47, 5138, 1993), the first two terms summed with exact per-entry weights.
-    +inf where |<J_z>| <= MEAN_SPIN_EPS_FACTOR * J, clipped at 0 like `squeezing_parameter`.
+
+def even_sector_samples(amps: np.ndarray, ops: SpinOperators):
+    """xi^2, mean spins (0, 0, <J_z>) and minimal-variance directions (k x 3) per column.
+
+    The directions are those `squeezing_parameter` finds: in the basis
+    (e_x, sign<J_z> e_y) that `transverse_basis` picks for such a mean spin.
     """
-    j = ops.total_spin
-    weight = amps.real**2 + amps.imag**2
-    jz = (ops.m_values[0::2, None] * weight).sum(axis=0)
-    transverse = ((j * (j + 1.0) - ops.jz_sq_diag[0::2])[:, None] * weight).sum(axis=0)
-    s = (ops.twist_band[0::2, None] * amps[:-1].conj() * amps[1:]).sum(axis=0)
-    xi2 = np.maximum(transverse - 2.0 * np.abs(s), 0.0) / j
-    return np.where(np.abs(jz) <= MEAN_SPIN_EPS_FACTOR * j, np.inf, xi2)
+    xi2, jz, transverse, p = even_sector_moments(amps, ops)
+    sign = np.sign(jz)
+    mean = np.column_stack([np.zeros((jz.size, 2)), jz])
+    basis = (np.array([1.0, 0.0, 0.0]), sign[:, None] * np.array([0.0, 1.0, 0.0]))
+    c11, c22 = (transverse + p.real) / 2.0, (transverse - p.real) / 2.0
+    _, direction = min_variance(c11, c22, sign * p.imag / 2.0, basis)
+    return xi2, mean, direction
 
 
 @dataclass(frozen=True)

@@ -113,6 +113,14 @@ def test_simulate_honors_config_file_with_flag_override(tmp_path):
     assert n_rows == 7  # n_cycles came from the flag, not the file
 
 
+def test_config_file_with_the_removed_strictness_key_exits_2(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"scheme": "schemeA", "n_spins": 16, "n_cycles": 4,
+                                  "strictness": 2.0}))
+    assert main(["simulate", "--config", str(config)]) == 2
+    assert "unknown config keys: strictness" in capsys.readouterr().err
+
+
 def test_compare_emits_three_files(tmp_path):
     out = tmp_path / "cmp"
     code = main(["compare", "--scheme", "schemeA", "--n-spins", "16", "--n-cycles", "5",
@@ -193,6 +201,10 @@ def _cli_bytes(args: list[str], threads: str, tmp_path) -> bytes:
         ["simulate", "--scheme", "schemeB", "--n-spins", "1250", "--n-cycles", "17", "--out", "{out}"],
         ["timecost", "--n-spins", "4000"],
         ["simulate", "--scheme", "ideal-TAT", "--n-spins", "2000", "--n-cycles", "50", "--out", "{out}"],
+        ["simulate", "--scheme", "schemeA", "--n-spins", "1250", "--n-cycles", "50",
+         "--sampling", "fine(8)", "--out", "{out}"],
+        ["simulate", "--scheme", "ideal-TAT", "--n-spins", "1250", "--n-cycles", "50",
+         "--sampling", "fine(8)", "--out", "{out}"],
     ],
 )
 def test_optimum_search_output_is_thread_count_independent(args, tmp_path):
@@ -253,20 +265,3 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])
     assert excinfo.value.code == 2
-
-
-def test_strictness_knob_scales_tolerances():
-    from spinsqueeze import tolerances
-
-    spec_doc = {"scheme": "schemeA", "n_spins": 12, "n_cycles": 3, "strictness": 2.0}
-    to_spec(parse_config(spec_doc))
-    try:
-        assert tolerances.get_strictness() == 2.0
-        assert tolerances.unitarity_tol() == pytest.approx(2e-9)
-        assert tolerances.reconstruction_tol() == pytest.approx(2e-8)
-    finally:
-        tolerances.set_strictness(1.0)
-    with pytest.raises(ConfigError, match="strictness"):
-        parse_config({**spec_doc, "strictness": 0.0})
-    with pytest.raises(ValueError):
-        tolerances.set_strictness(-1.0)

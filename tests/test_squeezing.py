@@ -11,12 +11,14 @@ from spinsqueeze import (
     rotate,
     squeezing_parameter,
 )
-from spinsqueeze.propagate import twist_window
+from spinsqueeze.experiments import tat_optimum
+from spinsqueeze.propagate import pair_coefficients, pair_evolve, twist_window
 from spinsqueeze.spin_ops import even_sector_state
 from spinsqueeze.squeezing import (
     MeanSpinVanishing,
     SqueezingSample,
     SqueezingTrace,
+    even_sector_samples,
     even_sector_xi2,
     oat_moments,
     transverse_basis,
@@ -31,7 +33,7 @@ def brute_force_xi2(state, ops, n_angles=3000):
     vx, vy, vz = ops.jx @ amps, ops.jy @ amps, ops.jz @ amps
     mean = np.array([np.vdot(amps, v).real for v in (vx, vy, vz)])
     u = mean / np.linalg.norm(mean)
-    n1, n2 = transverse_basis(mean)
+    n1, n2 = transverse_basis(mean, ops.total_spin)
     best = np.inf
     for phi in np.linspace(0, np.pi, n_angles):
         direction = np.cos(phi) * n1 + np.sin(phi) * n2
@@ -82,7 +84,7 @@ def test_basis_choice_is_irrelevant():
     ops = build_operators(9)
     state = evolve_twist(coherent_state_z(9), 1.0, 0.05)
     mean = squeezing_parameter(state, ops).mean_spin
-    n1, n2 = transverse_basis(mean)
+    n1, n2 = transverse_basis(mean, ops.total_spin)
     default = squeezing_parameter(state, ops).xi2
     for phi in (0.3, 1.1, 2.5):
         m1 = np.cos(phi) * n1 + np.sin(phi) * n2
@@ -106,7 +108,7 @@ def test_minimum_bounds_any_fixed_direction():
     state = evolve_twist(coherent_state_z(9), 1.0, 0.05)
     sample = squeezing_parameter(state, ops)
     mean = sample.mean_spin
-    n1, n2 = transverse_basis(mean)
+    n1, n2 = transverse_basis(mean, ops.total_spin)
     amps = state.amplitudes
     for phi in np.linspace(0, np.pi, 17):
         d = np.cos(phi) * n1 + np.sin(phi) * n2
@@ -170,7 +172,7 @@ def test_random_states_match_brute_force(seed):
 
 
 def _even_sector_columns(n):
-    """TAT-evolved states from the twist window, random states, and one with <J_z> = 0."""
+    """TAT-evolved, random and pair-evolved even-sector states, and (N > 1) one with <J_z> = 0."""
     h = n // 2 + 1
     fac = twist_window(n)
     v, w = fac.eigenvectors, fac.eigenvalues
@@ -179,29 +181,67 @@ def _even_sector_columns(n):
     rng = np.random.default_rng(n)
     rand = rng.normal(size=(h, 6)) + 1j * rng.normal(size=(h, 6))
     rand /= np.linalg.norm(rand, axis=0)
-    m = build_operators(n).m_values[0::2]
-    balanced = np.zeros(h, dtype=complex)  # weights on m[0] > 0 and m[-1] < 0 with zero mean
-    balanced[0], balanced[-1] = np.sqrt(-m[-1] / (m[0] - m[-1])), 1j * np.sqrt(m[0] / (m[0] - m[-1]))
-    return np.column_stack([evolved, rand, balanced])
+    paired = [
+        pair_evolve(n, axis, pair_coefficients(n, axis, evolved[:, 4]), 1.0, t)
+        for axis in ("x", "y")
+        for t in (0.3 / n, 2.0 / n, 7.0 / n)
+    ]
+    columns = [evolved, rand, np.column_stack(paired)]
+    if n > 1:
+        m = build_operators(n).m_values[0::2]
+        balanced = np.zeros(h, dtype=complex)  # weights on m[0] > 0 and m[-1] < 0, zero mean
+        balanced[0] = np.sqrt(-m[-1] / (m[0] - m[-1]))
+        balanced[-1] = 1j * np.sqrt(m[0] / (m[0] - m[-1]))
+        columns.append(balanced[:, None])
+    return np.column_stack(columns)
 
 
-@pytest.mark.parametrize("n", [2, 3, 8, 9, 40, 41])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 40, 41])
 def test_even_sector_kernel_matches_squeezing_parameter(n):
-    """Per column it gives squeezing_parameter of the scattered state, +inf exactly where that raises."""
+    """Per column it gives squeezing_parameter of the scattered state: xi^2, the mean spin and
+    the signed minimal-variance direction, and MeanSpinVanishing exactly where that raises."""
     ops = build_operators(n)
     amps = _even_sector_columns(n)
-    expected = []
-    for col in amps.T:
+    xi2, mean, direction = even_sector_samples(amps, ops)
+    np.testing.assert_array_equal(even_sector_xi2(amps, ops), xi2)
+    np.testing.assert_array_equal(even_sector_xi2(np.asfortranarray(amps), ops), xi2)
+    assert np.all(mean[:, :2] == 0.0)
+    vanished = []
+    for i, col in enumerate(amps.T):
         try:
-            expected.append(squeezing_parameter(even_sector_state(n, col), ops).xi2)
+            want = squeezing_parameter(even_sector_state(n, col), ops)
         except MeanSpinVanishing:
-            expected.append(np.inf)
-    expected = np.array(expected)
-    got = even_sector_xi2(amps, ops)
-    vanishing = np.isinf(expected)
-    assert vanishing[-1]
-    np.testing.assert_array_equal(np.isinf(got), vanishing)
-    np.testing.assert_allclose(got[~vanishing], expected[~vanishing], rtol=1e-12, atol=0.0)
+            vanished.append(i)
+            continue
+        assert abs(xi2[i] - want.xi2) <= 1e-12 * want.xi2
+        assert want.mean_spin[0] == want.mean_spin[1] == 0.0
+        assert abs(mean[i, 2] - want.mean_spin[2]) <= 1e-13 * ops.total_spin
+        assert np.abs(direction[i] - want.min_variance_direction).max() <= 1e-10
+    assert vanished == ([amps.shape[1] - 1] if n > 1 else [])
+    np.testing.assert_array_equal(np.flatnonzero(np.isinf(xi2)), vanished)
+
+
+@pytest.mark.parametrize("n", [2000, 4001])
+def test_even_sector_kernel_is_as_accurate_as_the_state_path(n):
+    """Near the TAT optimum, against (T - |P|) / J in extended precision on the same amplitudes,
+    the kernel's xi^2 error is at most twice that of squeezing_parameter on the full state."""
+    ops = build_operators(n)
+    fac = twist_window(n)
+    v, w = fac.eigenvectors, fac.eigenvalues
+    ts = tat_optimum(n).t_opt * np.array([0.9, 1.0, 1.1])
+    amps = v @ (np.exp(-1j * np.outer(w, ts)) * v[0][:, None])
+    j = np.longdouble(ops.total_spin)
+    re, im = amps.real.astype(np.longdouble), amps.imag.astype(np.longdouble)
+    m = ops.m_values[0::2].astype(np.longdouble)
+    transverse = ((j * (j + 1) - m * m)[:, None] * (re**2 + im**2)).sum(axis=0)
+    band = ops.twist_band[0::2].astype(np.longdouble)[:, None]
+    p_re = 2 * (band * (re[:-1] * re[1:] + im[:-1] * im[1:])).sum(axis=0)
+    p_im = 2 * (band * (re[:-1] * im[1:] - im[:-1] * re[1:])).sum(axis=0)
+    exact = (transverse - np.sqrt(p_re**2 + p_im**2)) / j
+    kernel = np.abs(even_sector_xi2(amps, ops) - exact) / exact
+    state = [squeezing_parameter(even_sector_state(n, col), ops).xi2 for col in amps.T]
+    state_path = np.abs(np.array(state, dtype=np.longdouble) - exact) / exact
+    assert kernel.max() <= 2 * state_path.max(), (kernel, state_path)
 
 
 @pytest.mark.parametrize("n", [2, 3, 13, 40, 41, 805, 2000, 10**4])
