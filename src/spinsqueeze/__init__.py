@@ -1,100 +1,19 @@
 """Spin squeezing with pulse-compiled twisting dynamics."""
 
-from .spin_ops import (
-    DickeState,
-    NumericalConsistencyError,
-    SpinOperators,
-    build_operators,
-    coherent_state_z,
-    expectation,
-)
-from .propagate import (
-    EigenFactorization,
-    Propagator,
-    evolve_oat,
-    evolve_twist,
-    rotate,
-    twist_factorization,
-    unitary_distance,
-)
-from .schedules import (
-    Schedule,
-    Segment,
-    TsCoefficients,
-    compile_general,
-    compile_order1,
-    compile_scheme_a,
-    compile_scheme_b,
-    schedule_stats,
-    schedule_to_text,
-    ts_coefficients,
-)
-from .squeezing import (
-    MeanSpinVanishing,
-    Optimum,
-    SqueezingSample,
-    SqueezingTrace,
-    find_optimum,
-    squeezing_parameter,
-)
-from .experiments import (
-    ErrorCurve,
-    ExperimentSpec,
-    nc_convergence,
-    oat_optimum,
-    relative_error_curve,
-    run_many,
-    run_trace,
-    scaling_fit,
-    tat_optimum,
-    time_cost,
-    trotter_order_fit,
-)
-from .config import ConfigError, RunConfig, load_config, parse_config
+from .spin_ops import build_operators, coherent_state_z
+from .propagate import evolve_twist, twist_factorization, unitary_distance
+from .squeezing import find_optimum, squeezing_parameter
+from .experiments import run_trace, tat_optimum, time_cost
 
 __all__ = [
-    "ConfigError",
-    "DickeState",
-    "EigenFactorization",
-    "ErrorCurve",
-    "ExperimentSpec",
-    "MeanSpinVanishing",
-    "NumericalConsistencyError",
-    "Optimum",
-    "Propagator",
-    "RunConfig",
-    "Schedule",
-    "Segment",
-    "SpinOperators",
-    "SqueezingSample",
-    "SqueezingTrace",
-    "TsCoefficients",
     "build_operators",
     "coherent_state_z",
-    "compile_general",
-    "compile_order1",
-    "compile_scheme_a",
-    "compile_scheme_b",
-    "evolve_oat",
     "evolve_twist",
-    "expectation",
     "find_optimum",
-    "load_config",
-    "nc_convergence",
-    "oat_optimum",
-    "parse_config",
-    "relative_error_curve",
-    "rotate",
-    "run_many",
     "run_trace",
-    "scaling_fit",
-    "schedule_stats",
-    "schedule_to_text",
     "squeezing_parameter",
     "tat_optimum",
     "time_cost",
-    "trotter_order_fit",
-    "ts_coefficients",
     "twist_factorization",
     "unitary_distance",
 ]

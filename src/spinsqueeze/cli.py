@@ -10,18 +10,17 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import ConfigError, RunConfig, load_config, parse_config, to_spec
+from .config import ConfigError, RunConfig, finite_positive, load_config, parse_config, to_spec
 from .experiments import (
     effective_counterpart,
     nc_convergence,
     relative_error_curve,
     run_trace,
     scaling_fit,
-    strength_divisor,
     tat_optimum,
     time_cost,
 )
-from .schedules import compile_scheme, delta_t_for, schedule_to_text
+from .schedules import compile_scheme, delta_t_for, schedule_to_text, strength_divisor
 from .squeezing import SqueezingTrace
 
 
@@ -76,7 +75,6 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sampling")
     parser.add_argument("--order", type=int)
     parser.add_argument("--out")
-    parser.add_argument("--format", dest="format")
 
 
 def _merged_config(args: argparse.Namespace) -> RunConfig:
@@ -84,7 +82,7 @@ def _merged_config(args: argparse.Namespace) -> RunConfig:
     if args.config:
         cfg = load_config(args.config)
         document = {k: v for k, v in vars(cfg).items() if v is not None}
-    for key in ("scheme", "n_spins", "n_cycles", "chi", "t_total", "sampling", "order", "out", "format"):
+    for key in ("scheme", "n_spins", "n_cycles", "chi", "t_total", "sampling", "order", "out"):
         value = getattr(args, key, None)
         if value is not None:
             document[key] = value
@@ -93,8 +91,6 @@ def _merged_config(args: argparse.Namespace) -> RunConfig:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _merged_config(args)
-    if config.format != "csv":
-        raise ConfigError("simulate only emits csv; use the schedule subcommand for schedule-text")
     trace = run_trace(to_spec(config))
     _emit(config.out, trace_csv(trace))
     return 0
@@ -129,10 +125,15 @@ def _cmd_converge(args: argparse.Namespace) -> int:
     return 0
 
 
+def _chi(args: argparse.Namespace) -> float:
+    """--chi of the subcommands that take no config: 1 when absent, else checked like a config's."""
+    return 1.0 if args.chi is None else finite_positive("chi", args.chi)
+
+
 def _cmd_scaling(args: argparse.Namespace) -> int:
     scheme = args.scheme or "ideal-TAT"
     n_list = [int(v) for v in args.n_list.split(",")]
-    fit = scaling_fit(scheme, n_list, chi=args.chi or 1.0, order=args.order or 2)
+    fit = scaling_fit(scheme, n_list, chi=_chi(args), order=args.order or 2)
     print(f"scheme={scheme} exponent={fit.exponent:.4f} intercept={fit.intercept:.4f} r2={fit.r_squared:.6f}")
     if args.out:
         lines = ["n,xi2_min"]
@@ -154,7 +155,7 @@ def _cmd_timecost(args: argparse.Namespace) -> int:
     n_spins = args.n_spins
     if n_spins is None:
         raise ConfigError("timecost needs --n-spins")
-    chi = args.chi or 1.0
+    chi = _chi(args)
     lines = ["scheme,divisor,t_opt,total_time"]
     opt = tat_optimum(n_spins)
     for scheme in ("schemeA", "schemeB"):

@@ -16,10 +16,8 @@ class ConfigError(ValueError):
 
 
 REQUIRED_KEYS = ("scheme", "n_spins", "n_cycles")
-OPTIONAL_KEYS = ("chi", "t_total", "sampling", "order", "out", "format")
+OPTIONAL_KEYS = ("chi", "t_total", "sampling", "order", "out")
 KNOWN_KEYS = REQUIRED_KEYS + OPTIONAL_KEYS
-
-FORMATS = ("csv", "schedule-text")
 
 _FINE_RE = re.compile(r"^fine\((\d+)\)$")
 
@@ -34,7 +32,6 @@ class RunConfig:
     sampling: str = "stroboscopic"
     order: int = 2
     out: str | None = None
-    format: str = "csv"
 
 
 def parse_sampling(tag: str) -> tuple[str, int]:
@@ -55,6 +52,13 @@ def _require(document: dict, key: str, kind, label: str):
         value = float(value)
     if not isinstance(value, kind) or isinstance(value, bool):
         raise ConfigError(f"field '{key}' must be {label}, got {value!r}")
+    return value
+
+
+def finite_positive(key: str, value: float) -> float:
+    """The value of field `key` if it is finite and positive; the rule for chi and t_total."""
+    if not value > 0 or not math.isfinite(value):
+        raise ConfigError(f"field '{key}' must be finite and positive, got {value}")
     return value
 
 
@@ -83,14 +87,10 @@ def parse_config(document: dict) -> RunConfig:
 
     chi = 1.0
     if "chi" in document:
-        chi = _require(document, "chi", float, "a positive number")
-        if not chi > 0 or not math.isfinite(chi):
-            raise ConfigError(f"field 'chi' must be finite and positive, got {chi}")
+        chi = finite_positive("chi", _require(document, "chi", float, "a positive number"))
     t_total = None
     if "t_total" in document:
-        t_total = _require(document, "t_total", float, "a positive number")
-        if not t_total > 0 or not math.isfinite(t_total):
-            raise ConfigError(f"field 't_total' must be finite and positive, got {t_total}")
+        t_total = finite_positive("t_total", _require(document, "t_total", float, "a positive number"))
     sampling = "stroboscopic"
     if "sampling" in document:
         sampling = _require(document, "sampling", str, "a sampling tag")
@@ -103,11 +103,6 @@ def parse_config(document: dict) -> RunConfig:
     out = None
     if "out" in document:
         out = _require(document, "out", str, "a path string")
-    fmt = "csv"
-    if "format" in document:
-        fmt = _require(document, "format", str, "one of " + ", ".join(FORMATS))
-        if fmt not in FORMATS:
-            raise ConfigError(f"field 'format' must be one of {FORMATS}, got {fmt!r}")
 
     return RunConfig(
         scheme=scheme,
@@ -118,7 +113,6 @@ def parse_config(document: dict) -> RunConfig:
         sampling=sampling,
         order=order,
         out=out,
-        format=fmt,
     )
 
 

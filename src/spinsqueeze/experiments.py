@@ -21,7 +21,6 @@ state: it is the closed form `squeezing.oat_moments`.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -38,12 +37,7 @@ from .propagate import (
     twist_window,
     unitary_distance,
 )
-from .schedules import (
-    Schedule,
-    compile_scheme,
-    delta_t_for,
-    period_in_delta_t_units,
-)
+from .schedules import Schedule, compile_scheme, delta_t_for, strength_divisor
 from .spin_ops import NumericalConsistencyError, build_operators, even_sector_dim
 from .squeezing import (
     MEAN_SPIN_EPS_FACTOR,
@@ -112,16 +106,9 @@ def validate_spec(spec: ExperimentSpec) -> None:
         raise ValueError(f"divisor must be positive, got {spec.divisor}")
 
 
-def strength_divisor(scheme: str, order: int = 2) -> float:
-    """Divisor d of chi in the effective twisting Hamiltonian chi/d*(Jx^2 - Jy^2)."""
-    if scheme == "ideal-TAT":
-        return 1.0
-    return period_in_delta_t_units(scheme, order)
-
-
 def effective_counterpart(spec: ExperimentSpec) -> ExperimentSpec:
     """Ideal twisting reference sharing the sequence run's time axis."""
-    d = strength_divisor(spec.scheme, spec.order)
+    d = 1.0 if spec.scheme == "ideal-TAT" else strength_divisor(spec.scheme, spec.order)
     return replace(spec, scheme="ideal-TAT", divisor=d)
 
 
@@ -312,15 +299,6 @@ def run_trace(spec: ExperimentSpec) -> SqueezingTrace:
     return SqueezingTrace(tuple(samples), spec.scheme, spec.n_spins, spec.n_cycles, sampling)
 
 
-def run_many(specs, max_workers: int | None = None) -> list[SqueezingTrace]:
-    """Run independent specs, optionally across processes; results keep spec order."""
-    specs = list(specs)
-    if max_workers is None or max_workers <= 1 or len(specs) <= 1:
-        return [run_trace(s) for s in specs]
-    with ProcessPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(run_trace, specs))
-
-
 def strobe_indices(trace: SqueezingTrace) -> np.ndarray:
     """Indices of the period-boundary samples, skipping any interior samples."""
     step = (len(trace.samples) - 1) // trace.n_cycles
@@ -467,7 +445,7 @@ def default_t_total(scheme: str, n_spins: int, chi: float = 1.0, order: int = 2)
     """Run length covering 1.5x the time to reach the squeezing optimum."""
     if scheme == "ideal-OAT":
         return PRE_OPTIMUM_FACTOR * oat_optimum(n_spins).t_opt / chi
-    d = strength_divisor(scheme, order)
+    d = 1.0 if scheme == "ideal-TAT" else strength_divisor(scheme, order)
     return PRE_OPTIMUM_FACTOR * d * tat_optimum(n_spins).t_opt / chi
 
 
@@ -542,11 +520,8 @@ def scaling_fit(scheme: str, n_list, chi: float = 1.0, order: int = 2) -> FitRes
 
 
 def time_cost(scheme: str, n_spins: int, chi: float = 1.0, order: int = 2) -> float:
-    """Total evolution time for the scheme to reach the twisting optimum."""
-    if scheme == "ideal-OAT":
-        raise ValueError("ideal-OAT has no twisting strength divisor; use oat_optimum")
-    d = strength_divisor(scheme, order)
-    return d * tat_optimum(n_spins).t_opt / chi
+    """Total evolution time for the pulse scheme to reach the twisting optimum."""
+    return strength_divisor(scheme, order) * tat_optimum(n_spins).t_opt / chi
 
 
 def trotter_order_fit(
@@ -576,5 +551,5 @@ def trotter_order_fit(
         schedule = compile_scheme(scheme, float(dt), 1, order)
         period = schedule_unitary(ops, schedule.segments, chi)
         reference = fac.propagator(chi * float(dt))
-        distances.append(unitary_distance(period.matrix, reference))
+        distances.append(unitary_distance(period, reference))
     return _loglog_fit(dt_values, np.array(distances))

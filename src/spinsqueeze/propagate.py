@@ -18,10 +18,11 @@ the pulse engine is
 
 Ideal xy twisting from |J,J> stays in that sector too, where J_x^2 - J_y^2
 is tridiagonal: `twist_window` solves only the eigenpairs |J,J> overlaps.
-The small-N reference paths keep full-dimension tools: dense +/- pi/2
-rotations (`rotation_matrix`, `rotate`), the per-period unitary
-(`schedule_unitary`), the full parity-block eigendecomposition of J_x^2 -
-J_y^2 (`twist_factorization`) and the phase-stripped unitary distance.
+The small-N oracles of the tests and of `trotter_order_fit` keep
+full-dimension tools: the per-period unitary (`schedule_unitary`, its pulses
+exponentiated from the dense J_x and J_y), the full parity-block
+eigendecomposition of J_x^2 - J_y^2 (`twist_factorization`, `evolve_twist`)
+and the phase-stripped spectral-norm distance (`unitary_distance`).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, expm
 
 from . import tolerances
 from .spin_ops import (
@@ -48,9 +49,6 @@ HALF_PI = math.pi / 2.0
 
 TWIST_WINDOW_HALF_WIDTH = 96  # of the first window; wide enough up to N = 10^4
 TWIST_WINDOW_N = 10**4  # past it the first window doubles per doubling of N
-
-POWER_ITER_TOL = 1e-6
-POWER_ITER_MAX = 500
 
 
 def real_matvec(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
@@ -87,99 +85,6 @@ class EigenFactorization:
     def reconstruction_error(self, matrix: np.ndarray) -> float:
         rebuilt = (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
         return float(np.max(np.abs(rebuilt - matrix)))
-
-
-@dataclass(frozen=True)
-class Propagator:
-    """A concrete unitary together with what generated it."""
-
-    matrix: np.ndarray
-    generator_tag: str
-    duration_or_angle: float
-
-    def unitarity_defect(self) -> float:
-        gram = self.matrix.conj().T @ self.matrix
-        return spectral_norm_estimate(gram - np.eye(gram.shape[0]))
-
-
-def spectral_norm_estimate(
-    matrix: np.ndarray, tol: float = POWER_ITER_TOL, max_iter: int = POWER_ITER_MAX
-) -> float:
-    """Largest singular value via power iteration on M^dagger M.
-
-    Deterministic start vector; converges to the stated relative tolerance or
-    stops after max_iter sweeps.
-    """
-    d = matrix.shape[0]
-    v = np.linspace(1.0, 2.0, d).astype(complex)
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(max_iter):
-        w = matrix @ v
-        new_sigma = float(np.linalg.norm(w))
-        if new_sigma == 0.0:
-            return 0.0
-        w = matrix.conj().T @ w
-        v = w / np.linalg.norm(w)
-        if abs(new_sigma - sigma) <= tol * max(new_sigma, 1e-30):
-            return new_sigma
-        sigma = new_sigma
-    return sigma
-
-
-def frobenius_norm(matrix: np.ndarray) -> float:
-    return float(np.linalg.norm(matrix))
-
-
-def evolve_oat(state: DickeState, chi: float, t: float) -> DickeState:
-    """Free evolution exp(-i chi J_z^2 t): a diagonal phase per amplitude."""
-    ops = build_operators(state.n_spins)
-    amps = state.amplitudes * np.exp(-1j * chi * t * ops.jz_sq_diag)
-    return DickeState(state.n_spins, _frozen(amps))
-
-
-@lru_cache(maxsize=8)
-def _rotation_factorization(n_spins: int, axis: str) -> EigenFactorization:
-    """Factorize J_x or J_y through their tridiagonal structure.
-
-    J_x is real symmetric tridiagonal as stored.  J_y becomes so after the
-    diagonal phase gauge D = diag(i^k): D J_y D^dagger has real off-diagonal
-    -ladder/2, and the eigenvectors transform back as D^dagger u.
-    """
-    ops = build_operators(n_spins)
-    check_dense_fits(ops.dim, ops.dim, 16, f"dense {axis} rotation at N={n_spins}")
-    diag = np.zeros(ops.dim)
-    if axis == "x":
-        w, u = eigh_tridiagonal(diag, ops.ladder / 2.0)
-        vectors = u
-    else:
-        w, u = eigh_tridiagonal(diag, -ops.ladder / 2.0)
-        gauge = (-1j) ** np.arange(ops.dim)
-        vectors = gauge[:, None] * u
-    return EigenFactorization(_frozen(w), _frozen(vectors), f"j{axis}[N={n_spins}]")
-
-
-@lru_cache(maxsize=32)
-def rotation_matrix(n_spins: int, axis: str, angle: float) -> np.ndarray:
-    """Dense exp(-i angle J_axis); cached so +/- pi/2 pulses are a single matvec."""
-    return _frozen(_rotation_factorization(n_spins, axis).propagator(angle))
-
-
-def rotation_propagator(n_spins: int, axis: str, angle: float) -> Propagator:
-    return Propagator(rotation_matrix(n_spins, axis, angle), f"{axis}-rot", angle)
-
-
-def rotate(state: DickeState, axis: str, angle: float) -> DickeState:
-    """Apply exp(-i angle J_axis) to the state."""
-    if axis not in ("x", "y"):
-        raise ValueError(f"rotation axis must be 'x' or 'y', got {axis!r}")
-    if angle == 0.0:
-        return state
-    if angle == HALF_PI or angle == -HALF_PI:
-        amps = rotation_matrix(state.n_spins, axis, angle) @ state.amplitudes
-    else:
-        amps = _rotation_factorization(state.n_spins, axis).apply(state.amplitudes, angle)
-    return DickeState(state.n_spins, _frozen(amps))
 
 
 @lru_cache(maxsize=8)
@@ -248,12 +153,11 @@ def evolve_twist(state: DickeState, chi: float, t: float) -> DickeState:
     return DickeState(state.n_spins, _frozen(amps))
 
 
-def unitary_distance(u1: np.ndarray, u2: np.ndarray, norm: str = "spectral") -> float:
-    """Distance between unitaries with the global phase stripped.
+def unitary_distance(u1: np.ndarray, u2: np.ndarray) -> float:
+    """Spectral-norm distance between unitaries with the global phase stripped.
 
     The phase is fixed from the trace of u2^dagger u1; if that trace vanishes
-    the comparison is phase-degenerate and proceeds unaligned.  norm="frobenius"
-    swaps the power-iteration spectral estimate for the cheap upper bound.
+    the comparison is phase-degenerate and proceeds unaligned.
     """
     if u1.shape != u2.shape:
         raise ValueError(f"shape mismatch: {u1.shape} vs {u2.shape}")
@@ -263,26 +167,19 @@ def unitary_distance(u1: np.ndarray, u2: np.ndarray, norm: str = "spectral") -> 
         phase = 1.0
     else:
         phase = overlap / abs(overlap)
-    diff = u1 - phase * u2
-    if norm == "frobenius":
-        return frobenius_norm(diff)
-    if norm != "spectral":
-        raise ValueError(f"norm must be 'spectral' or 'frobenius', got {norm!r}")
-    return spectral_norm_estimate(diff)
+    return float(np.linalg.norm(u1 - phase * u2, 2))
 
 
-def schedule_unitary(ops: SpinOperators, segments, chi: float) -> Propagator:
+def schedule_unitary(ops: SpinOperators, segments, chi: float) -> np.ndarray:
     """Multiply one period's segments (time ordered) into a dense unitary."""
     u = np.eye(ops.dim, dtype=complex)
-    total = 0.0
     for seg in segments:
         if seg.kind == "free":
-            phases = np.exp(-1j * chi * seg.duration * ops.jz_sq_diag)
-            u = phases[:, None] * u
-            total += seg.duration
+            u = np.exp(-1j * chi * seg.duration * ops.jz_sq_diag)[:, None] * u
         else:
-            u = rotation_matrix(ops.n_spins, seg.axis, seg.sign * HALF_PI) @ u
-    return Propagator(u, "compiled-period", total)
+            generator = ops.jx if seg.axis == "x" else ops.jy
+            u = expm(-1j * seg.sign * HALF_PI * generator) @ u
+    return u
 
 
 # -- even-sector pulse engine ----------------------------------------------------

@@ -2,14 +2,20 @@
 
 A schedule describes one period as a time-ordered list of free z^2-twisting
 segments and instantaneous +/- pi/2 pulses about x or y, repeated n_cycles
-times.  Supported constructions:
+times.  Every period but liu1's comes from one ordered coefficient list,
+`ts_coefficients(order)`:
 
-* order 1 ("liu1"): one twist block, pulses at delta_t and 3*delta_t;
-* order 2 ("schemeA"): the symmetrized block, pulses at delta_t/2 and 5*delta_t/2;
-* "schemeB": three nested blocks merged into 7 free segments and 6 pulses,
-  with the fourth-order triple-jump coefficient pattern (s, 1 - 2s, s);
-* any even order ("general"): recursive triplet expansion, with negative
-  coefficients realized by swapping the twisting axis instead of reversing time.
+* order 1 ("liu1"): one twist block, pulses at delta_t and 3*delta_t, the
+  one hand-written period;
+* "schemeA": order 2, the symmetrized block, pulses at delta_t/2 and 5*delta_t/2;
+* "schemeB": order 4, the triple-jump pattern (s, 1 - 2s, s) merged into 7
+  free segments and 6 pulses;
+* "general": any even order by recursive triplet expansion.
+
+Negative coefficients are realized by swapping the twisting axis instead of
+reversing time.  `strength_divisor` is the period length over delta_t,
+3 * sum |c_i| (3 for liu1), and the divisor of chi in the effective
+Hamiltonian; it is defined here only.
 
 The axis swap maps H = Jx^2 - Jy^2 to -H but leaves the third-order term
 [H, [H, Jz^2]] of each block unchanged, so the triple-jump cancellation fails
@@ -20,12 +26,14 @@ whatever its coefficient pattern's order: (delta_t^3 / 12) * sum |c_i|^3 *
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 # Splitting parameter of the third-order construction, 1/(2 - 2^(1/3)).
 S_PARAM = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 
 MAX_ORDER = 20
+# Product-formula order of the named schemes; "general" takes its order as given.
+SCHEME_ORDERS = {"schemeA": 2, "schemeB": 4}
 
 
 @dataclass(frozen=True)
@@ -59,25 +67,17 @@ class Schedule:
     t_c: float
     n_cycles: int
     pulses_per_period: int
-    strength_divisor: float
 
 
 @dataclass(frozen=True)
 class TsCoefficients:
     """Signed block coefficients of the recursive even-order product formula.
 
-    ``leaves`` are the time-ordered factors at the second-order base level;
-    ``level_params`` holds the splitting parameter used at each recursion
-    level, innermost first (the first entry is always the third-order one).
+    ``leaves`` are the time-ordered factors at the second-order base level.
     """
 
     order: int
-    level_params: tuple[float, ...]
     leaves: tuple[float, ...]
-
-    @property
-    def s(self) -> float:
-        return S_PARAM
 
 
 def level_param(m: int) -> float:
@@ -93,15 +93,13 @@ def ts_coefficients(order: int) -> TsCoefficients:
             f"order {order} exceeds {MAX_ORDER}; block coefficients grow too large to be useful"
         )
     leaves = [1.0]
-    params = []
     for m in range(order // 2, 1, -1):
         k = level_param(m)
-        params.append(k)
         expanded = []
         for c in leaves:
             expanded.extend((k * c, (1.0 - 2.0 * k) * c, k * c))
         leaves = expanded
-    return TsCoefficients(order, tuple(reversed(params)), tuple(leaves))
+    return TsCoefficients(order, tuple(leaves))
 
 
 def _validate_args(delta_t: float, n_cycles: int) -> None:
@@ -168,7 +166,6 @@ def _finish(scheme: str, order: int, segments: list[Segment], delta_t: float, n_
         t_c=t_c,
         n_cycles=n_cycles,
         pulses_per_period=n_p,
-        strength_divisor=t_c / delta_t,
     )
 
 
@@ -184,50 +181,6 @@ def compile_order1(delta_t: float, n_cycles: int) -> Schedule:
     return _finish("liu1", 1, segments, delta_t, n_cycles)
 
 
-def compile_scheme_a(delta_t: float, n_cycles: int) -> Schedule:
-    """Symmetrized second-order period: pulses at delta_t/2 and 5*delta_t/2."""
-    _validate_args(delta_t, n_cycles)
-    segments = [
-        free(delta_t / 2.0),
-        pulse("y", 1),
-        free(2.0 * delta_t),
-        pulse("y", -1),
-        free(delta_t / 2.0),
-    ]
-    return _finish("schemeA", 2, segments, delta_t, n_cycles)
-
-
-def compile_scheme_b(delta_t: float, n_cycles: int) -> Schedule:
-    """Fourth-order coefficient pattern in 7 free segments t_i = t_{8-i}, 6 pulses.
-
-    The middle block twists about y (bracketed by x pulses); the outer two
-    twist about x (y pulses).  Period length (12s - 3) * delta_t.  That axis
-    swap leaves the one-period error at O(delta_t^3), as for schemeA.
-    """
-    _validate_args(delta_t, n_cycles)
-    s = S_PARAM
-    t1 = s * delta_t / 2.0
-    t2 = 2.0 * s * delta_t
-    t3 = (3.0 * s - 1.0) * delta_t / 2.0
-    t4 = 2.0 * (2.0 * s - 1.0) * delta_t
-    segments = [
-        free(t1),
-        pulse("y", 1),
-        free(t2),
-        pulse("y", -1),
-        free(t3),
-        pulse("x", 1),
-        free(t4),
-        pulse("x", -1),
-        free(t3),
-        pulse("y", 1),
-        free(t2),
-        pulse("y", -1),
-        free(t1),
-    ]
-    return _finish("schemeB", 4, segments, delta_t, n_cycles)
-
-
 def compile_general(order: int, delta_t: float, n_cycles: int) -> Schedule:
     """Compile any even order by recursive triplet expansion of second-order blocks."""
     _validate_args(delta_t, n_cycles)
@@ -239,53 +192,37 @@ def compile_general(order: int, delta_t: float, n_cycles: int) -> Schedule:
     return _finish("general", order, segments, delta_t, n_cycles)
 
 
-_COMPILERS = {
-    "liu1": lambda dt, nc, order: compile_order1(dt, nc),
-    "schemeA": lambda dt, nc, order: compile_scheme_a(dt, nc),
-    "schemeB": lambda dt, nc, order: compile_scheme_b(dt, nc),
-    "general": lambda dt, nc, order: compile_general(order, dt, nc),
-}
+def _scheme_order(scheme: str, order: int) -> int:
+    if scheme == "general":
+        return order
+    if scheme not in SCHEME_ORDERS:
+        raise ValueError(f"unknown pulse scheme {scheme!r}")
+    return SCHEME_ORDERS[scheme]
 
 
 def compile_scheme(scheme: str, delta_t: float, n_cycles: int, order: int = 2) -> Schedule:
-    if scheme not in _COMPILERS:
-        raise ValueError(f"unknown pulse scheme {scheme!r}")
-    return _COMPILERS[scheme](delta_t, n_cycles, order)
+    """One period of a pulse scheme; `order` is read for "general" only."""
+    if scheme == "liu1":
+        return compile_order1(delta_t, n_cycles)
+    return replace(compile_general(_scheme_order(scheme, order), delta_t, n_cycles), scheme=scheme)
 
 
-def period_in_delta_t_units(scheme: str, order: int = 2) -> float:
-    """Period length divided by delta_t; also the effective-strength divisor."""
-    if scheme in ("liu1", "schemeA"):
+def strength_divisor(scheme: str, order: int = 2) -> float:
+    """Period length over delta_t, also the divisor d of chi in the effective chi/d (Jx^2 - Jy^2).
+
+    A second-order block of coefficient c lasts 3 |c| delta_t, so d = 3 sum |c_i|;
+    liu1's single first-order block lasts 3 delta_t.
+    """
+    if scheme == "liu1":
         return 3.0
-    if scheme == "schemeB":
-        return 12.0 * S_PARAM - 3.0
-    if scheme == "general":
-        return 3.0 * sum(abs(c) for c in ts_coefficients(order).leaves)
-    raise ValueError(f"unknown pulse scheme {scheme!r}")
+    return 3.0 * sum(abs(c) for c in ts_coefficients(_scheme_order(scheme, order)).leaves)
 
 
 def delta_t_for(scheme: str, t_total: float, n_cycles: int, order: int = 2) -> float:
     """Solve for the step delta_t that fits n_cycles periods into t_total."""
     if not t_total > 0:
         raise ValueError(f"t_total must be positive, got {t_total}")
-    return t_total / (n_cycles * period_in_delta_t_units(scheme, order))
-
-
-@dataclass(frozen=True)
-class ScheduleStats:
-    t_c: float
-    pulses_per_period: int
-    total_pulses: int
-    effective_strength_factor: float
-
-
-def schedule_stats(schedule: Schedule) -> ScheduleStats:
-    return ScheduleStats(
-        t_c=schedule.t_c,
-        pulses_per_period=schedule.pulses_per_period,
-        total_pulses=schedule.pulses_per_period * schedule.n_cycles,
-        effective_strength_factor=schedule.strength_divisor,
-    )
+    return t_total / (n_cycles * strength_divisor(scheme, order))
 
 
 def schedule_to_text(schedule: Schedule) -> str:

@@ -6,7 +6,9 @@ Jz is diagonal with descending entries.
 
 Only O(N) band data is built per spin number.  The dense (N+1) x (N+1)
 matrices J_x, J_y, J_z and J_x^2 - J_y^2 are built on first access, for the
-small-N reference paths and the tests; no production path touches them.
+small-N oracles (`propagate.schedule_unitary`) and the tests.  The O(N)
+full-dimension products `apply_jx/jy/jz` and `even_sector_state` serve the
+oracle `squeezing.squeezing_parameter`; no production path touches either.
 """
 
 from __future__ import annotations
@@ -19,11 +21,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-IMAG_TOL = 1e-9
-
 
 class NumericalConsistencyError(RuntimeError):
-    """An internal numerical check failed (e.g. an expectation value grew an imaginary part)."""
+    """An internal numerical check failed (e.g. a state norm drifted or a spectrum is off)."""
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -115,15 +115,6 @@ class DickeState:
         return float(np.linalg.norm(self.amplitudes))
 
 
-def state_from_amplitudes(n_spins: int, amplitudes: np.ndarray) -> DickeState:
-    amps = np.asarray(amplitudes, dtype=complex)
-    if amps.shape != (n_spins + 1,):
-        raise ValueError(
-            f"amplitude vector has shape {amps.shape}, expected ({n_spins + 1},)"
-        )
-    return DickeState(n_spins, _frozen(amps))
-
-
 @lru_cache(maxsize=8)
 def build_operators(n_spins: int) -> SpinOperators:
     """Band data of J_x, J_y, J_z and the xy twisting generator J_x^2 - J_y^2.
@@ -182,21 +173,6 @@ def coherent_state_x(n_spins: int) -> DickeState:
     return DickeState(n_spins, _frozen((amps / np.linalg.norm(amps)).astype(complex)))
 
 
-def expectation(state: DickeState, operator_matrix: np.ndarray) -> float:
-    """<psi|A|psi> for Hermitian A, with the residual imaginary part checked and dropped."""
-    amps = state.amplitudes
-    if operator_matrix.shape != (amps.size, amps.size):
-        raise ValueError(
-            f"operator shape {operator_matrix.shape} does not match state dimension {amps.size}"
-        )
-    value = np.vdot(amps, operator_matrix @ amps)
-    if abs(value.imag) > IMAG_TOL:
-        raise NumericalConsistencyError(
-            f"expectation value has imaginary part {value.imag:.3e} (tolerance {IMAG_TOL:.0e})"
-        )
-    return float(value.real)
-
-
 def apply_jx(ops: SpinOperators, amps: np.ndarray) -> np.ndarray:
     """J_x |psi> using only the tridiagonal structure; O(N)."""
     out = np.zeros_like(amps)
@@ -217,15 +193,3 @@ def apply_jy(ops: SpinOperators, amps: np.ndarray) -> np.ndarray:
 
 def apply_jz(ops: SpinOperators, amps: np.ndarray) -> np.ndarray:
     return ops.m_values * amps
-
-
-def mean_spin_vector(ops: SpinOperators, state: DickeState) -> np.ndarray:
-    """(<J_x>, <J_y>, <J_z>) as a real 3-vector."""
-    amps = state.amplitudes
-    return np.array(
-        [
-            np.vdot(amps, apply_jx(ops, amps)).real,
-            np.vdot(amps, apply_jy(ops, amps)).real,
-            np.vdot(amps, apply_jz(ops, amps)).real,
-        ]
-    )

@@ -2,8 +2,9 @@
 
 NORM_DRIFT bounds |norm - 1| of a pulse trace's state at every period
 boundary; the TWIST_WINDOW bounds are those of `propagate.twist_window`.
-UNITARITY and RECONSTRUCTION are the bounds that the small-N reference
-tools' `unitarity_defect` and `reconstruction_error` are tested against.
+UNITARITY and RECONSTRUCTION are the bounds the tests hold the small-N
+oracles to: ||U^dagger U - 1||_2 of `schedule_unitary`'s pulses and
+`EigenFactorization.reconstruction_error`.
 """
 
 from __future__ import annotations

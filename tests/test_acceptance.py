@@ -25,11 +25,17 @@ from spinsqueeze.experiments import (
     nc_convergence,
     relative_error_curve,
     scaling_fit,
-    strength_divisor,
     trotter_order_fit,
 )
-from spinsqueeze.propagate import HALF_PI, rotation_matrix, schedule_unitary, unitary_distance
-from spinsqueeze.schedules import S_PARAM, compile_scheme, ts_coefficients
+from spinsqueeze.propagate import schedule_unitary, unitary_distance
+from spinsqueeze.schedules import (
+    S_PARAM,
+    compile_scheme,
+    free,
+    pulse,
+    strength_divisor,
+    ts_coefficients,
+)
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -70,13 +76,8 @@ def test_criterion_2_pulse_conjugation():
     for n in (2, 11, 25, 40):
         ops = build_operators(n)
         for chi_t in (0.1, 1.0, np.pi):
-            uz = np.diag(np.exp(-1j * chi_t * ops.jz_sq_diag))
             for axis, gen in (("x", ops.jy), ("y", ops.jx)):
-                lhs = (
-                    rotation_matrix(n, axis, -HALF_PI)
-                    @ uz
-                    @ rotation_matrix(n, axis, HALF_PI)
-                )
+                lhs = schedule_unitary(ops, [pulse(axis, 1), free(chi_t), pulse(axis, -1)], 1.0)
                 rhs = expm(-1j * chi_t * np.asarray(gen @ gen))
                 worst = max(worst, float(np.abs(lhs - rhs).max()))
     report("criterion 2 (pulse conjugation identities)", worst <= 1e-9, f"max residual = {worst:.2e}")
@@ -144,7 +145,7 @@ def _check_triple_jump_order(criterion, scheme, order, compiled_window, formula_
     # +|c|^3 and survives.
     inner = h @ jz_sq - jz_sq @ h
     residual = dt**3 / 12.0 * sum(abs(c) ** 3 for c in leaves) * (h @ inner - inner @ h)
-    ratio = unitary_distance(period.matrix, expm(-1j * dt * h)) / np.linalg.norm(residual, 2)
+    ratio = unitary_distance(period, expm(-1j * dt * h)) / np.linalg.norm(residual, 2)
 
     dt_values = np.geomspace(formula_window[0], formula_window[1], 8) / ops.total_spin
     distances = []

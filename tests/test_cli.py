@@ -25,7 +25,6 @@ def test_parse_minimal_config():
     assert (cfg.scheme, cfg.n_spins, cfg.n_cycles) == ("schemeA", 1250, 50)
     assert cfg.chi == 1.0
     assert cfg.sampling == "stroboscopic"
-    assert cfg.format == "csv"
 
 
 def test_parse_rejects_zero_spins():
@@ -48,8 +47,6 @@ def test_parse_rejects_type_mismatch():
         parse_config({**MINIMAL, "n_spins": "many"})
     with pytest.raises(ConfigError, match="chi"):
         parse_config({**MINIMAL, "chi": -2.0})
-    with pytest.raises(ConfigError, match="format"):
-        parse_config({**MINIMAL, "format": "parquet"})
 
 
 def test_parse_sampling_tags():
@@ -121,6 +118,46 @@ def test_config_file_with_the_removed_strictness_key_exits_2(tmp_path, capsys):
     assert "unknown config keys: strictness" in capsys.readouterr().err
 
 
+REMOVED_NAMES = {
+    "schedules": ["compile_scheme_a", "compile_scheme_b", "_COMPILERS", "period_in_delta_t_units",
+                  "ScheduleStats", "schedule_stats"],
+    "experiments": ["strength_divisor", "run_many"],
+    "propagate": ["rotate", "rotation_matrix", "_rotation_factorization", "rotation_propagator",
+                  "Propagator", "evolve_oat", "spectral_norm_estimate", "frobenius_norm"],
+    "spin_ops": ["expectation", "state_from_amplitudes", "mean_spin_vector"],
+    "config": ["FORMATS"],
+}
+
+
+def test_import_and_api_guard(tmp_path):
+    """One fresh process: the CLI import loads no process machinery, __all__ resolves,
+    removed names are defined nowhere in their old modules (experiments imports
+    `strength_divisor` from schedules, its one definition), and a config's
+    `format` key is unknown (exit 2)."""
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({**MINIMAL, "n_spins": 8, "n_cycles": 2, "format": "csv"}))
+    script = f"""
+import importlib, sys
+import spinsqueeze, spinsqueeze.cli
+loaded = {{"multiprocessing", "concurrent.futures.process"}} & set(sys.modules)
+assert not loaded, loaded
+missing = [name for name in spinsqueeze.__all__ if not hasattr(spinsqueeze, name)]
+assert not missing, missing
+for module, names in {REMOVED_NAMES!r}.items():
+    mod = importlib.import_module("spinsqueeze." + module)
+    defined = [name for name in names if hasattr(mod, name)
+               and getattr(getattr(mod, name), "__module__", mod.__name__) == mod.__name__]
+    assert not defined, (module, defined)
+sys.exit(spinsqueeze.cli.main(["simulate", "--config", {str(config)!r}]))
+"""
+    src = Path(spinsqueeze.__file__).resolve().parent.parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert result.returncode == 2, result.stderr
+    assert "unknown config keys: format" in result.stderr
+
+
 def test_compare_emits_three_files(tmp_path):
     out = tmp_path / "cmp"
     code = main(["compare", "--scheme", "schemeA", "--n-spins", "16", "--n-cycles", "5",
@@ -158,6 +195,19 @@ def test_timecost_output(capsys):
     assert main(["timecost", "--n-spins", "60"]) == 0
     out = capsys.readouterr().out
     assert "schemeA" in out and "schemeB" in out and "ratio" in out
+
+
+@pytest.mark.parametrize("chi", ["-1", "0", "nan"])
+@pytest.mark.parametrize(
+    "command",
+    [["timecost", "--n-spins", "100"], ["scaling", "--scheme", "ideal-TAT", "--n-list", "30,60,120"]],
+    ids=["timecost", "scaling"],
+)
+def test_chi_of_timecost_and_scaling_must_be_finite_and_positive(command, chi, capsys):
+    assert main([*command, "--chi", chi]) == 2
+    captured = capsys.readouterr()
+    assert "field 'chi' must be finite and positive" in captured.err
+    assert captured.out == ""
 
 
 def test_scaling_command(capsys):

@@ -9,7 +9,7 @@ import pytest
 from scipy.linalg import expm
 
 import spinsqueeze
-from spinsqueeze import cli, find_optimum, propagate, run_many, run_trace, tat_optimum, time_cost
+from spinsqueeze import cli, find_optimum, propagate, run_trace, tat_optimum, time_cost
 from spinsqueeze.experiments import (
     IDEAL_SCHEMES,
     SCAN_CHUNK_COLUMNS,
@@ -26,12 +26,19 @@ from spinsqueeze.experiments import (
     oat_optimum,
     relative_error_curve,
     scaling_fit,
-    strength_divisor,
     strobe_indices,
     validate_spec,
 )
-from spinsqueeze.propagate import HALF_PI, EigenFactorization, evolve_oat, evolve_twist, rotate
-from spinsqueeze.schedules import S_PARAM, Schedule, compile_scheme, delta_t_for, free, pulse
+from spinsqueeze.propagate import HALF_PI, EigenFactorization, evolve_twist
+from spinsqueeze.schedules import (
+    S_PARAM,
+    Schedule,
+    compile_scheme,
+    delta_t_for,
+    free,
+    pulse,
+    strength_divisor,
+)
 from spinsqueeze.spin_ops import (
     NumericalConsistencyError,
     build_operators,
@@ -39,6 +46,8 @@ from spinsqueeze.spin_ops import (
     coherent_state_z,
 )
 from spinsqueeze.squeezing import MeanSpinVanishing, oat_moments, squeezing_parameter
+
+from conftest import oat_evolved, rotated
 
 
 def test_spec_validation():
@@ -163,30 +172,21 @@ def test_time_cost_rejects_plain_twisting_baseline():
 
 
 def test_strength_divisors():
-    assert strength_divisor("liu1") == pytest.approx(3.0)
-    assert strength_divisor("schemeA") == pytest.approx(3.0)
-    assert strength_divisor("schemeB") == pytest.approx(12 * S_PARAM - 3)
-    assert strength_divisor("ideal-TAT") == pytest.approx(1.0)
+    assert strength_divisor("liu1") == 3.0
+    assert strength_divisor("schemeA") == 3.0
+    assert strength_divisor("schemeB") == 12 * S_PARAM - 3
     assert strength_divisor("general", order=6) > strength_divisor("general", order=4)
+    for ideal in IDEAL_SCHEMES:
+        with pytest.raises(ValueError, match="unknown pulse scheme"):
+            strength_divisor(ideal)
+    assert effective_counterpart(ExperimentSpec("ideal-TAT", 10, 5, 0.1, divisor=7.0)).divisor == 1.0
+    assert effective_counterpart(ExperimentSpec("schemeB", 10, 5, 0.1)).divisor == 12 * S_PARAM - 3
 
 
 def test_default_t_total_covers_the_optimum():
     n = 40
     assert default_t_total("schemeA", n) == pytest.approx(1.5 * 3 * tat_optimum(n).t_opt)
     assert default_t_total("ideal-OAT", n) == pytest.approx(1.5 * oat_optimum(n).t_opt)
-
-
-def test_run_many_preserves_order_and_matches_sequential():
-    specs = [
-        ExperimentSpec("schemeA", 12, 4, 0.1),
-        ExperimentSpec("liu1", 12, 4, 0.1),
-        ExperimentSpec("ideal-TAT", 12, 4, 0.1),
-    ]
-    sequential = run_many(specs)
-    parallel = run_many(specs, max_workers=2)
-    for seq, par in zip(sequential, parallel):
-        assert seq.scheme == par.scheme
-        np.testing.assert_array_equal(seq.xi2(), par.xi2())
 
 
 def test_general_scheme_runs():
@@ -226,8 +226,8 @@ def test_batched_scan_grid_matches_scalar_path(n, scheme):
         rtol = 1e-9
     else:  # [0, 3] runs past the mean-spin collapse around t = pi/2
         ts = np.linspace(0.0, 3.0, 3 * SCAN_CHUNK_COLUMNS - 17)
-        psi_x = rotate(start, "y", HALF_PI)
-        scalar = [_or_inf(xi2, evolve_oat(psi_x, 1.0, t)) for t in ts]
+        psi_x = rotated(start, "y", HALF_PI)
+        scalar = [_or_inf(xi2, oat_evolved(psi_x, 1.0, t)) for t in ts]
         grid, rtol = (lambda ts: oat_moments(n, ts).xi2), 1e-12
     scalar = np.array(scalar)
     batched = grid(ts)
@@ -278,7 +278,7 @@ def test_oat_trace_matches_the_state_vector_path(n):
     vanished = 0
     for t, xi2_closed in zip(times, oat_moments(n, chi * times).xi2):
         try:
-            want = squeezing_parameter(evolve_oat(psi_x, chi, t), ops, t=t)
+            want = squeezing_parameter(oat_evolved(psi_x, chi, t), ops, t=t)
         except MeanSpinVanishing:
             vanished += 1
             assert np.isinf(xi2_closed)
@@ -428,11 +428,11 @@ def test_traces_never_touch_the_full_dimension_state(monkeypatch):
 
 
 def test_pulse_outside_a_pair_is_rejected():
-    lone = Schedule("liu1", 1, (free(0.1), pulse("y", 1), free(0.2)), 0.1, 0.3, 1, 1, 3.0)
+    lone = Schedule("liu1", 1, (free(0.1), pulse("y", 1), free(0.2)), 0.1, 0.3, 1, 1)
     with pytest.raises(ValueError, match="does not open a"):
         _pair_steps(lone)
     crossed = Schedule(
-        "liu1", 1, (free(0.1), pulse("y", 1), free(0.2), pulse("x", -1)), 0.1, 0.3, 1, 2, 3.0
+        "liu1", 1, (free(0.1), pulse("y", 1), free(0.2), pulse("x", -1)), 0.1, 0.3, 1, 2
     )
     with pytest.raises(ValueError, match="does not open a"):
         _pair_steps(crossed)
@@ -471,7 +471,7 @@ def test_pulse_run_builds_no_dense_matrix():
     script = """
 import tracemalloc
 from spinsqueeze.experiments import ExperimentSpec, oat_optimum, run_trace, tat_optimum
-from spinsqueeze.propagate import _rotation_factorization, rotation_matrix, twist_factorization
+from spinsqueeze.propagate import twist_factorization
 from spinsqueeze.spin_ops import build_operators
 n = 2000
 tracemalloc.start()
@@ -482,8 +482,7 @@ tat_optimum(n)
 oat_optimum(n)
 peak = tracemalloc.get_traced_memory()[1]
 assert peak < 8 * (n + 1) ** 2, peak
-for cached in (rotation_matrix, _rotation_factorization, twist_factorization):
-    assert cached.cache_info().currsize == 0, cached
+assert twist_factorization.cache_info().currsize == 0
 lazy = {"jx", "jy", "jz", "twist_xy"} & set(vars(build_operators(n)))
 assert not lazy, lazy
 """

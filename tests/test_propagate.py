@@ -7,9 +7,7 @@ from scipy.linalg import expm
 from spinsqueeze import (
     build_operators,
     coherent_state_z,
-    evolve_oat,
     evolve_twist,
-    rotate,
     squeezing_parameter,
     twist_factorization,
     unitary_distance,
@@ -17,54 +15,62 @@ from spinsqueeze import (
 from spinsqueeze.propagate import (
     HALF_PI,
     EigenFactorization,
-    _rotation_factorization,
     evolve_free,
-    frobenius_norm,
     pair_coefficients,
     pair_evolve,
     pair_factorization,
     pulse_frame,
-    rotation_propagator,
     schedule_unitary,
-    spectral_norm_estimate,
     twist_window,
 )
 from spinsqueeze import propagate, tolerances
-from spinsqueeze.spin_ops import DickeState, NumericalConsistencyError, mean_spin_vector
-from spinsqueeze.schedules import compile_scheme_a, compile_scheme_b
+from spinsqueeze.spin_ops import NumericalConsistencyError, even_sector_state
+from spinsqueeze.schedules import compile_scheme, free, pulse
 from spinsqueeze.experiments import trotter_order_fit
 
-from conftest import random_state
+from conftest import mean_spin, oat_evolved, random_state, rotated
+
+
+def unitarity_defect(u: np.ndarray) -> float:
+    return float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]), 2))
+
+
+def random_even(n_spins: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=n_spins // 2 + 1) + 1j * rng.normal(size=n_spins // 2 + 1)
+    return amps / np.linalg.norm(amps)
 
 
 def test_oat_leaves_highest_weight_observables_alone():
     ops = build_operators(8)
-    state = coherent_state_z(8)
-    evolved = evolve_oat(state, chi=1.3, t=2.1)
+    start = np.zeros(5, dtype=complex)
+    start[0] = 1.0
+    evolved = evolve_free(ops, start, chi=1.3, t=2.1)
     # |J,J> is an eigenstate of Jz^2: only a global phase moves
-    assert abs(abs(evolved.amplitudes[0]) - 1.0) < 1e-14
-    assert squeezing_parameter(evolved, ops).xi2 == pytest.approx(1.0, abs=1e-12)
+    assert abs(abs(evolved[0]) - 1.0) < 1e-14
+    assert squeezing_parameter(even_sector_state(8, evolved), ops).xi2 == pytest.approx(1.0, abs=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**31), t=st.floats(-5, 5))
 def test_oat_reverses_exactly(seed, t):
-    state = random_state(11, seed)
-    back = evolve_oat(evolve_oat(state, 0.7, t), 0.7, -t)
-    assert np.abs(back.amplitudes - state.amplitudes).max() <= 1e-12
+    ops = build_operators(22)
+    amps = random_even(22, seed)
+    back = evolve_free(ops, evolve_free(ops, amps, 0.7, t), 0.7, -t)
+    assert np.abs(back - amps).max() <= 1e-12
 
 
 def test_oat_zero_time_identity():
-    state = random_state(9, seed=1)
-    np.testing.assert_array_equal(evolve_oat(state, 1.0, 0.0).amplitudes, state.amplitudes)
+    amps = random_even(18, seed=1)
+    np.testing.assert_array_equal(evolve_free(build_operators(18), amps, 1.0, 0.0), amps)
 
 
 def test_single_spin_rotation_matrix():
-    prop = rotation_propagator(1, "y", HALF_PI)
+    u = schedule_unitary(build_operators(1), [pulse("y", 1)], chi=1.0)
     expected = np.array(
         [[np.cos(np.pi / 4), -np.sin(np.pi / 4)], [np.sin(np.pi / 4), np.cos(np.pi / 4)]]
     )
-    np.testing.assert_allclose(prop.matrix, expected, atol=1e-14)
+    np.testing.assert_allclose(u, expected, atol=1e-14)
 
 
 @pytest.mark.parametrize("n", [2, 9, 25, 40])
@@ -72,25 +78,17 @@ def test_single_spin_rotation_matrix():
 def test_pulse_conjugation_identities(n, chi_t):
     # +/- pi/2 pulses turn z^2 twisting into x^2 or y^2 twisting
     ops = build_operators(n)
-    uz = np.diag(np.exp(-1j * chi_t * ops.jz_sq_diag))
     for axis, generator in (("x", ops.jy), ("y", ops.jx)):
-        plus = rotation_propagator(n, axis, HALF_PI).matrix
-        minus = rotation_propagator(n, axis, -HALF_PI).matrix
+        pair = schedule_unitary(ops, [pulse(axis, 1), free(chi_t), pulse(axis, -1)], chi=1.0)
         target = expm(-1j * chi_t * np.asarray(generator @ generator))
-        assert np.abs(minus @ uz @ plus - target).max() <= 1e-9
-
-
-@settings(max_examples=25, deadline=None)
-@given(angle=st.floats(-7, 7), seed=st.integers(0, 2**31))
-def test_generic_rotation_inverts(angle, seed):
-    state = random_state(14, seed)
-    back = rotate(rotate(state, "x", angle), "x", -angle)
-    assert np.abs(back.amplitudes - state.amplitudes).max() <= 1e-10
+        assert np.abs(pair - target).max() <= 1e-9
 
 
 def test_rotation_axis_validation():
     with pytest.raises(ValueError):
-        rotate(coherent_state_z(2), "z", 1.0)
+        pulse("z", 1)
+    with pytest.raises(ValueError):
+        pulse("x", 2)
 
 
 def test_twist_evolution_two_spins_against_expm():
@@ -128,8 +126,6 @@ def test_twist_semigroup(t1, t2, seed):
 @pytest.mark.parametrize("n", [1, 2, 5, 21, 40])
 def test_factorizations_reconstruct(n):
     ops = build_operators(n)
-    assert _rotation_factorization(n, "x").reconstruction_error(ops.jx) <= 1e-8
-    assert _rotation_factorization(n, "y").reconstruction_error(ops.jy) <= 1e-8
     assert twist_factorization(n).reconstruction_error(ops.twist_xy) <= 1e-8
 
 
@@ -145,7 +141,7 @@ def test_dropping_conserved_total_spin_is_a_global_phase(n):
 
 
 def test_unitary_distance_examples():
-    u = rotation_propagator(12, "y", 0.4).matrix
+    u = expm(-0.4j * build_operators(12).jy)
     assert unitary_distance(u, u) <= 1e-10
     assert unitary_distance(u, np.exp(1.23j) * u) <= 1e-9
     assert unitary_distance(u, np.asarray(u)) == unitary_distance(np.asarray(u), u)
@@ -164,25 +160,26 @@ def test_unitary_distance_shape_mismatch():
 
 
 def test_spectral_norm_against_svd():
+    """The distance is the largest singular value of the phase-aligned difference."""
     rng = np.random.default_rng(7)
-    mat = rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30))
-    exact = np.linalg.svd(mat, compute_uv=False)[0]
-    assert spectral_norm_estimate(mat) == pytest.approx(exact, rel=1e-5)
-    assert frobenius_norm(mat) >= spectral_norm_estimate(mat)
+    u1, u2 = (rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30)) for _ in range(2))
+    overlap = np.sum(u2.conj() * u1)
+    diff = u1 - overlap / abs(overlap) * u2
+    exact = np.linalg.svd(diff, compute_uv=False)[0]
+    assert unitary_distance(u1, u2) == pytest.approx(exact, rel=1e-12)
+    assert unitary_distance(u1, u2) < np.linalg.norm(diff)
 
 
 def test_rotation_propagators_are_unitary():
+    ops = build_operators(18)
     for axis in ("x", "y"):
         for sign in (1, -1):
-            prop = rotation_propagator(18, axis, sign * HALF_PI)
-            assert prop.unitarity_defect() <= tolerances.UNITARITY
+            u = schedule_unitary(ops, [pulse(axis, sign)], chi=1.0)
+            assert unitarity_defect(u) <= tolerances.UNITARITY
 
 
 def test_perturbed_unitary_and_factorization_exceed_the_tolerances():
-    from spinsqueeze.propagate import Propagator
-
-    bogus = Propagator(1.5 * np.eye(3, dtype=complex), "scaled", 0.0)
-    assert bogus.unitarity_defect() > tolerances.UNITARITY
+    assert unitarity_defect(1.5 * np.eye(3, dtype=complex)) > tolerances.UNITARITY
     ops = build_operators(10)
     fac = twist_factorization(10)
     assert fac.reconstruction_error(ops.twist_xy) <= tolerances.RECONSTRUCTION
@@ -191,13 +188,13 @@ def test_perturbed_unitary_and_factorization_exceed_the_tolerances():
 
 def test_schedule_unitary_is_unitary_and_norm_preserving():
     ops = build_operators(16)
-    sched = compile_scheme_b(0.01, 1)
-    prop = schedule_unitary(ops, sched.segments, chi=1.0)
-    assert prop.unitarity_defect() <= 1e-9
+    sched = compile_scheme("schemeB", 0.01, 1)
+    u = schedule_unitary(ops, sched.segments, chi=1.0)
+    assert unitarity_defect(u) <= 1e-9
     state = random_state(16, seed=11)
     amps = state.amplitudes
     for _ in range(100):
-        amps = prop.matrix @ amps
+        amps = u @ amps
     assert abs(np.linalg.norm(amps) - 1.0) <= 1e-10
 
 
@@ -205,10 +202,10 @@ def test_one_period_matches_symmetric_split_target():
     # compiled second-order period vs its generator, exact up to the stated order
     ops = build_operators(20)
     dt = 1e-3
-    sched = compile_scheme_a(dt, 1)
+    sched = compile_scheme("schemeA", dt, 1)
     period = schedule_unitary(ops, sched.segments, chi=1.0)
     target = expm(-1j * dt * np.asarray(2 * ops.jx @ ops.jx + ops.jz @ ops.jz))
-    assert unitary_distance(period.matrix, target) <= 10 * dt**3 * (20 / 2) ** 3
+    assert unitary_distance(period, target) <= 10 * dt**3 * (20 / 2) ** 3
 
 
 def test_order_scaling_slopes():
@@ -256,29 +253,23 @@ def test_pair_evolution_matches_pulse_conjugated_twisting(axis, n):
     full = np.zeros(n + 1, dtype=complex)
     full[0::2] = psi
     tau = 0.37
-    pair = (
-        rotation_propagator(n, axis, -HALF_PI).matrix
-        @ np.diag(np.exp(-1j * tau * ops.jz_sq_diag))
-        @ rotation_propagator(n, axis, HALF_PI).matrix
-    )
+    pair = schedule_unitary(ops, [pulse(axis, 1), free(tau), pulse(axis, -1)], chi=1.0)
     expected = pair @ full
     got = pair_evolve(n, axis, pair_coefficients(n, axis, psi), 1.0, tau)
     assert np.abs(expected[1::2]).max() <= 1e-12
     assert np.abs(got - expected[0::2]).max() <= 1e-10
-    free_full = evolve_oat(DickeState(n, full), 1.3, 0.2).amplitudes
+    free_full = oat_evolved(even_sector_state(n, psi), 1.3, 0.2).amplitudes
     np.testing.assert_array_equal(evolve_free(ops, psi, 1.3, 0.2), free_full[0::2])
 
 
 @pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("axis", ["x", "y"])
 def test_pulse_frame_maps_mean_spin_through_the_pulse(axis, sign):
-    ops = build_operators(7)
     state = random_state(7, seed=4)
-    rotated = rotate(state, axis, sign * HALF_PI)
     frame = pulse_frame(axis, sign)
     assert set(np.abs(frame).ravel()) == {0.0, 1.0}
     np.testing.assert_allclose(
-        mean_spin_vector(ops, rotated), frame @ mean_spin_vector(ops, state), atol=1e-12
+        mean_spin(rotated(state, axis, sign * HALF_PI)), frame @ mean_spin(state), atol=1e-12
     )
 
 

@@ -10,15 +10,20 @@ from spinsqueeze.schedules import (
     compile_general,
     compile_order1,
     compile_scheme,
-    compile_scheme_a,
-    compile_scheme_b,
     delta_t_for,
     level_param,
-    period_in_delta_t_units,
-    schedule_stats,
     schedule_to_text,
+    strength_divisor,
     ts_coefficients,
 )
+
+
+def compile_scheme_a(delta_t, n_cycles):
+    return compile_scheme("schemeA", delta_t, n_cycles)
+
+
+def compile_scheme_b(delta_t, n_cycles):
+    return compile_scheme("schemeB", delta_t, n_cycles)
 
 
 def free_durations(schedule):
@@ -51,7 +56,7 @@ def test_order1_structure():
     assert pulse_list(sched) == [("y", 1), ("y", -1)]
     assert sched.t_c == pytest.approx(0.75)
     assert sched.pulses_per_period == 2
-    assert sched.strength_divisor == pytest.approx(3.0)
+    assert sched.t_c == strength_divisor("liu1") * 0.25
 
 
 def test_scheme_a_structure():
@@ -110,18 +115,27 @@ def test_scheme_a_and_b_palindromic():
 def test_general_order2_equals_scheme_a():
     general = compile_general(2, 0.17, 5)
     direct = compile_scheme_a(0.17, 5)
+    assert (direct.scheme, direct.order) == ("schemeA", 2)
     assert free_durations(general) == free_durations(direct)
     assert pulse_list(general) == pulse_list(direct)
     assert general.t_c == direct.t_c
-    assert general.strength_divisor == pytest.approx(direct.strength_divisor)
+    assert strength_divisor("general", 2) == strength_divisor("schemeA") == 3.0
 
 
 def test_general_order4_equals_scheme_b():
-    general = compile_general(4, 0.17, 5)
-    direct = compile_scheme_b(0.17, 5)
-    np.testing.assert_allclose(free_durations(general), free_durations(direct), rtol=1e-12)
-    assert pulse_list(general) == pulse_list(direct)
-    assert general.strength_divisor == pytest.approx(direct.strength_divisor, rel=1e-12)
+    """schemeB is the order-4 coefficient list: the closed-form t_1..t_4 within 4 ulp."""
+    dt = 0.17
+    sched = compile_scheme("schemeB", dt, 5)
+    s = S_PARAM
+    t1, t2 = s * dt / 2.0, 2.0 * s * dt
+    t3, t4 = (3.0 * s - 1.0) * dt / 2.0, 2.0 * (2.0 * s - 1.0) * dt
+    closed = np.array([t1, t2, t3, t4, t3, t2, t1])
+    assert np.all(np.abs(np.array(free_durations(sched)) - closed) <= 4 * np.spacing(closed))
+    assert (sched.scheme, sched.order, sched.n_cycles) == ("schemeB", 4, 5)
+    assert pulse_list(sched) == pulse_list(compile_general(4, dt, 5)) == [
+        ("y", 1), ("y", -1), ("x", 1), ("x", -1), ("y", 1), ("y", -1),
+    ]
+    assert strength_divisor("schemeB") == strength_divisor("general", 4) == 12 * s - 3
 
 
 def test_order6_coefficients():
@@ -145,9 +159,8 @@ def test_order6_schedule_shape():
     assert sched.pulses_per_period == 18
     assert len(free_durations(sched)) == 19
     assert all(d > 0 for d in free_durations(sched))
-    assert sched.strength_divisor == pytest.approx(
-        3 * sum(abs(c) for c in ts_coefficients(6).leaves)
-    )
+    assert sched.t_c == pytest.approx(strength_divisor("general", 6) * 0.1, rel=1e-14)
+    assert strength_divisor("general", 6) == 3 * sum(abs(c) for c in ts_coefficients(6).leaves)
 
 
 def test_general_rejects_bad_orders():
@@ -169,18 +182,20 @@ def test_delta_t_solver_round_trip():
 
 
 def test_schedule_stats():
-    stats_a = schedule_stats(compile_scheme_a(0.01, 50))
-    assert stats_a.total_pulses == 100
-    assert stats_a.effective_strength_factor == pytest.approx(3.0)
-    stats_b = schedule_stats(compile_scheme_b(0.01, 17))
-    assert stats_b.total_pulses == 102
-    assert stats_b.pulses_per_period == 6
-    assert stats_b.effective_strength_factor == pytest.approx(12 * S_PARAM - 3)
+    sched_a = compile_scheme_a(0.01, 50)
+    assert sched_a.pulses_per_period * sched_a.n_cycles == 100
+    assert sched_a.t_c == pytest.approx(strength_divisor("schemeA") * 0.01, rel=1e-15)
+    sched_b = compile_scheme_b(0.01, 17)
+    assert sched_b.pulses_per_period * sched_b.n_cycles == 102
+    assert sched_b.pulses_per_period == 6
+    assert sched_b.t_c == pytest.approx((12 * S_PARAM - 3) * 0.01, rel=1e-14)
 
 
 def test_period_units_unknown_scheme():
-    with pytest.raises(ValueError):
-        period_in_delta_t_units("nope")
+    with pytest.raises(ValueError, match="unknown pulse scheme"):
+        strength_divisor("nope")
+    with pytest.raises(ValueError, match="unknown pulse scheme"):
+        compile_scheme("nope", 0.1, 1)
 
 
 def test_schedule_text_golden():

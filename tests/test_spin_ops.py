@@ -3,18 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinsqueeze import build_operators, coherent_state_z, expectation, rotate
+from spinsqueeze import build_operators, coherent_state_z
 from spinsqueeze.propagate import HALF_PI
-from spinsqueeze.spin_ops import (
-    NumericalConsistencyError,
-    coherent_state_x,
-    apply_jx,
-    apply_jy,
-    apply_jz,
-    mean_spin_vector,
-)
+from spinsqueeze.spin_ops import coherent_state_x, apply_jx, apply_jy, apply_jz
 
-from conftest import random_state
+from conftest import mean_spin, random_state, rotated
 
 
 def test_single_spin_matrices():
@@ -80,8 +73,7 @@ def test_build_rejects_nonpositive(bad):
 def test_coherent_state_is_highest_weight():
     state = coherent_state_z(4)
     np.testing.assert_array_equal(state.amplitudes, [1, 0, 0, 0, 0])
-    ops = build_operators(4)
-    np.testing.assert_allclose(mean_spin_vector(ops, state), [0, 0, 2], atol=1e-14)
+    np.testing.assert_allclose(mean_spin(state), [0, 0, 2], atol=1e-14)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 40, 41])
@@ -89,27 +81,17 @@ def test_x_polarized_start_is_the_rotated_highest_weight_state(n):
     """sqrt(C(N, k)) / 2^(N/2), all positive, is exp(-i pi/2 J_y)|J,J> in this basis."""
     closed = coherent_state_x(n).amplitudes
     assert np.all(closed.real > 0.0) and np.all(closed.imag == 0.0)
-    dense = rotate(coherent_state_z(n), "y", HALF_PI).amplitudes
+    dense = rotated(coherent_state_z(n), "y", HALF_PI).amplitudes
     assert np.abs(closed - dense).max() <= 1e-14
 
 
 def test_expectation_examples():
+    """<J_z> = J and <J_x^2> = J/2 in |J,J>, from the banded products."""
     ops = build_operators(6)
-    state = coherent_state_z(6)
-    assert expectation(state, ops.jz) == pytest.approx(3.0, abs=1e-12)
-    assert expectation(state, np.asarray(ops.jx @ ops.jx)) == pytest.approx(1.5, abs=1e-12)
-    rand = random_state(6, seed=3)
-    assert expectation(rand, np.eye(7, dtype=complex)) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_expectation_dimension_mismatch():
-    with pytest.raises(ValueError):
-        expectation(coherent_state_z(4), np.eye(3))
-
-
-def test_expectation_rejects_imaginary_part():
-    with pytest.raises(NumericalConsistencyError):
-        expectation(coherent_state_z(2), 1j * np.eye(3))
+    amps = coherent_state_z(6).amplitudes
+    assert np.vdot(amps, apply_jz(ops, amps)).real == pytest.approx(3.0, abs=1e-12)
+    jx_amps = apply_jx(ops, amps)
+    assert np.vdot(jx_amps, jx_amps).real == pytest.approx(1.5, abs=1e-12)
 
 
 @settings(max_examples=20, deadline=None)
@@ -126,15 +108,6 @@ def test_operator_arrays_are_immutable():
     ops = build_operators(5)
     with pytest.raises(ValueError):
         ops.jx[0, 0] = 1.0
-
-
-def test_state_dimension_is_validated():
-    from spinsqueeze.spin_ops import state_from_amplitudes
-
-    state = state_from_amplitudes(2, [1.0, 0.0, 0.0])
-    assert state.norm() == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        state_from_amplitudes(2, [1.0, 0.0])
 
 
 def test_dense_operators_are_built_on_first_access_only():

@@ -8,7 +8,6 @@ from spinsqueeze import (
     coherent_state_z,
     evolve_twist,
     find_optimum,
-    rotate,
     squeezing_parameter,
 )
 from spinsqueeze.experiments import tat_optimum
@@ -24,7 +23,7 @@ from spinsqueeze.squeezing import (
     transverse_basis,
 )
 
-from conftest import random_state
+from conftest import random_state, rotated
 
 
 def brute_force_xi2(state, ops, n_angles=3000):
@@ -66,7 +65,7 @@ def test_two_spin_twisting_closed_form_and_oracle():
 @given(theta=st.floats(-3, 3))
 def test_rotated_coherent_state_stays_unsqueezed(theta):
     ops = build_operators(12)
-    state = rotate(coherent_state_z(12), "y", theta)
+    state = rotated(coherent_state_z(12), "y", theta)
     assert squeezing_parameter(state, ops).xi2 == pytest.approx(1.0, abs=1e-9)
 
 
@@ -76,8 +75,7 @@ def test_rotational_covariance(axis, angle):
     ops = build_operators(10)
     squeezed = evolve_twist(coherent_state_z(10), 1.0, 0.08)
     base = squeezing_parameter(squeezed, ops).xi2
-    rotated = rotate(squeezed, axis, angle)
-    assert squeezing_parameter(rotated, ops).xi2 == pytest.approx(base, abs=1e-9)
+    assert squeezing_parameter(rotated(squeezed, axis, angle), ops).xi2 == pytest.approx(base, abs=1e-9)
 
 
 def test_basis_choice_is_irrelevant():
