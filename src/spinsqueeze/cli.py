@@ -1,7 +1,10 @@
 """Command-line front end: run experiments and serialize results as CSV or schedule text.
 
 Every subcommand is a thin shell over the library; nothing here computes
-physics.  Exit codes: 0 success, 2 validation error, 1 runtime error.
+physics.  Run flags are generated from `config.KEY_TYPES`, laid over the
+--config file's object and parsed once; `scaling` and `timecost` check theirs
+with `experiments.check_field`.  Exit codes: 0 success, 2 validation error
+(any ValueError), 1 runtime error.
 """
 
 from __future__ import annotations
@@ -10,8 +13,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import ConfigError, RunConfig, finite_positive, load_config, parse_config, to_spec
+from .config import KEY_TYPES, load_config, parse_config
 from .experiments import (
+    ExperimentSpec,
+    check_field,
     effective_counterpart,
     nc_convergence,
     relative_error_curve,
@@ -41,7 +46,7 @@ def trace_csv(trace: SqueezingTrace) -> str:
 
 def emit_trace_csv(trace: SqueezingTrace, destination) -> None:
     """Write the trace as CSV with LF terminators and 12 significant digits."""
-    _write_text(destination, trace_csv(trace))
+    _emit(destination, trace_csv(trace))
 
 
 def error_curve_csv(curve) -> str:
@@ -51,111 +56,92 @@ def error_curve_csv(curve) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_text(destination, text: str) -> None:
-    if hasattr(destination, "write"):
-        destination.write(text)
-        return
-    Path(destination).write_text(text, newline="\n")
-
-
 def _emit(destination, text: str) -> None:
+    """`text` to the file at `destination` with LF line ends, or to stdout when it is None."""
     if destination is None:
         sys.stdout.write(text)
     else:
-        _write_text(destination, text)
+        Path(destination).write_text(text, newline="\n")
+
+
+def _add_flags(parser: argparse.ArgumentParser, keys) -> None:
+    """One flag per config key, --n-spins for n_spins, typed as the key's JSON type."""
+    for key in keys:
+        parser.add_argument("--" + key.replace("_", "-"), type=KEY_TYPES[key], dest=key)
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; flags override its fields")
-    parser.add_argument("--scheme")
-    parser.add_argument("--n-spins", type=int, dest="n_spins")
-    parser.add_argument("--n-cycles", type=int, dest="n_cycles")
-    parser.add_argument("--chi", type=float)
-    parser.add_argument("--t-total", type=float, dest="t_total")
-    parser.add_argument("--sampling")
-    parser.add_argument("--order", type=int)
-    parser.add_argument("--out")
+    _add_flags(parser, KEY_TYPES)
 
 
-def _merged_config(args: argparse.Namespace) -> RunConfig:
-    document: dict = {}
-    if args.config:
-        cfg = load_config(args.config)
-        document = {k: v for k, v in vars(cfg).items() if v is not None}
-    for key in ("scheme", "n_spins", "n_cycles", "chi", "t_total", "sampling", "order", "out"):
-        value = getattr(args, key, None)
-        if value is not None:
-            document[key] = value
+def _run(args: argparse.Namespace) -> tuple[ExperimentSpec, str | None]:
+    """The run and output path of the given flags laid over the --config file's object."""
+    document = load_config(args.config) if args.config else {}
+    document.update((key, getattr(args, key)) for key in KEY_TYPES if getattr(args, key) is not None)
     return parse_config(document)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = _merged_config(args)
-    trace = run_trace(to_spec(config))
-    _emit(config.out, trace_csv(trace))
+    spec, out = _run(args)
+    _emit(out, trace_csv(run_trace(spec)))
     return 0
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    config = _merged_config(args)
-    if config.out is None:
-        raise ConfigError("compare writes seq.csv/eff.csv/err.csv and needs --out DIR")
-    spec_seq = to_spec(config)
+    spec_seq, out = _run(args)
+    if out is None:
+        raise ValueError("compare writes seq.csv/eff.csv/err.csv and needs --out DIR")
     spec_eff = effective_counterpart(spec_seq)
-    out_dir = Path(config.out)
+    out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     trace_seq = run_trace(spec_seq)
     trace_eff = run_trace(spec_eff)
     emit_trace_csv(trace_seq, out_dir / "seq.csv")
     emit_trace_csv(trace_eff, out_dir / "eff.csv")
     curve = relative_error_curve(trace_seq, trace_eff)
-    _write_text(out_dir / "err.csv", error_curve_csv(curve))
+    _emit(out_dir / "err.csv", error_curve_csv(curve))
     print(f"wrote {out_dir}/seq.csv, eff.csv, err.csv")
     return 0
 
 
 def _cmd_converge(args: argparse.Namespace) -> int:
-    config = _merged_config(args)
+    spec, out = _run(args)
     nc_list = [int(v) for v in args.nc_list.split(",")]
-    spec = to_spec(config)
-    rows = nc_convergence(config.scheme, config.n_spins, config.chi, spec.t_total, nc_list, config.order)
+    rows = nc_convergence(spec.scheme, spec.n_spins, spec.chi, spec.t_total, nc_list, spec.order)
     lines = ["n_cycles,xi2_best_strobe,rel_error"]
     lines.extend(f"{r.n_cycles},{_fmt(r.xi2_best_strobe)},{_fmt(r.rel_error)}" for r in rows)
-    _emit(config.out, "\n".join(lines) + "\n")
+    _emit(out, "\n".join(lines) + "\n")
     return 0
-
-
-def _chi(args: argparse.Namespace) -> float:
-    """--chi of the subcommands that take no config: 1 when absent, else checked like a config's."""
-    return 1.0 if args.chi is None else finite_positive("chi", args.chi)
 
 
 def _cmd_scaling(args: argparse.Namespace) -> int:
     scheme = args.scheme or "ideal-TAT"
     n_list = [int(v) for v in args.n_list.split(",")]
-    fit = scaling_fit(scheme, n_list, chi=_chi(args), order=args.order or 2)
+    fit = scaling_fit(
+        scheme, n_list, chi=check_field("chi", args.chi), order=check_field("order", args.order)
+    )
     print(f"scheme={scheme} exponent={fit.exponent:.4f} intercept={fit.intercept:.4f} r2={fit.r_squared:.6f}")
     if args.out:
         lines = ["n,xi2_min"]
         lines.extend(f"{n},{_fmt(xi2_min)}" for n, xi2_min in zip(n_list, fit.y))
-        _write_text(args.out, "\n".join(lines) + "\n")
+        _emit(args.out, "\n".join(lines) + "\n")
     return 0
 
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
-    config = _merged_config(args)
-    spec = to_spec(config)
-    delta_t = delta_t_for(config.scheme, spec.t_total, config.n_cycles, config.order)
-    schedule = compile_scheme(config.scheme, delta_t, config.n_cycles, config.order)
-    _emit(config.out, schedule_to_text(schedule))
+    spec, out = _run(args)
+    delta_t = delta_t_for(spec.scheme, spec.t_total, spec.n_cycles, spec.order)
+    schedule = compile_scheme(spec.scheme, delta_t, spec.n_cycles, spec.order)
+    _emit(out, schedule_to_text(schedule))
     return 0
 
 
 def _cmd_timecost(args: argparse.Namespace) -> int:
     n_spins = args.n_spins
     if n_spins is None:
-        raise ConfigError("timecost needs --n-spins")
-    chi = _chi(args)
+        raise ValueError("timecost needs --n-spins")
+    chi = check_field("chi", args.chi)
     lines = ["scheme,divisor,t_opt,total_time"]
     opt = tat_optimum(n_spins)
     for scheme in ("schemeA", "schemeB"):
@@ -188,22 +174,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_converge)
 
     p = sub.add_parser("scaling", help="fit the spin-number scaling of the optimal squeezing")
-    p.add_argument("--scheme")
+    _add_flags(p, ("scheme",))
     p.add_argument("--n-list", required=True, help="comma-separated spin numbers")
-    p.add_argument("--chi", type=float)
-    p.add_argument("--order", type=int)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_scaling)
+    _add_flags(p, ("chi", "order", "out"))
+    p.set_defaults(func=_cmd_scaling, chi=1.0, order=2)
 
     p = sub.add_parser("schedule", help="emit the compiled pulse schedule as text")
     _add_run_flags(p)
     p.set_defaults(func=_cmd_schedule)
 
     p = sub.add_parser("timecost", help="total time to optimal squeezing per scheme")
-    p.add_argument("--n-spins", type=int, dest="n_spins")
-    p.add_argument("--chi", type=float)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_timecost)
+    _add_flags(p, ("n_spins", "chi", "out"))
+    p.set_defaults(func=_cmd_timecost, chi=1.0)
 
     return parser
 
@@ -213,9 +195,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

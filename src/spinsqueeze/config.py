@@ -1,37 +1,35 @@
-"""Run configuration: strict key-value parsing shared by the CLI and config files."""
+"""Run documents: one flat JSON object of eight keys, parsed once into an ExperimentSpec.
+
+This module owns the document's shape and each key's JSON type (`KEY_TYPES`);
+the value rules are `experiments.check_field`'s, which `run_trace` applies too.
+Every fault in a document raises ValueError.
+"""
 
 from __future__ import annotations
 
 import json
-import math
 import re
-from dataclasses import dataclass
 from pathlib import Path
 
-from .experiments import ExperimentSpec, IDEAL_SCHEMES, PULSE_SCHEMES, default_t_total
+from .experiments import ExperimentSpec, check_field, default_t_total
 
 
-class ConfigError(ValueError):
-    """A configuration document failed validation."""
-
-
+# The JSON type of each key, in the order the CLI lists them; an integer is
+# accepted where a number is.
+KEY_TYPES = {
+    "scheme": str,
+    "n_spins": int,
+    "n_cycles": int,
+    "chi": float,
+    "t_total": float,
+    "sampling": str,
+    "order": int,
+    "out": str,
+}
 REQUIRED_KEYS = ("scheme", "n_spins", "n_cycles")
-OPTIONAL_KEYS = ("chi", "t_total", "sampling", "order", "out")
-KNOWN_KEYS = REQUIRED_KEYS + OPTIONAL_KEYS
+_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number"}
 
 _FINE_RE = re.compile(r"^fine\((\d+)\)$")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    scheme: str
-    n_spins: int
-    n_cycles: int
-    chi: float = 1.0
-    t_total: float | None = None  # None: derive from the squeezing optimum
-    sampling: str = "stroboscopic"
-    order: int = 2
-    out: str | None = None
 
 
 def parse_sampling(tag: str) -> tuple[str, int]:
@@ -43,100 +41,51 @@ def parse_sampling(tag: str) -> tuple[str, int]:
         k = int(match.group(1))
         if k >= 1:
             return "fine", k
-    raise ConfigError(f"sampling must be 'stroboscopic' or 'fine(k)', got {tag!r}")
+    raise ValueError(f"sampling must be 'stroboscopic' or 'fine(k)', got {tag!r}")
 
 
-def _require(document: dict, key: str, kind, label: str):
-    value = document[key]
+def _flat_object(document) -> dict:
+    if not isinstance(document, dict):
+        raise ValueError(f"config document must be a flat object, got {type(document).__name__}")
+    unknown = sorted(set(document) - set(KEY_TYPES))
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    return document
+
+
+def _typed(key: str, value):
+    kind = KEY_TYPES[key]
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
     if not isinstance(value, kind) or isinstance(value, bool):
-        raise ConfigError(f"field '{key}' must be {label}, got {value!r}")
+        raise ValueError(f"field '{key}' must be {_TYPE_NAMES[kind]}, got {value!r}")
     return value
 
 
-def finite_positive(key: str, value: float) -> float:
-    """The value of field `key` if it is finite and positive; the rule for chi and t_total."""
-    if not value > 0 or not math.isfinite(value):
-        raise ConfigError(f"field '{key}' must be finite and positive, got {value}")
-    return value
+def parse_config(document: dict) -> tuple[ExperimentSpec, str | None]:
+    """The run a flat key-value document describes, and its output path (None: stdout).
 
-
-def parse_config(document: dict) -> RunConfig:
-    """Validate a flat key-value document; unknown keys are rejected by name."""
-    if not isinstance(document, dict):
-        raise ConfigError(f"config document must be a flat object, got {type(document).__name__}")
-    unknown = sorted(set(document) - set(KNOWN_KEYS))
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    Every value passes its JSON type and its field's rule before a missing
+    t_total is derived from the squeezing optimum.
+    """
+    _flat_object(document)
     missing = [k for k in REQUIRED_KEYS if k not in document]
     if missing:
-        raise ConfigError(f"missing required config keys: {', '.join(missing)}")
-
-    scheme = _require(document, "scheme", str, "a string")
-    if scheme not in PULSE_SCHEMES + IDEAL_SCHEMES:
-        raise ConfigError(
-            f"field 'scheme' must be one of {PULSE_SCHEMES + IDEAL_SCHEMES}, got {scheme!r}"
+        raise ValueError(f"missing required config keys: {', '.join(missing)}")
+    values = {key: _typed(key, document[key]) for key in KEY_TYPES if key in document}
+    fields = {k: check_field(k, v) for k, v in values.items() if k not in ("sampling", "out")}
+    sampling, subsamples = parse_sampling(values.get("sampling", "stroboscopic"))
+    if "t_total" not in fields:
+        fields["t_total"] = default_t_total(
+            fields["scheme"], fields["n_spins"], fields.get("chi", 1.0), fields.get("order", 2)
         )
-    n_spins = _require(document, "n_spins", int, "a positive integer")
-    if n_spins < 1:
-        raise ConfigError(f"field 'n_spins' must be >= 1, got {n_spins}")
-    n_cycles = _require(document, "n_cycles", int, "a positive integer")
-    if n_cycles < 1:
-        raise ConfigError(f"field 'n_cycles' must be >= 1, got {n_cycles}")
-
-    chi = 1.0
-    if "chi" in document:
-        chi = finite_positive("chi", _require(document, "chi", float, "a positive number"))
-    t_total = None
-    if "t_total" in document:
-        t_total = finite_positive("t_total", _require(document, "t_total", float, "a positive number"))
-    sampling = "stroboscopic"
-    if "sampling" in document:
-        sampling = _require(document, "sampling", str, "a sampling tag")
-        parse_sampling(sampling)
-    order = 2
-    if "order" in document:
-        order = _require(document, "order", int, "an even integer >= 2")
-        if order < 2 or order % 2 != 0:
-            raise ConfigError(f"field 'order' must be an even integer >= 2, got {order}")
-    out = None
-    if "out" in document:
-        out = _require(document, "out", str, "a path string")
-
-    return RunConfig(
-        scheme=scheme,
-        n_spins=n_spins,
-        n_cycles=n_cycles,
-        chi=chi,
-        t_total=t_total,
-        sampling=sampling,
-        order=order,
-        out=out,
-    )
+    return ExperimentSpec(**fields, sampling=sampling, subsamples=subsamples), values.get("out")
 
 
-def load_config(path: str | Path) -> RunConfig:
+def load_config(path: str | Path) -> dict:
+    """The flat object a JSON config file holds, not yet parsed: flags may still override it."""
     try:
         document = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
-    return parse_config(document)
-
-
-def to_spec(config: RunConfig) -> ExperimentSpec:
-    """Resolve a RunConfig into a concrete ExperimentSpec, filling the default run length."""
-    mode, k = parse_sampling(config.sampling)
-    t_total = config.t_total
-    if t_total is None:
-        t_total = default_t_total(config.scheme, config.n_spins, config.chi, config.order)
-    return ExperimentSpec(
-        scheme=config.scheme,
-        n_spins=config.n_spins,
-        n_cycles=config.n_cycles,
-        t_total=t_total,
-        chi=config.chi,
-        sampling=mode,
-        subsamples=k,
-        order=config.order,
-    )
+        raise ValueError(f"config file {path} is not valid JSON: {exc}") from None
+    return _flat_object(document)

@@ -64,12 +64,11 @@ class EigenFactorization:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    source_tag: str
 
     @classmethod
-    def of(cls, matrix: np.ndarray, tag: str) -> "EigenFactorization":
+    def of(cls, matrix: np.ndarray) -> "EigenFactorization":
         w, v = np.linalg.eigh(matrix)
-        return cls(_frozen(w), _frozen(v), tag)
+        return cls(_frozen(w), _frozen(v))
 
     def propagator(self, t: float) -> np.ndarray:
         """Dense matrix exp(-i H t)."""
@@ -111,7 +110,7 @@ def twist_factorization(n_spins: int) -> EigenFactorization:
         values[col : col + idx.size] = w
         vectors[np.ix_(idx, np.arange(col, col + idx.size))] = v
         col += idx.size
-    return EigenFactorization(_frozen(values), _frozen(vectors), f"twist_xy[N={n_spins}]")
+    return EigenFactorization(_frozen(values), _frozen(vectors))
 
 
 @lru_cache(maxsize=32)  # an entry is (N//2 + 1) x ~200 floats, 8 MB at N = 10^4
@@ -143,7 +142,7 @@ def twist_window(n_spins: int) -> EigenFactorization:
         raise NumericalConsistencyError(
             f"twist window {lo}..{hi} of {h} at N={n_spins} misses weight {missing:.1e}"
         )
-    return EigenFactorization(_frozen(w), _frozen(v), f"twist window[N={n_spins}]")
+    return EigenFactorization(_frozen(w), _frozen(v))
 
 
 def evolve_twist(state: DickeState, chi: float, t: float) -> DickeState:
@@ -211,7 +210,7 @@ def pair_factorization(n_spins: int) -> EigenFactorization:
     error = float(np.abs(w - exact).max())
     if not error <= 64 * np.finfo(float).eps * ops.total_spin**2:
         raise NumericalConsistencyError(f"pair spectrum at N={n_spins} is off m^2 by {error:.3e}")
-    return EigenFactorization(_frozen(exact), _frozen(v), f"jx^2 even[N={n_spins}]")
+    return EigenFactorization(_frozen(exact), _frozen(v))
 
 
 def _gauge(amps: np.ndarray) -> np.ndarray:

@@ -128,31 +128,27 @@ def _block(coefficient: float, delta_t: float) -> list[Segment]:
 
 
 def _normalize(segments: list[Segment]) -> list[Segment]:
-    """Merge adjacent free segments and cancel adjacent inverse pulse pairs."""
-    segs = list(segments)
-    changed = True
-    while changed:
-        changed = False
-        out: list[Segment] = []
-        for seg in segs:
-            if out:
-                prev = out[-1]
-                if seg.kind == "free" and prev.kind == "free":
-                    out[-1] = free(prev.duration + seg.duration)
-                    changed = True
-                    continue
-                if (
-                    seg.kind == "pulse"
-                    and prev.kind == "pulse"
-                    and seg.axis == prev.axis
-                    and seg.sign == -prev.sign
-                ):
-                    out.pop()
-                    changed = True
-                    continue
-            out.append(seg)
-        segs = out
-    return segs
+    """Merge adjacent free segments and cancel adjacent inverse pulse pairs.
+
+    One stack pass suffices: each segment meets the top that a cancellation exposes.
+    """
+    out: list[Segment] = []
+    for seg in segments:
+        if out:
+            prev = out[-1]
+            if seg.kind == "free" and prev.kind == "free":
+                out[-1] = free(prev.duration + seg.duration)
+                continue
+            if (
+                seg.kind == "pulse"
+                and prev.kind == "pulse"
+                and seg.axis == prev.axis
+                and seg.sign == -prev.sign
+            ):
+                out.pop()
+                continue
+        out.append(seg)
+    return out
 
 
 def _finish(scheme: str, order: int, segments: list[Segment], delta_t: float, n_cycles: int) -> Schedule:
@@ -220,8 +216,6 @@ def strength_divisor(scheme: str, order: int = 2) -> float:
 
 def delta_t_for(scheme: str, t_total: float, n_cycles: int, order: int = 2) -> float:
     """Solve for the step delta_t that fits n_cycles periods into t_total."""
-    if not t_total > 0:
-        raise ValueError(f"t_total must be positive, got {t_total}")
     return t_total / (n_cycles * strength_divisor(scheme, order))
 
 

@@ -12,7 +12,7 @@ import pytest
 import spinsqueeze
 from spinsqueeze import build_operators, coherent_state_z, run_trace, squeezing_parameter
 from spinsqueeze.cli import main, trace_csv
-from spinsqueeze.config import ConfigError, parse_config, parse_sampling, to_spec
+from spinsqueeze.config import parse_config, parse_sampling
 from spinsqueeze.experiments import ExperimentSpec, oat_optimum
 from spinsqueeze.squeezing import SqueezingTrace
 
@@ -21,45 +21,46 @@ MINIMAL = {"scheme": "schemeA", "n_spins": 1250, "n_cycles": 50}
 
 
 def test_parse_minimal_config():
-    cfg = parse_config(MINIMAL)
-    assert (cfg.scheme, cfg.n_spins, cfg.n_cycles) == ("schemeA", 1250, 50)
-    assert cfg.chi == 1.0
-    assert cfg.sampling == "stroboscopic"
+    spec, out = parse_config(MINIMAL)
+    assert (spec.scheme, spec.n_spins, spec.n_cycles) == ("schemeA", 1250, 50)
+    assert spec.chi == 1.0
+    assert spec.sampling == "stroboscopic"
+    assert out is None
 
 
 def test_parse_rejects_zero_spins():
-    with pytest.raises(ConfigError, match="n_spins"):
+    with pytest.raises(ValueError, match="n_spins"):
         parse_config({**MINIMAL, "n_spins": 0})
 
 
 def test_parse_rejects_unknown_key():
-    with pytest.raises(ConfigError, match="pulse_shape"):
+    with pytest.raises(ValueError, match="pulse_shape"):
         parse_config({**MINIMAL, "pulse_shape": "square"})
 
 
 def test_parse_reports_missing_keys():
-    with pytest.raises(ConfigError, match="n_cycles"):
+    with pytest.raises(ValueError, match="n_cycles"):
         parse_config({"scheme": "schemeA", "n_spins": 10})
 
 
 def test_parse_rejects_type_mismatch():
-    with pytest.raises(ConfigError, match="n_spins"):
+    with pytest.raises(ValueError, match="n_spins"):
         parse_config({**MINIMAL, "n_spins": "many"})
-    with pytest.raises(ConfigError, match="chi"):
+    with pytest.raises(ValueError, match="chi"):
         parse_config({**MINIMAL, "chi": -2.0})
 
 
 def test_parse_sampling_tags():
     assert parse_sampling("stroboscopic") == ("stroboscopic", 0)
     assert parse_sampling("fine(8)") == ("fine", 8)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         parse_sampling("fine(0)")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         parse_sampling("sometimes")
 
 
-def test_to_spec_resolves_default_time():
-    spec = to_spec(parse_config({"scheme": "schemeA", "n_spins": 20, "n_cycles": 5}))
+def test_parse_config_resolves_default_time():
+    spec, _ = parse_config({"scheme": "schemeA", "n_spins": 20, "n_cycles": 5})
     assert spec.t_total > 0
     assert spec.sampling == "stroboscopic"
 
@@ -108,6 +109,29 @@ def test_simulate_honors_config_file_with_flag_override(tmp_path):
                  "--out", str(out)]) == 0
     n_rows = len(out.read_text().splitlines()) - 1
     assert n_rows == 7  # n_cycles came from the flag, not the file
+
+
+def test_flags_complete_a_partial_config_file(tmp_path):
+    """Flags are laid over the file before the one parse, so they may supply required keys."""
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"scheme": "schemeA", "n_cycles": 0, "t_total": 0.25}))
+    out = tmp_path / "trace.csv"
+    assert main(["simulate", "--config", str(config), "--n-spins", "16", "--n-cycles", "6",
+                 "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 7
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("[16, 6]", "config document must be a flat object, got list"), ('{"scheme": ', "is not valid JSON")],
+    ids=["list", "invalid"],
+)
+def test_malformed_config_file_exits_2(tmp_path, capsys, text, message):
+    """The file's shape is checked before the flags are laid over it."""
+    config = tmp_path / "run.json"
+    config.write_text(text)
+    assert main(["simulate", "--config", str(config), "--n-cycles", "6"]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_config_file_with_the_removed_strictness_key_exits_2(tmp_path, capsys):
@@ -207,6 +231,28 @@ def test_chi_of_timecost_and_scaling_must_be_finite_and_positive(command, chi, c
     assert main([*command, "--chi", chi]) == 2
     captured = capsys.readouterr()
     assert "field 'chi' must be finite and positive" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("order", ["0", "3", "7"])
+@pytest.mark.parametrize("scheme", ["general", "schemeA", "ideal-TAT"])
+def test_order_of_scaling_obeys_the_config_rule(scheme, order, capsys):
+    assert main(["scaling", "--scheme", scheme, "--order", order, "--n-list", "20,40,80"]) == 2
+    captured = capsys.readouterr()
+    assert f"field 'order' must be an even integer >= 2, got {order}" in captured.err
+    assert captured.out == ""
+
+
+def test_scaling_runs_general_at_a_valid_order(capsys):
+    assert main(["scaling", "--scheme", "general", "--order", "4", "--n-list", "20,40,80"]) == 0
+    assert capsys.readouterr().out.startswith("scheme=general exponent=")
+
+
+def test_scaling_needs_three_distinct_spin_numbers(capsys):
+    """Repeated N make the log-log design singular: no fit is printed."""
+    assert main(["scaling", "--n-list", "20,20,20"]) == 2
+    captured = capsys.readouterr()
+    assert "at least 3 distinct spin numbers" in captured.err
     assert captured.out == ""
 
 

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -58,12 +59,17 @@ def test_spec_validation():
         ExperimentSpec("schemeA", 0, 5, 0.1),
         ExperimentSpec("schemeA", 10, 0, 0.1),
         ExperimentSpec("schemeA", 10, 5, 0.0),
+        ExperimentSpec("schemeA", 10, 5, math.inf),
         ExperimentSpec("schemeA", 10, 5, 0.1, chi=-1.0),
+        ExperimentSpec("schemeA", 10, 5, 0.1, chi=math.inf),
+        ExperimentSpec("general", 10, 5, 0.1, order=3),
         ExperimentSpec("schemeA", 10, 5, 0.1, sampling="sometimes"),
         ExperimentSpec("schemeA", 10, 5, 0.1, sampling="fine", subsamples=0),
     ):
         with pytest.raises(ValueError):
             validate_spec(bad)
+        with pytest.raises(ValueError):
+            run_trace(bad)
 
 
 def test_traces_are_deterministic():
@@ -444,7 +450,7 @@ def _leaky_factorization(monkeypatch):
 
     def leaky(n_spins):
         fac = real(n_spins)
-        return EigenFactorization(fac.eigenvalues - 1e-6j, fac.eigenvectors, "leaky")
+        return EigenFactorization(fac.eigenvalues - 1e-6j, fac.eigenvectors)
 
     monkeypatch.setattr(propagate, "pair_factorization", leaky)
 

@@ -225,7 +225,7 @@ def test_eigenfactorization_of_generic_hermitian():
     rng = np.random.default_rng(3)
     mat = rng.normal(size=(15, 15)) + 1j * rng.normal(size=(15, 15))
     mat = (mat + mat.conj().T) / 2
-    fac = EigenFactorization.of(mat, "random")
+    fac = EigenFactorization.of(mat)
     assert fac.reconstruction_error(mat) <= 1e-10
     assert np.abs(fac.propagator(0.8) - expm(-0.8j * mat)).max() <= 1e-10
 
