@@ -2,9 +2,9 @@
 
 Every subcommand is a thin shell over the library; nothing here computes
 physics.  Run flags are generated from `config.KEY_TYPES`, laid over the
---config file's object and parsed once; `scaling` and `timecost` check theirs
-with `experiments.check_field`.  Exit codes: 0 success, 2 validation error
-(any ValueError), 1 runtime error.
+--config file's object and parsed once; `scaling` and `timecost` check theirs,
+spin numbers included, with `experiments.check_field`.  Exit codes: 0
+success, 2 validation error (any ValueError), 1 runtime error.
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ def _cmd_converge(args: argparse.Namespace) -> int:
 
 def _cmd_scaling(args: argparse.Namespace) -> int:
     scheme = args.scheme or "ideal-TAT"
-    n_list = [int(v) for v in args.n_list.split(",")]
+    n_list = [check_field("n_spins", int(v)) for v in args.n_list.split(",")]
     fit = scaling_fit(
         scheme, n_list, chi=check_field("chi", args.chi), order=check_field("order", args.order)
     )
@@ -138,9 +138,9 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
 
 
 def _cmd_timecost(args: argparse.Namespace) -> int:
-    n_spins = args.n_spins
-    if n_spins is None:
+    if args.n_spins is None:
         raise ValueError("timecost needs --n-spins")
+    n_spins = check_field("n_spins", args.n_spins)
     chi = check_field("chi", args.chi)
     lines = ["scheme,divisor,t_opt,total_time"]
     opt = tat_optimum(n_spins)

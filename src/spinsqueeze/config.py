@@ -88,4 +88,6 @@ def load_config(path: str | Path) -> dict:
         document = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"config file {path} is not valid JSON: {exc}") from None
+    except OSError as exc:
+        raise ValueError(f"cannot read config file {path}: {exc.strerror or exc}") from None
     return _flat_object(document)

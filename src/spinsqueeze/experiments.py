@@ -1,7 +1,9 @@
 """Run squeezing experiments: pulse-driven traces, ideal references, sweeps and fits.
 
-Pulse schemes run on the even-index Dicke sector (see `propagate`): each
-period is a list of steps, free z^2 twisting or a pulse pair (a+, tau, a-)
+Every trace samples one grid, `_sample_times`: t = 0, then per period of
+t_total / n_cycles its interior instants (fine(k) only) and its end.  Pulse
+schemes run on the even-index Dicke sector (see `propagate`): each period is
+the schedule's steps, free z^2 twisting or a pulse pair (a+, tau, a-)
 evolved through its eigen-coefficients.  A fine sample inside a pair is
 taken from those coefficients in the frame rotated by the opening pulse,
 and its mean spin and minimal-variance direction are mapped back with the
@@ -15,8 +17,9 @@ At every period boundary the state norm is checked against
 `tolerances.NORM_DRIFT`.  Ideal xy twisting (the ideal-TAT trace,
 `tat_optimum`) runs on the same sector, on `twist_window`, with the same
 kernel.  Ideal z^2 twisting (the ideal-OAT trace, `oat_optimum`) evolves no
-state: it is the closed form `squeezing.oat_moments`.  Each run parameter's
-rule is stated once, in `check_field`; `validate_spec` applies it to every spec.
+state: it is the closed form `squeezing.oat_moments`.  Both optima scan one
+xi^2 kernel of many times (`_scan_minimize`).  Each run parameter's rule is
+stated once, in `check_field`; `validate_spec` applies it to every spec.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .propagate import (
     twist_window,
     unitary_distance,
 )
-from .schedules import Schedule, compile_scheme, delta_t_for, strength_divisor
+from .schedules import Step, compile_scheme, delta_t_for, strength_divisor
 from .spin_ops import NumericalConsistencyError, build_operators, even_sector_dim
 from .squeezing import (
     MEAN_SPIN_EPS_FACTOR,
@@ -115,78 +118,43 @@ def effective_counterpart(spec: ExperimentSpec) -> ExperimentSpec:
     return replace(spec, scheme="ideal-TAT", divisor=d)
 
 
-def _interior_offsets(spec: ExperimentSpec, period: float) -> list[float]:
-    if spec.sampling != "fine":
-        return []
-    k = spec.subsamples
-    return [j * period / (k + 1) for j in range(1, k + 1)]
+def _sample_times(spec: ExperimentSpec) -> list[float]:
+    """Every sample instant of a trace: 0, then each period's interior instants and its end.
 
-
-@dataclass(frozen=True)
-class _Step:
-    """Free z^2 twisting (no axis) or a pulse pair about `axis` opened by a `sign` pulse."""
-
-    duration: float
-    axis: str = ""
-    sign: int = 0
-    snapshots: tuple[tuple[int, float], ...] = ()  # (sample slot, time into the step)
-
-
-def _pair_steps(schedule: Schedule) -> list[_Step]:
-    """One period's segments as free steps and (a+, tau, a-) pair steps.
-
-    Every pulse the compilers emit opens or closes such a pair; anything else
-    cannot run on the even sector and is rejected.
+    The period is t_total / n_cycles; fine(k) spaces k instants evenly inside it.
     """
-    segs = schedule.segments
-    steps = []
-    i = 0
-    while i < len(segs):
-        seg = segs[i]
-        if seg.kind == "free":
-            steps.append(_Step(seg.duration))
-            i += 1
-            continue
-        pair = segs[i : i + 3]
-        if not (
-            len(pair) == 3
-            and pair[1].kind == "free"
-            and pair[2].kind == "pulse"
-            and (pair[2].axis, pair[2].sign) == (seg.axis, -seg.sign)
-        ):
-            raise ValueError(
-                f"{schedule.scheme}: pulse {seg.axis}{seg.sign:+d} at segment {i} "
-                "does not open a (pulse, free, inverse pulse) pair"
-            )
-        steps.append(_Step(pair[1].duration, seg.axis, seg.sign))
-        i += 3
-    return steps
+    period = spec.t_total / spec.n_cycles
+    k = spec.subsamples if spec.sampling == "fine" else 0
+    times = [0.0]
+    for cycle in range(spec.n_cycles):
+        t0 = cycle * period
+        times.extend(t0 + j * period / (k + 1) for j in range(1, k + 1))
+        times.append((cycle + 1) * period)
+    return times
 
 
-def _itinerary(schedule: Schedule, offsets: list[float]) -> list[_Step]:
-    """Attach interior sample offsets to the steps that contain them.
+def _itinerary(steps: tuple[Step, ...], offsets: list[float], period: float) -> list[tuple[Step, list[float]]]:
+    """Each step with the times into it of the interior sample offsets it contains.
 
     Offsets on a step boundary are taken at the end of the earlier step, i.e.
     before any pulse at the same instant; float slop past the period's end
     lands at the end of the last step.
     """
-    tol = 1e-12 * max(schedule.t_c, 1.0)
-    remaining = list(enumerate(offsets))
-    steps = _pair_steps(schedule)
+    tol = 1e-12 * max(period, 1.0)
+    remaining = list(offsets)
     out = []
     start = 0.0
     for i, step in enumerate(steps):
         last = i == len(steps) - 1
-        snaps = []
-        while remaining and (last or remaining[0][1] <= start + step.duration + tol):
-            slot, off = remaining.pop(0)
-            snaps.append((slot, min(max(off - start, 0.0), step.duration)))
-        out.append(replace(step, snapshots=tuple(snaps)))
+        partials = []
+        while remaining and (last or remaining[0] <= start + step.duration + tol):
+            partials.append(min(max(remaining.pop(0) - start, 0.0), step.duration))
+        out.append((step, partials))
         start += step.duration
     return out
 
 
-def _evolve_step(ops, step: _Step, psi: np.ndarray, coeffs, chi: float, t: float) -> np.ndarray:
+def _evolve_step(ops, step: Step, psi: np.ndarray, coeffs, chi: float, t: float) -> np.ndarray:
     """The even-sector vector at time `t` into a step; inside a pair, in its opening pulse's frame."""
     if step.axis:
         return pair_evolve(ops.n_spins, step.axis, coeffs, chi, t)
@@ -217,11 +185,10 @@ def _pulse_samples(spec: ExperimentSpec) -> list[SqueezingSample]:
     ops = build_operators(n)
     delta_t = delta_t_for(spec.scheme, spec.t_total, spec.n_cycles, spec.order)
     schedule = compile_scheme(spec.scheme, delta_t, spec.n_cycles, spec.order)
-    period = spec.t_total / spec.n_cycles
-    offsets = _interior_offsets(spec, schedule.t_c)
-    steps = _itinerary(schedule, offsets)
-    frames = [pulse_frame(step.axis, step.sign) if step.axis else None for step in steps]
-    k = len(offsets)
+    times = _sample_times(spec)
+    per = (len(times) - 1) // spec.n_cycles  # samples per period; times[1:per] are its interior offsets
+    itinerary = _itinerary(schedule.steps, times[1:per], times[per])
+    frames = [pulse_frame(step.axis, step.sign) if step.axis else None for step, _ in itinerary]
 
     samples: list[SqueezingSample] = []
     buffer = np.empty((SAMPLE_BUFFER_ROWS, even_sector_dim(n)), dtype=complex)
@@ -231,47 +198,38 @@ def _pulse_samples(spec: ExperimentSpec) -> list[SqueezingSample]:
         samples.extend(_samples(stamps, *even_sector_samples(buffer[: len(stamps)].T, ops), n / 2))
         stamps.clear()
 
-    def take(amps: np.ndarray, t: float, index: int, frame=None) -> None:
+    def take(amps: np.ndarray, index: int, frame=None) -> None:
         buffer[len(stamps)] = amps
-        stamps.append((t, index, frame))
+        stamps.append((times[index], index, frame))
         if len(stamps) == SAMPLE_BUFFER_ROWS:
             flush()
 
     psi = np.zeros(even_sector_dim(n), dtype=complex)
     psi[0] = 1.0  # |J,J>
-    take(psi, 0.0, 0)
-    for cycle in range(spec.n_cycles):
-        t0 = cycle * period
-        for step, frame in zip(steps, frames):
+    index = 0
+    take(psi, index)
+    for _ in range(spec.n_cycles):
+        for (step, partials), frame in zip(itinerary, frames):
             coeffs = pair_coefficients(n, step.axis, psi) if step.axis else None
-            for slot, partial in step.snapshots:
-                fork = _evolve_step(ops, step, psi, coeffs, spec.chi, partial)
-                take(fork, t0 + (slot + 1) * period / (k + 1), cycle * (k + 1) + slot + 1, frame)
+            for partial in partials:
+                index += 1
+                take(_evolve_step(ops, step, psi, coeffs, spec.chi, partial), index, frame)
             psi = _evolve_step(ops, step, psi, coeffs, spec.chi, step.duration)
-        index = (cycle + 1) * (k + 1)
-        t = (cycle + 1) * period
+        index += 1
         drift = abs(float(np.linalg.norm(psi)) - 1.0)
         if not drift <= tolerances.NORM_DRIFT:
             flush()  # an earlier sample's vanishing mean spin is reported first
             raise NumericalConsistencyError(
-                f"sample {index} at t={t:.6g}: state norm drifted by {drift:.3e} "
+                f"sample {index} at t={times[index]:.6g}: state norm drifted by {drift:.3e} "
                 f"(tolerance {tolerances.NORM_DRIFT:.0e})"
             )
-        take(psi, t, index)
+        take(psi, index)
     flush()
     return samples
 
 
 def _ideal_samples(spec: ExperimentSpec) -> list[SqueezingSample]:
-    period = spec.t_total / spec.n_cycles
-    k = spec.subsamples if spec.sampling == "fine" else 0
-
-    times = [0.0]
-    for cycle in range(spec.n_cycles):
-        t0 = cycle * period
-        times.extend(t0 + j * period / (k + 1) for j in range(1, k + 1))
-        times.append((cycle + 1) * period)
-
+    times = _sample_times(spec)
     if spec.scheme == "ideal-OAT":
         return _oat_samples(spec.n_spins, spec.chi, times)
     ops = build_operators(spec.n_spins)
@@ -355,38 +313,34 @@ def _golden_section(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return (c, fc) if fc < fd else (d, fd)
 
 
-def _scan_minimize(f, f_grid, lo: float, hi: float) -> tuple[float, float]:
+def _scan_minimize(xi2_of_times, lo: float, hi: float) -> tuple[float, float]:
     """Coarse grid scan followed by golden-section refinement around the best cell.
 
-    `f` maps one time to xi^2; `f_grid` maps an array of times to xi^2 at
-    once and gets the grid SCAN_CHUNK_COLUMNS times at a time.  The batch
-    only picks the cell, the grid's argmin; the refinement and the final
-    comparison use `f`.  Next to the minimum the two paths differ by roundoff
-    that grows like N^2 (the second moments weigh amplitude errors by J^2),
-    at most 1e-9 relative at 14 N from 8 to 4001 on one BLAS thread, while
-    neighbouring grid values there differ by at least 1e-6, so a scan made
-    with `f` alone picks the same cell.
+    `xi2_of_times` maps an array of times to xi^2 (+inf where the mean spin
+    vanishes) and gets the grid SCAN_CHUNK_COLUMNS times at a time; the
+    refinement and the final comparison make one-column calls.  Next to the
+    minimum a column's bits depend on its batch by roundoff that grows like
+    N^2 (the second moments weigh amplitude errors by J^2), at most 1e-9
+    relative at 14 N from 8 to 4001 on one BLAS thread, while neighbouring
+    grid values there differ by at least 1e-6, so a point-by-point scan picks
+    the same cell.
 
-    Samples where the mean spin vanishes count as +inf: they only occur past
-    the pre-revival minimum this search is after, so the window is effectively
-    truncated there.
+    Vanishing mean spin only occurs past the pre-revival minimum this search
+    is after, so the window is effectively truncated there.
     """
 
-    def guarded(t: float) -> float:
-        try:
-            return f(t)
-        except MeanSpinVanishing:
-            return math.inf
+    def f(t: float) -> float:
+        return float(xi2_of_times(np.array([t]))[0])
 
     ts = np.linspace(lo, hi, SCAN_GRID_POINTS)
     grid = np.concatenate(
-        [f_grid(ts[s : s + SCAN_CHUNK_COLUMNS]) for s in range(0, ts.size, SCAN_CHUNK_COLUMNS)]
+        [xi2_of_times(ts[s : s + SCAN_CHUNK_COLUMNS]) for s in range(0, ts.size, SCAN_CHUNK_COLUMNS)]
     )
     i = int(np.argmin(grid))
-    v_i = guarded(ts[i])
+    v_i = f(ts[i])
     a = ts[max(i - 1, 0)]
     b = ts[min(i + 1, ts.size - 1)]
-    t_ref, v_ref = _golden_section(guarded, a, b, tol=1e-6 * (hi - lo))
+    t_ref, v_ref = _golden_section(f, a, b, tol=1e-6 * (hi - lo))
     if v_ref <= v_i:
         return float(t_ref), float(v_ref)
     return float(ts[i]), float(v_i)
@@ -409,32 +363,28 @@ def _tat_states(n_spins: int, rate: float):
 
 
 def _tat_scan(n_spins: int):
-    """Grid xi^2 of unit-strength xy twisting from |J,J>, and its one-column call as the scalar."""
+    """Map of times to the xi^2 of unit-strength xy twisting from |J,J>."""
     ops = build_operators(n_spins)
     states_at = _tat_states(n_spins, 1.0)
 
     def xi2_of_times(ts: np.ndarray) -> np.ndarray:
         return even_sector_xi2(states_at(ts), ops)
 
-    return (lambda t: float(xi2_of_times(np.array([t]))[0])), xi2_of_times
+    return xi2_of_times
 
 
 @lru_cache(maxsize=32)
 def tat_optimum(n_spins: int) -> Optimum:
     """Optimal time and squeezing of unit-strength xy twisting from |J,J>."""
-    t_opt, xi2_min = _scan_minimize(*_tat_scan(n_spins), 0.0, 10.0 / n_spins)
+    t_opt, xi2_min = _scan_minimize(_tat_scan(n_spins), 0.0, 10.0 / n_spins)
     return Optimum(t_opt=t_opt, xi2_min=xi2_min)
 
 
 @lru_cache(maxsize=32)
 def oat_optimum(n_spins: int) -> Optimum:
     """Optimal time and squeezing of unit-strength z^2 twisting from an x-polarized state."""
-    t_opt, xi2_min = _scan_minimize(
-        lambda t: float(oat_moments(n_spins, np.array([t])).xi2[0]),
-        lambda ts: oat_moments(n_spins, ts).xi2,
-        0.0,
-        5.0 * n_spins ** (-2.0 / 3.0),
-    )
+    hi = 5.0 * n_spins ** (-2.0 / 3.0)
+    t_opt, xi2_min = _scan_minimize(lambda ts: oat_moments(n_spins, ts).xi2, 0.0, hi)
     return Optimum(t_opt=t_opt, xi2_min=xi2_min)
 
 

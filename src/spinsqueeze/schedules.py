@@ -1,15 +1,18 @@
 """Compile twisting pulse schedules from Trotter-Suzuki product formulas.
 
-A schedule describes one period as a time-ordered list of free z^2-twisting
-segments and instantaneous +/- pi/2 pulses about x or y, repeated n_cycles
-times.  Every period but liu1's comes from one ordered coefficient list,
-`ts_coefficients(order)`:
+A schedule describes one period as time-ordered steps, repeated n_cycles
+times.  A step is free z^2 twisting or a pulse pair: a +/- pi/2 pulse about
+x or y, free twisting, then the inverse pulse (Liu et al., PRL 107, 013601,
+2011), the unit the even-sector engine runs.  The flat list of free segments
+and instantaneous pulses (`Schedule.segments`), the period length `t_c` and
+the pulse count are read off the steps.  Every period but liu1's comes from
+one ordered coefficient list, `ts_coefficients(order)`:
 
 * order 1 ("liu1"): one twist block, pulses at delta_t and 3*delta_t, the
   one hand-written period;
 * "schemeA": order 2, the symmetrized block, pulses at delta_t/2 and 5*delta_t/2;
-* "schemeB": order 4, the triple-jump pattern (s, 1 - 2s, s) merged into 7
-  free segments and 6 pulses;
+* "schemeB": order 4, the triple-jump pattern (s, 1 - 2s, s) merged into 4
+  free steps and 3 pulse pairs;
 * "general": any even order by recursive triplet expansion.
 
 Negative coefficients are realized by swapping the twisting axis instead of
@@ -57,27 +60,46 @@ def pulse(axis: str, sign: int) -> Segment:
 
 
 @dataclass(frozen=True)
-class Schedule:
-    """One compiled period plus its repetition count."""
+class Step:
+    """Free z^2 twisting (no axis), or a pulse pair about `axis`.
 
-    scheme: str
-    order: int
-    segments: tuple[Segment, ...]
-    delta_t: float
-    t_c: float
-    n_cycles: int
-    pulses_per_period: int
+    A pair is the `sign` pulse, `duration` of free twisting, then the inverse pulse.
+    """
+
+    duration: float
+    axis: str = ""
+    sign: int = 0
 
 
 @dataclass(frozen=True)
-class TsCoefficients:
-    """Signed block coefficients of the recursive even-order product formula.
+class Schedule:
+    """One compiled period, as steps, plus its repetition count."""
 
-    ``leaves`` are the time-ordered factors at the second-order base level.
-    """
-
+    scheme: str
     order: int
-    leaves: tuple[float, ...]
+    steps: tuple[Step, ...]
+    delta_t: float
+    n_cycles: int
+
+    @property
+    def segments(self) -> tuple[Segment, ...]:
+        """The period as time-ordered free segments and instantaneous pulses."""
+        out: list[Segment] = []
+        for step in self.steps:
+            if step.axis:
+                out += [pulse(step.axis, step.sign), free(step.duration), pulse(step.axis, -step.sign)]
+            else:
+                out.append(free(step.duration))
+        return tuple(out)
+
+    @property
+    def t_c(self) -> float:
+        """Period length: the steps' durations summed in time order."""
+        return sum(step.duration for step in self.steps)
+
+    @property
+    def pulses_per_period(self) -> int:
+        return 2 * sum(1 for step in self.steps if step.axis)
 
 
 def level_param(m: int) -> float:
@@ -85,7 +107,8 @@ def level_param(m: int) -> float:
     return 1.0 / (2.0 - 2.0 ** (1.0 / (2 * m - 1)))
 
 
-def ts_coefficients(order: int) -> TsCoefficients:
+def ts_coefficients(order: int) -> tuple[float, ...]:
+    """Signed block coefficients of the recursive even-order product formula, time ordered."""
     if order % 2 != 0 or order < 2:
         raise ValueError(f"Trotter-Suzuki order must be a positive even integer, got {order}")
     if order > MAX_ORDER:
@@ -99,7 +122,7 @@ def ts_coefficients(order: int) -> TsCoefficients:
         for c in leaves:
             expanded.extend((k * c, (1.0 - 2.0 * k) * c, k * c))
         leaves = expanded
-    return TsCoefficients(order, tuple(leaves))
+    return tuple(leaves)
 
 
 def _validate_args(delta_t: float, n_cycles: int) -> None:
@@ -109,83 +132,40 @@ def _validate_args(delta_t: float, n_cycles: int) -> None:
         raise ValueError(f"n_cycles must be a positive integer, got {n_cycles!r}")
 
 
-def _block(coefficient: float, delta_t: float) -> list[Segment]:
+def _block(coefficient: float, delta_t: float) -> list[Step]:
     """Second-order block for one signed coefficient.
 
-    Positive coefficients twist about x (y pulses around the long segment);
-    negative ones twist about y (x pulses), which realizes the sign flip
+    Positive coefficients twist about x (a y pulse pair around the long step);
+    negative ones twist about y (an x pair), which realizes the sign flip
     without negative evolution times.
     """
     c = abs(coefficient)
     axis = "y" if coefficient > 0 else "x"
-    return [
-        free(c * delta_t / 2.0),
-        pulse(axis, 1),
-        free(2.0 * c * delta_t),
-        pulse(axis, -1),
-        free(c * delta_t / 2.0),
-    ]
+    return [Step(c * delta_t / 2.0), Step(2.0 * c * delta_t, axis, 1), Step(c * delta_t / 2.0)]
 
 
-def _normalize(segments: list[Segment]) -> list[Segment]:
-    """Merge adjacent free segments and cancel adjacent inverse pulse pairs.
-
-    One stack pass suffices: each segment meets the top that a cancellation exposes.
-    """
-    out: list[Segment] = []
-    for seg in segments:
-        if out:
-            prev = out[-1]
-            if seg.kind == "free" and prev.kind == "free":
-                out[-1] = free(prev.duration + seg.duration)
-                continue
-            if (
-                seg.kind == "pulse"
-                and prev.kind == "pulse"
-                and seg.axis == prev.axis
-                and seg.sign == -prev.sign
-            ):
-                out.pop()
-                continue
-        out.append(seg)
+def _normalize(steps: list[Step]) -> list[Step]:
+    """Merge adjacent free steps."""
+    out: list[Step] = []
+    for step in steps:
+        if out and not step.axis and not out[-1].axis:
+            out[-1] = Step(out[-1].duration + step.duration)
+        else:
+            out.append(step)
     return out
-
-
-def _finish(scheme: str, order: int, segments: list[Segment], delta_t: float, n_cycles: int) -> Schedule:
-    t_c = sum(s.duration for s in segments if s.kind == "free")
-    n_p = sum(1 for s in segments if s.kind == "pulse")
-    return Schedule(
-        scheme=scheme,
-        order=order,
-        segments=tuple(segments),
-        delta_t=delta_t,
-        t_c=t_c,
-        n_cycles=n_cycles,
-        pulses_per_period=n_p,
-    )
 
 
 def compile_order1(delta_t: float, n_cycles: int) -> Schedule:
     """First-order split: one twist block per period, pulses at delta_t and 3*delta_t."""
     _validate_args(delta_t, n_cycles)
-    segments = [
-        free(delta_t),
-        pulse("y", 1),
-        free(2.0 * delta_t),
-        pulse("y", -1),
-    ]
-    return _finish("liu1", 1, segments, delta_t, n_cycles)
+    return Schedule("liu1", 1, (Step(delta_t), Step(2.0 * delta_t, "y", 1)), delta_t, n_cycles)
 
 
 def compile_general(order: int, delta_t: float, n_cycles: int) -> Schedule:
     """Compile any even order by recursive triplet expansion of second-order blocks."""
     _validate_args(delta_t, n_cycles)
-    coeffs = ts_coefficients(order)
-    segments: list[Segment] = []
-    for leaf in coeffs.leaves:
-        segments.extend(_block(leaf, delta_t))
-    segments = _normalize(segments)
-    return _finish("general", order, segments, delta_t, n_cycles)
+    steps = [step for leaf in ts_coefficients(order) for step in _block(leaf, delta_t)]
+    return Schedule("general", order, tuple(_normalize(steps)), delta_t, n_cycles)
 
 
 def _scheme_order(scheme: str, order: int) -> int:
@@ -211,7 +191,7 @@ def strength_divisor(scheme: str, order: int = 2) -> float:
     """
     if scheme == "liu1":
         return 3.0
-    return 3.0 * sum(abs(c) for c in ts_coefficients(_scheme_order(scheme, order)).leaves)
+    return 3.0 * sum(abs(c) for c in ts_coefficients(_scheme_order(scheme, order)))
 
 
 def delta_t_for(scheme: str, t_total: float, n_cycles: int, order: int = 2) -> float:

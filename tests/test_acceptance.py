@@ -130,7 +130,7 @@ def _check_triple_jump_order(criterion, scheme, order, compiled_window, formula_
     run as exact Strang blocks with signed times through expm: slope order+1.
     """
     ops = build_operators(20)
-    leaves = ts_coefficients(order).leaves
+    leaves = ts_coefficients(order)
     h = np.asarray(ops.twist_xy, dtype=complex)
     jz_sq = np.diag(ops.jz_sq_diag).astype(complex)
     jx_sq = np.asarray(ops.jx @ ops.jx, dtype=complex)

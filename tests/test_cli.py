@@ -134,6 +134,16 @@ def test_malformed_config_file_exits_2(tmp_path, capsys, text, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
+def test_unreadable_config_file_exits_2(tmp_path, capsys, name):
+    """A config file that cannot be read is bad input, not a runtime error."""
+    assert main(["simulate", "--config", str(tmp_path / name)]) == 2
+    captured = capsys.readouterr()
+    assert "error: cannot read config file" in captured.err
+    assert "runtime error" not in captured.err
+    assert captured.out == ""
+
+
 def test_config_file_with_the_removed_strictness_key_exits_2(tmp_path, capsys):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"scheme": "schemeA", "n_spins": 16, "n_cycles": 4,
@@ -144,8 +154,8 @@ def test_config_file_with_the_removed_strictness_key_exits_2(tmp_path, capsys):
 
 REMOVED_NAMES = {
     "schedules": ["compile_scheme_a", "compile_scheme_b", "_COMPILERS", "period_in_delta_t_units",
-                  "ScheduleStats", "schedule_stats"],
-    "experiments": ["strength_divisor", "run_many"],
+                  "ScheduleStats", "schedule_stats", "_finish", "TsCoefficients"],
+    "experiments": ["strength_divisor", "run_many", "_pair_steps", "_Step", "_interior_offsets"],
     "propagate": ["rotate", "rotation_matrix", "_rotation_factorization", "rotation_propagator",
                   "Propagator", "evolve_oat", "spectral_norm_estimate", "frobenius_norm"],
     "spin_ops": ["expectation", "state_from_amplitudes", "mean_spin_vector"],
@@ -231,6 +241,20 @@ def test_chi_of_timecost_and_scaling_must_be_finite_and_positive(command, chi, c
     assert main([*command, "--chi", chi]) == 2
     captured = capsys.readouterr()
     assert "field 'chi' must be finite and positive" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["simulate", "--scheme", "schemeA", "--n-spins", "0", "--n-cycles", "4"],
+     ["timecost", "--n-spins", "0"],
+     ["scaling", "--scheme", "ideal-TAT", "--n-list", "0,20,40"]],
+    ids=["simulate", "timecost", "scaling"],
+)
+def test_spin_numbers_of_every_command_obey_the_config_rule(command, capsys):
+    assert main(command) == 2
+    captured = capsys.readouterr()
+    assert "field 'n_spins' must be >= 1, got 0" in captured.err
     assert captured.out == ""
 
 

@@ -15,10 +15,9 @@ from spinsqueeze.experiments import (
     IDEAL_SCHEMES,
     SCAN_CHUNK_COLUMNS,
     ExperimentSpec,
-    _interior_offsets,
     _itinerary,
     _loglog_fit,
-    _pair_steps,
+    _sample_times,
     _scan_minimize,
     _tat_scan,
     default_t_total,
@@ -33,11 +32,8 @@ from spinsqueeze.experiments import (
 from spinsqueeze.propagate import HALF_PI, EigenFactorization, evolve_twist
 from spinsqueeze.schedules import (
     S_PARAM,
-    Schedule,
     compile_scheme,
     delta_t_for,
-    free,
-    pulse,
     strength_divisor,
 )
 from spinsqueeze.spin_ops import (
@@ -226,7 +222,7 @@ def test_batched_scan_grid_matches_scalar_path(n, scheme):
         return squeezing_parameter(state, ops).xi2
 
     if scheme == "ideal-TAT":
-        _, grid = _tat_scan(n)
+        grid = _tat_scan(n)
         ts = np.linspace(0.0, 10.0 / n, 3 * SCAN_CHUNK_COLUMNS - 17)
         scalar = [_or_inf(xi2, evolve_twist(start, 1.0, t)) for t in ts]
         rtol = 1e-9
@@ -249,13 +245,13 @@ def test_batched_scan_grid_matches_scalar_path(n, scheme):
 @pytest.mark.parametrize("n", [8, 9, 40, 41])
 def test_batched_scan_gives_the_scalar_scan_optimum(n):
     """Batching the grid leaves the optimum of a point-by-point scan unchanged, bit for bit."""
-    xi2_at, _ = _tat_scan(n)
+    xi2_of_times = _tat_scan(n)
 
     def pointwise(ts):
-        return np.array([_or_inf(xi2_at, t) for t in ts])
+        return np.concatenate([xi2_of_times(np.array([t])) for t in ts])
 
     optimum = tat_optimum(n)
-    assert _scan_minimize(xi2_at, pointwise, 0.0, 10.0 / n) == (optimum.t_opt, optimum.xi2_min)
+    assert _scan_minimize(pointwise, 0.0, 10.0 / n) == (optimum.t_opt, optimum.xi2_min)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 13, 40])
@@ -392,14 +388,27 @@ def test_fine_samples_fall_inside_pairs_and_on_pulses(scheme, order):
     """The fine(k) oracle cases sample inside pairs; liu1 and schemeA also at pulse instants."""
     spec = _pulse_spec(scheme, order, 16, "fine")
     schedule = compile_scheme(scheme, delta_t_for(scheme, spec.t_total, spec.n_cycles, order), 1, order)
-    steps = _itinerary(schedule, _interior_offsets(spec, schedule.t_c))
-    snaps = [(step, partial) for step in steps for _, partial in step.snapshots]
+    times = _sample_times(spec)
+    per = spec.subsamples + 1
+    itinerary = _itinerary(schedule.steps, times[1:per], times[per])
+    snaps = [(step, partial) for step, partials in itinerary for partial in partials]
     assert any(step.axis and 0.0 < partial < step.duration for step, partial in snaps)
     if scheme in ("liu1", "schemeA"):
-        opening = [s for i, s in enumerate(steps[:-1]) if steps[i + 1].axis and s.snapshots]
-        assert any(s.snapshots[-1][1] == s.duration for s in opening)
+        opening = [(s, p) for (s, p), (after, _) in zip(itinerary, itinerary[1:]) if after.axis and p]
+        assert any(p[-1] == s.duration for s, p in opening)
     if scheme == "schemeA":
         assert any(step.axis and partial == step.duration for step, partial in snaps)
+
+
+@pytest.mark.parametrize("t_total", [1.0 / 3.0, math.pi / 7.0])
+@pytest.mark.parametrize("scheme,order", PULSE_CASES)
+def test_pulse_trace_shares_every_instant_with_its_reference(scheme, order, t_total):
+    """A fine(k) pulse trace and its effective counterpart sample bit-identical times, interior ones too."""
+    k = FINE_SUBSAMPLES[scheme]
+    spec = ExperimentSpec(scheme, 8, 7, t_total, sampling="fine", subsamples=k, order=order)
+    times = run_trace(spec).times()
+    assert times.size == 7 * (k + 1) + 1
+    np.testing.assert_array_equal(times, run_trace(effective_counterpart(spec)).times())
 
 
 @pytest.mark.parametrize("n", [16, 17])
@@ -431,17 +440,6 @@ def test_traces_never_touch_the_full_dimension_state(monkeypatch):
         run_trace(replace(strobe, sampling="fine", subsamples=3))
     for scheme in IDEAL_SCHEMES:
         run_trace(ExperimentSpec(scheme, n, 4, 0.1, sampling="fine", subsamples=3))
-
-
-def test_pulse_outside_a_pair_is_rejected():
-    lone = Schedule("liu1", 1, (free(0.1), pulse("y", 1), free(0.2)), 0.1, 0.3, 1, 1)
-    with pytest.raises(ValueError, match="does not open a"):
-        _pair_steps(lone)
-    crossed = Schedule(
-        "liu1", 1, (free(0.1), pulse("y", 1), free(0.2), pulse("x", -1)), 0.1, 0.3, 1, 2
-    )
-    with pytest.raises(ValueError, match="does not open a"):
-        _pair_steps(crossed)
 
 
 def _leaky_factorization(monkeypatch):

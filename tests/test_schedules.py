@@ -142,16 +142,16 @@ def test_order6_coefficients():
     coeffs = ts_coefficients(6)
     k3 = 1 / (2 - 2 ** (1 / 5))
     assert level_param(3) == pytest.approx(k3, abs=1e-15)
-    assert len(coeffs.leaves) == 9
-    assert sum(coeffs.leaves) == pytest.approx(1.0, abs=1e-12)
-    signs = [math.copysign(1, c) for c in coeffs.leaves]
+    assert len(coeffs) == 9
+    assert sum(coeffs) == pytest.approx(1.0, abs=1e-12)
+    signs = [math.copysign(1, c) for c in coeffs]
     assert signs == [1, -1, 1, -1, 1, -1, 1, -1, 1]
 
 
 @settings(max_examples=10, deadline=None)
 @given(order=st.sampled_from([2, 4, 6, 8, 10, 12]))
 def test_leaf_telescoping(order):
-    assert sum(ts_coefficients(order).leaves) == pytest.approx(1.0, abs=1e-12)
+    assert sum(ts_coefficients(order)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_order6_schedule_shape():
@@ -160,7 +160,7 @@ def test_order6_schedule_shape():
     assert len(free_durations(sched)) == 19
     assert all(d > 0 for d in free_durations(sched))
     assert sched.t_c == pytest.approx(strength_divisor("general", 6) * 0.1, rel=1e-14)
-    assert strength_divisor("general", 6) == 3 * sum(abs(c) for c in ts_coefficients(6).leaves)
+    assert strength_divisor("general", 6) == 3 * sum(abs(c) for c in ts_coefficients(6))
 
 
 def test_general_rejects_bad_orders():
