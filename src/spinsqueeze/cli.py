@@ -2,8 +2,9 @@
 
 Every subcommand is a thin shell over the library; nothing here computes
 physics.  Run flags are generated from `config.KEY_TYPES`, laid over the
---config file's object and parsed once; `scaling` and `timecost` check theirs,
-spin numbers included, with `experiments.check_field`.  Exit codes: 0
+--config file's object and parsed once (`converge` sets n_cycles from
+--nc-list); `scaling` and `timecost` check theirs, spin numbers included,
+and `converge` its cycle counts, with `experiments.check_field`.  Exit codes: 0
 success, 2 validation error (any ValueError), 1 runtime error.
 """
 
@@ -70,15 +71,19 @@ def _add_flags(parser: argparse.ArgumentParser, keys) -> None:
         parser.add_argument("--" + key.replace("_", "-"), type=KEY_TYPES[key], dest=key)
 
 
-def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+def _add_run_flags(parser: argparse.ArgumentParser, keys=tuple(KEY_TYPES)) -> None:
     parser.add_argument("--config", help="JSON config file; flags override its fields")
-    _add_flags(parser, KEY_TYPES)
+    _add_flags(parser, keys)
 
 
-def _run(args: argparse.Namespace) -> tuple[ExperimentSpec, str | None]:
-    """The run and output path of the given flags laid over the --config file's object."""
+def _run(args: argparse.Namespace, **fixed) -> tuple[ExperimentSpec, str | None]:
+    """The run and output path of the given flags laid over the --config file's object.
+
+    `fixed` values replace both, for keys the subcommand sets itself.
+    """
     document = load_config(args.config) if args.config else {}
-    document.update((key, getattr(args, key)) for key in KEY_TYPES if getattr(args, key) is not None)
+    flags = {key: getattr(args, key, None) for key in KEY_TYPES}
+    document.update((key, value) for key, value in {**flags, **fixed}.items() if value is not None)
     return parse_config(document)
 
 
@@ -106,8 +111,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_converge(args: argparse.Namespace) -> int:
-    spec, out = _run(args)
-    nc_list = [int(v) for v in args.nc_list.split(",")]
+    nc_list = [check_field("n_cycles", int(v)) for v in args.nc_list.split(",")]
+    spec, out = _run(args, n_cycles=nc_list[0])  # the sweep's counts are the run's
     rows = nc_convergence(spec.scheme, spec.n_spins, spec.chi, spec.t_total, nc_list, spec.order)
     lines = ["n_cycles,xi2_best_strobe,rel_error"]
     lines.extend(f"{r.n_cycles},{_fmt(r.xi2_best_strobe)},{_fmt(r.rel_error)}" for r in rows)
@@ -169,8 +174,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("converge", help="sweep the cycle count and tabulate convergence")
-    _add_run_flags(p)
-    p.add_argument("--nc-list", required=True, help="comma-separated cycle counts")
+    _add_run_flags(p, [key for key in KEY_TYPES if key != "n_cycles"])
+    p.add_argument(
+        "--nc-list", required=True, help="comma-separated cycle counts; they replace a config file's n_cycles"
+    )
     p.set_defaults(func=_cmd_converge)
 
     p = sub.add_parser("scaling", help="fit the spin-number scaling of the optimal squeezing")

@@ -9,15 +9,20 @@ symmetric tridiagonal and J_y^2 is the same matrix in the (-1)^i gauge, so
 the pulse engine is
 
 * free twisting: diagonal phases on the even sector, O(N);
-* pair evolution: one cached `eigh_tridiagonal` factorization of J_x^2 per
-  spin number, applied as two real products per pair (`pair_coefficients`,
-  then `pair_evolve` for any time inside the pair);
+* pair evolution: one cached factorization of J_x^2 per spin number, its
+  exact eigenvalues m^2 and its eigenvectors from the three-term Wigner-d
+  recurrence in numpy alone (`pair_factorization`), applied as two real
+  products per pair (`pair_coefficients`, then `pair_evolve` for any time
+  inside the pair);
 * `pulse_frame`: the 3x3 signed permutation that maps the mean spin and the
   minimal-variance direction of a state inside a pair back from the frame
   rotated by the opening pulse.
 
 Ideal xy twisting from |J,J> stays in that sector too, where J_x^2 - J_y^2
-is tridiagonal: `twist_window` solves only the eigenpairs |J,J> overlaps.
+is tridiagonal: `twist_window` solves only the eigenpairs |J,J> overlaps,
+with scipy's `stebz`.  scipy is imported inside the functions that use it,
+so a pulse run with an explicit t_total never loads it.
+
 The small-N oracles of the tests and of `trotter_order_fit` keep
 full-dimension tools: the per-period unitary (`schedule_unitary`, its pulses
 exponentiated from the dense J_x and J_y), the full parity-block
@@ -33,7 +38,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, expm
 
 from . import tolerances
 from .spin_ops import (
@@ -43,6 +47,7 @@ from .spin_ops import (
     _frozen,
     build_operators,
     check_dense_fits,
+    even_sector_dim,
 )
 
 HALF_PI = math.pi / 2.0
@@ -125,6 +130,9 @@ def twist_window(n_spins: int) -> EigenFactorization:
     then off 1 by more than TWIST_WINDOW_WEIGHT, it raises
     NumericalConsistencyError, not truncating.
     """
+    # Imported here, not at module level: the pulse engine then runs without scipy.
+    from scipy.linalg import eigh_tridiagonal
+
     band = build_operators(n_spins).twist_band[0::2]
     h = band.size + 1
     half = TWIST_WINDOW_HALF_WIDTH * 2 ** max(0, math.ceil(math.log2(n_spins / TWIST_WINDOW_N)))
@@ -171,6 +179,8 @@ def unitary_distance(u1: np.ndarray, u2: np.ndarray) -> float:
 
 def schedule_unitary(ops: SpinOperators, segments, chi: float) -> np.ndarray:
     """Multiply one period's segments (time ordered) into a dense unitary."""
+    from scipy.linalg import expm  # a small-N oracle's import, kept off the pulse engine's path
+
     u = np.eye(ops.dim, dtype=complex)
     for seg in segments:
         if seg.kind == "free":
@@ -184,7 +194,7 @@ def schedule_unitary(ops: SpinOperators, segments, chi: float) -> np.ndarray:
 # -- even-sector pulse engine ----------------------------------------------------
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=2)  # an entry is h x h floats, 0.8 GB at N = 2*10^4; a run uses one N
 def pair_factorization(n_spins: int) -> EigenFactorization:
     """Eigendecomposition of J_x^2 on the even-index sector, the generator of a y pulse pair.
 
@@ -194,23 +204,101 @@ def pair_factorization(n_spins: int) -> EigenFactorization:
     the off-diagonal, i.e. by the gauge diag((-1)^i), so this one
     factorization serves pairs about both axes.
 
-    The MRRR driver (`stemr`) uses no threaded BLAS, so the eigenvectors, and
-    every pulse trace built on them, do not depend on the BLAS thread count;
-    scipy's default divide-and-conquer driver does.  The exact eigenvalues m^2,
-    m = J mod 1, ..., J, replace `stemr`'s once those are within 64 eps J^2.
+    Its eigenvalues are the exact m^2, m = J mod 1, ..., J, and the column of
+    m^2 is the even rows of the J_x eigenvector of eigenvalue m, i.e. of the
+    Wigner matrix d^J(pi/2) (`_wigner_pair_vectors`).  They are built by
+    elementwise numpy alone, with no LAPACK or BLAS call, so they, and every
+    pulse trace built on them, do not depend on the BLAS thread count.  The
+    banded residual and an orthogonality probe are checked against
+    `tolerances.PAIR_RESIDUAL` and `tolerances.PAIR_ORTHOGONALITY`.
     """
     ops = build_operators(n_spins)
+    h = even_sector_dim(n_spins)
+    check_dense_fits(h, h, 8, f"pair factorization at N={n_spins}")
+    mu = ops.m_values[:h][::-1]  # J mod 1, ..., J
+    vectors = _wigner_pair_vectors(ops.ladder, mu)
     squares = np.zeros(ops.dim + 1)
     squares[1:-1] = ops.ladder**2
     diag = (squares[:-1] + squares[1:])[0::2] / 4.0
-    check_dense_fits(diag.size, diag.size, 8, f"pair factorization at N={n_spins}")
     off = ops.twist_band[0::2] / 2.0
-    w, v = eigh_tridiagonal(diag, off, lapack_driver="stemr")
-    exact = ops.m_values[: diag.size][::-1] ** 2  # m = J mod 1, ..., J
-    error = float(np.abs(w - exact).max())
-    if not error <= 64 * np.finfo(float).eps * ops.total_spin**2:
-        raise NumericalConsistencyError(f"pair spectrum at N={n_spins} is off m^2 by {error:.3e}")
-    return EigenFactorization(_frozen(exact), _frozen(v))
+    residual = _tridiagonal_residual(diag, off, vectors, mu**2) / ops.total_spin**2
+    z = np.cos(np.arange(h))  # a fixed probe with no special relation to the columns
+    drift = float(np.abs(np.einsum("ij,i->j", vectors, np.einsum("ij,j->i", vectors, z)) - z).max())
+    if not (residual <= tolerances.PAIR_RESIDUAL and drift <= tolerances.PAIR_ORTHOGONALITY):
+        raise NumericalConsistencyError(
+            f"pair eigenvectors at N={n_spins}: residual {residual:.1e}, orthogonality drift {drift:.1e}"
+        )
+    return EigenFactorization(_frozen(mu**2), _frozen(vectors))
+
+
+_HUGE = 1e150  # a recurring column that passes it is scaled by 1/_HUGE
+
+
+def _wigner_pair_vectors(ladder: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Unit even-sector eigenvectors of J_x^2, one column per m = mu, from the J_x recurrence.
+
+    Column m solves (L[k-1] d[k-1] + L[k] d[k+1]) / 2 = m d[k], L = ladder,
+    from d[0] = 1 at m_z = J down to the middle, k = 0 ... N//2: each step
+    recurs into the growing solution, which is stable.  Two rows are held;
+    row k goes to V[k/2] when k is even, and its mirror
+    d[N-k] = (-1)^(J-m) d[k] goes to V[(N-k)/2] when N-k is even, which
+    covers odd N.  A column passing _HUGE is scaled down; the rows written
+    before that are scaled in one pass after the loop, with the norms.
+    """
+    n = ladder.size
+    h = mu.size
+    sign = np.where(np.rint(n / 2.0 - mu) % 2 == 0, 1.0, -1.0)
+    vectors = np.empty((h, h))
+    norm2 = np.zeros(h)
+    events = []  # (rows written from the top, first row written from the bottom, columns)
+    top, bottom = 0, h
+    prev, cur = np.zeros(h), np.ones(h)
+    for k in range(n // 2 + 1):
+        if k % 2 == 0:
+            vectors[top] = cur
+            top += 1
+            norm2 += cur * cur
+        if (n - k) % 2 == 0 and n - k != k:
+            bottom -= 1
+            np.multiply(cur, sign, out=vectors[bottom])
+            norm2 += cur * cur
+        if k == n // 2:
+            break
+        nxt = 2.0 * mu * cur
+        if k:
+            nxt -= ladder[k - 1] * prev
+        nxt /= ladder[k]
+        prev, cur = cur, nxt
+        big = np.abs(cur) > _HUGE
+        if big.any():
+            cols = np.flatnonzero(big)
+            cur[cols] /= _HUGE
+            prev[cols] /= _HUGE
+            norm2[cols] /= _HUGE**2
+            events.append((top, bottom, cols))
+    scale = 1.0 / np.sqrt(norm2)
+    for later_top, later_bottom, cols in reversed(events):
+        vectors[later_top:top] *= scale
+        vectors[bottom:later_bottom] *= scale
+        scale[cols] /= _HUGE
+        top, bottom = later_top, later_bottom
+    vectors[:top] *= scale
+    vectors[bottom:] *= scale
+    return vectors
+
+
+def _tridiagonal_residual(diag, off, vectors, values, rows: int = 8) -> float:
+    """max |T V - V diag(values)| of the symmetric tridiagonal T = (diag, off), `rows` rows at a time."""
+    h = diag.size
+    worst = [0.0]
+    for lo in range(0, h, rows):
+        hi = min(lo + rows, h)
+        r = (diag[lo:hi, None] - values) * vectors[lo:hi]
+        up, down = min(hi, h - 1), max(lo, 1)  # rows with a neighbour below, above
+        r[: up - lo] += off[lo:up, None] * vectors[lo + 1 : up + 1]
+        r[down - lo :] += off[down - 1 : hi - 1, None] * vectors[down - 1 : hi - 1]
+        worst.append(np.abs(r, out=r).max())
+    return float(np.max(worst))  # NaN-propagating, unlike the builtin max
 
 
 def _gauge(amps: np.ndarray) -> np.ndarray:

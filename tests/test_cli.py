@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import spinsqueeze
-from spinsqueeze import build_operators, coherent_state_z, run_trace, squeezing_parameter
+from spinsqueeze import build_operators, coherent_state_z, experiments, run_trace, squeezing_parameter
 from spinsqueeze.cli import main, trace_csv
 from spinsqueeze.config import parse_config, parse_sampling
 from spinsqueeze.experiments import ExperimentSpec, oat_optimum
@@ -192,6 +192,22 @@ sys.exit(spinsqueeze.cli.main(["simulate", "--config", {str(config)!r}]))
     assert "unknown config keys: format" in result.stderr
 
 
+def test_pulse_run_imports_no_scipy():
+    """The pulse engine needs numpy alone: a schemeA trace with explicit t_total loads no scipy."""
+    script = """
+import sys
+import spinsqueeze.cli
+from spinsqueeze.experiments import ExperimentSpec, run_trace
+run_trace(ExperimentSpec("schemeA", 41, 5, 0.05, sampling="fine", subsamples=2))
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+"""
+    src = Path(spinsqueeze.__file__).resolve().parent.parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
 def test_compare_emits_three_files(tmp_path):
     out = tmp_path / "cmp"
     code = main(["compare", "--scheme", "schemeA", "--n-spins", "16", "--n-cycles", "5",
@@ -217,12 +233,34 @@ def test_schedule_text_output(tmp_path):
 
 def test_converge_table(tmp_path):
     out = tmp_path / "conv.csv"
-    code = main(["converge", "--scheme", "schemeA", "--n-spins", "20", "--n-cycles", "8",
+    code = main(["converge", "--scheme", "schemeA", "--n-spins", "20",
                  "--t-total", "0.3", "--nc-list", "4,8", "--out", str(out)])
     assert code == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "n_cycles,xi2_best_strobe,rel_error"
-    assert len(lines) == 3
+    assert [line.split(",")[0] for line in lines[1:]] == ["4", "8"]
+
+
+def test_converge_takes_its_cycle_counts_from_nc_list_alone(tmp_path, capsys):
+    """A config file's n_cycles is replaced by the sweep's counts; --n-cycles is no converge flag."""
+    argv = ["converge", "--scheme", "schemeA", "--n-spins", "20", "--t-total", "0.3", "--nc-list", "4,8"]
+    assert main(argv) == 0
+    table = capsys.readouterr().out
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"n_cycles": 999}))
+    assert main(argv + ["--config", str(config)]) == 0
+    assert capsys.readouterr().out == table
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--n-cycles", "999"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("nc_list", ["5,0", "0,5", "5,-3"])
+def test_converge_checks_every_cycle_count_before_any_trace(nc_list, monkeypatch, capsys):
+    monkeypatch.setattr(experiments, "run_trace", None)  # a trace would raise TypeError: exit 1
+    argv = ["converge", "--scheme", "schemeA", "--n-spins", "20", "--t-total", "0.3", "--nc-list", nc_list]
+    assert main(argv) == 2
+    assert "field 'n_cycles' must be >= 1" in capsys.readouterr().err
 
 
 def test_timecost_output(capsys):

@@ -1,9 +1,17 @@
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+import spinsqueeze
 from spinsqueeze import (
     build_operators,
     coherent_state_z,
@@ -292,21 +300,76 @@ def test_pair_spectrum_is_exactly_the_squares(n):
     assert np.array_equal(pair_factorization(n).eigenvalues, exact)
 
 
-def test_pair_spectrum_off_the_squares_raises(monkeypatch):
-    """`stemr`'s eigenvalues replace nothing unless they lie within 64 eps J^2 of m^2."""
-    real = propagate.eigh_tridiagonal
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 41, 400, 401, 1250, 1251])
+def test_pair_vectors_are_dense_eigh_up_to_sign(n):
+    """The recurrence's columns are dense `eigh`'s eigenvectors of the even-sector J_x^2."""
+    jx = build_operators(n).jx.real
+    even = np.arange(0, n + 1, 2)
+    _, v = np.linalg.eigh(jx[even] @ jx[:, even])
+    vectors = pair_factorization(n).eigenvectors
+    signs = np.sign(np.sum(v * vectors, axis=0))
+    assert np.abs(vectors - v * signs).max() <= 1e-12
+    assert vectors[0].min() >= 0.0  # d[0] = 1 > 0 fixes every sign
 
-    def shifted(*args, **kwargs):
-        w, v = real(*args, **kwargs)
-        return w + 1e-9, v
 
-    monkeypatch.setattr(propagate, "eigh_tridiagonal", shifted)
+@pytest.fixture
+def fresh_pair_factorization():
     pair_factorization.cache_clear()
-    try:
-        with pytest.raises(NumericalConsistencyError, match="pair spectrum"):
-            pair_factorization(401)
-    finally:
-        pair_factorization.cache_clear()
+    yield
+    pair_factorization.cache_clear()
+
+
+def test_pair_recurrence_off_its_ladder_raises(monkeypatch, fresh_pair_factorization):
+    """A ladder off by 1e-9 at one step leaves m^2 no eigenvalue: the banded residual shows it."""
+    real = propagate.build_operators
+
+    def corrupted(n_spins):
+        ops = real(n_spins)
+        ladder = ops.ladder.copy()
+        ladder[n_spins // 3] *= 1.0 + 1e-9
+        return replace(ops, ladder=ladder)
+
+    monkeypatch.setattr(propagate, "build_operators", corrupted)
+    with pytest.raises(NumericalConsistencyError, match="pair eigenvectors at N=401: residual"):
+        pair_factorization(401)
+
+
+def test_pair_vectors_off_unit_norm_raise(monkeypatch, fresh_pair_factorization):
+    """A column scaled by 1 + 1e-9 is still an eigenvector; the orthogonality probe catches it."""
+    real = propagate._wigner_pair_vectors
+
+    def stretched(ladder, mu):
+        vectors = real(ladder, mu)
+        vectors[:, 7] *= 1.0 + 1e-9
+        return vectors
+
+    monkeypatch.setattr(propagate, "_wigner_pair_vectors", stretched)
+    with pytest.raises(NumericalConsistencyError, match="orthogonality drift"):
+        pair_factorization(401)
+
+
+def test_pair_vectors_do_not_depend_on_the_blas_thread_count():
+    """V is built without BLAS: its bytes hash alike under 1 and 2 OpenBLAS threads at N = 2001."""
+    script = """
+import hashlib
+from spinsqueeze.propagate import pair_factorization
+print(hashlib.sha256(pair_factorization(2001).eigenvectors.tobytes()).hexdigest())
+"""
+    src = Path(spinsqueeze.__file__).resolve().parent.parent
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+        result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        digests.append(result.stdout)
+    assert digests[0] == digests[1]
+
+
+def test_pair_factorization_cache_holds_two_spin_numbers(fresh_pair_factorization):
+    for n in (10, 11, 12):
+        pair_factorization(n)
+    assert pair_factorization.cache_info().currsize <= 2
 
 
 def test_oversized_dense_arrays_are_refused_before_allocating():
@@ -374,13 +437,13 @@ def test_first_twist_window_is_wide_enough_past_ten_thousand(
     monkeypatch, fresh_twist_window, n, columns
 ):
     """One solve per N: the first window doubles with N past 10^4 instead of solving twice."""
-    real, widths = propagate.eigh_tridiagonal, []
+    real, widths = scipy.linalg.eigh_tridiagonal, []
 
     def counting(*args, **kwargs):
         lo, hi = kwargs["select_range"]
         widths.append(hi - lo + 1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(propagate, "eigh_tridiagonal", counting)
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counting)
     assert twist_window(n).eigenvectors.shape[1] == columns
     assert widths == [columns]
