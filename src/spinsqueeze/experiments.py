@@ -1,23 +1,27 @@
 """Run squeezing experiments: pulse-driven traces, ideal references, sweeps and fits.
 
 Every trace samples one grid, `_sample_times`: t = 0, then per period of
-t_total / n_cycles its interior instants (fine(k) only) and its end.  Pulse
-schemes run on the even-index Dicke sector (see `propagate`): each period is
-the schedule's steps, free z^2 twisting or a pulse pair (a+, tau, a-)
-evolved through its eigen-coefficients.  A fine sample inside a pair is
-taken from those coefficients in the frame rotated by the opening pulse,
-and its mean spin and minimal-variance direction are mapped back with the
-pulse's fixed signed permutation.  Samples fork off the main line, so a
-fine run applies exactly the operations of a stroboscopic one.  Their
-vectors are buffered and measured SAMPLE_BUFFER_ROWS at a time by the
-batched moment kernel `squeezing.even_sector_samples`, whose per-column
-bits do not depend on the batch, so both runs give bit-identical
-period-boundary samples.  No sample builds a full (N+1)-dimensional state.
-At every period boundary the state norm is checked against
+t_total / n_cycles its interior instants (fine(k) only) and its end; a grid
+the memory cannot hold, at SAMPLE_BYTES a sample, is refused by
+`validate_spec`.  Pulse schemes run on the even-index Dicke sector (see
+`propagate`): each period is the schedule's steps, free z^2 twisting or a
+pulse pair (a+, tau, a-) evolved through its eigen-coefficients.  Samples
+fork off the main line, so a fine run applies exactly the operations of a
+stroboscopic one.  The fine samples inside a pair are measured straight
+from those coefficients, all of the pair's at once, by the banded moments
+of `squeezing.pair_sector_moments` in the frame rotated by the opening
+pulse; their mean spin and minimal-variance direction are mapped back with
+the pulse's fixed signed permutation.  Every other sample's vector is
+buffered and measured SAMPLE_BUFFER_ROWS at a time by the batched moment
+kernel `squeezing.even_sector_moments`.  Neither kernel's per-row bits
+depend on the batch, so a fine run's period-boundary samples are a
+stroboscopic run's, bit for bit.  No sample builds a full (N+1)-dimensional
+state.  At every period boundary the state norm is checked against
 `tolerances.NORM_DRIFT`.  Ideal xy twisting (the ideal-TAT trace,
 `tat_optimum`) runs on the same sector, on `twist_window`, with the same
-kernel.  Ideal z^2 twisting (the ideal-OAT trace, `oat_optimum`) evolves no
-state: it is the closed form `squeezing.oat_moments`.  Both optima scan one
+kernel; the scan reuses one set of buffers for all its chunks.  Ideal z^2
+twisting (the ideal-OAT trace, `oat_optimum`) evolves no state: it is the
+closed form `squeezing.oat_moments`.  Both optima scan one
 xi^2 kernel of many times (`_scan_minimize`).  Each run parameter's rule is
 stated once, in `check_field`; `validate_spec` applies it to every spec.
 """
@@ -33,8 +37,10 @@ import numpy as np
 from . import tolerances
 from .propagate import (
     evolve_free,
+    pair_bands,
     pair_coefficients,
     pair_evolve,
+    pair_twist,
     pulse_frame,
     schedule_unitary,
     twist_factorization,
@@ -42,7 +48,7 @@ from .propagate import (
     unitary_distance,
 )
 from .schedules import Step, compile_scheme, delta_t_for, strength_divisor
-from .spin_ops import NumericalConsistencyError, build_operators, even_sector_dim
+from .spin_ops import NumericalConsistencyError, build_operators, even_sector_dim, memory_limit_bytes
 from .squeezing import (
     MEAN_SPIN_EPS_FACTOR,
     MeanSpinVanishing,
@@ -53,7 +59,10 @@ from .squeezing import (
     even_sector_xi2,
     find_optimum,
     min_variance,
+    moment_buffers,
     oat_moments,
+    pair_sector_moments,
+    sector_samples,
 )
 
 PULSE_SCHEMES = ("liu1", "schemeA", "schemeB", "general")
@@ -64,10 +73,14 @@ IDEAL_SCHEMES = ("ideal-TAT", "ideal-OAT")
 PRE_OPTIMUM_FACTOR = 1.5
 
 SCAN_GRID_POINTS = 2000
-# Grid times evaluated per batch.  It bounds the TAT scan's temporaries to a
-# few window x 128 complex arrays; the closed-form OAT grid needs no bound.
-SCAN_CHUNK_COLUMNS = 128
+# TAT grid times evaluated per batch.  It bounds the scan's buffers to a few
+# window x 64 complex arrays, allocated once per scan (128 columns cost 2x the
+# peak RSS and ran no faster); the closed-form OAT grid needs no bound.
+SCAN_CHUNK_COLUMNS = 64
 SAMPLE_BUFFER_ROWS = 4  # samples per batched evaluation: more rows run no faster and raise peak RSS
+# Peak bytes per sample of a trace and its CSV text: 633-696 B measured with
+# tracemalloc over 10^5-sample ideal-OAT, ideal-TAT, liu1 and schemeA runs.
+SAMPLE_BYTES = 700
 
 
 @dataclass(frozen=True)
@@ -110,6 +123,13 @@ def validate_spec(spec: ExperimentSpec) -> None:
         raise ValueError(f"sampling must be 'stroboscopic' or 'fine', got {spec.sampling!r}")
     if spec.sampling == "fine" and spec.subsamples < 1:
         raise ValueError("fine sampling needs subsamples >= 1")
+    samples = spec.n_cycles * (_interior_samples(spec) + 1) + 1
+    limit = memory_limit_bytes()
+    if samples * SAMPLE_BYTES > limit:
+        raise ValueError(
+            f"{samples} samples need {samples * SAMPLE_BYTES / 2**30:.1f} GiB, "
+            f"more than the {limit / 2**30:.1f} GiB of memory available"
+        )
 
 
 def effective_counterpart(spec: ExperimentSpec) -> ExperimentSpec:
@@ -118,13 +138,18 @@ def effective_counterpart(spec: ExperimentSpec) -> ExperimentSpec:
     return replace(spec, scheme="ideal-TAT", divisor=d)
 
 
+def _interior_samples(spec: ExperimentSpec) -> int:
+    """Samples strictly inside each period: k for fine(k), none stroboscopically."""
+    return spec.subsamples if spec.sampling == "fine" else 0
+
+
 def _sample_times(spec: ExperimentSpec) -> list[float]:
     """Every sample instant of a trace: 0, then each period's interior instants and its end.
 
     The period is t_total / n_cycles; fine(k) spaces k instants evenly inside it.
     """
     period = spec.t_total / spec.n_cycles
-    k = spec.subsamples if spec.sampling == "fine" else 0
+    k = _interior_samples(spec)
     times = [0.0]
     for cycle in range(spec.n_cycles):
         t0 = cycle * period
@@ -154,13 +179,6 @@ def _itinerary(steps: tuple[Step, ...], offsets: list[float], period: float) -> 
     return out
 
 
-def _evolve_step(ops, step: Step, psi: np.ndarray, coeffs, chi: float, t: float) -> np.ndarray:
-    """The even-sector vector at time `t` into a step; inside a pair, in its opening pulse's frame."""
-    if step.axis:
-        return pair_evolve(ops.n_spins, step.axis, coeffs, chi, t)
-    return evolve_free(ops, psi, chi, t)
-
-
 def _samples(stamps, xi2, mean, direction, j: float) -> list[SqueezingSample]:
     """Samples from per-column kernel output and one (t, index, frame) stamp per column.
 
@@ -180,8 +198,14 @@ def _samples(stamps, xi2, mean, direction, j: float) -> list[SqueezingSample]:
 
 
 def _pulse_samples(spec: ExperimentSpec) -> list[SqueezingSample]:
-    """Main-line propagation; sample vectors are copied into a buffer evaluated whenever full."""
+    """Main-line propagation; samples are measured in index order.
+
+    Dicke-basis vectors (t = 0, free steps, period ends) are copied into a
+    buffer evaluated whenever full; the samples inside a pulse pair are
+    measured at once from its eigen-coefficients, after the buffer.
+    """
     n = spec.n_spins
+    j = n / 2
     ops = build_operators(n)
     delta_t = delta_t_for(spec.scheme, spec.t_total, spec.n_cycles, spec.order)
     schedule = compile_scheme(spec.scheme, delta_t, spec.n_cycles, spec.order)
@@ -195,12 +219,12 @@ def _pulse_samples(spec: ExperimentSpec) -> list[SqueezingSample]:
     stamps = []
 
     def flush() -> None:
-        samples.extend(_samples(stamps, *even_sector_samples(buffer[: len(stamps)].T, ops), n / 2))
+        samples.extend(_samples(stamps, *even_sector_samples(buffer[: len(stamps)].T, ops), j))
         stamps.clear()
 
-    def take(amps: np.ndarray, index: int, frame=None) -> None:
+    def take(amps: np.ndarray, index: int) -> None:
         buffer[len(stamps)] = amps
-        stamps.append((times[index], index, frame))
+        stamps.append((times[index], index, None))
         if len(stamps) == SAMPLE_BUFFER_ROWS:
             flush()
 
@@ -210,11 +234,21 @@ def _pulse_samples(spec: ExperimentSpec) -> list[SqueezingSample]:
     take(psi, index)
     for _ in range(spec.n_cycles):
         for (step, partials), frame in zip(itinerary, frames):
-            coeffs = pair_coefficients(n, step.axis, psi) if step.axis else None
-            for partial in partials:
-                index += 1
-                take(_evolve_step(ops, step, psi, coeffs, spec.chi, partial), index, frame)
-            psi = _evolve_step(ops, step, psi, coeffs, spec.chi, step.duration)
+            if not step.axis:
+                for partial in partials:
+                    index += 1
+                    take(evolve_free(ops, psi, spec.chi, partial), index)
+                psi = evolve_free(ops, psi, spec.chi, step.duration)
+                continue
+            coeffs = pair_coefficients(n, step.axis, psi)
+            if partials:
+                flush()  # the earlier samples first, so the first vanishing mean spin is reported
+                block = pair_twist(n, coeffs, spec.chi, partials)
+                moments = pair_sector_moments(block, pair_bands(n, step.axis))
+                pair_stamps = [(times[index + i], index + i, frame) for i in range(1, len(partials) + 1)]
+                samples.extend(_samples(pair_stamps, *sector_samples(*moments, j), j))
+                index += len(partials)
+            psi = pair_evolve(n, step.axis, coeffs, spec.chi, step.duration)
         index += 1
         drift = abs(float(np.linalg.norm(psi)) - 1.0)
         if not drift <= tolerances.NORM_DRIFT:
@@ -233,7 +267,7 @@ def _ideal_samples(spec: ExperimentSpec) -> list[SqueezingSample]:
     if spec.scheme == "ideal-OAT":
         return _oat_samples(spec.n_spins, spec.chi, times)
     ops = build_operators(spec.n_spins)
-    states_at = _tat_states(spec.n_spins, spec.chi / spec.divisor)
+    states_at = _tat_states(spec.n_spins, spec.chi / spec.divisor, SAMPLE_BUFFER_ROWS)
     samples = []
     for s in range(0, len(times), SAMPLE_BUFFER_ROWS):
         chunk = times[s : s + SAMPLE_BUFFER_ROWS]
@@ -317,9 +351,9 @@ def _scan_minimize(xi2_of_times, lo: float, hi: float) -> tuple[float, float]:
     """Coarse grid scan followed by golden-section refinement around the best cell.
 
     `xi2_of_times` maps an array of times to xi^2 (+inf where the mean spin
-    vanishes) and gets the grid SCAN_CHUNK_COLUMNS times at a time; the
-    refinement and the final comparison make one-column calls.  Next to the
-    minimum a column's bits depend on its batch by roundoff that grows like
+    vanishes) and gets the whole grid in one call; the refinement and the
+    final comparison make one-column calls.  Next to the minimum a column's
+    bits depend on its batch by roundoff that grows like
     N^2 (the second moments weigh amplitude errors by J^2), at most 1e-9
     relative at 14 N from 8 to 4001 on one BLAS thread, while neighbouring
     grid values there differ by at least 1e-6, so a point-by-point scan picks
@@ -333,9 +367,7 @@ def _scan_minimize(xi2_of_times, lo: float, hi: float) -> tuple[float, float]:
         return float(xi2_of_times(np.array([t]))[0])
 
     ts = np.linspace(lo, hi, SCAN_GRID_POINTS)
-    grid = np.concatenate(
-        [xi2_of_times(ts[s : s + SCAN_CHUNK_COLUMNS]) for s in range(0, ts.size, SCAN_CHUNK_COLUMNS)]
-    )
+    grid = xi2_of_times(ts)
     i = int(np.argmin(grid))
     v_i = f(ts[i])
     a = ts[max(i - 1, 0)]
@@ -346,29 +378,43 @@ def _scan_minimize(xi2_of_times, lo: float, hi: float) -> tuple[float, float]:
     return float(ts[i]), float(v_i)
 
 
-def _tat_states(n_spins: int, rate: float):
-    """Map of times to the (N//2 + 1) x k even-sector states of xy twisting at `rate` from |J,J>."""
+def _tat_states(n_spins: int, rate: float, columns: int):
+    """Map of k <= `columns` times to the (N//2 + 1) x k even-sector states of xy twisting at `rate` from |J,J>.
+
+    Every call writes into the same buffers, so a scan allocates no per-chunk
+    temporaries, and its result is valid until the next call.
+    """
     fac = twist_window(n_spins)
     v, w = fac.eigenvectors, fac.eigenvalues
+    angles = np.empty((columns, w.size))
+    phases = np.empty((columns, w.size), dtype=complex)
+    rows = np.empty((columns, v.shape[0]), dtype=complex)
 
     def states_at(ts: np.ndarray) -> np.ndarray:
         # Built as k contiguous rows, which the moment kernel reduces without a copy.
-        phases = np.exp(-1j * rate * np.outer(ts, w)) * v[0]
-        rows = np.empty((ts.size, v.shape[0]), dtype=complex)
-        rows.real = phases.real @ v.T
-        rows.imag = phases.imag @ v.T
-        return rows.T
+        k = ts.size
+        ph, out = phases[:k], rows[:k]
+        np.multiply(-1j * rate, np.outer(ts, w, out=angles[:k]), out=ph)
+        np.exp(ph, out=ph)
+        ph *= v[0]
+        np.matmul(ph.real, v.T, out=out.real)
+        np.matmul(ph.imag, v.T, out=out.imag)
+        return out.T
 
     return states_at
 
 
 def _tat_scan(n_spins: int):
-    """Map of times to the xi^2 of unit-strength xy twisting from |J,J>."""
+    """Map of times to the xi^2 of unit-strength xy twisting from |J,J>, SCAN_CHUNK_COLUMNS at a time."""
     ops = build_operators(n_spins)
-    states_at = _tat_states(n_spins, 1.0)
+    states_at = _tat_states(n_spins, 1.0, SCAN_CHUNK_COLUMNS)
+    buffers = moment_buffers(SCAN_CHUNK_COLUMNS, even_sector_dim(n_spins))
 
     def xi2_of_times(ts: np.ndarray) -> np.ndarray:
-        return even_sector_xi2(states_at(ts), ops)
+        chunks = range(0, ts.size, SCAN_CHUNK_COLUMNS)
+        return np.concatenate(
+            [even_sector_xi2(states_at(ts[s : s + SCAN_CHUNK_COLUMNS]), ops, buffers) for s in chunks]
+        )
 
     return xi2_of_times
 
@@ -411,14 +457,19 @@ def nc_convergence(
     nc_list,
     order: int = 2,
 ) -> tuple[NcRow, ...]:
-    """Best stroboscopic xi^2 per cycle count, against the ideal twisting minimum."""
+    """Best stroboscopic xi^2 per cycle count, against the ideal twisting minimum.
+
+    Every count's spec is validated before the first trace runs.
+    """
+    specs = [ExperimentSpec(scheme, n_spins, int(nc), t_total, chi=chi, order=order) for nc in nc_list]
+    for spec in specs:
+        validate_spec(spec)
     ideal = tat_optimum(n_spins)
     rows = []
-    for nc in nc_list:
-        spec = ExperimentSpec(scheme, n_spins, int(nc), t_total, chi=chi, order=order)
+    for spec in specs:
         best = find_optimum(run_trace(spec))
         rows.append(
-            NcRow(int(nc), best.xi2_min, abs(best.xi2_min - ideal.xi2_min) / ideal.xi2_min)
+            NcRow(spec.n_cycles, best.xi2_min, abs(best.xi2_min - ideal.xi2_min) / ideal.xi2_min)
         )
     return tuple(rows)
 

@@ -12,8 +12,12 @@ the pulse engine is
 * pair evolution: one cached factorization of J_x^2 per spin number, its
   exact eigenvalues m^2 and its eigenvectors from the three-term Wigner-d
   recurrence in numpy alone (`pair_factorization`), applied as two real
-  products per pair (`pair_coefficients`, then `pair_evolve` for any time
-  inside the pair);
+  products per pair (`pair_coefficients`, then `pair_evolve` at the pair's
+  end);
+* inside a pair: the eigen-coefficients at any times into it
+  (`pair_twist`), and the moment operators J_z, J(J+1) - J_z^2 and J_+^2 in
+  the pair eigenbasis, where they are banded (`pair_bands`, closed forms in
+  O(N)), so a sample there needs no back-transform;
 * `pulse_frame`: the 3x3 signed permutation that maps the mean spin and the
   minimal-variance direction of a state inside a pair back from the frame
   rotated by the opening pulse.
@@ -34,7 +38,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -322,16 +326,88 @@ def pair_coefficients(n_spins: int, axis: str, amps: np.ndarray) -> np.ndarray:
     return real_matvec(fac.eigenvectors.T, _gauge(amps) if axis == "x" else amps)
 
 
+def pair_twist(n_spins: int, coeffs: np.ndarray, chi: float, ts) -> np.ndarray:
+    """The eigen-coefficients exp(-i chi t m^2) c of a pair's state at each time t into it, one row per t.
+
+    `coeffs` are the `pair_coefficients` c of the state the pair starts from.
+    Between the two pulses the true state is the opening pulse applied to
+    V times a row; at t = tau, the pair's free time, the closing pulse undoes
+    it.  A row's bits do not depend on the other times.
+    """
+    rates = -1j * chi * np.asarray(ts, dtype=float)
+    return np.exp(rates[:, None] * pair_factorization(n_spins).eigenvalues) * coeffs
+
+
 def pair_evolve(n_spins: int, axis: str, coeffs: np.ndarray, chi: float, t: float) -> np.ndarray:
     """exp(-i chi t J_b^2) psi from the `pair_coefficients` of psi, with b the axis twisted about.
 
-    Between the two pulses of the pair the true state is the opening pulse
-    applied to this vector; at t = tau, the pair's free time, the closing
-    pulse undoes it and this is the state after the pair.
+    At t = tau, the pair's free time, this is the state after the pair.
     """
     fac = pair_factorization(n_spins)
-    amps = real_matvec(fac.eigenvectors, np.exp(-1j * chi * t * fac.eigenvalues) * coeffs)
+    amps = real_matvec(fac.eigenvectors, pair_twist(n_spins, coeffs, chi, [t])[0])
     return _gauge(amps) if axis == "x" else amps
+
+
+@dataclass(frozen=True)
+class PairBands:
+    """The even-sector moment operators A in the pair eigenbasis V: diagonals of V^T A V.
+
+    Each field holds the diagonals at offsets -w, ..., w, each as
+    `np.diag(V^T A V, offset)`:
+    * `jz`, w = 1: A = J_z;
+    * `transverse`, w = 2: A = J(J+1) - J_z^2;
+    * `twist`, w = 2: A = the J_+^2 band whose mean is P (`squeezing.even_sector_moments`).
+    Every entry outside these bands is zero.
+    """
+
+    jz: tuple[np.ndarray, ...]
+    transverse: tuple[np.ndarray, ...]
+    twist: tuple[np.ndarray, ...]
+
+
+@lru_cache(maxsize=4)  # O(N) floats an entry: both axes of two spin numbers
+def pair_bands(n_spins: int, axis: str) -> PairBands:
+    """The `PairBands` of a pair about `axis`, from closed forms in O(N).
+
+    Column m of V is the even part of the J_x eigenvectors of eigenvalue
+    +/-m, and J_z acts on those as a ladder: Z = V^T J_z V is tridiagonal with
+    zero diagonal and super-diagonal sqrt(J(J+1) - m(m+1))/2 (times sqrt 2 at
+    m = 0, even N), except Z = (J + 1/2)/2 at m = 1/2, odd N, where +/-1/2
+    meet.  With D = diag(m^2) = V^T J_x^2 V, J_y^2 = J(J+1) - J_x^2 - J_z^2 and
+    J_x J_y + J_y J_x = i [J_x^2, J_z], the other two are J(J+1) - Z^2 and
+    J_+^2 = 2 D + Z^2 - J(J+1) - [D, Z].  A pair about x acts in the gauge
+    diag((-1)^i), which only flips the sign of J_+^2.  No matrix product is
+    made, so the bands do not depend on the BLAS thread count.
+    """
+    if axis == "x":
+        bands = pair_bands(n_spins, "y")
+        return replace(bands, twist=tuple(_frozen(-d) for d in bands.twist))
+    ops = build_operators(n_spins)
+    h = even_sector_dim(n_spins)
+    jj = ops.total_spin * (ops.total_spin + 1.0)
+    mu = ops.m_values[:h][::-1]
+    z0 = np.zeros(h)
+    z1 = np.sqrt(jj - mu[:-1] * (mu[:-1] + 1.0)) / 2.0
+    if n_spins % 2:
+        z0[0] = (ops.total_spin + 0.5) / 2.0
+    elif h > 1:
+        z1[0] *= math.sqrt(2.0)
+    sq0 = z0**2  # the diagonals of Z^2 at offsets 0, 1, 2
+    sq0[:-1] += z1**2
+    sq0[1:] += z1**2
+    sq1 = z1 * (z0[:-1] + z0[1:])
+    sq2 = z1[:-1] * z1[1:]
+    comm = (2.0 * mu[:-1] + 1.0) * z1  # [Z, D] above the diagonal: (mu_(a+1)^2 - mu_a^2) Z_(a, a+1)
+    t1, t2 = -sq1, -sq2
+    bands = PairBands(
+        jz=(z1, z0, z1),
+        transverse=(t2, t1, jj - sq0, t1, t2),
+        twist=(sq2, sq1 - comm, 2.0 * mu**2 + sq0 - jj, sq1 + comm, sq2),
+    )
+    for diagonals in (bands.jz, bands.transverse, bands.twist):
+        for d in diagonals:
+            _frozen(d)
+    return bands
 
 
 def pulse_frame(axis: str, sign: int) -> np.ndarray:

@@ -4,7 +4,9 @@ xi^2 = 2 * (minimal spin variance perpendicular to the mean spin) / J,
 normalized so a coherent state gives exactly 1.  Every production sample
 comes from a closed form: even-sector states (pulse and ideal-TAT traces,
 the TAT scan) from the batched band moments of `even_sector_moments`, one
-column per sample, and z^2 twisting from `oat_moments`.  The
+column per sample, a state inside a pulse pair from the banded moments of
+its pair eigen-coefficients (`pair_sector_moments`), both through one tail
+(`sector_samples`), and z^2 twisting from `oat_moments`.  The
 full-dimension `squeezing_parameter` is the oracle they are tested against.
 """
 
@@ -136,48 +138,94 @@ def squeezing_parameter(
     return SqueezingSample(t=t, xi2=xi2, mean_spin=mean, min_variance_direction=direction[0])
 
 
-def even_sector_moments(amps: np.ndarray, ops: SpinOperators):
-    """xi^2, <J_z>, T = J(J+1) - <J_z^2> and P = <J_+^2> of every column of an (N//2 + 1) x k block.
+def moment_buffers(columns: int, h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scratch for `even_sector_moments` of up to `columns` columns of length h, reusable across calls."""
+    return np.empty((columns, max(h - 1, 0)), dtype=complex), np.empty((columns, h)), np.empty((columns, h))
 
-    On the even-index sector <J_x> = <J_y> = 0 exactly and the transverse covariance
-    is <J_x^2> = (T + Re P)/2, <J_y^2> = (T - Re P)/2, Cov(J_x, J_y) = Im P/2, with
-    P = 2 sum_i twist_band[2i] conj(a_i) a_(i+1); so xi^2 = (T - |P|) / J (Kitagawa
-    and Ueda, PRA 47, 5138, 1993), clipped at 0, +inf where |<J_z>| <=
-    MEAN_SPIN_EPS_FACTOR * J.  Each column is summed as one contiguous row of the
-    transposed block with no BLAS product, so its bits do not depend on k.
+
+def even_sector_moments(amps: np.ndarray, ops: SpinOperators, buffers=None):
+    """<J_z>, T = J(J+1) - <J_z^2> and P = <J_+^2> of every column of an (N//2 + 1) x k block.
+
+    P = 2 sum_i twist_band[2i] conj(a_i) a_(i+1).  Each column is summed as one
+    contiguous row of the transposed block with no BLAS product, so its bits do
+    not depend on k.  The k x N/2 temporaries are written into `buffers`
+    (`moment_buffers`), fresh ones when it is None: a scan that passes the same
+    buffers for every chunk allocates none of them again.
     """
     rows = np.ascontiguousarray(amps.T)  # no copy for the transposed rows callers pass
+    k, h = rows.shape
+    p, weight, scratch = (b[:k] for b in (buffers or moment_buffers(k, h)))
     j = ops.total_spin
-    p = rows[:, :-1].conj()  # the k x (h - 1) products, in place, then their sums
+    np.conjugate(rows[:, :-1], out=p)  # the k x (h - 1) products, in place, then their sums
     p *= ops.twist_band[0::2]
     p *= rows[:, 1:]
     p = 2.0 * p.sum(axis=-1)
+    np.square(rows.real, out=weight)
+    weight += np.square(rows.imag, out=scratch)
+    jz = np.multiply(ops.m_values[0::2], weight, out=scratch).sum(axis=-1)
+    transverse = np.multiply(j * (j + 1.0) - ops.jz_sq_diag[0::2], weight, out=scratch).sum(axis=-1)
+    return jz, transverse, p
+
+
+def pair_sector_moments(coeffs: np.ndarray, bands):
+    """<J_z>, T and P, as `even_sector_moments`, of every row of a k x (N//2 + 1) block of pair eigen-coefficients.
+
+    A row c stands for the state V c, V the pair eigenvectors
+    (`propagate.pair_twist`).  Each moment is c^dagger B c with B = V^T A V
+    banded, summed from B's diagonals (`propagate.pair_bands`): O(N) per row
+    and no back-transform to the Dicke basis.  Each row is summed as one
+    contiguous row with no BLAS product, so its bits do not depend on k.
+    """
+    rows = np.ascontiguousarray(coeffs)
     weight = rows.real**2
     weight += rows.imag**2
-    jz = (ops.m_values[0::2] * weight).sum(axis=-1)
-    transverse = ((j * (j + 1.0) - ops.jz_sq_diag[0::2]) * weight).sum(axis=-1)
+    products = [rows[:, :-d].conj() * rows[:, d:] for d in (1, 2)]  # conj(c_i) c_(i+d)
+
+    def form(diagonals) -> np.ndarray:
+        w = len(diagonals) // 2  # the diagonals run over offsets -w ... w
+        total = (diagonals[w] * weight).sum(axis=-1)
+        for d in range(1, w + 1):
+            q = products[d - 1]
+            total = total + (diagonals[w + d] * q + diagonals[w - d] * q.conj()).sum(axis=-1)
+        return total
+
+    return form(bands.jz).real, form(bands.transverse).real, form(bands.twist)
+
+
+def sector_xi2(jz, transverse, p, j: float) -> np.ndarray:
+    """xi^2 = (T - |P|) / J of even-sector moments, clipped at 0, +inf where |<J_z>| <= MEAN_SPIN_EPS_FACTOR J.
+
+    On the even-index sector <J_x> = <J_y> = 0 exactly and the transverse covariance
+    is <J_x^2> = (T + Re P)/2, <J_y^2> = (T - Re P)/2, Cov(J_x, J_y) = Im P/2
+    (Kitagawa and Ueda, PRA 47, 5138, 1993).
+    """
     xi2 = np.maximum(transverse - np.abs(p), 0.0) / j
-    return np.where(np.abs(jz) <= MEAN_SPIN_EPS_FACTOR * j, np.inf, xi2), jz, transverse, p
+    return np.where(np.abs(jz) <= MEAN_SPIN_EPS_FACTOR * j, np.inf, xi2)
 
 
-def even_sector_xi2(amps: np.ndarray, ops: SpinOperators) -> np.ndarray:
-    """The xi^2 column of `even_sector_moments`, no directions."""
-    return even_sector_moments(amps, ops)[0]
+def sector_samples(jz, transverse, p, j: float):
+    """xi^2, mean spins (0, 0, <J_z>) and minimal-variance directions (k x 3) of even-sector moments.
 
-
-def even_sector_samples(amps: np.ndarray, ops: SpinOperators):
-    """xi^2, mean spins (0, 0, <J_z>) and minimal-variance directions (k x 3) per column.
-
-    The directions are those `squeezing_parameter` finds: in the basis
+    The one tail of `even_sector_moments` and `pair_sector_moments`.  The
+    directions are those `squeezing_parameter` finds: in the basis
     (e_x, sign<J_z> e_y) that `transverse_basis` picks for such a mean spin.
     """
-    xi2, jz, transverse, p = even_sector_moments(amps, ops)
     sign = np.sign(jz)
     mean = np.column_stack([np.zeros((jz.size, 2)), jz])
     basis = (np.array([1.0, 0.0, 0.0]), sign[:, None] * np.array([0.0, 1.0, 0.0]))
     c11, c22 = (transverse + p.real) / 2.0, (transverse - p.real) / 2.0
     _, direction = min_variance(c11, c22, sign * p.imag / 2.0, basis)
-    return xi2, mean, direction
+    return sector_xi2(jz, transverse, p, j), mean, direction
+
+
+def even_sector_xi2(amps: np.ndarray, ops: SpinOperators, buffers=None) -> np.ndarray:
+    """The xi^2 of every column of `even_sector_moments`, no directions."""
+    return sector_xi2(*even_sector_moments(amps, ops, buffers), ops.total_spin)
+
+
+def even_sector_samples(amps: np.ndarray, ops: SpinOperators):
+    """`sector_samples` of every column of `even_sector_moments`."""
+    return sector_samples(*even_sector_moments(amps, ops), ops.total_spin)
 
 
 @dataclass(frozen=True)

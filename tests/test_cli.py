@@ -263,6 +263,15 @@ def test_converge_checks_every_cycle_count_before_any_trace(nc_list, monkeypatch
     assert "field 'n_cycles' must be >= 1" in capsys.readouterr().err
 
 
+def test_converge_checks_every_sample_count_before_any_trace(monkeypatch, capsys):
+    """A cycle count whose samples memory cannot hold exits 2 before the first count's trace runs."""
+    monkeypatch.setattr(experiments, "run_trace", None)  # a trace would raise TypeError: exit 1
+    argv = ["converge", "--scheme", "schemeA", "--n-spins", "20", "--t-total", "0.3",
+            "--nc-list", "5,1000000000000"]
+    assert main(argv) == 2
+    assert "samples need" in capsys.readouterr().err
+
+
 def test_timecost_output(capsys):
     assert main(["timecost", "--n-spins", "60"]) == 0
     out = capsys.readouterr().out
@@ -357,6 +366,8 @@ def _cli_bytes(args: list[str], threads: str, tmp_path) -> bytes:
         ["timecost", "--n-spins", "300"],
         ["scaling", "--scheme", "ideal-TAT", "--n-list", "60,121,240", "--out", "{out}"],
         ["simulate", "--scheme", "schemeB", "--n-spins", "1250", "--n-cycles", "17", "--out", "{out}"],
+        ["simulate", "--scheme", "schemeB", "--n-spins", "1250", "--n-cycles", "17",
+         "--sampling", "fine(8)", "--out", "{out}"],
         ["timecost", "--n-spins", "4000"],
         ["simulate", "--scheme", "ideal-TAT", "--n-spins", "2000", "--n-cycles", "50", "--out", "{out}"],
         ["simulate", "--scheme", "schemeA", "--n-spins", "1250", "--n-cycles", "50",
@@ -392,6 +403,22 @@ def test_run_too_large_for_memory_exits_2_before_allocating():
     )
     assert result.returncode == 2, result.stderr
     assert "memory" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--scheme", "ideal-OAT", "--n-spins", "4", "--n-cycles", "1000000000000"],
+        ["compare", "--scheme", "schemeA", "--n-spins", "4", "--n-cycles", "3",
+         "--sampling", "fine(1000000000000)", "--out", "{out}"],
+    ],
+)
+def test_more_samples_than_memory_holds_exit_2_at_once(argv, tmp_path, capsys):
+    """10^12 samples are refused before the first one is built, not run until killed."""
+    argv = [arg.replace("{out}", str(tmp_path)) for arg in argv]
+    assert main(argv) == 2
+    assert "samples need" in capsys.readouterr().err
+    assert not (tmp_path / "seq.csv").exists()
 
 
 def test_closed_form_oat_run_at_large_n_fits_the_same_limit():

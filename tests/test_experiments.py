@@ -68,6 +68,31 @@ def test_spec_validation():
             run_trace(bad)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ExperimentSpec("ideal-OAT", 4, 999, 0.1),
+        ExperimentSpec("ideal-TAT", 4, 111, 0.1, sampling="fine", subsamples=8),
+        ExperimentSpec("schemeA", 4, 1, 0.1, sampling="fine", subsamples=998),
+    ],
+)
+def test_sample_count_is_checked_against_memory_before_any_sample(spec, monkeypatch):
+    """A 1000-sample run that the (patched) memory limit cannot hold raises ValueError at once."""
+    from spinsqueeze import experiments
+
+    assert len(_sample_times(spec)) == 1000
+    monkeypatch.setattr(experiments, "memory_limit_bytes", lambda: 999 * experiments.SAMPLE_BYTES)
+
+    def fail(*args):
+        raise AssertionError("a trace ran past the sample-count check")
+
+    monkeypatch.setattr(experiments, "_sample_times", fail)
+    with pytest.raises(ValueError, match="1000 samples need .* GiB, more than"):
+        run_trace(spec)
+    monkeypatch.setattr(experiments, "memory_limit_bytes", lambda: 1000 * experiments.SAMPLE_BYTES)
+    validate_spec(spec)
+
+
 def test_traces_are_deterministic():
     spec = ExperimentSpec("schemeB", 30, 8, 0.1, sampling="fine", subsamples=4)
     a, b = run_trace(spec), run_trace(spec)

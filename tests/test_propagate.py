@@ -25,6 +25,7 @@ from spinsqueeze.propagate import (
     EigenFactorization,
     evolve_free,
     pair_coefficients,
+    pair_bands,
     pair_evolve,
     pair_factorization,
     pulse_frame,
@@ -310,6 +311,36 @@ def test_pair_vectors_are_dense_eigh_up_to_sign(n):
     signs = np.sign(np.sum(v * vectors, axis=0))
     assert np.abs(vectors - v * signs).max() <= 1e-12
     assert vectors[0].min() >= 0.0  # d[0] = 1 > 0 fixes every sign
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 40, 41])
+def test_pair_bands_are_the_moment_operators_in_the_pair_basis(n, axis):
+    """The cached diagonals are those of dense W^T A W, W the (gauged, for x) pair eigenvectors,
+    for A = J_z, J(J+1) - J_z^2 and the J_+^2 band; every entry off the band is ~0."""
+    ops = build_operators(n)
+    h = n // 2 + 1
+    j = ops.total_spin
+    m = ops.m_values[0::2]
+    raising = np.diag(2.0 * ops.twist_band[0::2], 1) if h > 1 else np.zeros((1, 1))
+    gauge = (-1.0) ** np.arange(h) if axis == "x" else np.ones(h)
+    w = gauge[:, None] * pair_factorization(n).eigenvectors
+    bands = pair_bands(n, axis)
+    for operator, diagonals in (
+        (np.diag(m), bands.jz),
+        (np.diag(j * (j + 1) - m**2), bands.transverse),
+        (raising, bands.twist),
+    ):
+        dense = w.T @ operator @ w
+        width = len(diagonals) // 2
+        banded = np.zeros_like(dense)
+        for offset, diagonal in zip(range(-width, width + 1), diagonals):
+            assert diagonal.shape == (max(h - abs(offset), 0),)
+            assert not diagonal.flags.writeable
+            if diagonal.size:
+                np.testing.assert_allclose(diagonal, np.diag(dense, offset), rtol=0, atol=1e-12 * j**2)
+                banded += np.diag(diagonal, offset)
+        assert np.abs(dense - banded).max() <= 1e-12 * j**2
 
 
 @pytest.fixture

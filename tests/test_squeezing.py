@@ -11,15 +11,20 @@ from spinsqueeze import (
     squeezing_parameter,
 )
 from spinsqueeze.experiments import tat_optimum
-from spinsqueeze.propagate import pair_coefficients, pair_evolve, twist_window
+from spinsqueeze.experiments import _samples
+from spinsqueeze.propagate import pair_bands, pair_coefficients, pair_evolve, pair_twist, twist_window
 from spinsqueeze.spin_ops import even_sector_state
 from spinsqueeze.squeezing import (
     MeanSpinVanishing,
     SqueezingSample,
     SqueezingTrace,
+    even_sector_moments,
     even_sector_samples,
     even_sector_xi2,
+    moment_buffers,
     oat_moments,
+    pair_sector_moments,
+    sector_samples,
     transverse_basis,
 )
 
@@ -203,6 +208,9 @@ def test_even_sector_kernel_matches_squeezing_parameter(n):
     xi2, mean, direction = even_sector_samples(amps, ops)
     np.testing.assert_array_equal(even_sector_xi2(amps, ops), xi2)
     np.testing.assert_array_equal(even_sector_xi2(np.asfortranarray(amps), ops), xi2)
+    reused = moment_buffers(amps.shape[1] + 3, amps.shape[0])
+    for _ in range(2):  # buffers larger than the block, written twice
+        np.testing.assert_array_equal(even_sector_xi2(amps, ops, reused), xi2)
     assert np.all(mean[:, :2] == 0.0)
     vanished = []
     for i, col in enumerate(amps.T):
@@ -217,6 +225,71 @@ def test_even_sector_kernel_matches_squeezing_parameter(n):
         assert np.abs(direction[i] - want.min_variance_direction).max() <= 1e-10
     assert vanished == ([amps.shape[1] - 1] if n > 1 else [])
     np.testing.assert_array_equal(np.flatnonzero(np.isinf(xi2)), vanished)
+
+
+def _pair_columns(n):
+    """A TAT-evolved and a random even-sector state: the starts of the pairs below."""
+    h = n // 2 + 1
+    fac = twist_window(n)
+    evolved = fac.eigenvectors @ (np.exp(-3j * fac.eigenvalues / n) * fac.eigenvectors[0])
+    rng = np.random.default_rng(n)
+    rand = rng.normal(size=h) + 1j * rng.normal(size=h)
+    return evolved, rand / np.linalg.norm(rand)
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+@pytest.mark.parametrize("n", [40, 41, 400, 401])
+def test_pair_band_moments_match_the_amplitude_path(n, axis):
+    """Samples inside a pair from its eigen-coefficients and `pair_bands` agree with the
+    back-transformed amplitudes (`pair_evolve`) measured by `even_sector_samples`."""
+    ops = build_operators(n)
+    j = ops.total_spin
+    ts = np.array([0.0, 0.3, 2.0, 7.0, 20.0]) / n
+    for psi in _pair_columns(n):
+        coeffs = pair_coefficients(n, axis, psi)
+        got = sector_samples(*pair_sector_moments(pair_twist(n, coeffs, 1.3, ts), pair_bands(n, axis)), j)
+        amps = np.column_stack([pair_evolve(n, axis, coeffs, 1.3, t) for t in ts])
+        want = even_sector_samples(amps, ops)
+        assert np.all(np.isfinite(want[0]))
+        np.testing.assert_allclose(got[0], want[0], rtol=1e-9, atol=0.0)
+        assert np.abs(got[1] - want[1]).max() <= 1e-9 * j
+        assert np.abs(got[2] - want[2]).max() <= 1e-9
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+@pytest.mark.parametrize("n", [40, 41])
+def test_pair_band_moments_of_a_row_do_not_depend_on_the_block(n, axis):
+    """Each row of a k-row block gets the bits of a one-row call, from `pair_twist` on."""
+    coeffs = pair_coefficients(n, axis, _pair_columns(n)[0])
+    ts = np.linspace(0.0, 9.0 / n, 7)
+    bands = pair_bands(n, axis)
+    block = pair_twist(n, coeffs, 1.0, ts)
+    moments = pair_sector_moments(block, bands)
+    for i, t in enumerate(ts):
+        row = pair_twist(n, coeffs, 1.0, [t])
+        np.testing.assert_array_equal(row[0], block[i])
+        for whole, single in zip(moments, pair_sector_moments(row, bands)):
+            assert whole[i].tobytes() == single[0].tobytes()
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+@pytest.mark.parametrize("n", [40, 41])
+def test_vanishing_mean_spin_inside_a_pair_names_the_same_sample_on_both_paths(n, axis):
+    """A row with <J_z> = 0 among pair samples raises MeanSpinVanishing at its own index,
+    from the banded moments as from the back-transformed amplitudes."""
+    ops = build_operators(n)
+    balanced = _even_sector_columns(n)[:, -1]  # <J_z> = 0
+    rows = [pair_twist(n, pair_coefficients(n, axis, psi), 1.0, [0.5 / n])[0] for psi in _pair_columns(n)]
+    rows.insert(1, pair_coefficients(n, axis, balanced))
+    rows.append(pair_coefficients(n, axis, balanced))
+    block = np.array(rows)
+    stamps = [(0.1 * i, 7 + i, None) for i in range(len(rows))]
+    banded = sector_samples(*pair_sector_moments(block, pair_bands(n, axis)), ops.total_spin)
+    amps = np.column_stack([pair_evolve(n, axis, row, 1.0, 0.0) for row in block])
+    for measured in (banded, even_sector_samples(amps, ops)):
+        np.testing.assert_array_equal(np.isinf(measured[0]), [False, True, False, True])
+        with pytest.raises(MeanSpinVanishing, match="^sample 8 at"):
+            _samples(stamps, *measured, ops.total_spin)
 
 
 @pytest.mark.parametrize("n", [2000, 4001])
