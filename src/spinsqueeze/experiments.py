@@ -5,13 +5,15 @@ t_total / n_cycles its interior instants (fine(k) only) and its end; a grid
 the memory cannot hold, at SAMPLE_BYTES a sample, is refused by
 `validate_spec`.  Pulse schemes run on the even-index Dicke sector (see
 `propagate`): each period is the schedule's steps, free z^2 twisting or a
-pulse pair (a+, tau, a-) evolved through its eigen-coefficients.  Samples
-fork off the main line, so a fine run applies exactly the operations of a
-stroboscopic one.  The fine samples inside a pair are measured straight
-from those coefficients, all of the pair's at once, by the banded moments
-of `squeezing.pair_sector_moments` in the frame rotated by the opening
-pulse; their mean spin and minimal-variance direction are mapped back with
-the pulse's fixed signed permutation.  Every other sample's vector is
+pulse pair (a+, tau, a-) evolved through its eigen-coefficients.  A
+step's phases, and those of the fine samples inside it, depend only on
+durations, so each is built once per trace.  Samples fork off the main
+line, so a fine run applies exactly the operations of a stroboscopic one.
+The fine samples inside a pair are measured straight from those
+coefficients, all of the pair's at once, by the banded moments of
+`squeezing.pair_sector_moments` in the frame rotated by the opening pulse;
+their mean spin and minimal-variance direction are mapped back with the
+pulse's fixed signed permutation.  Every other sample's vector is
 buffered and measured SAMPLE_BUFFER_ROWS at a time by the batched moment
 kernel `squeezing.even_sector_moments`.  Neither kernel's per-row bits
 depend on the batch, so a fine run's period-boundary samples are a
@@ -36,11 +38,11 @@ import numpy as np
 
 from . import tolerances
 from .propagate import (
-    evolve_free,
+    free_phases,
+    pair_amplitudes,
     pair_bands,
     pair_coefficients,
-    pair_evolve,
-    pair_twist,
+    pair_phases,
     pulse_frame,
     schedule_unitary,
     twist_factorization,
@@ -212,7 +214,17 @@ def _pulse_samples(spec: ExperimentSpec) -> list[SqueezingSample]:
     times = _sample_times(spec)
     per = (len(times) - 1) // spec.n_cycles  # samples per period; times[1:per] are its interior offsets
     itinerary = _itinerary(schedule.steps, times[1:per], times[per])
-    frames = [pulse_frame(step.axis, step.sign) if step.axis else None for step, _ in itinerary]
+
+    def step_phases(step: Step, ts: list[float]):
+        """One row of phases per time t into `step`: applied as `amps * row` when free, `row * coeffs` in a pair."""
+        return pair_phases(n, spec.chi, ts) if step.axis else [free_phases(ops, spec.chi, t) for t in ts]
+
+    # Phases depend only on the step and the times into it, so each is built once per trace.
+    legs = [
+        (step, pulse_frame(step.axis, step.sign) if step.axis else None, step_phases(step, [step.duration])[0],
+         step_phases(step, partials))
+        for step, partials in itinerary
+    ]
 
     samples: list[SqueezingSample] = []
     buffer = np.empty((SAMPLE_BUFFER_ROWS, even_sector_dim(n)), dtype=complex)
@@ -233,22 +245,21 @@ def _pulse_samples(spec: ExperimentSpec) -> list[SqueezingSample]:
     index = 0
     take(psi, index)
     for _ in range(spec.n_cycles):
-        for (step, partials), frame in zip(itinerary, frames):
+        for step, frame, phase, inner in legs:
             if not step.axis:
-                for partial in partials:
+                for row in inner:
                     index += 1
-                    take(evolve_free(ops, psi, spec.chi, partial), index)
-                psi = evolve_free(ops, psi, spec.chi, step.duration)
+                    take(psi * row, index)
+                psi = psi * phase
                 continue
             coeffs = pair_coefficients(n, step.axis, psi)
-            if partials:
+            if len(inner):
                 flush()  # the earlier samples first, so the first vanishing mean spin is reported
-                block = pair_twist(n, coeffs, spec.chi, partials)
-                moments = pair_sector_moments(block, pair_bands(n, step.axis))
-                pair_stamps = [(times[index + i], index + i, frame) for i in range(1, len(partials) + 1)]
+                moments = pair_sector_moments(inner * coeffs, pair_bands(n, step.axis))
+                pair_stamps = [(times[index + i], index + i, frame) for i in range(1, len(inner) + 1)]
                 samples.extend(_samples(pair_stamps, *sector_samples(*moments, j), j))
-                index += len(partials)
-            psi = pair_evolve(n, step.axis, coeffs, spec.chi, step.duration)
+                index += len(inner)
+            psi = pair_amplitudes(n, step.axis, phase * coeffs)
         index += 1
         drift = abs(float(np.linalg.norm(psi)) - 1.0)
         if not drift <= tolerances.NORM_DRIFT:

@@ -374,6 +374,9 @@ def _cli_bytes(args: list[str], threads: str, tmp_path) -> bytes:
          "--sampling", "fine(8)", "--out", "{out}"],
         ["simulate", "--scheme", "ideal-TAT", "--n-spins", "1250", "--n-cycles", "50",
          "--sampling", "fine(8)", "--out", "{out}"],
+        ["simulate", "--scheme", "schemeA", "--n-spins", "2001", "--n-cycles", "50", "--out", "{out}"],
+        ["simulate", "--scheme", "schemeB", "--n-spins", "2000", "--n-cycles", "17",
+         "--sampling", "fine(8)", "--out", "{out}"],
     ],
 )
 def test_optimum_search_output_is_thread_count_independent(args, tmp_path):

@@ -29,6 +29,7 @@ from spinsqueeze.propagate import (
     pair_evolve,
     pair_factorization,
     pulse_frame,
+    real_product,
     schedule_unitary,
     twist_window,
 )
@@ -385,6 +386,40 @@ def test_pair_vectors_do_not_depend_on_the_blas_thread_count():
 import hashlib
 from spinsqueeze.propagate import pair_factorization
 print(hashlib.sha256(pair_factorization(2001).eigenvectors.tobytes()).hexdigest())
+"""
+    src = Path(spinsqueeze.__file__).resolve().parent.parent
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+        result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        digests.append(result.stdout)
+    assert digests[0] == digests[1]
+
+
+@pytest.mark.parametrize("h", [1, 2, 3, 63, 64, 65, 626, 1001, 2001])
+def test_real_product_is_the_dense_product(h):
+    """Both row-blocked products equal dense V x and V^T x, across block remainders and below one block."""
+    rng = np.random.default_rng(h)
+    v = rng.normal(size=(h, h)) / np.sqrt(h)
+    x = rng.normal(size=h) + 1j * rng.normal(size=h)
+    bound = 1e-13 * np.linalg.norm(x)
+    assert np.abs(real_product(v, x) - v @ x).max() <= bound
+    assert np.abs(real_product(v, x, transpose=True) - v.T @ x).max() <= bound
+
+
+def test_real_product_does_not_depend_on_the_blas_thread_count():
+    """Both products hash alike under 1 and 2 OpenBLAS threads at h = 2001 and 5001."""
+    script = """
+import hashlib
+import numpy as np
+from spinsqueeze.propagate import real_product
+for h in (2001, 5001):
+    rng = np.random.default_rng(h)
+    v = rng.normal(size=(h, h))
+    x = rng.normal(size=h) + 1j * rng.normal(size=h)
+    print(hashlib.sha256(real_product(v, x).tobytes() + real_product(v, x, transpose=True).tobytes()).hexdigest())
 """
     src = Path(spinsqueeze.__file__).resolve().parent.parent
     digests = []
