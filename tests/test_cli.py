@@ -192,20 +192,40 @@ sys.exit(spinsqueeze.cli.main(["simulate", "--config", {str(config)!r}]))
     assert "unknown config keys: format" in result.stderr
 
 
-def test_pulse_run_imports_no_scipy():
-    """The pulse engine needs numpy alone: a schemeA trace with explicit t_total loads no scipy."""
-    script = """
-import sys
-import spinsqueeze.cli
-from spinsqueeze.experiments import ExperimentSpec, run_trace
-run_trace(ExperimentSpec("schemeA", 41, 5, 0.05, sampling="fine", subsamples=2))
-assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
-"""
+def test_pulse_run_imports_no_scipy(tmp_path):
+    """Every CLI path needs numpy alone: a pulse trace and each subcommand below load no scipy.
+
+    Each runs in its own interpreter.  The ideal-TAT reference (timecost,
+    scaling, simulate ideal-TAT, a default t_total, compare, converge) solves
+    the twist window, the pulse runs the pair factorization.
+    """
+    runs = [
+        "from spinsqueeze.experiments import ExperimentSpec, run_trace\n"
+        "run_trace(ExperimentSpec('schemeA', 41, 5, 0.05, sampling='fine', subsamples=2))"
+    ] + [
+        f"assert spinsqueeze.cli.main({argv!r}) == 0"
+        for argv in (
+            ["timecost", "--n-spins", "200"],
+            ["scaling", "--scheme", "ideal-TAT", "--n-list", "20,41,80"],
+            ["simulate", "--scheme", "ideal-TAT", "--n-spins", "101", "--n-cycles", "5"],
+            ["simulate", "--scheme", "schemeA", "--n-spins", "101", "--n-cycles", "5"],
+            ["compare", "--scheme", "schemeA", "--n-spins", "60", "--n-cycles", "5", "--out", str(tmp_path / "cmp")],
+            ["converge", "--scheme", "schemeA", "--n-spins", "40", "--nc-list", "5,10"],
+            ["schedule", "--scheme", "schemeB", "--n-spins", "40", "--n-cycles", "2"],
+        )
+    ]
     src = Path(spinsqueeze.__file__).resolve().parent.parent
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
-    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
+    for run in runs:
+        script = f"""
+import sys
+import spinsqueeze.cli
+{run}
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+"""
+        result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert result.returncode == 0, (run, result.stderr)
 
 
 def test_compare_emits_three_files(tmp_path):

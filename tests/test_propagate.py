@@ -6,7 +6,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
@@ -33,7 +32,7 @@ from spinsqueeze.propagate import (
     schedule_unitary,
     twist_window,
 )
-from spinsqueeze import propagate, tolerances
+from spinsqueeze import propagate, tolerances, tridiagonal
 from spinsqueeze.spin_ops import NumericalConsistencyError, even_sector_state
 from spinsqueeze.schedules import compile_scheme, free, pulse
 from spinsqueeze.experiments import trotter_order_fit
@@ -472,6 +471,56 @@ def test_twist_window_states_match_dense_twisting(n):
         assert np.abs(fac.apply(start, t) - dense[0::2]).max() <= 1e-12
 
 
+def test_twist_window_does_not_depend_on_the_blas_thread_count():
+    """The window's bytes hash alike under 1 and 2 OpenBLAS threads at N = 2001."""
+    script = """
+import hashlib
+from spinsqueeze.propagate import twist_window
+fac = twist_window(2001)
+print(hashlib.sha256(fac.eigenvectors.tobytes() + fac.eigenvalues.tobytes()).hexdigest())
+"""
+    src = Path(spinsqueeze.__file__).resolve().parent.parent
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+        result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        digests.append(result.stdout)
+    assert digests[0] == digests[1]
+
+
+def test_twist_window_off_its_band_raises(monkeypatch, fresh_twist_window):
+    """Eigenpairs of a band off by 1e-9 at one step fail the banded residual against the true band."""
+    real = tridiagonal.window_eigenpairs
+
+    def corrupted(band, lo, hi, what):
+        band = band.copy()
+        band[band.size // 3] *= 1.0 + 1e-9
+        return real(band, lo, hi, what)
+
+    monkeypatch.setattr(tridiagonal, "window_eigenpairs", corrupted)
+    with pytest.raises(NumericalConsistencyError, match="twist window at N=2001: residual"):
+        twist_window(2001)
+
+
+def test_twist_window_off_unit_norm_raises(monkeypatch, fresh_twist_window):
+    """A column scaled by 1 + 1e-9 is still an eigenvector; the orthogonality probe catches it.
+
+    The column is the one |J,J> overlaps least, so the captured weight stays within bounds.
+    """
+    real = tridiagonal.window_eigenpairs
+
+    def stretched(band, lo, hi, what):
+        w, v = real(band, lo, hi, what)
+        v[:, np.argmin(np.abs(v[0]))] *= 1.0 + 1e-9
+        return w, v
+
+    monkeypatch.setattr(tridiagonal, "window_eigenpairs", stretched)
+    with pytest.raises(NumericalConsistencyError, match="twist window at N=2001: .*orthogonality drift"):
+        twist_window(2001)
+
+
 @pytest.fixture
 def fresh_twist_window():
     twist_window.cache_clear()
@@ -503,13 +552,12 @@ def test_first_twist_window_is_wide_enough_past_ten_thousand(
     monkeypatch, fresh_twist_window, n, columns
 ):
     """One solve per N: the first window doubles with N past 10^4 instead of solving twice."""
-    real, widths = scipy.linalg.eigh_tridiagonal, []
+    real, widths = tridiagonal.window_eigenpairs, []
 
-    def counting(*args, **kwargs):
-        lo, hi = kwargs["select_range"]
+    def counting(band, lo, hi, what):
         widths.append(hi - lo + 1)
-        return real(*args, **kwargs)
+        return real(band, lo, hi, what)
 
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counting)
+    monkeypatch.setattr(tridiagonal, "window_eigenpairs", counting)
     assert twist_window(n).eigenvectors.shape[1] == columns
     assert widths == [columns]
