@@ -392,24 +392,34 @@ def _scan_minimize(xi2_of_times, lo: float, hi: float) -> tuple[float, float]:
 def _tat_states(n_spins: int, rate: float, columns: int):
     """Map of k <= `columns` times to the (N//2 + 1) x k even-sector states of xy twisting at `rate` from |J,J>.
 
-    Every call writes into the same buffers, so a scan allocates no per-chunk
-    temporaries, and its result is valid until the next call.
+    Two real GEMMs on the `twist_window`: its even-row vectors times
+    c cos(lambda t) give the real even rows, its odd-row vectors times
+    -c sin(lambda t) the imaginary odd rows (c = the overlaps with |J,J>),
+    each written straight into its part of one complex row buffer whose
+    other parts stay 0.  Every call writes into the same buffers, so a scan
+    allocates no per-chunk temporaries, and its result is valid until the
+    next call.
     """
-    fac = twist_window(n_spins)
-    v, w = fac.eigenvectors, fac.eigenvalues
+    win = twist_window(n_spins)
+    w, even, odd = win.values, win.even, win.odd
+    null = w.size - odd.shape[1]  # 1 at odd h: the null vector has no sin term
+    overlaps, sin_overlaps = even[0], -even[0, null:]
     angles = np.empty((columns, w.size))
-    phases = np.empty((columns, w.size), dtype=complex)
-    rows = np.empty((columns, v.shape[0]), dtype=complex)
+    coeffs = np.empty((columns, w.size))
+    rows = np.zeros((columns, even.shape[0] + odd.shape[0]), dtype=complex)
 
     def states_at(ts: np.ndarray) -> np.ndarray:
         # Built as k contiguous rows, which the moment kernel reduces without a copy.
         k = ts.size
-        ph, out = phases[:k], rows[:k]
-        np.multiply(-1j * rate, np.outer(ts, w, out=angles[:k]), out=ph)
-        np.exp(ph, out=ph)
-        ph *= v[0]
-        np.matmul(ph.real, v.T, out=out.real)
-        np.matmul(ph.imag, v.T, out=out.imag)
+        a, c, out = angles[:k], coeffs[:k], rows[:k]
+        np.outer(ts, w, out=a)
+        a *= rate
+        np.cos(a, out=c)
+        c *= overlaps
+        np.matmul(c, even.T, out=out.real[:, 0::2])
+        c = np.sin(a[:, null:], out=c[:, null:])
+        c *= sin_overlaps
+        np.matmul(c, odd.T, out=out.imag[:, 1::2])
         return out.T
 
     return states_at

@@ -16,23 +16,22 @@ the pulse engine is
   coefficients (`pair_amplitudes`), each one pass over V (`real_product`);
 * phases: a free step's (`free_phases`) and a pair's (`pair_phases`)
   depend only on their durations, so a trace builds each once;
-* inside a pair: the eigen-coefficients at any times into it
-  (`pair_twist`), and the moment operators J_z, J(J+1) - J_z^2 and J_+^2 in
-  the pair eigenbasis, where they are banded (`pair_bands`, closed forms in
-  O(N)), so a sample there needs no back-transform;
+* inside a pair: the moment operators J_z, J(J+1) - J_z^2 and J_+^2 in the
+  pair eigenbasis, where they are banded (`pair_bands`, closed forms in
+  O(N)), so a sample there is summed from the pair's phased
+  eigen-coefficients with no back-transform;
 * `pulse_frame`: the 3x3 signed permutation that maps the mean spin and the
   minimal-variance direction of a state inside a pair back from the frame
   rotated by the opening pulse.
 
 Ideal xy twisting from |J,J> stays in that sector too, where J_x^2 - J_y^2
-is tridiagonal with zero diagonal: `twist_window` solves only the eigenpairs
-|J,J> overlaps, in numpy alone (`tridiagonal`: Sturm multisection,
-safeguarded Newton, one twisted inverse-iteration step, one symmetric
-orthogonalization step).  On one BLAS thread that solve takes 0.017, 0.023,
-0.044, 0.30 and 0.85 s at N = 400, 800, 2000, 10^4 and 2*10^4, where
-LAPACK's bisection (scipy's `stebz`) took 0.021, 0.040, 0.093, 0.66 and
-3.3 s.  No production path imports scipy; the small-N oracles below import
-it inside the functions that use it.
+is tridiagonal with zero diagonal, so its spectrum is +/-lambda with
+mirrored vectors.  `twist_window` keeps only the lambda >= 0 that |J,J>
+overlaps, split into even-row and odd-row vectors (`TwistWindow`), solved
+in numpy alone (`tridiagonal`): twisting from |J,J> is a real cos product
+on the even rows and an imaginary sin product on the odd ones.  No
+production path imports scipy; the small-N oracles below import it inside
+the functions that use it.
 
 The small-N oracles of the tests and of `trotter_order_fit` keep
 full-dimension tools: the per-period unitary (`schedule_unitary`, its pulses
@@ -82,9 +81,7 @@ def real_product(matrix: np.ndarray, vector: np.ndarray, transpose: bool = False
     small-matrix kernel, which runs on the calling thread: the result's bits
     do not depend on the BLAS thread count.  matrix @ vector writes each
     block's rows straight into the output; matrix.T @ vector adds the blocks'
-    matrix[block].T @ vector[block] in row order.  On one thread a product
-    takes 0.43 ms at h = 1001 and 1.6 ms at h = 2001, where the GEMV pair
-    took 0.69 and 2.8 ms.
+    matrix[block].T @ vector[block] in row order.
     """
     rows, cols = matrix.shape
     pairs = np.ascontiguousarray(vector, dtype=complex).view(float).reshape(-1, 2)
@@ -157,19 +154,36 @@ def twist_factorization(n_spins: int) -> EigenFactorization:
     return EigenFactorization(_frozen(values), _frozen(vectors))
 
 
-@lru_cache(maxsize=32)  # an entry is (N//2 + 1) x ~200 floats, 8 MB at N = 10^4
-def twist_window(n_spins: int) -> EigenFactorization:
-    """The eigenpairs of the even block of J_x^2 - J_y^2 that overlap |J,J>, a middle window.
+@dataclass(frozen=True)
+class TwistWindow:
+    """The eigenpairs lambda >= 0 of the even block of J_x^2 - J_y^2 that |J,J> overlaps, split by row parity.
 
-    xy twisting from |J,J> is then V (exp(-i w t) V[0]), V of size (N//2 + 1) x
-    window.  The window is solved by index in numpy alone (`tridiagonal`),
-    starts at 2 TWIST_WINDOW_HALF_WIDTH + 1 columns (twice that per doubling of N
-    past TWIST_WINDOW_N) and is doubled until |V[0]| <= TWIST_WINDOW_EDGE at both
-    ends, or it is the whole block; if sum |V[0]|^2 is then off 1 by more than
-    TWIST_WINDOW_WEIGHT, it raises NumericalConsistencyError, not truncating.  The
-    banded residual and the orthogonality probe of `_check_eigenpairs` guard the
-    solve.  V is column-major: the GEMMs with V^T that build twisted states
-    ran 8% slower on a row-major V (N = 2000).
+    `values` ascend, with 0 first at odd h = N//2 + 1; `even` holds the
+    orthonormal sqrt 2 v(lambda)[0::2] (the null vector itself at 0), `odd`
+    the orthonormal sqrt 2 v(lambda)[1::2] of the lambda > 0.  The block has
+    zero diagonal, so v(-lambda) = diag((-1)^i) v(lambda), and twisting from
+    |J,J> is, with the overlaps c = even[0],
+    psi(t)[0::2] = even (c cos(lambda t)) and psi(t)[1::2] = -i odd (c sin(lambda t)).
+    """
+
+    values: np.ndarray
+    even: np.ndarray
+    odd: np.ndarray
+
+
+@lru_cache(maxsize=32)  # an entry is (N//2 + 1) x ~100 floats, 4 MB at N = 10^4
+def twist_window(n_spins: int) -> TwistWindow:
+    """The `TwistWindow` of N spins, solved in numpy alone (`tridiagonal.window_eigenpairs`).
+
+    The number of lambda > 0 starts at TWIST_WINDOW_HALF_WIDTH (twice that per
+    doubling of N past TWIST_WINDOW_N) and doubles until the largest one's
+    |<J,J|v>| <= TWIST_WINDOW_EDGE (its mirror's is the same), or the window
+    is the whole block.  If the captured weight |even[0]|^2 is then off 1 by
+    more than TWIST_WINDOW_WEIGHT, it raises NumericalConsistencyError, not
+    truncating.  The banded residual of every solved vector and the
+    orthogonality probes of `even` and `odd` (`_check_eigenpairs`) guard the
+    solve.  Both are column-major, the faster layout for the GEMMs with their
+    transposes that build twisted states.
     """
     band = build_operators(n_spins).twist_band[0::2]
     h = band.size + 1
@@ -178,30 +192,38 @@ def twist_window(n_spins: int) -> EigenFactorization:
     from .tridiagonal import window_eigenpairs
 
     while True:
-        lo, hi = max(h // 2 - half, 0), min(h // 2 + half, h - 1)
-        w, v = window_eigenpairs(band, lo, hi, f"twist window at N={n_spins}")
-        if hi - lo == h - 1 or max(abs(v[0, 0]), abs(v[0, -1])) <= tolerances.TWIST_WINDOW_EDGE:
+        count = min(half, h // 2)
+        w, even, odd = window_eigenpairs(band, count, f"twist window at N={n_spins}")
+        if count == h // 2 or abs(even[0, -1]) / math.sqrt(2.0) <= tolerances.TWIST_WINDOW_EDGE:
             break
         half *= 2
-    missing = abs(float(v[0] @ v[0]) - 1.0)
+    missing = abs(float(even[0] @ even[0]) - 1.0)
     if not missing <= tolerances.TWIST_WINDOW_WEIGHT:
         raise NumericalConsistencyError(
-            f"twist window {lo}..{hi} of {h} at N={n_spins} misses weight {missing:.1e}"
+            f"twist window {h // 2 - count}..{(h - 1) // 2 + count} of {h} at N={n_spins} "
+            f"misses weight {missing:.1e}"
         )
+    vectors = np.zeros((h, w.size))  # the solved v(lambda), lambda >= 0
+    vectors[0::2] = even
+    vectors[1::2, h % 2 :] = odd
+    vectors[:, h % 2 :] /= math.sqrt(2.0)
     scale = 2.0 * float(band.max()) if band.size else 1.0
-    _check_eigenpairs(f"twist window at N={n_spins}", np.zeros(h), band, v, w, scale)
-    return EigenFactorization(_frozen(w), _frozen(v))
+    residual = _tridiagonal_residual(np.zeros(h), band, vectors, w) / scale
+    _check_eigenpairs(f"twist window at N={n_spins}", residual, even, odd)
+    return TwistWindow(_frozen(w), _frozen(even), _frozen(odd))
 
 
-def _check_eigenpairs(what: str, diag, off, vectors, values, scale: float) -> None:
-    """Raise NumericalConsistencyError unless T V = V diag(values) and V^T V = 1 within the PAIR bounds.
+def _check_eigenpairs(what: str, residual: float, *bases: np.ndarray) -> None:
+    """Raise NumericalConsistencyError unless `residual` and every basis X pass the PAIR bounds.
 
-    T = (diag, off) is symmetric tridiagonal; its banded residual is divided by
-    `scale`, about ||T||, and |V^T V z - z| is probed with a fixed z.
+    `residual` is a banded residual |T V - V diag(values)| over about ||T||;
+    X^T X = 1 is probed as |X^T X z - z| with a fixed z.
     """
-    residual = _tridiagonal_residual(diag, off, vectors, values) / scale
-    z = np.cos(np.arange(vectors.shape[1]))  # a fixed probe with no special relation to the columns
-    drift = float(np.abs(np.einsum("ij,i->j", vectors, np.einsum("ij,j->i", vectors, z)) - z).max())
+    drifts = [0.0]
+    for x in bases:
+        z = np.cos(np.arange(x.shape[1]))  # a fixed probe with no special relation to the columns
+        drifts.append(np.abs(np.einsum("ij,i->j", x, np.einsum("ij,j->i", x, z)) - z).max(initial=0.0))
+    drift = float(np.max(drifts))  # NaN-propagating, unlike the builtin max
     if not (residual <= tolerances.PAIR_RESIDUAL and drift <= tolerances.PAIR_ORTHOGONALITY):
         raise NumericalConsistencyError(f"{what}: residual {residual:.1e}, orthogonality drift {drift:.1e}")
 
@@ -274,7 +296,8 @@ def pair_factorization(n_spins: int) -> EigenFactorization:
     squares[1:-1] = ops.ladder**2
     diag = (squares[:-1] + squares[1:])[0::2] / 4.0
     off = ops.twist_band[0::2] / 2.0
-    _check_eigenpairs(f"pair eigenvectors at N={n_spins}", diag, off, vectors, mu**2, ops.total_spin**2)
+    residual = _tridiagonal_residual(diag, off, vectors, mu**2) / ops.total_spin**2
+    _check_eigenpairs(f"pair eigenvectors at N={n_spins}", residual, vectors)
     return EigenFactorization(_frozen(mu**2), _frozen(vectors))
 
 
@@ -360,11 +383,6 @@ def free_phases(ops: SpinOperators, chi: float, t: float) -> np.ndarray:
     return np.exp(-1j * chi * t * ops.jz_sq_diag[0::2])
 
 
-def evolve_free(ops: SpinOperators, amps: np.ndarray, chi: float, t: float) -> np.ndarray:
-    """exp(-i chi J_z^2 t) on an even-sector amplitude vector."""
-    return amps * free_phases(ops, chi, t)
-
-
 def pair_coefficients(n_spins: int, axis: str, amps: np.ndarray) -> np.ndarray:
     """Eigen-coefficients of an even-sector state for a pair of pulses about `axis`.
 
@@ -383,29 +401,10 @@ def pair_phases(n_spins: int, chi: float, ts) -> np.ndarray:
     return np.exp(rates[:, None] * pair_factorization(n_spins).eigenvalues)
 
 
-def pair_twist(n_spins: int, coeffs: np.ndarray, chi: float, ts) -> np.ndarray:
-    """The eigen-coefficients exp(-i chi t m^2) c of a pair's state at each time t into it, one row per t.
-
-    `coeffs` are the `pair_coefficients` c of the state the pair starts from.
-    Between the two pulses the true state is the opening pulse applied to
-    V times a row; at t = tau, the pair's free time, the closing pulse undoes
-    it.  A row's bits do not depend on the other times.
-    """
-    return pair_phases(n_spins, chi, ts) * coeffs
-
-
 def pair_amplitudes(n_spins: int, axis: str, coeffs: np.ndarray) -> np.ndarray:
     """The even-sector state V c of eigen-coefficients c of a pair about `axis`: undoes `pair_coefficients`."""
     amps = real_product(pair_factorization(n_spins).eigenvectors, coeffs)
     return _gauge(amps) if axis == "x" else amps
-
-
-def pair_evolve(n_spins: int, axis: str, coeffs: np.ndarray, chi: float, t: float) -> np.ndarray:
-    """exp(-i chi t J_b^2) psi from the `pair_coefficients` of psi, with b the axis twisted about.
-
-    At t = tau, the pair's free time, this is the state after the pair.
-    """
-    return pair_amplitudes(n_spins, axis, pair_twist(n_spins, coeffs, chi, [t])[0])
 
 
 @dataclass(frozen=True)

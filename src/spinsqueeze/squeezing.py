@@ -170,8 +170,8 @@ def even_sector_moments(amps: np.ndarray, ops: SpinOperators, buffers=None):
 def pair_sector_moments(coeffs: np.ndarray, bands):
     """<J_z>, T and P, as `even_sector_moments`, of every row of a k x (N//2 + 1) block of pair eigen-coefficients.
 
-    A row c stands for the state V c, V the pair eigenvectors
-    (`propagate.pair_twist`).  Each moment is c^dagger B c with B = V^T A V
+    A row c stands for the state V c, V the pair eigenvectors, e.g. the
+    phased coefficients exp(-i chi t m^2) c of a pair's state t into it.  Each moment is c^dagger B c with B = V^T A V
     banded, summed from B's diagonals (`propagate.pair_bands`): O(N) per row
     and no back-transform to the Dicke basis.  Each row is summed as one
     contiguous row with no BLAS product, so its bits do not depend on k.

@@ -1,7 +1,7 @@
-"""Eigenpairs of a symmetric tridiagonal matrix with zero diagonal, by index, in numpy alone.
+"""The smallest positive eigenpairs of a symmetric tridiagonal matrix with zero diagonal, in numpy alone.
 
-`propagate.twist_window` solves a middle window of the even block of
-J_x^2 - J_y^2 with `window_eigenpairs`.  Every step is elementwise numpy or
+`propagate.twist_window` solves the middle of the spectrum of the even block
+of J_x^2 - J_y^2 with `window_eigenpairs`.  Every step is elementwise numpy or
 `np.einsum` without `optimize`, with no LAPACK or BLAS call, so the result's
 bytes do not depend on the BLAS thread count, and no scipy is needed.  Only
 `twist_window` imports this module, on first use.
@@ -21,47 +21,31 @@ TIGHTENING_SWEEPS = 2  # multisection sweeps after isolation: each makes Newton'
 NEWTON_SWEEPS = 100  # more than bisection alone needs to reach roundoff
 
 
-def window_eigenpairs(band: np.ndarray, lo: int, hi: int, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs lo..hi, ascending, of the symmetric tridiagonal T with zero diagonal and off-diagonal `band`.
+def window_eigenpairs(band: np.ndarray, count: int, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The `count` smallest positive eigenpairs of the symmetric tridiagonal T with zero diagonal and off-diagonal `band`.
 
     D T D = -T with D = diag((-1)^i), so the spectrum is +/-lambda with
     v(-lambda) = D v(lambda), and at odd size 0 is an eigenvalue whose vector
-    lives on the even rows.  Only the window's lambda > 0 are solved
-    (`_positive_eigenvalues`, `_twisted_vectors`); the null vector
-    (`_null_vector`) and the mirrors make up the rest.  The whole symmetric set
-    is then orthogonalized once by the first-order step V <- V (I - E/2),
-    E = V^T V - I.  The step commutes with the orthogonal change to the basis
-    (v(lambda) +/- v(-lambda)) / sqrt 2, whose vectors live on the even or on
-    the odd rows, so E splits into the Gram matrices of the two row sets and
-    the step runs on each (`_orthogonalize`).  V is column-major.
-
-    The window must straddle the middle, reaching no further below it than
-    above: h//2 - lo <= hi + 1 - (h + 1)//2, h = band.size + 1.  `what` names
-    the solve in the error raised when its arrays cannot fit in memory.
+    lives on the even rows.  The basis (v(lambda) +/- v(-lambda)) / sqrt 2
+    splits by rows: the even-row vectors sqrt 2 v[0::2] are orthonormal, and
+    so are the odd-row ones sqrt 2 v[1::2].  Returned are the values, the
+    even-row and the odd-row vectors, ascending, with 0 and the null vector
+    (`_null_vector`) first at odd size; no mirror is formed.  The lambda > 0
+    are solved by `_positive_eigenvalues` and `_twisted_vectors`, then each
+    row set is orthogonalized once (`_orthogonalize`).  Both vector sets are
+    column-major.  `what` names the solve in the error raised when its arrays
+    cannot fit in memory.
     """
     h = band.size + 1
-    k = hi - lo + 1
-    check_dense_fits(h, k, 3 * 8, what)  # at its peak the solver holds three h x k float arrays
-    values = _positive_eigenvalues(band, hi - (h + 1) // 2 + 1)
+    check_dense_fits(h, count, 4 * 8, what)  # at its peak the solver holds four h x count float arrays
+    values = _positive_eigenvalues(band, count)
     vectors = _twisted_vectors(band, values)
     even = math.sqrt(2.0) * vectors[0::2]
     if h % 2:
+        values = np.concatenate([[0.0], values])
         even = np.column_stack([_null_vector(band), even])
-    even = _orthogonalize(even)
-    null, even = even[:, : h % 2], even[:, h % 2 :] / math.sqrt(2.0)
-    odd = _orthogonalize(math.sqrt(2.0) * vectors[1::2]) / math.sqrt(2.0)
-    neg = h // 2 - lo  # columns of negative eigenvalues, mirrors of the first `neg` positive ones
-    pos = values.size
-    w = np.zeros(k)
-    v = np.zeros((h, k), order="F")
-    w[k - pos :] = values
-    v[0::2, k - pos :] = even
-    v[1::2, k - pos :] = odd
-    w[:neg] = -values[:neg][::-1]
-    v[0::2, :neg] = even[:, :neg][:, ::-1]
-    v[1::2, :neg] = -odd[:, :neg][:, ::-1]
-    v[0::2, neg : neg + h % 2] = null
-    return w, v
+    odd = math.sqrt(2.0) * vectors[1::2]
+    return values, np.asfortranarray(_orthogonalize(even)), np.asfortranarray(_orthogonalize(odd))
 
 
 def _positive_eigenvalues(band: np.ndarray, count: int) -> np.ndarray:

@@ -22,10 +22,8 @@ from spinsqueeze import (
 from spinsqueeze.propagate import (
     HALF_PI,
     EigenFactorization,
-    evolve_free,
     pair_coefficients,
     pair_bands,
-    pair_evolve,
     pair_factorization,
     pulse_frame,
     real_product,
@@ -35,9 +33,10 @@ from spinsqueeze.propagate import (
 from spinsqueeze import propagate, tolerances, tridiagonal
 from spinsqueeze.spin_ops import NumericalConsistencyError, even_sector_state
 from spinsqueeze.schedules import compile_scheme, free, pulse
-from spinsqueeze.experiments import trotter_order_fit
+from spinsqueeze.experiments import _tat_states, trotter_order_fit
 
 from conftest import mean_spin, oat_evolved, random_state, rotated
+from oracles import evolve_free, full_window, pair_evolve
 
 
 def unitarity_defect(u: np.ndarray) -> float:
@@ -450,7 +449,7 @@ def test_oversized_dense_arrays_are_refused_before_allocating():
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 40, 41])
 def test_twist_window_is_the_whole_even_block_at_small_n(n):
     h = n // 2 + 1
-    fac = twist_window(n)
+    fac = full_window(n)
     assert fac.eigenvectors.shape == (h, h)
     band = build_operators(n).twist_band[0::2]
     np.testing.assert_allclose(
@@ -458,17 +457,23 @@ def test_twist_window_is_the_whole_even_block_at_small_n(n):
     )
 
 
-@pytest.mark.parametrize("n", [400, 401, 2000])
+@pytest.mark.parametrize("n", [400, 401, 402, 403, 2000])
 def test_twist_window_states_match_dense_twisting(n):
-    """V (exp(-i w t) V[0]) on the window is exp(-i t (J_x^2 - J_y^2))|J,J>, odd rows zero."""
-    fac = twist_window(n)
+    """V (exp(-i w t) V[0]) on the mirrored window, and the cos/sin products the ideal-TAT
+    traces use on the split one, are exp(-i t (J_x^2 - J_y^2))|J,J>, odd rows zero.
+
+    N = 402 and 403 (h = 202) have no null vector, and the lower edge is a mirror."""
+    fac = full_window(n)
     assert fac.eigenvectors.shape[1] < n // 2 + 1
     start = np.zeros(n // 2 + 1, dtype=complex)
     start[0] = 1.0
-    for t in np.linspace(0.0, 10.0 / n, 5):
+    ts = np.linspace(0.0, 10.0 / n, 5)
+    states = _tat_states(n, 1.0, ts.size)(ts)
+    for t, state in zip(ts, states.T):
         dense = evolve_twist(coherent_state_z(n), 1.0, t).amplitudes
         assert np.abs(dense[1::2]).max() == 0.0
         assert np.abs(fac.apply(start, t) - dense[0::2]).max() <= 1e-12
+        assert np.abs(state - dense[0::2]).max() <= 1e-12
 
 
 def test_twist_window_does_not_depend_on_the_blas_thread_count():
@@ -476,8 +481,8 @@ def test_twist_window_does_not_depend_on_the_blas_thread_count():
     script = """
 import hashlib
 from spinsqueeze.propagate import twist_window
-fac = twist_window(2001)
-print(hashlib.sha256(fac.eigenvectors.tobytes() + fac.eigenvalues.tobytes()).hexdigest())
+win = twist_window(2001)
+print(hashlib.sha256(win.even.tobytes() + win.odd.tobytes() + win.values.tobytes()).hexdigest())
 """
     src = Path(spinsqueeze.__file__).resolve().parent.parent
     digests = []
@@ -494,10 +499,10 @@ def test_twist_window_off_its_band_raises(monkeypatch, fresh_twist_window):
     """Eigenpairs of a band off by 1e-9 at one step fail the banded residual against the true band."""
     real = tridiagonal.window_eigenpairs
 
-    def corrupted(band, lo, hi, what):
+    def corrupted(band, count, what):
         band = band.copy()
         band[band.size // 3] *= 1.0 + 1e-9
-        return real(band, lo, hi, what)
+        return real(band, count, what)
 
     monkeypatch.setattr(tridiagonal, "window_eigenpairs", corrupted)
     with pytest.raises(NumericalConsistencyError, match="twist window at N=2001: residual"):
@@ -505,16 +510,20 @@ def test_twist_window_off_its_band_raises(monkeypatch, fresh_twist_window):
 
 
 def test_twist_window_off_unit_norm_raises(monkeypatch, fresh_twist_window):
-    """A column scaled by 1 + 1e-9 is still an eigenvector; the orthogonality probe catches it.
+    """A solved vector scaled by 1 + 1e-9 is still an eigenvector; the orthogonality probe catches it.
 
-    The column is the one |J,J> overlaps least, so the captured weight stays within bounds.
+    It is the one |J,J> overlaps least, so the captured weight stays within bounds; its
+    even rows and its odd rows are scaled alike.
     """
     real = tridiagonal.window_eigenpairs
 
-    def stretched(band, lo, hi, what):
-        w, v = real(band, lo, hi, what)
-        v[:, np.argmin(np.abs(v[0]))] *= 1.0 + 1e-9
-        return w, v
+    def stretched(band, count, what):
+        w, even, odd = real(band, count, what)
+        null = w.size - odd.shape[1]  # the null vector's column leads `even` at odd h
+        col = np.argmin(np.abs(even[0, null:]))
+        even[:, null + col] *= 1.0 + 1e-9
+        odd[:, col] *= 1.0 + 1e-9
+        return w, even, odd
 
     monkeypatch.setattr(tridiagonal, "window_eigenpairs", stretched)
     with pytest.raises(NumericalConsistencyError, match="twist window at N=2001: .*orthogonality drift"):
@@ -530,13 +539,13 @@ def fresh_twist_window():
 
 def test_narrow_first_window_widens_until_its_edges_vanish(monkeypatch, fresh_twist_window):
     monkeypatch.setattr(propagate, "TWIST_WINDOW_HALF_WIDTH", 4)
-    v = twist_window(400).eigenvectors
+    v = full_window(400).eigenvectors
     assert 9 < v.shape[1] < 201
     assert max(abs(v[0, 0]), abs(v[0, -1])) <= tolerances.TWIST_WINDOW_EDGE
     start = np.zeros(201, dtype=complex)
     start[0] = 1.0
     dense = evolve_twist(coherent_state_z(400), 1.0, 0.0125).amplitudes
-    assert np.abs(twist_window(400).apply(start, 0.0125) - dense[0::2]).max() <= 1e-12
+    assert np.abs(full_window(400).apply(start, 0.0125) - dense[0::2]).max() <= 1e-12
 
 
 def test_loose_window_edge_raises_instead_of_truncating(monkeypatch, fresh_twist_window):
@@ -547,17 +556,17 @@ def test_loose_window_edge_raises_instead_of_truncating(monkeypatch, fresh_twist
         twist_window(400)
 
 
-@pytest.mark.parametrize("n,columns", [(10**4, 193), (10**4 + 2, 385)])
+@pytest.mark.parametrize("n,columns", [(10**4, 193), (10**4 + 2, 384)])
 def test_first_twist_window_is_wide_enough_past_ten_thousand(
     monkeypatch, fresh_twist_window, n, columns
 ):
     """One solve per N: the first window doubles with N past 10^4 instead of solving twice."""
     real, widths = tridiagonal.window_eigenpairs, []
 
-    def counting(band, lo, hi, what):
-        widths.append(hi - lo + 1)
-        return real(band, lo, hi, what)
+    def counting(band, count, what):
+        widths.append(2 * count + (band.size + 1) % 2)  # columns of the mirrored window
+        return real(band, count, what)
 
     monkeypatch.setattr(tridiagonal, "window_eigenpairs", counting)
-    assert twist_window(n).eigenvectors.shape[1] == columns
+    assert full_window(n).eigenvectors.shape[1] == columns
     assert widths == [columns]

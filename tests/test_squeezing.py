@@ -12,7 +12,7 @@ from spinsqueeze import (
 )
 from spinsqueeze.experiments import tat_optimum
 from spinsqueeze.experiments import _samples
-from spinsqueeze.propagate import pair_bands, pair_coefficients, pair_evolve, pair_twist, twist_window
+from spinsqueeze.propagate import pair_bands, pair_coefficients
 from spinsqueeze.spin_ops import even_sector_state
 from spinsqueeze.squeezing import (
     MeanSpinVanishing,
@@ -27,6 +27,8 @@ from spinsqueeze.squeezing import (
     sector_samples,
     transverse_basis,
 )
+
+from oracles import full_window, pair_evolve, pair_twist
 
 from conftest import random_state, rotated
 
@@ -177,7 +179,7 @@ def test_random_states_match_brute_force(seed):
 def _even_sector_columns(n):
     """TAT-evolved, random and pair-evolved even-sector states, and (N > 1) one with <J_z> = 0."""
     h = n // 2 + 1
-    fac = twist_window(n)
+    fac = full_window(n)
     v, w = fac.eigenvectors, fac.eigenvalues
     ts = np.linspace(0.0, 40.0 / n, 9)
     evolved = v @ (np.exp(-1j * np.outer(w, ts)) * v[0][:, None])
@@ -230,7 +232,7 @@ def test_even_sector_kernel_matches_squeezing_parameter(n):
 def _pair_columns(n):
     """A TAT-evolved and a random even-sector state: the starts of the pairs below."""
     h = n // 2 + 1
-    fac = twist_window(n)
+    fac = full_window(n)
     evolved = fac.eigenvectors @ (np.exp(-3j * fac.eigenvalues / n) * fac.eigenvectors[0])
     rng = np.random.default_rng(n)
     rand = rng.normal(size=h) + 1j * rng.normal(size=h)
@@ -297,7 +299,7 @@ def test_even_sector_kernel_is_as_accurate_as_the_state_path(n):
     """Near the TAT optimum, against (T - |P|) / J in extended precision on the same amplitudes,
     the kernel's xi^2 error is at most twice that of squeezing_parameter on the full state."""
     ops = build_operators(n)
-    fac = twist_window(n)
+    fac = full_window(n)
     v, w = fac.eigenvectors, fac.eigenvalues
     ts = tat_optimum(n).t_opt * np.array([0.9, 1.0, 1.1])
     amps = v @ (np.exp(-1j * np.outer(w, ts)) * v[0][:, None])

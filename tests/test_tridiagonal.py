@@ -6,15 +6,20 @@ import scipy.linalg
 
 from spinsqueeze import build_operators, tridiagonal
 
+from oracles import mirrored_window
+
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 40, 41, 400, 401, 2000, 2001])
 def test_window_solver_matches_stebz_and_dense_eigh(n):
     """The numpy window solver against LAPACK's bisection (stebz) and dense eigh of the even block."""
     band = build_operators(n).twist_band[0::2]
     h = band.size + 1
-    lo, hi = max(h // 2 - 96, 0), min(h // 2 + 96, h - 1)
-    w, v = tridiagonal.window_eigenpairs(band, lo, hi, "test window")
-    assert v.flags.f_contiguous
+    count = min(96, h // 2)
+    values, even, odd = tridiagonal.window_eigenpairs(band, count, "test window")
+    assert even.flags.f_contiguous and odd.flags.f_contiguous
+    assert values.size == count + h % 2 and odd.shape == (h // 2, count)
+    w, v = mirrored_window(values, even, odd)
+    lo, hi = h // 2 - count, (h - 1) // 2 + count
     dense_w, dense_v = np.linalg.eigh(np.diag(band, 1) + np.diag(band, -1))
     stebz_w, stebz_v = scipy.linalg.eigh_tridiagonal(
         np.zeros(h), band, select="i", select_range=(lo, hi), lapack_driver="stebz"
@@ -26,14 +31,10 @@ def test_window_solver_matches_stebz_and_dense_eigh(n):
         assert np.abs(v * signs - ref_v).max() <= 1e-12
     # The first-order step takes it from about 1e-14 (N >= 400) to below 2e-15.
     assert np.abs(v.T @ v - np.eye(hi - lo + 1)).max() <= 20 * np.finfo(float).eps
-    neg, pos = h // 2 - lo, hi - (h + 1) // 2 + 1  # columns below and above zero
-    mirrored = v[:, :neg][:, ::-1].copy()
-    mirrored[1::2] *= -1.0
-    assert np.array_equal(mirrored, v[:, hi - lo + 1 - pos :][:, :neg])
-    assert np.array_equal(-w[:neg][::-1], w[hi - lo + 1 - pos :][:neg])
+    for x in (even, odd):
+        assert np.abs(x.T @ x - np.eye(x.shape[1])).max(initial=0.0) <= 20 * np.finfo(float).eps
     if h % 2:
-        assert w[neg] == 0.0
-        assert not v[1::2, neg].any()
+        assert values[0] == 0.0
 
 
 def counted_sweeps(monkeypatch) -> list:
@@ -57,7 +58,7 @@ def test_window_solver_needs_few_sweeps(monkeypatch, n):
     calls = counted_sweeps(monkeypatch)
     band = build_operators(n).twist_band[0::2]
     h = band.size + 1
-    tridiagonal.window_eigenpairs(band, max(h // 2 - 96, 0), min(h // 2 + 96, h - 1), "test window")
+    tridiagonal.window_eigenpairs(band, min(96, h // 2), "test window")
     assert len(calls) <= 12
 
 
@@ -67,7 +68,7 @@ def test_window_solver_keeps_newton_inside_its_bracket(monkeypatch, h):
     monkeypatch.setattr(tridiagonal, "TIGHTENING_SWEEPS", 0)
     calls = counted_sweeps(monkeypatch)
     band = np.where(np.arange(h - 1) % 2 == 0, 1.0, 1e-3) * (1.0 + 0.1 * np.cos(np.arange(h - 1)))
-    w, v = tridiagonal.window_eigenpairs(band, 0, h - 1, "test window")
+    w, v = mirrored_window(*tridiagonal.window_eigenpairs(band, h // 2, "test window"))
     stebz = scipy.linalg.eigh_tridiagonal(np.zeros(h), band, eigvals_only=True, lapack_driver="stebz")
     np.testing.assert_allclose(w, stebz, rtol=0, atol=8 * np.finfo(float).eps)
     dense = np.diag(band, 1) + np.diag(band, -1)
