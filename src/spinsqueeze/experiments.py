@@ -20,12 +20,14 @@ depend on the batch, so a fine run's period-boundary samples are a
 stroboscopic run's, bit for bit.  No sample builds a full (N+1)-dimensional
 state.  At every period boundary the state norm is checked against
 `tolerances.NORM_DRIFT`.  Ideal xy twisting (the ideal-TAT trace,
-`tat_optimum`) runs on the same sector, on `twist_window`, with the same
-kernel; the scan reuses one set of buffers for all its chunks.  Ideal z^2
-twisting (the ideal-OAT trace, `oat_optimum`) evolves no state: it is the
-closed form `squeezing.oat_moments`.  Both optima scan one
-xi^2 kernel of many times (`_scan_minimize`).  Each run parameter's rule is
-stated once, in `check_field`; `validate_spec` applies it to every spec.
+`tat_optimum`) runs on the same sector, on `twist_window`, as real rows
+measured by `squeezing.twist_moments`, a sum of squares with no
+cancellation; the scan reuses one state buffer for all its chunks.  Ideal
+z^2 twisting (the ideal-OAT trace, `oat_optimum`) evolves no state: it is
+the closed form `squeezing.oat_moments`.  Both optima zoom in on their
+minimum in four batched calls of one xi^2 kernel (`_scan_minimize`).  Each
+run parameter's rule is stated once, in `check_field`; `validate_spec`
+applies it to every spec.
 """
 
 from __future__ import annotations
@@ -58,13 +60,13 @@ from .squeezing import (
     SqueezingSample,
     SqueezingTrace,
     even_sector_samples,
-    even_sector_xi2,
     find_optimum,
     min_variance,
-    moment_buffers,
     oat_moments,
     pair_sector_moments,
     sector_samples,
+    twist_samples,
+    twist_xi2,
 )
 
 PULSE_SCHEMES = ("liu1", "schemeA", "schemeB", "general")
@@ -74,10 +76,8 @@ IDEAL_SCHEMES = ("ideal-TAT", "ideal-OAT")
 # optimum; runs default to 1.5x the time needed to reach it.
 PRE_OPTIMUM_FACTOR = 1.5
 
-SCAN_GRID_POINTS = 2000
-# TAT grid times evaluated per batch.  It bounds the scan's buffers to a few
-# window x 64 complex arrays, allocated once per scan (128 columns cost 2x the
-# peak RSS and ran no faster); the closed-form OAT grid needs no bound.
+# Times per zoom level of the optimum search (four levels reach 1e-6 of the
+# window) and per TAT batch, whose window x 64 real state buffer a scan reuses.
 SCAN_CHUNK_COLUMNS = 64
 SAMPLE_BUFFER_ROWS = 4  # samples per batched evaluation: more rows run no faster and raise peak RSS
 # Peak bytes per sample of a trace and its CSV text: 633-696 B measured with
@@ -282,7 +282,7 @@ def _ideal_samples(spec: ExperimentSpec) -> list[SqueezingSample]:
     samples = []
     for s in range(0, len(times), SAMPLE_BUFFER_ROWS):
         chunk = times[s : s + SAMPLE_BUFFER_ROWS]
-        moments = even_sector_samples(states_at(np.array(chunk)), ops)
+        moments = twist_samples(states_at(np.array(chunk)), ops)
         samples += _samples([(t, s + i, None) for i, t in enumerate(chunk)], *moments, ops.total_spin)
     return samples
 
@@ -340,65 +340,43 @@ def relative_error_curve(trace_seq: SqueezingTrace, trace_eff: SqueezingTrace) -
     return ErrorCurve(t_seq, errors)
 
 
-def _golden_section(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return (c, fc) if fc < fd else (d, fd)
-
-
 def _scan_minimize(xi2_of_times, lo: float, hi: float) -> tuple[float, float]:
-    """Coarse grid scan followed by golden-section refinement around the best cell.
+    """Minimum of xi^2 on [lo, hi]: SCAN_CHUNK_COLUMNS times per zoom level, four levels.
 
     `xi2_of_times` maps an array of times to xi^2 (+inf where the mean spin
-    vanishes) and gets the whole grid in one call; the refinement and the
-    final comparison make one-column calls.  Next to the minimum a column's
-    bits depend on its batch by roundoff that grows like
-    N^2 (the second moments weigh amplitude errors by J^2), at most 1e-9
-    relative at 14 N from 8 to 4001 on one BLAS thread, while neighbouring
-    grid values there differ by at least 1e-6, so a point-by-point scan picks
-    the same cell.
+    vanishes).  Each level spaces its times evenly over [lo, hi] first, then
+    over the previous best time's two neighbouring cells (one at a window
+    end), until the spacing is <= 1e-6 (hi - lo); the earliest of equal
+    values wins.  The minimum is one more one-column call at the chosen
+    time, so its bits do not depend on the batch.  A TAT column's bits do depend on
+    its batch, through the GEMM that builds the states, by at most 1.5e-14
+    relative at 31 N from 2 to 10^4 on one BLAS thread, while the chosen
+    time's neighbours on the last level lie at least 3e-13 above it from
+    N = 6 on, so a point-by-point scan picks the same time.
 
     Vanishing mean spin only occurs past the pre-revival minimum this search
     is after, so the window is effectively truncated there.
     """
-
-    def f(t: float) -> float:
-        return float(xi2_of_times(np.array([t]))[0])
-
-    ts = np.linspace(lo, hi, SCAN_GRID_POINTS)
-    grid = xi2_of_times(ts)
-    i = int(np.argmin(grid))
-    v_i = f(ts[i])
-    a = ts[max(i - 1, 0)]
-    b = ts[min(i + 1, ts.size - 1)]
-    t_ref, v_ref = _golden_section(f, a, b, tol=1e-6 * (hi - lo))
-    if v_ref <= v_i:
-        return float(t_ref), float(v_ref)
-    return float(ts[i]), float(v_i)
+    a, b = lo, hi
+    while True:
+        ts = np.linspace(a, b, SCAN_CHUNK_COLUMNS)
+        i = int(np.argmin(xi2_of_times(ts)))
+        if ts[1] - ts[0] <= 1e-6 * (hi - lo):
+            t = float(ts[i])
+            return t, float(xi2_of_times(np.array([t]))[0])
+        a, b = ts[max(i - 1, 0)], ts[min(i + 1, ts.size - 1)]
 
 
 def _tat_states(n_spins: int, rate: float, columns: int):
-    """Map of k <= `columns` times to the (N//2 + 1) x k even-sector states of xy twisting at `rate` from |J,J>.
+    """Map of k <= `columns` times to the k x (N//2 + 1) real rows r of xy twisting at `rate` from |J,J>.
 
+    The state is a_i = r_i at even i and i r_i at odd i (`squeezing.twist_moments`).
     Two real GEMMs on the `twist_window`: its even-row vectors times
-    c cos(lambda t) give the real even rows, its odd-row vectors times
-    -c sin(lambda t) the imaginary odd rows (c = the overlaps with |J,J>),
-    each written straight into its part of one complex row buffer whose
-    other parts stay 0.  Every call writes into the same buffers, so a scan
-    allocates no per-chunk temporaries, and its result is valid until the
-    next call.
+    c cos(lambda t) give r[:, 0::2], its odd-row vectors times -c sin(lambda t)
+    give r[:, 1::2] (c = the overlaps with |J,J>), each written straight into
+    its columns of one row buffer.  Every call writes into the same buffers, so
+    a scan allocates no per-chunk temporaries, and its result is valid until
+    the next call.
     """
     win = twist_window(n_spins)
     w, even, odd = win.values, win.even, win.odd
@@ -406,21 +384,20 @@ def _tat_states(n_spins: int, rate: float, columns: int):
     overlaps, sin_overlaps = even[0], -even[0, null:]
     angles = np.empty((columns, w.size))
     coeffs = np.empty((columns, w.size))
-    rows = np.zeros((columns, even.shape[0] + odd.shape[0]), dtype=complex)
+    rows = np.empty((columns, even.shape[0] + odd.shape[0]))
 
     def states_at(ts: np.ndarray) -> np.ndarray:
-        # Built as k contiguous rows, which the moment kernel reduces without a copy.
         k = ts.size
         a, c, out = angles[:k], coeffs[:k], rows[:k]
         np.outer(ts, w, out=a)
         a *= rate
         np.cos(a, out=c)
         c *= overlaps
-        np.matmul(c, even.T, out=out.real[:, 0::2])
+        np.matmul(c, even.T, out=out[:, 0::2])
         c = np.sin(a[:, null:], out=c[:, null:])
         c *= sin_overlaps
-        np.matmul(c, odd.T, out=out.imag[:, 1::2])
-        return out.T
+        np.matmul(c, odd.T, out=out[:, 1::2])
+        return out
 
     return states_at
 
@@ -429,13 +406,10 @@ def _tat_scan(n_spins: int):
     """Map of times to the xi^2 of unit-strength xy twisting from |J,J>, SCAN_CHUNK_COLUMNS at a time."""
     ops = build_operators(n_spins)
     states_at = _tat_states(n_spins, 1.0, SCAN_CHUNK_COLUMNS)
-    buffers = moment_buffers(SCAN_CHUNK_COLUMNS, even_sector_dim(n_spins))
 
     def xi2_of_times(ts: np.ndarray) -> np.ndarray:
         chunks = range(0, ts.size, SCAN_CHUNK_COLUMNS)
-        return np.concatenate(
-            [even_sector_xi2(states_at(ts[s : s + SCAN_CHUNK_COLUMNS]), ops, buffers) for s in chunks]
-        )
+        return np.concatenate([twist_xi2(states_at(ts[s : s + SCAN_CHUNK_COLUMNS]), ops) for s in chunks])
 
     return xi2_of_times
 
@@ -455,12 +429,17 @@ def oat_optimum(n_spins: int) -> Optimum:
     return Optimum(t_opt=t_opt, xi2_min=xi2_min)
 
 
+def _optimum_time(scheme: str, n_spins: int) -> float:
+    """t_opt of the ideal twisting a scheme is measured against; a ValueError for one spin, which never squeezes."""
+    if n_spins == 1:
+        raise ValueError("n_spins = 1 has no squeezing optimum: one spin keeps xi^2 = 1 at every time")
+    return (oat_optimum if scheme == "ideal-OAT" else tat_optimum)(n_spins).t_opt
+
+
 def default_t_total(scheme: str, n_spins: int, chi: float = 1.0, order: int = 2) -> float:
     """Run length covering 1.5x the time to reach the squeezing optimum."""
-    if scheme == "ideal-OAT":
-        return PRE_OPTIMUM_FACTOR * oat_optimum(n_spins).t_opt / chi
-    d = 1.0 if scheme == "ideal-TAT" else strength_divisor(scheme, order)
-    return PRE_OPTIMUM_FACTOR * d * tat_optimum(n_spins).t_opt / chi
+    d = 1.0 if scheme in IDEAL_SCHEMES else strength_divisor(scheme, order)
+    return PRE_OPTIMUM_FACTOR * d * _optimum_time(scheme, n_spins) / chi
 
 
 @dataclass(frozen=True)
@@ -540,7 +519,7 @@ def scaling_fit(scheme: str, n_list, chi: float = 1.0, order: int = 2) -> FitRes
 
 def time_cost(scheme: str, n_spins: int, chi: float = 1.0, order: int = 2) -> float:
     """Total evolution time for the pulse scheme to reach the twisting optimum."""
-    return strength_divisor(scheme, order) * tat_optimum(n_spins).t_opt / chi
+    return strength_divisor(scheme, order) * _optimum_time(scheme, n_spins) / chi
 
 
 def trotter_order_fit(

@@ -2,11 +2,12 @@
 
 xi^2 = 2 * (minimal spin variance perpendicular to the mean spin) / J,
 normalized so a coherent state gives exactly 1.  Every production sample
-comes from a closed form: even-sector states (pulse and ideal-TAT traces,
-the TAT scan) from the batched band moments of `even_sector_moments`, one
-column per sample, a state inside a pulse pair from the banded moments of
-its pair eigen-coefficients (`pair_sector_moments`), both through one tail
-(`sector_samples`), and z^2 twisting from `oat_moments`.  The
+comes from a closed form: a pulse run's even-sector states from the batched
+band moments of `even_sector_moments`, one column per sample, a state inside
+a pulse pair from the banded moments of its pair eigen-coefficients
+(`pair_sector_moments`), an xy-twisted state (ideal-TAT traces, the TAT
+scan) from the cancellation-free variances `twist_moments`, all three
+through one tail (`sector_samples`), and z^2 twisting from `oat_moments`.  The
 full-dimension `squeezing_parameter` is the oracle they are tested against.
 """
 
@@ -138,33 +139,46 @@ def squeezing_parameter(
     return SqueezingSample(t=t, xi2=xi2, mean_spin=mean, min_variance_direction=direction[0])
 
 
-def moment_buffers(columns: int, h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scratch for `even_sector_moments` of up to `columns` columns of length h, reusable across calls."""
-    return np.empty((columns, max(h - 1, 0)), dtype=complex), np.empty((columns, h)), np.empty((columns, h))
-
-
-def even_sector_moments(amps: np.ndarray, ops: SpinOperators, buffers=None):
+def even_sector_moments(amps: np.ndarray, ops: SpinOperators):
     """<J_z>, T = J(J+1) - <J_z^2> and P = <J_+^2> of every column of an (N//2 + 1) x k block.
 
     P = 2 sum_i twist_band[2i] conj(a_i) a_(i+1).  Each column is summed as one
     contiguous row of the transposed block with no BLAS product, so its bits do
-    not depend on k.  The k x N/2 temporaries are written into `buffers`
-    (`moment_buffers`), fresh ones when it is None: a scan that passes the same
-    buffers for every chunk allocates none of them again.
+    not depend on k.  Pulse samples only: twisted states use `twist_moments`.
     """
     rows = np.ascontiguousarray(amps.T)  # no copy for the transposed rows callers pass
-    k, h = rows.shape
-    p, weight, scratch = (b[:k] for b in (buffers or moment_buffers(k, h)))
     j = ops.total_spin
-    np.conjugate(rows[:, :-1], out=p)  # the k x (h - 1) products, in place, then their sums
-    p *= ops.twist_band[0::2]
-    p *= rows[:, 1:]
-    p = 2.0 * p.sum(axis=-1)
-    np.square(rows.real, out=weight)
-    weight += np.square(rows.imag, out=scratch)
-    jz = np.multiply(ops.m_values[0::2], weight, out=scratch).sum(axis=-1)
-    transverse = np.multiply(j * (j + 1.0) - ops.jz_sq_diag[0::2], weight, out=scratch).sum(axis=-1)
+    p = 2.0 * (rows[:, :-1].conj() * ops.twist_band[0::2] * rows[:, 1:]).sum(axis=-1)
+    weight = np.square(rows.real)
+    weight += np.square(rows.imag)
+    jz = (ops.m_values[0::2] * weight).sum(axis=-1)
+    transverse = ((j * (j + 1.0) - ops.jz_sq_diag[0::2]) * weight).sum(axis=-1)
     return jz, transverse, p
+
+
+def twist_moments(rows: np.ndarray, ops: SpinOperators):
+    """<J_z> and lambda_pm = <J_theta^2> at theta = pi/4 and 3 pi/4 of every row r of a k x (N//2 + 1) real block.
+
+    Row r stands for the even-sector state a_i = r_i at even i and i r_i at
+    odd i, the form xy twisting keeps from |J,J> (`propagate.TwistWindow`).
+    There P = <J_+^2> is imaginary, so the transverse variance is extremal at
+    theta in {pi/4, 3 pi/4}: J_theta psi = w_pm/2 on the odd Dicke rows, with
+    w_pm,i = L[2i] r_i +/- (-1)^i L[2i+1] r_(i+1) (L = `ladder`; at odd N the
+    last row is L[N-1] r_(h-1) alone).  So T = lambda_+ + lambda_-, Im P =
+    lambda_+ - lambda_-, and min(lambda_pm) = (T - |P|)/2 is a sum of squares,
+    free of the cancellation between two numbers of size J^2.  Each row is
+    summed as one contiguous row with no BLAS product: its bits depend neither
+    on k nor on the block's memory order.
+    """
+    rows = np.ascontiguousarray(rows)
+    tail = rows[:, 1:] * (ops.ladder[1::2] * (-1.0) ** np.arange(rows.shape[1] - 1))
+    w = np.empty((rows.shape[0], (ops.n_spins + 1) // 2))  # w_+, then w_-: two k x N/2 temporaries in all
+    lam = []
+    for combine in (np.add, np.subtract):
+        np.multiply(rows[:, : w.shape[1]], ops.ladder[0::2], out=w)
+        combine(w[:, : tail.shape[1]], tail, out=w[:, : tail.shape[1]])
+        lam.append(np.einsum("ij,ij->i", w, w) / 4.0)
+    return np.einsum("ij,ij,j->i", rows, rows, ops.m_values[0::2]), *lam
 
 
 def pair_sector_moments(coeffs: np.ndarray, bands):
@@ -192,40 +206,47 @@ def pair_sector_moments(coeffs: np.ndarray, bands):
     return form(bands.jz).real, form(bands.transverse).real, form(bands.twist)
 
 
-def sector_xi2(jz, transverse, p, j: float) -> np.ndarray:
-    """xi^2 = (T - |P|) / J of even-sector moments, clipped at 0, +inf where |<J_z>| <= MEAN_SPIN_EPS_FACTOR J.
-
-    On the even-index sector <J_x> = <J_y> = 0 exactly and the transverse covariance
-    is <J_x^2> = (T + Re P)/2, <J_y^2> = (T - Re P)/2, Cov(J_x, J_y) = Im P/2
-    (Kitagawa and Ueda, PRA 47, 5138, 1993).
-    """
-    xi2 = np.maximum(transverse - np.abs(p), 0.0) / j
+def sector_xi2(jz, lam_min, j: float) -> np.ndarray:
+    """xi^2 = 2 lambda_min / J of even-sector moments, clipped at 0, +inf where |<J_z>| <= MEAN_SPIN_EPS_FACTOR J."""
+    xi2 = 2.0 * np.maximum(lam_min, 0.0) / j
     return np.where(np.abs(jz) <= MEAN_SPIN_EPS_FACTOR * j, np.inf, xi2)
 
 
-def sector_samples(jz, transverse, p, j: float):
+def sector_samples(jz, transverse, p, j: float, lam_min=None):
     """xi^2, mean spins (0, 0, <J_z>) and minimal-variance directions (k x 3) of even-sector moments.
 
-    The one tail of `even_sector_moments` and `pair_sector_moments`.  The
-    directions are those `squeezing_parameter` finds: in the basis
-    (e_x, sign<J_z> e_y) that `transverse_basis` picks for such a mean spin.
+    The one tail of `even_sector_moments`, `pair_sector_moments` and
+    `twist_moments`.  On the even-index sector <J_x> = <J_y> = 0 exactly and the
+    transverse covariance is <J_x^2> = (T + Re P)/2, <J_y^2> = (T - Re P)/2,
+    Cov(J_x, J_y) = Im P/2 (Kitagawa and Ueda, PRA 47, 5138, 1993), so its
+    smaller eigenvalue is lambda_min = (T - |P|)/2 unless the caller has it in
+    a stabler form.  The directions are those `squeezing_parameter` finds: in
+    the basis (e_x, sign<J_z> e_y) that `transverse_basis` picks for such a mean spin.
     """
     sign = np.sign(jz)
     mean = np.column_stack([np.zeros((jz.size, 2)), jz])
     basis = (np.array([1.0, 0.0, 0.0]), sign[:, None] * np.array([0.0, 1.0, 0.0]))
     c11, c22 = (transverse + p.real) / 2.0, (transverse - p.real) / 2.0
     _, direction = min_variance(c11, c22, sign * p.imag / 2.0, basis)
-    return sector_xi2(jz, transverse, p, j), mean, direction
-
-
-def even_sector_xi2(amps: np.ndarray, ops: SpinOperators, buffers=None) -> np.ndarray:
-    """The xi^2 of every column of `even_sector_moments`, no directions."""
-    return sector_xi2(*even_sector_moments(amps, ops, buffers), ops.total_spin)
+    lam_min = (transverse - np.abs(p)) / 2.0 if lam_min is None else lam_min
+    return sector_xi2(jz, lam_min, j), mean, direction
 
 
 def even_sector_samples(amps: np.ndarray, ops: SpinOperators):
     """`sector_samples` of every column of `even_sector_moments`."""
     return sector_samples(*even_sector_moments(amps, ops), ops.total_spin)
+
+
+def twist_xi2(rows: np.ndarray, ops: SpinOperators) -> np.ndarray:
+    """The xi^2 = 2 min(lambda_pm) / J of every row of `twist_moments`, no directions."""
+    jz, plus, minus = twist_moments(rows, ops)
+    return sector_xi2(jz, np.minimum(plus, minus), ops.total_spin)
+
+
+def twist_samples(rows: np.ndarray, ops: SpinOperators):
+    """`sector_samples` of every row of `twist_moments`, with the xi^2 of `twist_xi2`."""
+    jz, plus, minus = twist_moments(rows, ops)
+    return sector_samples(jz, plus + minus, 1j * (plus - minus), ops.total_spin, np.minimum(plus, minus))
 
 
 @dataclass(frozen=True)

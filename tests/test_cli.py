@@ -325,6 +325,27 @@ def test_spin_numbers_of_every_command_obey_the_config_rule(command, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["simulate", "--scheme", "ideal-TAT", "--n-spins", "1", "--n-cycles", "4"],
+     ["compare", "--scheme", "schemeA", "--n-spins", "1", "--n-cycles", "4", "--out", "unused"],
+     ["timecost", "--n-spins", "1"]],
+    ids=["simulate", "compare", "timecost"],
+)
+def test_one_spin_without_a_run_length_exits_2_naming_the_cause(command, capsys):
+    """One spin never squeezes, so a run length or time cost taken from the optimum is refused."""
+    assert main(command) == 2
+    captured = capsys.readouterr()
+    assert "n_spins = 1 has no squeezing optimum" in captured.err
+    assert captured.out == ""
+
+
+def test_one_spin_with_a_run_length_stays_unsqueezed(capsys):
+    assert main(["simulate", "--scheme", "ideal-TAT", "--n-spins", "1", "--n-cycles", "2", "--t-total", "0.5"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [float(row.split(",")[1]) for row in rows] == [1.0, 1.0, 1.0]
+
+
 @pytest.mark.parametrize("order", ["0", "3", "7"])
 @pytest.mark.parametrize("scheme", ["general", "schemeA", "ideal-TAT"])
 def test_order_of_scaling_obeys_the_config_rule(scheme, order, capsys):

@@ -279,6 +279,54 @@ def test_batched_scan_gives_the_scalar_scan_optimum(n):
     assert _scan_minimize(pointwise, 0.0, 10.0 / n) == (optimum.t_opt, optimum.xi2_min)
 
 
+def test_zoom_finds_an_interior_minimum_at_an_irrational_point():
+    lo, hi, t_min = 0.1, 2.3, 1.0 / math.sqrt(2.0)
+    t, value = _scan_minimize(lambda ts: 0.5 + (ts - t_min) ** 2, lo, hi)
+    assert abs(t - t_min) <= 1e-6 * (hi - lo)
+    assert value == 0.5 + (t - t_min) ** 2
+
+
+@pytest.mark.parametrize("slope", [1.0, -1.0])
+def test_zoom_finds_minima_at_either_end(slope):
+    """A monotone xi^2 has its minimum exactly at lo (rising) or at hi (falling)."""
+    lo, hi = 0.25, 1.75
+    end = lo if slope > 0 else hi
+    assert _scan_minimize(lambda ts: 2.0 + slope * ts, lo, hi) == (end, 2.0 + slope * end)
+
+
+def test_zoom_stops_at_a_vanishing_tail():
+    """xi^2 falling into a +inf tail past t = 0.7: the last finite time within the tolerance."""
+    t, value = _scan_minimize(lambda ts: np.where(ts > 0.7, np.inf, 1.0 - ts), 0.0, 1.0)
+    assert 0.7 - 1e-6 <= t <= 0.7
+    assert value == 1.0 - t
+
+
+@pytest.mark.parametrize("n", [9, 400])
+def test_tat_scan_makes_four_batched_calls_and_one_single(n):
+    """The zoom evaluates SCAN_CHUNK_COLUMNS times per level on four levels, then the chosen time."""
+    scan = _tat_scan(n)
+    sizes = []
+
+    def counted(ts):
+        sizes.append(ts.size)
+        return scan(ts)
+
+    t, xi2 = _scan_minimize(counted, 0.0, 10.0 / n)
+    assert sizes == [SCAN_CHUNK_COLUMNS] * 4 + [1]
+    assert (t, xi2) == (tat_optimum(n).t_opt, tat_optimum(n).xi2_min)
+
+
+def test_one_spin_has_no_optimum_time():
+    """xi^2 = 1 at every time for N = 1: the zoom reports t = 0, and the run length and time
+    cost that scale with the optimum time refuse it, naming the cause."""
+    assert (tat_optimum(1).t_opt, tat_optimum(1).xi2_min) == (0.0, 1.0)
+    for scheme in ("schemeA", "ideal-TAT", "ideal-OAT"):
+        with pytest.raises(ValueError, match="n_spins = 1 has no squeezing optimum"):
+            default_t_total(scheme, 1)
+    with pytest.raises(ValueError, match="n_spins = 1 has no squeezing optimum"):
+        time_cost("schemeA", 1)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 13, 40])
 def test_oat_trace_matches_the_state_vector_path(n):
     """Closed-form ideal-OAT samples against squeezing_parameter of the evolved state.

@@ -459,8 +459,9 @@ def test_twist_window_is_the_whole_even_block_at_small_n(n):
 
 @pytest.mark.parametrize("n", [400, 401, 402, 403, 2000])
 def test_twist_window_states_match_dense_twisting(n):
-    """V (exp(-i w t) V[0]) on the mirrored window, and the cos/sin products the ideal-TAT
-    traces use on the split one, are exp(-i t (J_x^2 - J_y^2))|J,J>, odd rows zero.
+    """V (exp(-i w t) V[0]) on the mirrored window, and the real cos/sin rows r the ideal-TAT
+    path uses on the split one (a_i = r_i at even i, i r_i at odd i), are
+    exp(-i t (J_x^2 - J_y^2))|J,J>, odd rows zero.
 
     N = 402 and 403 (h = 202) have no null vector, and the lower edge is a mirror."""
     fac = full_window(n)
@@ -468,8 +469,9 @@ def test_twist_window_states_match_dense_twisting(n):
     start = np.zeros(n // 2 + 1, dtype=complex)
     start[0] = 1.0
     ts = np.linspace(0.0, 10.0 / n, 5)
-    states = _tat_states(n, 1.0, ts.size)(ts)
-    for t, state in zip(ts, states.T):
+    states = _tat_states(n, 1.0, ts.size)(ts).astype(complex)
+    states[:, 1::2] *= 1j
+    for t, state in zip(ts, states):
         dense = evolve_twist(coherent_state_z(n), 1.0, t).amplitudes
         assert np.abs(dense[1::2]).max() == 0.0
         assert np.abs(fac.apply(start, t) - dense[0::2]).max() <= 1e-12

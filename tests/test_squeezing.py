@@ -10,22 +10,20 @@ from spinsqueeze import (
     find_optimum,
     squeezing_parameter,
 )
-from spinsqueeze.experiments import tat_optimum
-from spinsqueeze.experiments import _samples
+from spinsqueeze.experiments import _samples, _tat_scan, _tat_states, tat_optimum
 from spinsqueeze.propagate import pair_bands, pair_coefficients
 from spinsqueeze.spin_ops import even_sector_state
 from spinsqueeze.squeezing import (
     MeanSpinVanishing,
     SqueezingSample,
     SqueezingTrace,
-    even_sector_moments,
     even_sector_samples,
-    even_sector_xi2,
-    moment_buffers,
     oat_moments,
     pair_sector_moments,
     sector_samples,
     transverse_basis,
+    twist_samples,
+    twist_xi2,
 )
 
 from oracles import full_window, pair_evolve, pair_twist
@@ -208,11 +206,6 @@ def test_even_sector_kernel_matches_squeezing_parameter(n):
     ops = build_operators(n)
     amps = _even_sector_columns(n)
     xi2, mean, direction = even_sector_samples(amps, ops)
-    np.testing.assert_array_equal(even_sector_xi2(amps, ops), xi2)
-    np.testing.assert_array_equal(even_sector_xi2(np.asfortranarray(amps), ops), xi2)
-    reused = moment_buffers(amps.shape[1] + 3, amps.shape[0])
-    for _ in range(2):  # buffers larger than the block, written twice
-        np.testing.assert_array_equal(even_sector_xi2(amps, ops, reused), xi2)
     assert np.all(mean[:, :2] == 0.0)
     vanished = []
     for i, col in enumerate(amps.T):
@@ -227,6 +220,102 @@ def test_even_sector_kernel_matches_squeezing_parameter(n):
         assert np.abs(direction[i] - want.min_variance_direction).max() <= 1e-10
     assert vanished == ([amps.shape[1] - 1] if n > 1 else [])
     np.testing.assert_array_equal(np.flatnonzero(np.isinf(xi2)), vanished)
+
+
+def _twist_rows(n):
+    """Real rows r of twisted states a = (r_0, i r_1, r_2, i r_3, ...): xy twisting from |J,J> at
+    9 times, 6 random rows and (N > 1) one with <J_z> = 0; and their complex amplitudes, by column."""
+    h = n // 2 + 1
+    evolved = _tat_states(n, 1.0, 9)(np.linspace(0.0, 40.0 / n, 9))
+    rand = np.random.default_rng(n).normal(size=(6, h))
+    rows = [evolved, rand / np.linalg.norm(rand, axis=1)[:, None]]
+    if n > 1:
+        m = build_operators(n).m_values[0::2]
+        balanced = np.zeros((1, h))  # weights on m[0] > 0 and m[-1] < 0, zero mean
+        balanced[0, 0] = np.sqrt(-m[-1] / (m[0] - m[-1]))
+        balanced[0, -1] = np.sqrt(m[0] / (m[0] - m[-1]))
+        rows.append(balanced)
+    rows = np.concatenate(rows)
+    amps = rows.T.astype(complex)
+    amps[1::2] *= 1j
+    return rows, amps
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 7, 8, 9])
+def test_twist_kernel_matches_squeezing_parameter(n):
+    """Per row it gives squeezing_parameter of the twisted state: xi^2, the mean spin and the
+    signed minimal-variance direction, and MeanSpinVanishing exactly where that raises.  N = 6
+    and 7 (h = 4) and N = 8 and 9 (h = 5) cover both parities of h at each parity of N.
+
+    Its xi^2 is the bits of the xi^2-only `twist_xi2`, for a C- or F-ordered block alike, and
+    its mean spin and direction agree with `even_sector_samples` of the complex amplitudes."""
+    ops = build_operators(n)
+    rows, amps = _twist_rows(n)
+    xi2, mean, direction = twist_samples(rows, ops)
+    np.testing.assert_array_equal(twist_xi2(rows, ops), xi2)
+    np.testing.assert_array_equal(twist_xi2(np.asfortranarray(rows), ops), xi2)
+    _, amp_mean, amp_direction = even_sector_samples(amps, ops)
+    assert np.abs(mean - amp_mean).max() <= 1e-13 * ops.total_spin
+    assert np.abs(direction - amp_direction).max() <= 1e-10
+    assert np.all(mean[:, :2] == 0.0)
+    vanished = []
+    for i, col in enumerate(amps.T):
+        try:
+            want = squeezing_parameter(even_sector_state(n, col), ops)
+        except MeanSpinVanishing:
+            vanished.append(i)
+            continue
+        assert abs(xi2[i] - want.xi2) <= 1e-12 * want.xi2
+        assert abs(mean[i, 2] - want.mean_spin[2]) <= 1e-13 * ops.total_spin
+        assert np.abs(direction[i] - want.min_variance_direction).max() <= 1e-10
+    assert vanished == ([len(rows) - 1] if n > 1 else [])
+    np.testing.assert_array_equal(np.flatnonzero(np.isinf(xi2)), vanished)
+
+
+@pytest.mark.parametrize("n", [40, 41])
+def test_twist_state_buffer_is_reused_without_a_trace(n):
+    """A scan's one state buffer, written by a larger block of other times first, gives the
+    bits of a fresh buffer."""
+    ts = np.linspace(0.0, 10.0 / n, 5)
+    fresh = twist_xi2(_tat_states(n, 1.0, 5)(ts), build_operators(n))
+    states_at = _tat_states(n, 1.0, 8)
+    for _ in range(2):
+        states_at(np.linspace(1.0 / n, 9.0 / n, 8))
+        np.testing.assert_array_equal(twist_xi2(states_at(ts), build_operators(n)), fresh)
+
+
+@pytest.mark.parametrize("n", [40, 41, 402, 403, 2000, 2001, 10**4])
+def test_twist_kernel_matches_40_digit_arithmetic(n):
+    """Near the TAT optimum, against (T - |P|) / J of the same double rows in 40-digit
+    arithmetic with exact ladder coefficients L[k] = sqrt((k+1)(N-k)), within 1e-13 relative.
+
+    The reference takes no float band data: the float `twist_band` alone moves it by 4.5e-11
+    relative at N = 10^4."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    t_opt = tat_optimum(n).t_opt
+    ts = t_opt * np.array([1.0 - 2e-4, 1.0, 1.0 + 2e-4])
+    rows = _tat_states(n, 1.0, ts.size)(ts).copy()
+    got = twist_xi2(rows, build_operators(n))
+    j = mp.mpf(n) / 2
+    ladder = [mp.sqrt((k + 1) * (n - k)) for k in range(n)]
+    for r, xi2 in zip(rows, got):
+        r = [mp.mpf(float(x)) for x in r]
+        transverse = mp.fsum((j * (j + 1) - (j - 2 * i) ** 2) * x * x for i, x in enumerate(r))
+        im_p = mp.fsum((-1) ** i * ladder[2 * i] * ladder[2 * i + 1] * r[i] * r[i + 1] for i in range(len(r) - 1))
+        exact = (transverse - abs(im_p)) / j
+        assert abs(mp.mpf(float(xi2)) - exact) <= 1e-13 * exact, (n, xi2, exact)
+
+
+def test_twist_kernel_is_smooth_at_the_optimum():
+    """At N = 10^4, over +/-2e-4 t_opt around the optimum, a quadratic fits the scan's xi^2 within
+    1e-12 relative: the kernel has no roundoff noise above that."""
+    n = 10**4
+    t_opt = tat_optimum(n).t_opt
+    u = np.linspace(-2e-4, 2e-4, 41)
+    xi2 = _tat_scan(n)(t_opt * (1.0 + u))
+    fit = np.polyval(np.polyfit(u, xi2, 2), u)
+    assert np.abs(xi2 - fit).max() <= 1e-12 * xi2.min()
 
 
 def _pair_columns(n):
@@ -311,7 +400,7 @@ def test_even_sector_kernel_is_as_accurate_as_the_state_path(n):
     p_re = 2 * (band * (re[:-1] * re[1:] + im[:-1] * im[1:])).sum(axis=0)
     p_im = 2 * (band * (re[:-1] * im[1:] - im[:-1] * re[1:])).sum(axis=0)
     exact = (transverse - np.sqrt(p_re**2 + p_im**2)) / j
-    kernel = np.abs(even_sector_xi2(amps, ops) - exact) / exact
+    kernel = np.abs(even_sector_samples(amps, ops)[0] - exact) / exact
     state = [squeezing_parameter(even_sector_state(n, col), ops).xi2 for col in amps.T]
     state_path = np.abs(np.array(state, dtype=np.longdouble) - exact) / exact
     assert kernel.max() <= 2 * state_path.max(), (kernel, state_path)
