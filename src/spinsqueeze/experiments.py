@@ -9,22 +9,28 @@ pulse pair (a+, tau, a-) evolved through its eigen-coefficients.  A
 step's phases, and those of the fine samples inside it, depend only on
 durations, so each is built once per trace.  Samples fork off the main
 line, so a fine run applies exactly the operations of a stroboscopic one.
-The fine samples inside a pair are measured straight from those
-coefficients, all of the pair's at once, by the banded moments of
-`squeezing.pair_sector_moments` in the frame rotated by the opening pulse;
-their mean spin and minimal-variance direction are mapped back with the
-pulse's fixed signed permutation.  Every other sample's vector is
-buffered and measured SAMPLE_BUFFER_ROWS at a time by the batched moment
-kernel `squeezing.even_sector_moments`.  Neither kernel's per-row bits
-depend on the batch, so a fine run's period-boundary samples are a
-stroboscopic run's, bit for bit.  No sample builds a full (N+1)-dimensional
-state.  At every period boundary the state norm is checked against
-`tolerances.NORM_DRIFT`.  Ideal xy twisting (the ideal-TAT trace,
-`tat_optimum`) runs on the same sector, on `twist_window`, as real rows
-measured by `squeezing.twist_moments`, a sum of squares with no
-cancellation; the scan reuses one state buffer for all its chunks.  Ideal
-z^2 twisting (the ideal-OAT trace, `oat_optimum`) evolves no state: it is
-the closed form `squeezing.oat_moments`.  Both optima zoom in on their
+The kernels only write each sample's <J_z>, T = J(J+1) - <J_z^2> and P =
+<J_+^2> into per-trace arrays indexed by sample; one tail per trace,
+`squeezing.sector_samples`, turns them into xi^2, mean spins and
+directions.  A fine sample inside a pair is measured straight from the
+pair's eigen-coefficients by the banded moments of
+`squeezing.pair_sector_moments`, in the frame rotated by the opening pulse:
+its row goes into a buffer of PAIR_BUFFER_ROWS rows per pulse axis,
+measured when full, and the tail maps its mean spin and minimal-variance
+direction back with the pulse's signed permutation, exactly.  Every other
+sample's vector goes into a buffer of SAMPLE_BUFFER_ROWS rows measured by
+`squeezing.even_sector_moments`.  No kernel's per-row bits depend on the
+batch, so samples do not depend on the buffer depths, and a fine run's
+period-boundary samples are a stroboscopic run's, bit for bit.  No sample
+builds a full (N+1)-dimensional state.  At every period boundary the state
+norm is checked against `tolerances.NORM_DRIFT`; an earlier sample whose
+mean spin vanished is reported first.  Ideal xy twisting (the ideal-TAT
+trace, `tat_optimum`) runs on the same sector, on `twist_window`, as real
+rows measured by `squeezing.twist_moments`, a sum of squares with no
+cancellation; a scan or a trace builds them SCAN_CHUNK_COLUMNS times at a
+time in one state buffer.  Ideal z^2 twisting (the ideal-OAT trace,
+`oat_optimum`) evolves no state: it is the closed form
+`squeezing.oat_moments`.  Both optima zoom in on their
 minimum in four batched calls of one xi^2 kernel (`_scan_minimize`).  Each
 run parameter's rule is stated once, in `check_field`; `validate_spec`
 applies it to every spec.
@@ -34,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -59,13 +65,14 @@ from .squeezing import (
     Optimum,
     SqueezingSample,
     SqueezingTrace,
-    even_sector_samples,
+    even_sector_moments,
     find_optimum,
     min_variance,
     oat_moments,
     pair_sector_moments,
     sector_samples,
-    twist_samples,
+    twist_moments,
+    twist_sector_samples,
     twist_xi2,
 )
 
@@ -77,12 +84,18 @@ IDEAL_SCHEMES = ("ideal-TAT", "ideal-OAT")
 PRE_OPTIMUM_FACTOR = 1.5
 
 # Times per zoom level of the optimum search (four levels reach 1e-6 of the
-# window) and per TAT batch, whose window x 64 real state buffer a scan reuses.
+# window) and per TAT batch, whose window x 64 real state buffer a scan or an
+# ideal-TAT trace reuses.
 SCAN_CHUNK_COLUMNS = 64
-SAMPLE_BUFFER_ROWS = 4  # samples per batched evaluation: more rows run no faster and raise peak RSS
-# Peak bytes per sample of a trace and its CSV text: 633-696 B measured with
+# Rows per moment-kernel call of a pulse trace: Dicke-basis samples, and the
+# samples inside the pairs about one axis.  On compare_fine (N ~ 1250, one BLAS
+# thread) 1 to 16 Dicke rows time alike within noise, so the fewest that batch
+# are kept; 8 to 16 pair rows time alike, 32 rows 8% and 64 rows 25% slower.
+SAMPLE_BUFFER_ROWS = 4
+PAIR_BUFFER_ROWS = 16
+# Peak bytes per sample of a trace and its CSV text: 632-633 B measured with
 # tracemalloc over 10^5-sample ideal-OAT, ideal-TAT, liu1 and schemeA runs.
-SAMPLE_BYTES = 700
+SAMPLE_BYTES = 640
 
 
 @dataclass(frozen=True)
@@ -182,29 +195,52 @@ def _itinerary(steps: tuple[Step, ...], offsets: list[float], period: float) -> 
 
 
 def _samples(stamps, xi2, mean, direction, j: float) -> list[SqueezingSample]:
-    """Samples from per-column kernel output and one (t, index, frame) stamp per column.
+    """Samples from per-sample tail output and one (t, index) stamp per sample.
 
-    A pulse pair's `pulse_frame` maps its samples' mean spin and direction back.
+    The first +inf xi^2 in stamp order raises MeanSpinVanishing naming its sample.
     """
     samples = []
-    for (t, index, frame), x, mu, d in zip(stamps, xi2, mean, direction):
+    for (t, index), x, mu, d in zip(stamps, xi2, mean, direction):
         if math.isinf(x):
             raise MeanSpinVanishing(
                 f"sample {index} at t={t:.6g}: |<J>| = {np.linalg.norm(mu):.3e} <= "
                 f"{MEAN_SPIN_EPS_FACTOR * j:.3e}; transverse plane undefined"
             )
-        if frame is not None:
-            mu, d = frame @ mu, frame @ d
         samples.append(SqueezingSample(t, float(x), mu, d))
     return samples
 
 
-def _pulse_samples(spec: ExperimentSpec) -> list[SqueezingSample]:
-    """Main-line propagation; samples are measured in index order.
+class _RowBuffer:
+    """Sample rows measured `len(rows)` at a time by one kernel call, into per-sample moment arrays.
 
-    Dicke-basis vectors (t = 0, free steps, period ends) are copied into a
-    buffer evaluated whenever full; the samples inside a pulse pair are
-    measured at once from its eigen-coefficients, after the buffer.
+    `kernel` maps a k x (N//2 + 1) block of rows to the k <J_z>, T and P that
+    `moments`, one array of each indexed by sample, receive.
+    """
+
+    def __init__(self, kernel, depth: int, width: int, moments):
+        self.kernel, self.moments = kernel, moments
+        self.rows = np.empty((depth, width), dtype=complex)
+        self.indices: list[int] = []
+
+    def row(self, index: int) -> np.ndarray:
+        """The row to write sample `index` into before the next call; a full buffer is measured first."""
+        if len(self.indices) == len(self.rows):
+            self.flush()
+        self.indices.append(index)
+        return self.rows[len(self.indices) - 1]
+
+    def flush(self) -> None:
+        for out, values in zip(self.moments, self.kernel(self.rows[: len(self.indices)])):
+            out[self.indices] = values
+        self.indices.clear()
+
+
+def _pulse_samples(spec: ExperimentSpec) -> list[SqueezingSample]:
+    """Main-line propagation into per-sample moments, measured by one tail at the end.
+
+    Dicke-basis vectors (t = 0, free steps, period ends) and the eigen-coefficient
+    rows of fine samples inside a pair (one buffer per pulse axis) are written into
+    row buffers, each measured whenever it is full.
     """
     n = spec.n_spins
     j = n / 2
@@ -221,56 +257,57 @@ def _pulse_samples(spec: ExperimentSpec) -> list[SqueezingSample]:
 
     # Phases depend only on the step and the times into it, so each is built once per trace.
     legs = [
-        (step, pulse_frame(step.axis, step.sign) if step.axis else None, step_phases(step, [step.duration])[0],
-         step_phases(step, partials))
-        for step, partials in itinerary
+        (step, step_phases(step, [step.duration])[0], step_phases(step, partials)) for step, partials in itinerary
     ]
+    frames = np.array([pulse_frame(step.axis, step.sign) if step.axis else np.eye(3) for step, _ in itinerary])
 
-    samples: list[SqueezingSample] = []
-    buffer = np.empty((SAMPLE_BUFFER_ROWS, even_sector_dim(n)), dtype=complex)
-    stamps = []
+    moments = (np.empty(len(times)), np.empty(len(times)), np.empty(len(times), dtype=complex))  # <J_z>, T, P
+    leg_of = np.full(len(times), -1)  # the pair leg whose frame a sample inside a pair is measured in
+    h = even_sector_dim(n)
+    dicke = _RowBuffer(lambda rows: even_sector_moments(rows.T, ops), SAMPLE_BUFFER_ROWS, h, moments)
+    pairs = {
+        axis: _RowBuffer(partial(pair_sector_moments, bands=pair_bands(n, axis)), PAIR_BUFFER_ROWS, h, moments)
+        for axis in {step.axis for step, partials in itinerary if step.axis and partials}
+    }
 
-    def flush() -> None:
-        samples.extend(_samples(stamps, *even_sector_samples(buffer[: len(stamps)].T, ops), j))
-        stamps.clear()
+    def measured(count: int) -> list[SqueezingSample]:
+        """The first `count` samples; their pulse frames are signed permutations, so mapping back is exact."""
+        for buffer in (dicke, *pairs.values()):
+            buffer.flush()
+        xi2, mean, direction = sector_samples(*(m[:count] for m in moments), j)
+        framed = np.flatnonzero(leg_of[:count] >= 0)
+        for v in (mean, direction):
+            v[framed] = np.matmul(frames[leg_of[framed]], v[framed, :, None])[:, :, 0]
+        return _samples(zip(times, range(count)), xi2, mean, direction, j)
 
-    def take(amps: np.ndarray, index: int) -> None:
-        buffer[len(stamps)] = amps
-        stamps.append((times[index], index, None))
-        if len(stamps) == SAMPLE_BUFFER_ROWS:
-            flush()
-
-    psi = np.zeros(even_sector_dim(n), dtype=complex)
+    psi = np.zeros(h, dtype=complex)
     psi[0] = 1.0  # |J,J>
+    dicke.row(0)[:] = psi
     index = 0
-    take(psi, index)
     for _ in range(spec.n_cycles):
-        for step, frame, phase, inner in legs:
+        for leg, (step, phase, inner) in enumerate(legs):
             if not step.axis:
                 for row in inner:
                     index += 1
-                    take(psi * row, index)
+                    np.multiply(psi, row, out=dicke.row(index))
                 psi = psi * phase
                 continue
             coeffs = pair_coefficients(n, step.axis, psi)
-            if len(inner):
-                flush()  # the earlier samples first, so the first vanishing mean spin is reported
-                moments = pair_sector_moments(inner * coeffs, pair_bands(n, step.axis))
-                pair_stamps = [(times[index + i], index + i, frame) for i in range(1, len(inner) + 1)]
-                samples.extend(_samples(pair_stamps, *sector_samples(*moments, j), j))
-                index += len(inner)
+            for row in inner:
+                index += 1
+                np.multiply(row, coeffs, out=pairs[step.axis].row(index))
+                leg_of[index] = leg
             psi = pair_amplitudes(n, step.axis, phase * coeffs)
         index += 1
         drift = abs(float(np.linalg.norm(psi)) - 1.0)
         if not drift <= tolerances.NORM_DRIFT:
-            flush()  # an earlier sample's vanishing mean spin is reported first
+            measured(index)  # an earlier sample's vanishing mean spin is reported first
             raise NumericalConsistencyError(
                 f"sample {index} at t={times[index]:.6g}: state norm drifted by {drift:.3e} "
                 f"(tolerance {tolerances.NORM_DRIFT:.0e})"
             )
-        take(psi, index)
-    flush()
-    return samples
+        dicke.row(index)[:] = psi
+    return measured(len(times))
 
 
 def _ideal_samples(spec: ExperimentSpec) -> list[SqueezingSample]:
@@ -278,13 +315,14 @@ def _ideal_samples(spec: ExperimentSpec) -> list[SqueezingSample]:
     if spec.scheme == "ideal-OAT":
         return _oat_samples(spec.n_spins, spec.chi, times)
     ops = build_operators(spec.n_spins)
-    states_at = _tat_states(spec.n_spins, spec.chi / spec.divisor, SAMPLE_BUFFER_ROWS)
-    samples = []
-    for s in range(0, len(times), SAMPLE_BUFFER_ROWS):
-        chunk = times[s : s + SAMPLE_BUFFER_ROWS]
-        moments = twist_samples(states_at(np.array(chunk)), ops)
-        samples += _samples([(t, s + i, None) for i, t in enumerate(chunk)], *moments, ops.total_spin)
-    return samples
+    states = _TatStates(spec.n_spins, spec.chi / spec.divisor, SCAN_CHUNK_COLUMNS)
+    ts = np.array(times)
+    jz, plus, minus = np.empty(ts.size), np.empty(ts.size), np.empty(ts.size)
+    for s in range(0, ts.size, SCAN_CHUNK_COLUMNS):
+        chunk = slice(s, s + SCAN_CHUNK_COLUMNS)
+        jz[chunk], plus[chunk], minus[chunk] = twist_moments(states(ts[chunk]), ops, states.work)
+    j = ops.total_spin
+    return _samples(zip(times, range(ts.size)), *twist_sector_samples(jz, plus, minus, j), j)
 
 
 def _oat_samples(n_spins: int, chi: float, times: list[float]) -> list[SqueezingSample]:
@@ -294,7 +332,7 @@ def _oat_samples(n_spins: int, chi: float, times: list[float]) -> list[Squeezing
     basis = (np.array([0.0, 1.0, 0.0]), sign[:, None] * np.array([0.0, 0.0, 1.0]))
     _, direction = min_variance(m.var_y, np.full_like(m.var_y, m.var_z), sign * m.cov_yz, basis)
     mean = np.column_stack([m.mean_x, np.zeros((len(times), 2))])
-    return _samples([(t, i, None) for i, t in enumerate(times)], m.xi2, mean, direction, n_spins / 2)
+    return _samples(zip(times, range(len(times))), m.xi2, mean, direction, n_spins / 2)
 
 
 def run_trace(spec: ExperimentSpec) -> SqueezingTrace:
@@ -367,49 +405,49 @@ def _scan_minimize(xi2_of_times, lo: float, hi: float) -> tuple[float, float]:
         a, b = ts[max(i - 1, 0)], ts[min(i + 1, ts.size - 1)]
 
 
-def _tat_states(n_spins: int, rate: float, columns: int):
+class _TatStates:
     """Map of k <= `columns` times to the k x (N//2 + 1) real rows r of xy twisting at `rate` from |J,J>.
 
     The state is a_i = r_i at even i and i r_i at odd i (`squeezing.twist_moments`).
     Two real GEMMs on the `twist_window`: its even-row vectors times
     c cos(lambda t) give r[:, 0::2], its odd-row vectors times -c sin(lambda t)
     give r[:, 1::2] (c = the overlaps with |J,J>), each written straight into
-    its columns of one row buffer.  Every call writes into the same buffers, so
-    a scan allocates no per-chunk temporaries, and its result is valid until
-    the next call.
+    its columns of one row buffer.  Every call writes into the same buffers,
+    and `work` is the `twist_moments` scratch for their rows, so a scan or a
+    trace allocates no per-chunk temporaries; a result is valid until the next call.
     """
-    win = twist_window(n_spins)
-    w, even, odd = win.values, win.even, win.odd
-    null = w.size - odd.shape[1]  # 1 at odd h: the null vector has no sin term
-    overlaps, sin_overlaps = even[0], -even[0, null:]
-    angles = np.empty((columns, w.size))
-    coeffs = np.empty((columns, w.size))
-    rows = np.empty((columns, even.shape[0] + odd.shape[0]))
 
-    def states_at(ts: np.ndarray) -> np.ndarray:
+    def __init__(self, n_spins: int, rate: float, columns: int):
+        self.window, self.rate = twist_window(n_spins), rate
+        size = self.window.values.size
+        self.angles, self.coeffs = np.empty((columns, size)), np.empty((columns, size))
+        self.rows = np.empty((columns, even_sector_dim(n_spins)))
+        self.work = np.empty((2, columns, (n_spins + 1) // 2))
+
+    def __call__(self, ts: np.ndarray) -> np.ndarray:
+        w, even, odd = self.window.values, self.window.even, self.window.odd
+        null = w.size - odd.shape[1]  # 1 at odd h: the null vector has no sin term
         k = ts.size
-        a, c, out = angles[:k], coeffs[:k], rows[:k]
+        a, c, out = self.angles[:k], self.coeffs[:k], self.rows[:k]
         np.outer(ts, w, out=a)
-        a *= rate
+        a *= self.rate
         np.cos(a, out=c)
-        c *= overlaps
+        c *= even[0]
         np.matmul(c, even.T, out=out[:, 0::2])
         c = np.sin(a[:, null:], out=c[:, null:])
-        c *= sin_overlaps
+        c *= -even[0, null:]
         np.matmul(c, odd.T, out=out[:, 1::2])
         return out
-
-    return states_at
 
 
 def _tat_scan(n_spins: int):
     """Map of times to the xi^2 of unit-strength xy twisting from |J,J>, SCAN_CHUNK_COLUMNS at a time."""
     ops = build_operators(n_spins)
-    states_at = _tat_states(n_spins, 1.0, SCAN_CHUNK_COLUMNS)
+    states = _TatStates(n_spins, 1.0, SCAN_CHUNK_COLUMNS)
 
     def xi2_of_times(ts: np.ndarray) -> np.ndarray:
         chunks = range(0, ts.size, SCAN_CHUNK_COLUMNS)
-        return np.concatenate([twist_xi2(states_at(ts[s : s + SCAN_CHUNK_COLUMNS]), ops) for s in chunks])
+        return np.concatenate([twist_xi2(states(ts[s : s + SCAN_CHUNK_COLUMNS]), ops, states.work) for s in chunks])
 
     return xi2_of_times
 

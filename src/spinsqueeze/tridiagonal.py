@@ -78,7 +78,9 @@ def _positive_eigenvalues(band: np.ndarray, count: int) -> np.ndarray:
                 break
             tighten -= 1
             todo = np.arange(count)
-        parts = max(8, MULTISECTION_SHIFTS * count // np.unique(a[todo]).size + 1)
+        starts = np.sort(a[todo])
+        distinct = 1 + np.count_nonzero(starts[1:] != starts[:-1])  # np.unique would import numpy.ma
+        parts = max(8, MULTISECTION_SHIFTS * count // distinct + 1)
         shifts = a[todo, None] + (b - a)[todo, None] * (np.arange(1, parts) / parts)
         unique, inverse = np.unique(shifts, return_inverse=True)
         below = _sturm_sweep(b2, unique)[0][inverse.reshape(shifts.shape)]

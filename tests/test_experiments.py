@@ -10,7 +10,7 @@ import pytest
 from scipy.linalg import expm
 
 import spinsqueeze
-from spinsqueeze import cli, find_optimum, propagate, run_trace, tat_optimum, time_cost
+from spinsqueeze import cli, experiments, find_optimum, propagate, run_trace, tat_optimum, time_cost
 from spinsqueeze.experiments import (
     IDEAL_SCHEMES,
     SCAN_CHUNK_COLUMNS,
@@ -534,6 +534,74 @@ def test_norm_drift_raises_naming_the_sample(monkeypatch):
     fine = ExperimentSpec("schemeA", 40, 5, 0.5, sampling="fine", subsamples=3)
     with pytest.raises(NumericalConsistencyError, match=r"sample 4 at"):
         run_trace(fine)
+
+
+def _first_pair_sample(spec):
+    """Index of the first sample inside a pulse pair."""
+    delta_t = delta_t_for(spec.scheme, spec.t_total, spec.n_cycles, spec.order)
+    schedule = compile_scheme(spec.scheme, delta_t, 1, spec.order)
+    times = _sample_times(spec)
+    per = spec.subsamples + 1
+    index = 0
+    for step, partials in _itinerary(schedule.steps, times[1:per], times[per]):
+        for _ in partials:
+            index += 1
+            if step.axis:
+                return index
+    raise AssertionError("no sample inside a pair")
+
+
+@pytest.mark.parametrize("kernel", ["even_sector_moments", "pair_sector_moments"])
+def test_vanishing_mean_spin_is_reported_before_a_later_norm_drift(monkeypatch, kernel):
+    """A kernel that reports <J_z> = 0 for every row it measures makes its first sample vanish;
+    a leaky pair makes the norm drift at the first period end, after it.  The vanishing sample
+    is named, as in a run without the drift."""
+    real = getattr(experiments, kernel)
+
+    def no_mean_spin(*args, **kwargs):
+        jz, transverse, p = real(*args, **kwargs)
+        return np.zeros_like(jz), transverse, p
+
+    monkeypatch.setattr(experiments, kernel, no_mean_spin)
+    spec = ExperimentSpec("schemeA", 40, 5, 0.5, sampling="fine", subsamples=3)
+    first = 0 if kernel == "even_sector_moments" else _first_pair_sample(spec)
+    assert first < spec.subsamples + 1  # before the first period end, where the norm drifts
+    with pytest.raises(MeanSpinVanishing, match=rf"^sample {first} at"):
+        run_trace(spec)
+    _leaky_factorization(monkeypatch)
+    with pytest.raises(MeanSpinVanishing, match=rf"^sample {first} at"):
+        run_trace(spec)
+
+
+BUFFER_DEPTHS = ("SAMPLE_BUFFER_ROWS", "PAIR_BUFFER_ROWS", "SCAN_CHUNK_COLUMNS")
+
+
+def _sample_bytes(trace):
+    return [(np.float64(s.xi2).tobytes(), s.mean_spin.tobytes(), s.min_variance_direction.tobytes())
+            for s in trace.samples]
+
+
+@pytest.mark.parametrize("depth", [1, 1000])
+@pytest.mark.parametrize("constant", BUFFER_DEPTHS)
+def test_trace_bits_do_not_depend_on_buffer_depths(monkeypatch, constant, depth):
+    """Pulse samples keep their bytes whatever the depth of each buffer.  The ideal-TAT states
+    come from one GEMM per chunk, whose bits depend on the chunk, so that trace agrees within 1e-13."""
+    pulses = [
+        replace(_pulse_spec(scheme, order, n, "fine"), subsamples=3)
+        for scheme, order in (("schemeB", 4), ("general", 6))
+        for n in (40, 41)
+    ]
+    tat = ExperimentSpec("ideal-TAT", 41, 30, 0.2, sampling="fine", subsamples=3)
+    want = [_sample_bytes(run_trace(spec)) for spec in pulses]
+    want_tat = run_trace(tat)
+    monkeypatch.setattr(experiments, constant, depth)
+    for spec, expected in zip(pulses, want):
+        assert _sample_bytes(run_trace(spec)) == expected, spec
+    got = run_trace(tat)
+    np.testing.assert_allclose(got.xi2(), want_tat.xi2(), rtol=1e-13, atol=0.0)
+    for field, scale in (("mean_spin", tat.n_spins / 2.0), ("min_variance_direction", 1.0)):
+        values = [[getattr(s, field) for s in trace.samples] for trace in (got, want_tat)]
+        np.testing.assert_allclose(*values, rtol=0.0, atol=1e-13 * scale)
 
 
 def test_norm_drift_exits_1_from_the_cli(monkeypatch, capsys):

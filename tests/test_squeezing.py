@@ -10,7 +10,7 @@ from spinsqueeze import (
     find_optimum,
     squeezing_parameter,
 )
-from spinsqueeze.experiments import _samples, _tat_scan, _tat_states, tat_optimum
+from spinsqueeze.experiments import _samples, _tat_scan, _TatStates, tat_optimum
 from spinsqueeze.propagate import pair_bands, pair_coefficients
 from spinsqueeze.spin_ops import even_sector_state
 from spinsqueeze.squeezing import (
@@ -226,7 +226,7 @@ def _twist_rows(n):
     """Real rows r of twisted states a = (r_0, i r_1, r_2, i r_3, ...): xy twisting from |J,J> at
     9 times, 6 random rows and (N > 1) one with <J_z> = 0; and their complex amplitudes, by column."""
     h = n // 2 + 1
-    evolved = _tat_states(n, 1.0, 9)(np.linspace(0.0, 40.0 / n, 9))
+    evolved = _TatStates(n, 1.0, 9)(np.linspace(0.0, 40.0 / n, 9))
     rand = np.random.default_rng(n).normal(size=(6, h))
     rows = [evolved, rand / np.linalg.norm(rand, axis=1)[:, None]]
     if n > 1:
@@ -274,14 +274,15 @@ def test_twist_kernel_matches_squeezing_parameter(n):
 
 @pytest.mark.parametrize("n", [40, 41])
 def test_twist_state_buffer_is_reused_without_a_trace(n):
-    """A scan's one state buffer, written by a larger block of other times first, gives the
-    bits of a fresh buffer."""
+    """A scan's one state buffer and `twist_moments` workspace, written by a larger block of
+    other times first, give the bits of fresh ones."""
+    ops = build_operators(n)
     ts = np.linspace(0.0, 10.0 / n, 5)
-    fresh = twist_xi2(_tat_states(n, 1.0, 5)(ts), build_operators(n))
-    states_at = _tat_states(n, 1.0, 8)
+    fresh = twist_xi2(_TatStates(n, 1.0, 5)(ts), ops)
+    states = _TatStates(n, 1.0, 8)
     for _ in range(2):
-        states_at(np.linspace(1.0 / n, 9.0 / n, 8))
-        np.testing.assert_array_equal(twist_xi2(states_at(ts), build_operators(n)), fresh)
+        twist_xi2(states(np.linspace(1.0 / n, 9.0 / n, 8)), ops, states.work)
+        np.testing.assert_array_equal(twist_xi2(states(ts), ops, states.work), fresh)
 
 
 @pytest.mark.parametrize("n", [40, 41, 402, 403, 2000, 2001, 10**4])
@@ -295,7 +296,7 @@ def test_twist_kernel_matches_40_digit_arithmetic(n):
     mp.mp.dps = 40
     t_opt = tat_optimum(n).t_opt
     ts = t_opt * np.array([1.0 - 2e-4, 1.0, 1.0 + 2e-4])
-    rows = _tat_states(n, 1.0, ts.size)(ts).copy()
+    rows = _TatStates(n, 1.0, ts.size)(ts).copy()
     got = twist_xi2(rows, build_operators(n))
     j = mp.mpf(n) / 2
     ladder = [mp.sqrt((k + 1) * (n - k)) for k in range(n)]
@@ -374,7 +375,7 @@ def test_vanishing_mean_spin_inside_a_pair_names_the_same_sample_on_both_paths(n
     rows.insert(1, pair_coefficients(n, axis, balanced))
     rows.append(pair_coefficients(n, axis, balanced))
     block = np.array(rows)
-    stamps = [(0.1 * i, 7 + i, None) for i in range(len(rows))]
+    stamps = [(0.1 * i, 7 + i) for i in range(len(rows))]
     banded = sector_samples(*pair_sector_moments(block, pair_bands(n, axis)), ops.total_spin)
     amps = np.column_stack([pair_evolve(n, axis, row, 1.0, 0.0) for row in block])
     for measured in (banded, even_sector_samples(amps, ops)):

@@ -1,9 +1,15 @@
 """The numpy window eigensolver against LAPACK (scipy) and dense eigh, on TAT blocks and a clustered spectrum."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+import spinsqueeze
 from spinsqueeze import build_operators, tridiagonal
 
 from oracles import mirrored_window
@@ -74,3 +80,18 @@ def test_window_solver_keeps_newton_inside_its_bracket(monkeypatch, h):
     dense = np.diag(band, 1) + np.diag(band, -1)
     assert np.abs(dense @ v - v * w).max() <= 1e-15
     assert len(calls) <= 12
+
+
+def test_window_solve_does_not_import_numpy_ma():
+    """A fresh process solves a twist window, for a TAT optimum, without importing numpy.ma (10-16 ms)."""
+    script = """
+import sys
+from spinsqueeze.experiments import tat_optimum
+tat_optimum(400)
+assert "numpy.ma" not in sys.modules
+"""
+    src = Path(spinsqueeze.__file__).resolve().parent.parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
