@@ -88,9 +88,9 @@ PRE_OPTIMUM_FACTOR = 1.5
 # ideal-TAT trace reuses.
 SCAN_CHUNK_COLUMNS = 64
 # Rows per moment-kernel call of a pulse trace: Dicke-basis samples, and the
-# samples inside the pairs about one axis.  On compare_fine (N ~ 1250, one BLAS
-# thread) 1 to 16 Dicke rows time alike within noise, so the fewest that batch
-# are kept; 8 to 16 pair rows time alike, 32 rows 8% and 64 rows 25% slower.
+# samples inside the pairs about one axis.  In compare_fine bodies (N ~ 1250,
+# one BLAS thread, medians of 25) 1 to 16 Dicke rows time alike within the
+# quartiles, so the buffer stays small; 8 to 32 pair rows time alike, 64 run 24% slower.
 SAMPLE_BUFFER_ROWS = 4
 PAIR_BUFFER_ROWS = 16
 # Peak bytes per sample of a trace and its CSV text: 632-633 B measured with
