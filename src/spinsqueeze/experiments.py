@@ -14,14 +14,14 @@ The kernels only write each sample's <J_z>, T = J(J+1) - <J_z^2> and P =
 `squeezing.sector_samples`, turns them into xi^2, mean spins and
 directions.  A fine sample inside a pair is measured straight from the
 pair's eigen-coefficients by the banded moments of
-`squeezing.pair_sector_moments`, in the frame rotated by the opening pulse:
-its row goes into a buffer of PAIR_BUFFER_ROWS rows per pulse axis,
-measured when full, and the tail maps its mean spin and minimal-variance
-direction back with the pulse's signed permutation, exactly.  Every other
-sample's vector goes into a buffer of SAMPLE_BUFFER_ROWS rows measured by
-`squeezing.even_sector_moments`.  No kernel's per-row bits depend on the
-batch, so samples do not depend on the buffer depths, and a fine run's
-period-boundary samples are a stroboscopic run's, bit for bit.  No sample
+`squeezing.pair_sector_moments`, all of the pair's at once, in the frame
+rotated by the opening pulse; the tail maps their mean spins and
+minimal-variance directions back with the pulse's signed permutation,
+exactly.  Every other sample's vector goes into a buffer of
+SAMPLE_BUFFER_ROWS rows measured by `squeezing.even_sector_moments`.  No
+kernel's per-row bits depend on the batch, so samples do not depend on the
+buffer depth, and a fine run's period-boundary samples are a stroboscopic
+run's, bit for bit.  No sample
 builds a full (N+1)-dimensional state.  At every period boundary the state
 norm is checked against `tolerances.NORM_DRIFT`; an earlier sample whose
 mean spin vanished is reported first.  Ideal xy twisting (the ideal-TAT
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -84,15 +84,15 @@ IDEAL_SCHEMES = ("ideal-TAT", "ideal-OAT")
 PRE_OPTIMUM_FACTOR = 1.5
 
 # Times per zoom level of the optimum search (four levels reach 1e-6 of the
-# window) and per TAT batch, whose window x 64 real state buffer a scan or an
-# ideal-TAT trace reuses.
+# window) and per TAT batch, whose window x 64 real state buffer a scan reuses.
+# An ideal-TAT trace builds its states in batches of the same width, which
+# suits the same two GEMMs; the coupling is intended, so a change of the zoom's
+# width also changes the trace's batches (its samples move within 1e-13 relative).
 SCAN_CHUNK_COLUMNS = 64
-# Rows per moment-kernel call of a pulse trace: Dicke-basis samples, and the
-# samples inside the pairs about one axis.  In compare_fine bodies (N ~ 1250,
-# one BLAS thread, medians of 25) 1 to 16 Dicke rows time alike within the
-# quartiles, so the buffer stays small; 8 to 32 pair rows time alike, 64 run 24% slower.
+# Dicke-basis rows per moment-kernel call of a pulse trace.  In compare_fine
+# bodies (N ~ 1250, one BLAS thread, medians of 25) 1 to 16 rows time alike
+# within the quartiles, so the buffer stays small.
 SAMPLE_BUFFER_ROWS = 4
-PAIR_BUFFER_ROWS = 16
 # Peak bytes per sample of a trace and its CSV text: 632-633 B measured with
 # tracemalloc over 10^5-sample ideal-OAT, ideal-TAT, liu1 and schemeA runs.
 SAMPLE_BYTES = 640
@@ -210,37 +210,12 @@ def _samples(stamps, xi2, mean, direction, j: float) -> list[SqueezingSample]:
     return samples
 
 
-class _RowBuffer:
-    """Sample rows measured `len(rows)` at a time by one kernel call, into per-sample moment arrays.
-
-    `kernel` maps a k x (N//2 + 1) block of rows to the k <J_z>, T and P that
-    `moments`, one array of each indexed by sample, receive.
-    """
-
-    def __init__(self, kernel, depth: int, width: int, moments):
-        self.kernel, self.moments = kernel, moments
-        self.rows = np.empty((depth, width), dtype=complex)
-        self.indices: list[int] = []
-
-    def row(self, index: int) -> np.ndarray:
-        """The row to write sample `index` into before the next call; a full buffer is measured first."""
-        if len(self.indices) == len(self.rows):
-            self.flush()
-        self.indices.append(index)
-        return self.rows[len(self.indices) - 1]
-
-    def flush(self) -> None:
-        for out, values in zip(self.moments, self.kernel(self.rows[: len(self.indices)])):
-            out[self.indices] = values
-        self.indices.clear()
-
-
 def _pulse_samples(spec: ExperimentSpec) -> list[SqueezingSample]:
     """Main-line propagation into per-sample moments, measured by one tail at the end.
 
-    Dicke-basis vectors (t = 0, free steps, period ends) and the eigen-coefficient
-    rows of fine samples inside a pair (one buffer per pulse axis) are written into
-    row buffers, each measured whenever it is full.
+    Dicke-basis vectors (t = 0, free steps, period ends) are written into a
+    buffer measured whenever it is full; the samples inside a pulse pair are
+    measured at once from its eigen-coefficients.
     """
     n = spec.n_spins
     j = n / 2
@@ -263,17 +238,30 @@ def _pulse_samples(spec: ExperimentSpec) -> list[SqueezingSample]:
 
     moments = (np.empty(len(times)), np.empty(len(times)), np.empty(len(times), dtype=complex))  # <J_z>, T, P
     leg_of = np.full(len(times), -1)  # the pair leg whose frame a sample inside a pair is measured in
+    pair_axes = {step.axis for step, partials in itinerary if step.axis and partials}
+    bands = {axis: pair_bands(n, axis) for axis in pair_axes}
     h = even_sector_dim(n)
-    dicke = _RowBuffer(lambda rows: even_sector_moments(rows.T, ops), SAMPLE_BUFFER_ROWS, h, moments)
-    pairs = {
-        axis: _RowBuffer(partial(pair_sector_moments, bands=pair_bands(n, axis)), PAIR_BUFFER_ROWS, h, moments)
-        for axis in {step.axis for step, partials in itinerary if step.axis and partials}
-    }
+    buffer = np.empty((SAMPLE_BUFFER_ROWS, h), dtype=complex)
+    held: list[int] = []  # the samples whose Dicke-basis vectors fill the buffer's first rows
+
+    def store(at, values) -> None:
+        for out, value in zip(moments, values):
+            out[at] = value
+
+    def flush() -> None:
+        store(held, even_sector_moments(buffer[: len(held)].T, ops))
+        held.clear()
+
+    def row(index: int) -> np.ndarray:
+        """The buffer row to write sample `index` into; a full buffer is measured first."""
+        if len(held) == len(buffer):
+            flush()
+        held.append(index)
+        return buffer[len(held) - 1]
 
     def measured(count: int) -> list[SqueezingSample]:
         """The first `count` samples; their pulse frames are signed permutations, so mapping back is exact."""
-        for buffer in (dicke, *pairs.values()):
-            buffer.flush()
+        flush()
         xi2, mean, direction = sector_samples(*(m[:count] for m in moments), j)
         framed = np.flatnonzero(leg_of[:count] >= 0)
         for v in (mean, direction):
@@ -282,21 +270,22 @@ def _pulse_samples(spec: ExperimentSpec) -> list[SqueezingSample]:
 
     psi = np.zeros(h, dtype=complex)
     psi[0] = 1.0  # |J,J>
-    dicke.row(0)[:] = psi
+    row(0)[:] = psi
     index = 0
     for _ in range(spec.n_cycles):
         for leg, (step, phase, inner) in enumerate(legs):
             if not step.axis:
-                for row in inner:
+                for phases in inner:
                     index += 1
-                    np.multiply(psi, row, out=dicke.row(index))
+                    np.multiply(psi, phases, out=row(index))
                 psi = psi * phase
                 continue
             coeffs = pair_coefficients(n, step.axis, psi)
-            for row in inner:
-                index += 1
-                np.multiply(row, coeffs, out=pairs[step.axis].row(index))
-                leg_of[index] = leg
+            if len(inner):
+                at = slice(index + 1, index + 1 + len(inner))
+                store(at, pair_sector_moments(inner * coeffs, bands[step.axis]))
+                leg_of[at] = leg
+                index += len(inner)
             psi = pair_amplitudes(n, step.axis, phase * coeffs)
         index += 1
         drift = abs(float(np.linalg.norm(psi)) - 1.0)
@@ -306,7 +295,7 @@ def _pulse_samples(spec: ExperimentSpec) -> list[SqueezingSample]:
                 f"sample {index} at t={times[index]:.6g}: state norm drifted by {drift:.3e} "
                 f"(tolerance {tolerances.NORM_DRIFT:.0e})"
             )
-        dicke.row(index)[:] = psi
+        row(index)[:] = psi
     return measured(len(times))
 
 
@@ -315,12 +304,12 @@ def _ideal_samples(spec: ExperimentSpec) -> list[SqueezingSample]:
     if spec.scheme == "ideal-OAT":
         return _oat_samples(spec.n_spins, spec.chi, times)
     ops = build_operators(spec.n_spins)
-    states = _TatStates(spec.n_spins, spec.chi / spec.divisor, SCAN_CHUNK_COLUMNS)
+    states_at = _tat_states(spec.n_spins, spec.chi / spec.divisor, SCAN_CHUNK_COLUMNS)
     ts = np.array(times)
     jz, plus, minus = np.empty(ts.size), np.empty(ts.size), np.empty(ts.size)
     for s in range(0, ts.size, SCAN_CHUNK_COLUMNS):
         chunk = slice(s, s + SCAN_CHUNK_COLUMNS)
-        jz[chunk], plus[chunk], minus[chunk] = twist_moments(states(ts[chunk]), ops, states.work)
+        jz[chunk], plus[chunk], minus[chunk] = twist_moments(states_at(ts[chunk]), ops)
     j = ops.total_spin
     return _samples(zip(times, range(ts.size)), *twist_sector_samples(jz, plus, minus, j), j)
 
@@ -405,49 +394,49 @@ def _scan_minimize(xi2_of_times, lo: float, hi: float) -> tuple[float, float]:
         a, b = ts[max(i - 1, 0)], ts[min(i + 1, ts.size - 1)]
 
 
-class _TatStates:
+def _tat_states(n_spins: int, rate: float, columns: int):
     """Map of k <= `columns` times to the k x (N//2 + 1) real rows r of xy twisting at `rate` from |J,J>.
 
     The state is a_i = r_i at even i and i r_i at odd i (`squeezing.twist_moments`).
     Two real GEMMs on the `twist_window`: its even-row vectors times
     c cos(lambda t) give r[:, 0::2], its odd-row vectors times -c sin(lambda t)
     give r[:, 1::2] (c = the overlaps with |J,J>), each written straight into
-    its columns of one row buffer.  Every call writes into the same buffers,
-    and `work` is the `twist_moments` scratch for their rows, so a scan or a
-    trace allocates no per-chunk temporaries; a result is valid until the next call.
+    its columns of one row buffer.  Every call writes into the same buffers, so
+    a scan allocates no per-chunk temporaries, and its result is valid until
+    the next call.
     """
+    win = twist_window(n_spins)
+    w, even, odd = win.values, win.even, win.odd
+    null = w.size - odd.shape[1]  # 1 at odd h: the null vector has no sin term
+    overlaps, sin_overlaps = even[0], -even[0, null:]
+    angles = np.empty((columns, w.size))
+    coeffs = np.empty((columns, w.size))
+    rows = np.empty((columns, even.shape[0] + odd.shape[0]))
 
-    def __init__(self, n_spins: int, rate: float, columns: int):
-        self.window, self.rate = twist_window(n_spins), rate
-        size = self.window.values.size
-        self.angles, self.coeffs = np.empty((columns, size)), np.empty((columns, size))
-        self.rows = np.empty((columns, even_sector_dim(n_spins)))
-        self.work = np.empty((2, columns, (n_spins + 1) // 2))
-
-    def __call__(self, ts: np.ndarray) -> np.ndarray:
-        w, even, odd = self.window.values, self.window.even, self.window.odd
-        null = w.size - odd.shape[1]  # 1 at odd h: the null vector has no sin term
+    def states_at(ts: np.ndarray) -> np.ndarray:
         k = ts.size
-        a, c, out = self.angles[:k], self.coeffs[:k], self.rows[:k]
+        a, c, out = angles[:k], coeffs[:k], rows[:k]
         np.outer(ts, w, out=a)
-        a *= self.rate
+        a *= rate
         np.cos(a, out=c)
-        c *= even[0]
+        c *= overlaps
         np.matmul(c, even.T, out=out[:, 0::2])
         c = np.sin(a[:, null:], out=c[:, null:])
-        c *= -even[0, null:]
+        c *= sin_overlaps
         np.matmul(c, odd.T, out=out[:, 1::2])
         return out
+
+    return states_at
 
 
 def _tat_scan(n_spins: int):
     """Map of times to the xi^2 of unit-strength xy twisting from |J,J>, SCAN_CHUNK_COLUMNS at a time."""
     ops = build_operators(n_spins)
-    states = _TatStates(n_spins, 1.0, SCAN_CHUNK_COLUMNS)
+    states_at = _tat_states(n_spins, 1.0, SCAN_CHUNK_COLUMNS)
 
     def xi2_of_times(ts: np.ndarray) -> np.ndarray:
         chunks = range(0, ts.size, SCAN_CHUNK_COLUMNS)
-        return np.concatenate([twist_xi2(states(ts[s : s + SCAN_CHUNK_COLUMNS]), ops, states.work) for s in chunks])
+        return np.concatenate([twist_xi2(states_at(ts[s : s + SCAN_CHUNK_COLUMNS]), ops) for s in chunks])
 
     return xi2_of_times
 

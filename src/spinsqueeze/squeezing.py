@@ -156,7 +156,7 @@ def even_sector_moments(amps: np.ndarray, ops: SpinOperators):
     return jz, transverse, p
 
 
-def twist_moments(rows: np.ndarray, ops: SpinOperators, work: np.ndarray | None = None):
+def twist_moments(rows: np.ndarray, ops: SpinOperators):
     """<J_z> and lambda_pm = <J_theta^2> at theta = pi/4 and 3 pi/4 of every row r of a k x (N//2 + 1) real block.
 
     Row r stands for the even-sector state a_i = r_i at even i and i r_i at
@@ -168,16 +168,11 @@ def twist_moments(rows: np.ndarray, ops: SpinOperators, work: np.ndarray | None 
     lambda_+ - lambda_-, and min(lambda_pm) = (T - |P|)/2 is a sum of squares,
     free of the cancellation between two numbers of size J^2.  Each row is
     summed as one contiguous row with no BLAS product: its bits depend neither
-    on k, nor on the block's memory order, nor on `work`.  `work`, scratch of
-    shape (2, >= k, (N+1)//2) that a caller reuses across calls, holds w_pm
-    and the signed tail of w; without it each call allocates its own.
+    on k nor on the block's memory order.
     """
     rows = np.ascontiguousarray(rows)
-    k, h = rows.shape
-    if work is None:
-        work = np.empty((2, k, (ops.n_spins + 1) // 2))
-    w, tail = work[0, :k], work[1, :k, : h - 1]  # w_+, then w_-
-    np.multiply(rows[:, 1:], ops.ladder[1::2] * (-1.0) ** np.arange(h - 1), out=tail)
+    tail = rows[:, 1:] * (ops.ladder[1::2] * (-1.0) ** np.arange(rows.shape[1] - 1))
+    w = np.empty((rows.shape[0], (ops.n_spins + 1) // 2))  # w_+, then w_-: two k x N/2 temporaries in all
     lam = []
     for combine in (np.add, np.subtract):
         np.multiply(rows[:, : w.shape[1]], ops.ladder[0::2], out=w)
@@ -237,14 +232,9 @@ def sector_samples(jz, transverse, p, j: float, lam_min=None):
     return sector_xi2(jz, lam_min, j), mean, direction
 
 
-def even_sector_samples(amps: np.ndarray, ops: SpinOperators):
-    """`sector_samples` of every column of `even_sector_moments`."""
-    return sector_samples(*even_sector_moments(amps, ops), ops.total_spin)
-
-
-def twist_xi2(rows: np.ndarray, ops: SpinOperators, work: np.ndarray | None = None) -> np.ndarray:
+def twist_xi2(rows: np.ndarray, ops: SpinOperators) -> np.ndarray:
     """The xi^2 = 2 min(lambda_pm) / J of every row of `twist_moments`, no directions."""
-    jz, plus, minus = twist_moments(rows, ops, work)
+    jz, plus, minus = twist_moments(rows, ops)
     return sector_xi2(jz, np.minimum(plus, minus), ops.total_spin)
 
 
@@ -252,11 +242,6 @@ def twist_sector_samples(jz, plus, minus, j: float):
     """`sector_samples` of `twist_moments` output: T = lambda_+ + lambda_-, P = i (lambda_+ - lambda_-),
     and the xi^2 of `twist_xi2`."""
     return sector_samples(jz, plus + minus, 1j * (plus - minus), j, np.minimum(plus, minus))
-
-
-def twist_samples(rows: np.ndarray, ops: SpinOperators):
-    """`twist_sector_samples` of every row of `twist_moments`."""
-    return twist_sector_samples(*twist_moments(rows, ops), ops.total_spin)
 
 
 @dataclass(frozen=True)

@@ -573,7 +573,7 @@ def test_vanishing_mean_spin_is_reported_before_a_later_norm_drift(monkeypatch, 
         run_trace(spec)
 
 
-BUFFER_DEPTHS = ("SAMPLE_BUFFER_ROWS", "PAIR_BUFFER_ROWS", "SCAN_CHUNK_COLUMNS")
+BUFFER_DEPTHS = ("SAMPLE_BUFFER_ROWS", "SCAN_CHUNK_COLUMNS")
 
 
 def _sample_bytes(trace):

@@ -33,7 +33,7 @@ from spinsqueeze.propagate import (
 from spinsqueeze import propagate, tolerances, tridiagonal
 from spinsqueeze.spin_ops import NumericalConsistencyError, even_sector_state
 from spinsqueeze.schedules import compile_scheme, free, pulse
-from spinsqueeze.experiments import _TatStates, trotter_order_fit
+from spinsqueeze.experiments import _tat_states, trotter_order_fit
 
 from conftest import mean_spin, oat_evolved, random_state, rotated
 from oracles import evolve_free, full_window, pair_evolve
@@ -469,7 +469,7 @@ def test_twist_window_states_match_dense_twisting(n):
     start = np.zeros(n // 2 + 1, dtype=complex)
     start[0] = 1.0
     ts = np.linspace(0.0, 10.0 / n, 5)
-    states = _TatStates(n, 1.0, ts.size)(ts).astype(complex)
+    states = _tat_states(n, 1.0, ts.size)(ts).astype(complex)
     states[:, 1::2] *= 1j
     for t, state in zip(ts, states):
         dense = evolve_twist(coherent_state_z(n), 1.0, t).amplitudes

@@ -10,19 +10,20 @@ from spinsqueeze import (
     find_optimum,
     squeezing_parameter,
 )
-from spinsqueeze.experiments import _samples, _tat_scan, _TatStates, tat_optimum
+from spinsqueeze.experiments import _samples, _tat_scan, _tat_states, tat_optimum
 from spinsqueeze.propagate import pair_bands, pair_coefficients
 from spinsqueeze.spin_ops import even_sector_state
 from spinsqueeze.squeezing import (
     MeanSpinVanishing,
     SqueezingSample,
     SqueezingTrace,
-    even_sector_samples,
+    even_sector_moments,
     oat_moments,
     pair_sector_moments,
     sector_samples,
     transverse_basis,
-    twist_samples,
+    twist_moments,
+    twist_sector_samples,
     twist_xi2,
 )
 
@@ -205,7 +206,7 @@ def test_even_sector_kernel_matches_squeezing_parameter(n):
     the signed minimal-variance direction, and MeanSpinVanishing exactly where that raises."""
     ops = build_operators(n)
     amps = _even_sector_columns(n)
-    xi2, mean, direction = even_sector_samples(amps, ops)
+    xi2, mean, direction = sector_samples(*even_sector_moments(amps, ops), ops.total_spin)
     assert np.all(mean[:, :2] == 0.0)
     vanished = []
     for i, col in enumerate(amps.T):
@@ -226,7 +227,7 @@ def _twist_rows(n):
     """Real rows r of twisted states a = (r_0, i r_1, r_2, i r_3, ...): xy twisting from |J,J> at
     9 times, 6 random rows and (N > 1) one with <J_z> = 0; and their complex amplitudes, by column."""
     h = n // 2 + 1
-    evolved = _TatStates(n, 1.0, 9)(np.linspace(0.0, 40.0 / n, 9))
+    evolved = _tat_states(n, 1.0, 9)(np.linspace(0.0, 40.0 / n, 9))
     rand = np.random.default_rng(n).normal(size=(6, h))
     rows = [evolved, rand / np.linalg.norm(rand, axis=1)[:, None]]
     if n > 1:
@@ -248,13 +249,13 @@ def test_twist_kernel_matches_squeezing_parameter(n):
     and 7 (h = 4) and N = 8 and 9 (h = 5) cover both parities of h at each parity of N.
 
     Its xi^2 is the bits of the xi^2-only `twist_xi2`, for a C- or F-ordered block alike, and
-    its mean spin and direction agree with `even_sector_samples` of the complex amplitudes."""
+    its mean spin and direction agree with the `even_sector_moments` samples of the complex amplitudes."""
     ops = build_operators(n)
     rows, amps = _twist_rows(n)
-    xi2, mean, direction = twist_samples(rows, ops)
+    xi2, mean, direction = twist_sector_samples(*twist_moments(rows, ops), ops.total_spin)
     np.testing.assert_array_equal(twist_xi2(rows, ops), xi2)
     np.testing.assert_array_equal(twist_xi2(np.asfortranarray(rows), ops), xi2)
-    _, amp_mean, amp_direction = even_sector_samples(amps, ops)
+    _, amp_mean, amp_direction = sector_samples(*even_sector_moments(amps, ops), ops.total_spin)
     assert np.abs(mean - amp_mean).max() <= 1e-13 * ops.total_spin
     assert np.abs(direction - amp_direction).max() <= 1e-10
     assert np.all(mean[:, :2] == 0.0)
@@ -274,15 +275,14 @@ def test_twist_kernel_matches_squeezing_parameter(n):
 
 @pytest.mark.parametrize("n", [40, 41])
 def test_twist_state_buffer_is_reused_without_a_trace(n):
-    """A scan's one state buffer and `twist_moments` workspace, written by a larger block of
-    other times first, give the bits of fresh ones."""
-    ops = build_operators(n)
+    """A scan's one state buffer, written by a larger block of other times first, gives the
+    bits of a fresh buffer."""
     ts = np.linspace(0.0, 10.0 / n, 5)
-    fresh = twist_xi2(_TatStates(n, 1.0, 5)(ts), ops)
-    states = _TatStates(n, 1.0, 8)
+    fresh = twist_xi2(_tat_states(n, 1.0, 5)(ts), build_operators(n))
+    states_at = _tat_states(n, 1.0, 8)
     for _ in range(2):
-        twist_xi2(states(np.linspace(1.0 / n, 9.0 / n, 8)), ops, states.work)
-        np.testing.assert_array_equal(twist_xi2(states(ts), ops, states.work), fresh)
+        states_at(np.linspace(1.0 / n, 9.0 / n, 8))
+        np.testing.assert_array_equal(twist_xi2(states_at(ts), build_operators(n)), fresh)
 
 
 @pytest.mark.parametrize("n", [40, 41, 402, 403, 2000, 2001, 10**4])
@@ -296,7 +296,7 @@ def test_twist_kernel_matches_40_digit_arithmetic(n):
     mp.mp.dps = 40
     t_opt = tat_optimum(n).t_opt
     ts = t_opt * np.array([1.0 - 2e-4, 1.0, 1.0 + 2e-4])
-    rows = _TatStates(n, 1.0, ts.size)(ts).copy()
+    rows = _tat_states(n, 1.0, ts.size)(ts).copy()
     got = twist_xi2(rows, build_operators(n))
     j = mp.mpf(n) / 2
     ladder = [mp.sqrt((k + 1) * (n - k)) for k in range(n)]
@@ -333,7 +333,7 @@ def _pair_columns(n):
 @pytest.mark.parametrize("n", [40, 41, 400, 401])
 def test_pair_band_moments_match_the_amplitude_path(n, axis):
     """Samples inside a pair from its eigen-coefficients and `pair_bands` agree with the
-    back-transformed amplitudes (`pair_evolve`) measured by `even_sector_samples`."""
+    back-transformed amplitudes (`pair_evolve`) measured by `even_sector_moments`."""
     ops = build_operators(n)
     j = ops.total_spin
     ts = np.array([0.0, 0.3, 2.0, 7.0, 20.0]) / n
@@ -341,7 +341,7 @@ def test_pair_band_moments_match_the_amplitude_path(n, axis):
         coeffs = pair_coefficients(n, axis, psi)
         got = sector_samples(*pair_sector_moments(pair_twist(n, coeffs, 1.3, ts), pair_bands(n, axis)), j)
         amps = np.column_stack([pair_evolve(n, axis, coeffs, 1.3, t) for t in ts])
-        want = even_sector_samples(amps, ops)
+        want = sector_samples(*even_sector_moments(amps, ops), ops.total_spin)
         assert np.all(np.isfinite(want[0]))
         np.testing.assert_allclose(got[0], want[0], rtol=1e-9, atol=0.0)
         assert np.abs(got[1] - want[1]).max() <= 1e-9 * j
@@ -378,7 +378,7 @@ def test_vanishing_mean_spin_inside_a_pair_names_the_same_sample_on_both_paths(n
     stamps = [(0.1 * i, 7 + i) for i in range(len(rows))]
     banded = sector_samples(*pair_sector_moments(block, pair_bands(n, axis)), ops.total_spin)
     amps = np.column_stack([pair_evolve(n, axis, row, 1.0, 0.0) for row in block])
-    for measured in (banded, even_sector_samples(amps, ops)):
+    for measured in (banded, sector_samples(*even_sector_moments(amps, ops), ops.total_spin)):
         np.testing.assert_array_equal(np.isinf(measured[0]), [False, True, False, True])
         with pytest.raises(MeanSpinVanishing, match="^sample 8 at"):
             _samples(stamps, *measured, ops.total_spin)
@@ -401,7 +401,7 @@ def test_even_sector_kernel_is_as_accurate_as_the_state_path(n):
     p_re = 2 * (band * (re[:-1] * re[1:] + im[:-1] * im[1:])).sum(axis=0)
     p_im = 2 * (band * (re[:-1] * im[1:] - im[:-1] * re[1:])).sum(axis=0)
     exact = (transverse - np.sqrt(p_re**2 + p_im**2)) / j
-    kernel = np.abs(even_sector_samples(amps, ops)[0] - exact) / exact
+    kernel = np.abs(sector_samples(*even_sector_moments(amps, ops), ops.total_spin)[0] - exact) / exact
     state = [squeezing_parameter(even_sector_state(n, col), ops).xi2 for col in amps.T]
     state_path = np.abs(np.array(state, dtype=np.longdouble) - exact) / exact
     assert kernel.max() <= 2 * state_path.max(), (kernel, state_path)
