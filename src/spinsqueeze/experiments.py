@@ -1,21 +1,23 @@
 """Run squeezing experiments: pulse-driven traces, ideal references, sweeps and fits.
 
 Every trace samples one grid, `_sample_times`: t = 0, then per period of
-t_total / n_cycles its interior instants (fine(k) only) and its end; a grid
-the memory cannot hold, at SAMPLE_BYTES a sample, is refused by
-`validate_spec`.  Pulse schemes run on the even-index Dicke sector (see
-`propagate`): each period is the schedule's steps, free z^2 twisting or a
-pulse pair (a+, tau, a-) evolved through its eigen-coefficients.  A
-step's phases, and those of the fine samples inside it, depend only on
-durations, so each is built once per trace.  Samples fork off the main
-line, so a fine run applies exactly the operations of a stroboscopic one.
+t_total / n_cycles its interior instants (fine(k) only) and its end.  A
+run whose samples, at SAMPLE_BYTES each, and phase tables (one complex row
+of N//2 + 1 per step and per interior sample of a pulse trace) the memory
+cannot hold is refused by `validate_spec`.  Pulse schemes run on the
+even-index Dicke sector (see `propagate`): each period is the schedule's
+steps, free z^2 twisting or a pulse pair (a+, tau, a-) evolved through its
+eigen-coefficients.  A step's phases, and those of the fine samples inside
+it, depend only on durations, so each is built once per trace.  Samples
+fork off the main line, so a fine run applies exactly the operations of a
+stroboscopic one.
 The kernels only write each sample's <J_z>, T = J(J+1) - <J_z^2> and P =
 <J_+^2> into per-trace arrays indexed by sample; one tail per trace,
 `squeezing.sector_samples`, turns them into xi^2, mean spins and
 directions.  A fine sample inside a pair is measured straight from the
 pair's eigen-coefficients by the banded moments of
-`squeezing.pair_sector_moments`, all of the pair's at once, in the frame
-rotated by the opening pulse; the tail maps their mean spins and
+`squeezing.pair_sector_moments`, PAIR_BLOCK_ENTRIES phases at a time, in
+the frame rotated by the opening pulse; the tail maps their mean spins and
 minimal-variance directions back with the pulse's signed permutation,
 exactly.  Every other sample's vector goes into a buffer of
 SAMPLE_BUFFER_ROWS rows measured by `squeezing.even_sector_moments`.  No
@@ -52,10 +54,7 @@ from .propagate import (
     pair_coefficients,
     pair_phases,
     pulse_frame,
-    schedule_unitary,
-    twist_factorization,
     twist_window,
-    unitary_distance,
 )
 from .schedules import Step, compile_scheme, delta_t_for, strength_divisor
 from .spin_ops import NumericalConsistencyError, build_operators, even_sector_dim, memory_limit_bytes
@@ -93,6 +92,9 @@ SCAN_CHUNK_COLUMNS = 64
 # bodies (N ~ 1250, one BLAS thread, medians of 25) 1 to 16 rows time alike
 # within the quartiles, so the buffer stays small.
 SAMPLE_BUFFER_ROWS = 4
+# Phase-table entries per call of the pair kernel, at least one row: the samples
+# inside a pulse pair are measured in blocks, so its temporaries stay near 7 MB.
+PAIR_BLOCK_ENTRIES = 2**16
 # Peak bytes per sample of a trace and its CSV text: 632-633 B measured with
 # tracemalloc over 10^5-sample ideal-OAT, ideal-TAT, liu1 and schemeA runs.
 SAMPLE_BYTES = 640
@@ -138,12 +140,17 @@ def validate_spec(spec: ExperimentSpec) -> None:
         raise ValueError(f"sampling must be 'stroboscopic' or 'fine', got {spec.sampling!r}")
     if spec.sampling == "fine" and spec.subsamples < 1:
         raise ValueError("fine sampling needs subsamples >= 1")
-    samples = spec.n_cycles * (_interior_samples(spec) + 1) + 1
+    interior = _interior_samples(spec)
+    samples = spec.n_cycles * (interior + 1) + 1
+    tables = 0  # a pulse trace holds one complex phase row of N//2 + 1 per step and per interior sample
+    if spec.scheme in PULSE_SCHEMES:
+        steps = len(compile_scheme(spec.scheme, 1.0, 1, spec.order).steps)
+        tables = (steps + interior) * even_sector_dim(spec.n_spins) * 16
     limit = memory_limit_bytes()
-    if samples * SAMPLE_BYTES > limit:
+    if samples * SAMPLE_BYTES + tables > limit:
         raise ValueError(
-            f"{samples} samples need {samples * SAMPLE_BYTES / 2**30:.1f} GiB, "
-            f"more than the {limit / 2**30:.1f} GiB of memory available"
+            f"{samples} samples need {samples * SAMPLE_BYTES / 2**30:.1f} GiB and their phase tables "
+            f"{tables / 2**30:.1f} GiB, more than the {limit / 2**30:.1f} GiB of memory available"
         )
 
 
@@ -181,14 +188,15 @@ def _itinerary(steps: tuple[Step, ...], offsets: list[float], period: float) -> 
     lands at the end of the last step.
     """
     tol = 1e-12 * max(period, 1.0)
-    remaining = list(offsets)
     out = []
     start = 0.0
+    at = 0  # the first offset not yet placed
     for i, step in enumerate(steps):
         last = i == len(steps) - 1
         partials = []
-        while remaining and (last or remaining[0] <= start + step.duration + tol):
-            partials.append(min(max(remaining.pop(0) - start, 0.0), step.duration))
+        while at < len(offsets) and (last or offsets[at] <= start + step.duration + tol):
+            partials.append(min(max(offsets[at] - start, 0.0), step.duration))
+            at += 1
         out.append((step, partials))
         start += step.duration
     return out
@@ -241,6 +249,7 @@ def _pulse_samples(spec: ExperimentSpec) -> list[SqueezingSample]:
     pair_axes = {step.axis for step, partials in itinerary if step.axis and partials}
     bands = {axis: pair_bands(n, axis) for axis in pair_axes}
     h = even_sector_dim(n)
+    pair_rows = max(1, PAIR_BLOCK_ENTRIES // h)
     buffer = np.empty((SAMPLE_BUFFER_ROWS, h), dtype=complex)
     held: list[int] = []  # the samples whose Dicke-basis vectors fill the buffer's first rows
 
@@ -281,11 +290,12 @@ def _pulse_samples(spec: ExperimentSpec) -> list[SqueezingSample]:
                 psi = psi * phase
                 continue
             coeffs = pair_coefficients(n, step.axis, psi)
-            if len(inner):
-                at = slice(index + 1, index + 1 + len(inner))
-                store(at, pair_sector_moments(inner * coeffs, bands[step.axis]))
+            for lo in range(0, len(inner), pair_rows):
+                phases = inner[lo : lo + pair_rows]
+                at = slice(index + 1, index + 1 + len(phases))
+                store(at, pair_sector_moments(phases * coeffs, bands[step.axis]))
                 leg_of[at] = leg
-                index += len(inner)
+                index += len(phases)
             psi = pair_amplitudes(n, step.axis, phase * coeffs)
         index += 1
         drift = abs(float(np.linalg.norm(psi)) - 1.0)
@@ -315,7 +325,7 @@ def _ideal_samples(spec: ExperimentSpec) -> list[SqueezingSample]:
 
 
 def _oat_samples(n_spins: int, chi: float, times: list[float]) -> list[SqueezingSample]:
-    """Samples of `oat_moments`; directions in (e_y, sign<J_x> e_z), as `transverse_basis` picks."""
+    """Samples of `oat_moments`; directions in the transverse basis (e_y, sign<J_x> e_z)."""
     m = oat_moments(n_spins, chi * np.array(times))
     sign = np.sign(m.mean_x)
     basis = (np.array([0.0, 1.0, 0.0]), sign[:, None] * np.array([0.0, 0.0, 1.0]))
@@ -547,34 +557,3 @@ def scaling_fit(scheme: str, n_list, chi: float = 1.0, order: int = 2) -> FitRes
 def time_cost(scheme: str, n_spins: int, chi: float = 1.0, order: int = 2) -> float:
     """Total evolution time for the pulse scheme to reach the twisting optimum."""
     return strength_divisor(scheme, order) * _optimum_time(scheme, n_spins) / chi
-
-
-def trotter_order_fit(
-    scheme: str,
-    n_spins: int,
-    window: tuple[float, float] = (1e-3, 1e-1),
-    points: int = 8,
-    chi: float = 1.0,
-    order: int = 2,
-) -> FitResult:
-    """Slope of log one-period error vs log delta_t.
-
-    An ideal order-p symmetric product formula has a one-period error of
-    O(delta_t^(p+1)) and so gives slope p+1: 2 for liu1, 3 for schemeA.
-
-    The window is given in the dimensionless combination delta_t * chi * J.
-    The reference for one period of step delta_t is the exact twisting unitary
-    exp(-i chi delta_t (Jx^2 - Jy^2)), compared after stripping the global
-    phase that the compiled period accumulates from the conserved J^2 term.
-    """
-    ops = build_operators(n_spins)
-    fac = twist_factorization(n_spins)
-    j = n_spins / 2.0
-    dt_values = np.geomspace(window[0], window[1], points) / (chi * j)
-    distances = []
-    for dt in dt_values:
-        schedule = compile_scheme(scheme, float(dt), 1, order)
-        period = schedule_unitary(ops, schedule.segments, chi)
-        reference = fac.propagator(chi * float(dt))
-        distances.append(unitary_distance(period, reference))
-    return _loglog_fit(dt_values, np.array(distances))

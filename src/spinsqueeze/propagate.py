@@ -29,21 +29,12 @@ is tridiagonal with zero diagonal, so its spectrum is +/-lambda with
 mirrored vectors.  `twist_window` keeps only the lambda >= 0 that |J,J>
 overlaps, split into even-row and odd-row vectors (`TwistWindow`), solved
 in numpy alone (`tridiagonal`): twisting from |J,J> is a real cos product
-on the even rows and an imaginary sin product on the odd ones.  No
-production path imports scipy; the small-N oracles below import it inside
-the functions that use it.
-
-The small-N oracles of the tests and of `trotter_order_fit` keep
-full-dimension tools: the per-period unitary (`schedule_unitary`, its pulses
-exponentiated from the dense J_x and J_y), the full parity-block
-eigendecomposition of J_x^2 - J_y^2 (`twist_factorization`, `evolve_twist`)
-and the phase-stripped spectral-norm distance (`unitary_distance`).
+on the even rows and an imaginary sin product on the odd ones.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -51,7 +42,6 @@ import numpy as np
 
 from . import tolerances
 from .spin_ops import (
-    DickeState,
     NumericalConsistencyError,
     SpinOperators,
     _frozen,
@@ -59,8 +49,6 @@ from .spin_ops import (
     check_dense_fits,
     even_sector_dim,
 )
-
-HALF_PI = math.pi / 2.0
 
 TWIST_WINDOW_HALF_WIDTH = 96  # of the first window; wide enough up to N = 10^4
 TWIST_WINDOW_N = 10**4  # past it the first window doubles per doubling of N
@@ -105,53 +93,6 @@ class EigenFactorization:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    @classmethod
-    def of(cls, matrix: np.ndarray) -> "EigenFactorization":
-        w, v = np.linalg.eigh(matrix)
-        return cls(_frozen(w), _frozen(v))
-
-    def propagator(self, t: float) -> np.ndarray:
-        """Dense matrix exp(-i H t)."""
-        phases = np.exp(-1j * t * self.eigenvalues)
-        return (self.eigenvectors * phases) @ self.eigenvectors.conj().T
-
-    def apply(self, amplitudes: np.ndarray, t: float) -> np.ndarray:
-        """exp(-i H t) |psi> via two `real_product`s; for real eigenvectors only."""
-        coeffs = real_product(self.eigenvectors, amplitudes, transpose=True)
-        coeffs *= np.exp(-1j * t * self.eigenvalues)
-        return real_product(self.eigenvectors, coeffs)
-
-    def reconstruction_error(self, matrix: np.ndarray) -> float:
-        rebuilt = (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
-        return float(np.max(np.abs(rebuilt - matrix)))
-
-
-@lru_cache(maxsize=8)
-def twist_factorization(n_spins: int) -> EigenFactorization:
-    """Eigendecomposition of J_x^2 - J_y^2, solved block-by-block.
-
-    The generator only couples basis indices two apart, so even and odd index
-    sets diagonalize independently; each block is the symmetric tridiagonal
-    matrix of every other `twist_band` value, and the two half-size solves
-    are reassembled into one factorization.
-    """
-    ops = build_operators(n_spins)
-    dim = ops.dim
-    check_dense_fits(dim, dim, 8, f"twist factorization at N={n_spins}")
-    values = np.empty(dim)
-    vectors = np.zeros((dim, dim))
-    col = 0
-    for start in (0, 1):
-        idx = np.arange(start, dim, 2)
-        if idx.size == 0:
-            continue
-        band = ops.twist_band[start::2]
-        w, v = np.linalg.eigh(np.diag(band, 1) + np.diag(band, -1))
-        values[col : col + idx.size] = w
-        vectors[np.ix_(idx, np.arange(col, col + idx.size))] = v
-        col += idx.size
-    return EigenFactorization(_frozen(values), _frozen(vectors))
 
 
 @dataclass(frozen=True)
@@ -226,44 +167,6 @@ def _check_eigenpairs(what: str, residual: float, *bases: np.ndarray) -> None:
     drift = float(np.max(drifts))  # NaN-propagating, unlike the builtin max
     if not (residual <= tolerances.PAIR_RESIDUAL and drift <= tolerances.PAIR_ORTHOGONALITY):
         raise NumericalConsistencyError(f"{what}: residual {residual:.1e}, orthogonality drift {drift:.1e}")
-
-
-def evolve_twist(state: DickeState, chi: float, t: float) -> DickeState:
-    """Exact exp(-i chi (J_x^2 - J_y^2) t) applied to the state."""
-    fac = twist_factorization(state.n_spins)
-    amps = fac.apply(state.amplitudes, chi * t)
-    return DickeState(state.n_spins, _frozen(amps))
-
-
-def unitary_distance(u1: np.ndarray, u2: np.ndarray) -> float:
-    """Spectral-norm distance between unitaries with the global phase stripped.
-
-    The phase is fixed from the trace of u2^dagger u1; if that trace vanishes
-    the comparison is phase-degenerate and proceeds unaligned.
-    """
-    if u1.shape != u2.shape:
-        raise ValueError(f"shape mismatch: {u1.shape} vs {u2.shape}")
-    overlap = np.sum(u2.conj() * u1)
-    if abs(overlap) < 1e-15 * u1.shape[0]:
-        warnings.warn("phase-alignment degenerate: tr(u2^dagger u1) = 0", RuntimeWarning)
-        phase = 1.0
-    else:
-        phase = overlap / abs(overlap)
-    return float(np.linalg.norm(u1 - phase * u2, 2))
-
-
-def schedule_unitary(ops: SpinOperators, segments, chi: float) -> np.ndarray:
-    """Multiply one period's segments (time ordered) into a dense unitary."""
-    from scipy.linalg import expm  # a small-N oracle's import, kept off the pulse engine's path
-
-    u = np.eye(ops.dim, dtype=complex)
-    for seg in segments:
-        if seg.kind == "free":
-            u = np.exp(-1j * chi * seg.duration * ops.jz_sq_diag)[:, None] * u
-        else:
-            generator = ops.jx if seg.axis == "x" else ops.jy
-            u = expm(-1j * seg.sign * HALF_PI * generator) @ u
-    return u
 
 
 # -- even-sector pulse engine ----------------------------------------------------
@@ -398,7 +301,8 @@ def pair_phases(n_spins: int, chi: float, ts) -> np.ndarray:
     A row's bits do not depend on the other times.
     """
     rates = -1j * chi * np.asarray(ts, dtype=float)
-    return np.exp(rates[:, None] * pair_factorization(n_spins).eigenvalues)
+    phases = rates[:, None] * pair_factorization(n_spins).eigenvalues
+    return np.exp(phases, out=phases)  # in place: a pair's phase table is built without a second copy
 
 
 def pair_amplitudes(n_spins: int, axis: str, coeffs: np.ndarray) -> np.ndarray:

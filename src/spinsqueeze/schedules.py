@@ -31,9 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-# Splitting parameter of the third-order construction, 1/(2 - 2^(1/3)).
-S_PARAM = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
-
 MAX_ORDER = 20
 # Product-formula order of the named schemes; "general" takes its order as given.
 SCHEME_ORDERS = {"schemeA": 2, "schemeB": 4}

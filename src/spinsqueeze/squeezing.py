@@ -7,8 +7,7 @@ band moments of `even_sector_moments`, one column per sample, a state inside
 a pulse pair from the banded moments of its pair eigen-coefficients
 (`pair_sector_moments`), an xy-twisted state (ideal-TAT traces, the TAT
 scan) from the cancellation-free variances `twist_moments`, all three
-through one tail (`sector_samples`), and z^2 twisting from `oat_moments`.  The
-full-dimension `squeezing_parameter` is the oracle they are tested against.
+through one tail (`sector_samples`), and z^2 twisting from `oat_moments`.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_ops import DickeState, SpinOperators, apply_jx, apply_jy, apply_jz
+from .spin_ops import SpinOperators
 
 MEAN_SPIN_EPS_FACTOR = 1e-8
 DEGENERACY_TOL = 1e-12
@@ -56,26 +55,6 @@ class Optimum:
     xi2_min: float
 
 
-def transverse_basis(direction: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic orthonormal pair spanning the plane perpendicular to `direction`.
-
-    The first vector is built from the canonical axis least aligned with the
-    direction, which also fixes the convention reported for degenerate
-    covariances.  Components within 64 eps of `scale`, the size their
-    roundoff scales with (J for a mean spin, whatever |<J>| is), count as
-    zero and ties go to the lowest axis, so roundoff picks neither the axis
-    nor the sign of the direction reported.
-    """
-    u = direction / np.linalg.norm(direction)
-    zero = np.abs(direction) <= 64 * np.finfo(float).eps * scale
-    seed = np.zeros(3)
-    seed[int(np.argmin(np.where(zero, 0.0, np.abs(u))))] = 1.0
-    n1 = seed - np.dot(seed, u) * u
-    n1 /= np.linalg.norm(n1)
-    n2 = np.cross(u, n1)
-    return n1, n2
-
-
 def min_variance(c11, c22, c12, basis) -> tuple[np.ndarray, np.ndarray]:
     """Per column of length-k c11, c22, c12: lambda_min of [[c11, c12], [c12, c22]] and its direction.
 
@@ -96,47 +75,6 @@ def min_variance(c11, c22, c12, basis) -> tuple[np.ndarray, np.ndarray]:
     diagonal = np.where((c11 <= c22)[:, None], n1, n2)
     direction = np.where((np.abs(c12) <= bound)[:, None], diagonal, rotated)
     return lam_min, np.where((radius <= bound)[:, None], n1, direction)
-
-
-def squeezing_parameter(
-    state: DickeState,
-    ops: SpinOperators,
-    t: float = 0.0,
-    basis: tuple[np.ndarray, np.ndarray] | None = None,
-) -> SqueezingSample:
-    """Evaluate xi^2 = 2 lambda_min(C) / J from the 2x2 transverse covariance of any state.
-
-    `basis` overrides the deterministic transverse pair (the eigenvalues, and
-    hence xi^2, cannot depend on that choice).  Raises MeanSpinVanishing when
-    |<J>| <= 1e-8 * J, where no transverse plane exists.  Production traces
-    use the sector kernels and `sector_samples`; this full-dimension path is their oracle.
-    """
-    amps = state.amplitudes
-    vx = apply_jx(ops, amps)
-    vy = apply_jy(ops, amps)
-    vz = apply_jz(ops, amps)
-    mean = np.array(
-        [np.vdot(amps, vx).real, np.vdot(amps, vy).real, np.vdot(amps, vz).real]
-    )
-    j = ops.total_spin
-    length = float(np.linalg.norm(mean))
-    if length <= MEAN_SPIN_EPS_FACTOR * j:
-        raise MeanSpinVanishing(
-            f"|<J>| = {length:.3e} <= {MEAN_SPIN_EPS_FACTOR * j:.3e}; transverse plane undefined"
-        )
-
-    n1, n2 = transverse_basis(mean, j) if basis is None else basis
-    w1 = n1[0] * vx + n1[1] * vy + n1[2] * vz
-    w2 = n2[0] * vx + n2[1] * vy + n2[2] * vz
-    m1 = float(np.vdot(amps, w1).real)
-    m2 = float(np.vdot(amps, w2).real)
-    c11 = float(np.vdot(w1, w1).real) - m1 * m1
-    c22 = float(np.vdot(w2, w2).real) - m2 * m2
-    c12 = float(np.vdot(w1, w2).real) - m1 * m2
-
-    lam_min, direction = min_variance(np.array([c11]), np.array([c22]), np.array([c12]), (n1, n2))
-    xi2 = 2.0 * max(float(lam_min[0]), 0.0) / j
-    return SqueezingSample(t=t, xi2=xi2, mean_spin=mean, min_variance_direction=direction[0])
 
 
 def even_sector_moments(amps: np.ndarray, ops: SpinOperators):
@@ -220,8 +158,7 @@ def sector_samples(jz, transverse, p, j: float, lam_min=None):
     transverse covariance is <J_x^2> = (T + Re P)/2, <J_y^2> = (T - Re P)/2,
     Cov(J_x, J_y) = Im P/2 (Kitagawa and Ueda, PRA 47, 5138, 1993), so its
     smaller eigenvalue is lambda_min = (T - |P|)/2 unless the caller has it in
-    a stabler form.  The directions are those `squeezing_parameter` finds: in
-    the basis (e_x, sign<J_z> e_y) that `transverse_basis` picks for such a mean spin.
+    a stabler form.  The directions are in the transverse basis (e_x, sign<J_z> e_y).
     """
     sign = np.sign(jz)
     mean = np.column_stack([np.zeros((jz.size, 2)), jz])

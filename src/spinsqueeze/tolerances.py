@@ -6,15 +6,10 @@ The PAIR bounds hold the banded residual and the orthogonality probe of
 both numpy eigensolvers, `propagate.pair_factorization` and
 `propagate.twist_window` (the latter probes its even-row and odd-row
 vectors each).
-UNITARITY and RECONSTRUCTION are the bounds the tests hold the small-N
-oracles to: ||U^dagger U - 1||_2 of `schedule_unitary`'s pulses and
-`EigenFactorization.reconstruction_error`.
 """
 
 from __future__ import annotations
 
-UNITARITY = 1e-9
-RECONSTRUCTION = 1e-8
 NORM_DRIFT = 1e-10
 TWIST_WINDOW_EDGE = 1e-15  # largest |<J,J|v>| of the window's end vectors
 TWIST_WINDOW_WEIGHT = 1e-13  # largest |1 - weight of |J,J> in the window|

@@ -1,25 +1,345 @@
 """Reference paths the tests hold the production engine to; no library code calls them.
 
-* `mirrored_window` / `full_window`: a `TwistWindow` mirrored into the full
-  (N//2 + 1) x k eigenvector matrix of the window, negative eigenvalues
-  included, as one `EigenFactorization`.
-* `evolve_free`, `pair_twist`, `pair_evolve`: free z^2 twisting and pulse
-  pairs applied one state at a time, the amplitude path that the banded pair
-  moments and the batched traces are checked against.
+All work at small N, in the full (N+1)-dimensional Dicke basis or on dense
+matrices, where the library keeps O(N) band data and even-sector factorizations:
+
+* the dense J_x, J_y, J_z and J_x^2 - J_y^2; full-dimension states, their
+  rotations and mean spins, and `squeezing_parameter` of any state;
+* `factorize`, `propagator`, `apply` and `reconstruction_error` on an
+  `EigenFactorization`; the full parity-block factorization of J_x^2 - J_y^2
+  (`twist_factorization`, `evolve_twist`);
+* the per-period unitary `schedule_unitary` (pulses by scipy's expm), the
+  phase-stripped `unitary_distance` and the order fit built on both;
+* the twist window mirrored into full eigenvectors (`mirrored_window`,
+  `full_window`), and free twisting and pulse pairs one state at a time
+  (`evolve_free`, `pair_twist`, `pair_evolve`), the amplitude path that the
+  banded pair moments and the batched traces are checked against.
 """
 
 import math
+import warnings
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import expm
 
+from spinsqueeze.experiments import FitResult, _loglog_fit
 from spinsqueeze.propagate import (
     EigenFactorization,
     free_phases,
     pair_amplitudes,
     pair_phases,
+    real_product,
     twist_window,
 )
-from spinsqueeze.spin_ops import SpinOperators
+from spinsqueeze.schedules import compile_scheme
+from spinsqueeze.spin_ops import SpinOperators, _frozen, build_operators, check_dense_fits
+from spinsqueeze.squeezing import MEAN_SPIN_EPS_FACTOR, MeanSpinVanishing, SqueezingSample, min_variance
+
+UNITARITY = 1e-9  # ||U^dagger U - 1||_2 of `schedule_unitary`'s pulses
+RECONSTRUCTION = 1e-8  # `reconstruction_error` of `twist_factorization`
+HALF_PI = math.pi / 2.0
+
+
+# -- dense operators and full-dimension states -------------------------------------
+
+
+def _dense(ops: SpinOperators, what: str) -> None:
+    check_dense_fits(ops.dim, ops.dim, 16, f"dense {what} at N={ops.n_spins}")
+
+
+def dense_jx(ops: SpinOperators) -> np.ndarray:
+    _dense(ops, "J_x")
+    jp = np.diag(ops.ladder, 1)
+    return _frozen(((jp + jp.T) / 2.0).astype(complex))
+
+
+def dense_jy(ops: SpinOperators) -> np.ndarray:
+    _dense(ops, "J_y")
+    jp = np.diag(ops.ladder, 1)
+    return _frozen((jp - jp.T) / 2j)
+
+
+def dense_jz(ops: SpinOperators) -> np.ndarray:
+    _dense(ops, "J_z")
+    return _frozen(np.diag(ops.m_values).astype(complex))
+
+
+def dense_twist_xy(ops: SpinOperators) -> np.ndarray:
+    """J_x^2 - J_y^2 from its +/-2 diagonals; every other entry is exactly zero."""
+    _dense(ops, "J_x^2 - J_y^2")
+    return _frozen(np.diag(ops.twist_band, 2) + np.diag(ops.twist_band, -2))
+
+
+@dataclass(frozen=True)
+class DickeState:
+    """Complex amplitudes over |J,m>, m = J ... -J."""
+
+    n_spins: int
+    amplitudes: np.ndarray
+
+
+def even_sector_state(n_spins: int, amplitudes: np.ndarray) -> DickeState:
+    """The state with these even-index amplitudes and exact zeros at every odd index."""
+    amps = np.zeros(n_spins + 1, dtype=complex)
+    amps[0::2] = amplitudes
+    return DickeState(n_spins, _frozen(amps))
+
+
+def coherent_state_z(n_spins: int) -> DickeState:
+    """The |J,J> state: every spin polarized along +z."""
+    ops = build_operators(n_spins)
+    amps = np.zeros(ops.dim, dtype=complex)
+    amps[0] = 1.0
+    return DickeState(n_spins, _frozen(amps))
+
+
+def coherent_state_x(n_spins: int) -> DickeState:
+    """exp(-i pi/2 J_y)|J,J>, every spin along +x: amplitudes sqrt(C(N, k)) / 2^(N/2) > 0.
+
+    Built from log-factorials relative to the largest binomial and then
+    normalized, which removes their common roundoff; no rotation matrix is needed.
+    """
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(n_spins + 1)])
+    log_c = log_fact[-1] - (log_fact + log_fact[::-1])
+    amps = np.exp(0.5 * (log_c - log_c.max()))
+    return DickeState(n_spins, _frozen((amps / np.linalg.norm(amps)).astype(complex)))
+
+
+def random_state(n_spins: int, seed: int) -> DickeState:
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=n_spins + 1) + 1j * rng.normal(size=n_spins + 1)
+    amps /= np.linalg.norm(amps)
+    return DickeState(n_spins, _frozen(amps))
+
+
+def rotated(state: DickeState, axis: str, angle: float) -> DickeState:
+    """exp(-i angle J_axis)|psi> from scipy's expm of the dense generator."""
+    ops = build_operators(state.n_spins)
+    generator = dense_jx(ops) if axis == "x" else dense_jy(ops)
+    return DickeState(state.n_spins, _frozen(expm(-1j * angle * generator) @ state.amplitudes))
+
+
+def oat_evolved(state: DickeState, chi: float, t: float) -> DickeState:
+    """exp(-i chi t J_z^2)|psi>: J_z^2 is diagonal, so one phase per amplitude."""
+    phases = np.exp(-1j * chi * t * build_operators(state.n_spins).jz_sq_diag)
+    return DickeState(state.n_spins, _frozen(state.amplitudes * phases))
+
+
+def mean_spin(state: DickeState) -> np.ndarray:
+    """(<J_x>, <J_y>, <J_z>) from the dense operators."""
+    ops, amps = build_operators(state.n_spins), state.amplitudes
+    return np.array([np.vdot(amps, op @ amps).real for op in (dense_jx(ops), dense_jy(ops), dense_jz(ops))])
+
+
+def apply_jx(ops: SpinOperators, amps: np.ndarray) -> np.ndarray:
+    """J_x |psi> using only the tridiagonal structure; O(N)."""
+    out = np.zeros_like(amps)
+    out[:-1] += ops.ladder * amps[1:]
+    out[1:] += ops.ladder * amps[:-1]
+    out *= 0.5
+    return out
+
+
+def apply_jy(ops: SpinOperators, amps: np.ndarray) -> np.ndarray:
+    """J_y |psi>; O(N)."""
+    out = np.zeros_like(amps)
+    out[:-1] += ops.ladder * amps[1:]
+    out[1:] -= ops.ladder * amps[:-1]
+    out *= -0.5j
+    return out
+
+
+def apply_jz(ops: SpinOperators, amps: np.ndarray) -> np.ndarray:
+    return ops.m_values * amps
+
+
+# -- eigenfactorizations, unitaries and the order fit ------------------------------
+
+
+def factorize(matrix: np.ndarray) -> EigenFactorization:
+    w, v = np.linalg.eigh(matrix)
+    return EigenFactorization(_frozen(w), _frozen(v))
+
+
+def propagator(fac: EigenFactorization, t: float) -> np.ndarray:
+    """Dense matrix exp(-i H t)."""
+    phases = np.exp(-1j * t * fac.eigenvalues)
+    return (fac.eigenvectors * phases) @ fac.eigenvectors.conj().T
+
+
+def apply(fac: EigenFactorization, amplitudes: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i H t) |psi> via two `real_product`s; for real eigenvectors only."""
+    coeffs = real_product(fac.eigenvectors, amplitudes, transpose=True)
+    coeffs *= np.exp(-1j * t * fac.eigenvalues)
+    return real_product(fac.eigenvectors, coeffs)
+
+
+def reconstruction_error(fac: EigenFactorization, matrix: np.ndarray) -> float:
+    rebuilt = (fac.eigenvectors * fac.eigenvalues) @ fac.eigenvectors.conj().T
+    return float(np.max(np.abs(rebuilt - matrix)))
+
+
+@lru_cache(maxsize=8)
+def twist_factorization(n_spins: int) -> EigenFactorization:
+    """Eigendecomposition of J_x^2 - J_y^2, solved block-by-block.
+
+    The generator only couples basis indices two apart, so even and odd index
+    sets diagonalize independently; each block is the symmetric tridiagonal
+    matrix of every other `twist_band` value, and the two half-size solves
+    are reassembled into one factorization.
+    """
+    ops = build_operators(n_spins)
+    dim = ops.dim
+    check_dense_fits(dim, dim, 8, f"twist factorization at N={n_spins}")
+    values = np.empty(dim)
+    vectors = np.zeros((dim, dim))
+    col = 0
+    for start in (0, 1):
+        idx = np.arange(start, dim, 2)
+        if idx.size == 0:
+            continue
+        band = ops.twist_band[start::2]
+        w, v = np.linalg.eigh(np.diag(band, 1) + np.diag(band, -1))
+        values[col : col + idx.size] = w
+        vectors[np.ix_(idx, np.arange(col, col + idx.size))] = v
+        col += idx.size
+    return EigenFactorization(_frozen(values), _frozen(vectors))
+
+
+def evolve_twist(state: DickeState, chi: float, t: float) -> DickeState:
+    """Exact exp(-i chi (J_x^2 - J_y^2) t) applied to the state."""
+    fac = twist_factorization(state.n_spins)
+    amps = apply(fac, state.amplitudes, chi * t)
+    return DickeState(state.n_spins, _frozen(amps))
+
+
+def unitary_distance(u1: np.ndarray, u2: np.ndarray) -> float:
+    """Spectral-norm distance between unitaries with the global phase stripped.
+
+    The phase is fixed from the trace of u2^dagger u1; if that trace vanishes
+    the comparison is phase-degenerate and proceeds unaligned.
+    """
+    if u1.shape != u2.shape:
+        raise ValueError(f"shape mismatch: {u1.shape} vs {u2.shape}")
+    overlap = np.sum(u2.conj() * u1)
+    if abs(overlap) < 1e-15 * u1.shape[0]:
+        warnings.warn("phase-alignment degenerate: tr(u2^dagger u1) = 0", RuntimeWarning)
+        phase = 1.0
+    else:
+        phase = overlap / abs(overlap)
+    return float(np.linalg.norm(u1 - phase * u2, 2))
+
+
+def schedule_unitary(ops: SpinOperators, segments, chi: float) -> np.ndarray:
+    """Multiply one period's segments (time ordered) into a dense unitary."""
+    u = np.eye(ops.dim, dtype=complex)
+    for seg in segments:
+        if seg.kind == "free":
+            u = np.exp(-1j * chi * seg.duration * ops.jz_sq_diag)[:, None] * u
+        else:
+            generator = dense_jx(ops) if seg.axis == "x" else dense_jy(ops)
+            u = expm(-1j * seg.sign * HALF_PI * generator) @ u
+    return u
+
+
+def trotter_order_fit(
+    scheme: str,
+    n_spins: int,
+    window: tuple[float, float] = (1e-3, 1e-1),
+    points: int = 8,
+    chi: float = 1.0,
+    order: int = 2,
+) -> FitResult:
+    """Slope of log one-period error vs log delta_t.
+
+    An ideal order-p symmetric product formula has a one-period error of
+    O(delta_t^(p+1)) and so gives slope p+1: 2 for liu1, 3 for schemeA.
+
+    The window is given in the dimensionless combination delta_t * chi * J.
+    The reference for one period of step delta_t is the exact twisting unitary
+    exp(-i chi delta_t (Jx^2 - Jy^2)), compared after stripping the global
+    phase that the compiled period accumulates from the conserved J^2 term.
+    """
+    ops = build_operators(n_spins)
+    fac = twist_factorization(n_spins)
+    j = n_spins / 2.0
+    dt_values = np.geomspace(window[0], window[1], points) / (chi * j)
+    distances = []
+    for dt in dt_values:
+        schedule = compile_scheme(scheme, float(dt), 1, order)
+        period = schedule_unitary(ops, schedule.segments, chi)
+        reference = propagator(fac, chi * float(dt))
+        distances.append(unitary_distance(period, reference))
+    return _loglog_fit(dt_values, np.array(distances))
+
+
+# -- the full-dimension squeezing parameter ----------------------------------------
+
+
+def transverse_basis(direction: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic orthonormal pair spanning the plane perpendicular to `direction`.
+
+    The first vector is built from the canonical axis least aligned with the
+    direction, which also fixes the convention reported for degenerate
+    covariances.  Components within 64 eps of `scale`, the size their
+    roundoff scales with (J for a mean spin, whatever |<J>| is), count as
+    zero and ties go to the lowest axis, so roundoff picks neither the axis
+    nor the sign of the direction reported.
+    """
+    u = direction / np.linalg.norm(direction)
+    zero = np.abs(direction) <= 64 * np.finfo(float).eps * scale
+    seed = np.zeros(3)
+    seed[int(np.argmin(np.where(zero, 0.0, np.abs(u))))] = 1.0
+    n1 = seed - np.dot(seed, u) * u
+    n1 /= np.linalg.norm(n1)
+    n2 = np.cross(u, n1)
+    return n1, n2
+
+
+def squeezing_parameter(
+    state: DickeState,
+    ops: SpinOperators,
+    t: float = 0.0,
+    basis: tuple[np.ndarray, np.ndarray] | None = None,
+) -> SqueezingSample:
+    """Evaluate xi^2 = 2 lambda_min(C) / J from the 2x2 transverse covariance of any state.
+
+    `basis` overrides the deterministic transverse pair (the eigenvalues, and
+    hence xi^2, cannot depend on that choice).  Raises MeanSpinVanishing when
+    |<J>| <= 1e-8 * J, where no transverse plane exists.  Production traces
+    use the sector kernels and `sector_samples`; this full-dimension path is their oracle.
+    """
+    amps = state.amplitudes
+    vx = apply_jx(ops, amps)
+    vy = apply_jy(ops, amps)
+    vz = apply_jz(ops, amps)
+    mean = np.array(
+        [np.vdot(amps, vx).real, np.vdot(amps, vy).real, np.vdot(amps, vz).real]
+    )
+    j = ops.total_spin
+    length = float(np.linalg.norm(mean))
+    if length <= MEAN_SPIN_EPS_FACTOR * j:
+        raise MeanSpinVanishing(
+            f"|<J>| = {length:.3e} <= {MEAN_SPIN_EPS_FACTOR * j:.3e}; transverse plane undefined"
+        )
+
+    n1, n2 = transverse_basis(mean, j) if basis is None else basis
+    w1 = n1[0] * vx + n1[1] * vy + n1[2] * vz
+    w2 = n2[0] * vx + n2[1] * vy + n2[2] * vz
+    m1 = float(np.vdot(amps, w1).real)
+    m2 = float(np.vdot(amps, w2).real)
+    c11 = float(np.vdot(w1, w1).real) - m1 * m1
+    c22 = float(np.vdot(w2, w2).real) - m2 * m2
+    c12 = float(np.vdot(w1, w2).real) - m1 * m2
+
+    lam_min, direction = min_variance(np.array([c11]), np.array([c22]), np.array([c12]), (n1, n2))
+    xi2 = 2.0 * max(float(lam_min[0]), 0.0) / j
+    return SqueezingSample(t=t, xi2=xi2, mean_spin=mean, min_variance_direction=direction[0])
+
+
+# -- the twist window and pulse pairs, one state at a time -------------------------
 
 
 def mirrored_window(values: np.ndarray, even: np.ndarray, odd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -8,15 +8,6 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from spinsqueeze import (
-    build_operators,
-    coherent_state_z,
-    evolve_twist,
-    run_trace,
-    squeezing_parameter,
-    tat_optimum,
-    time_cost,
-)
 from spinsqueeze.cli import main, trace_csv
 from spinsqueeze.experiments import (
     ExperimentSpec,
@@ -24,18 +15,23 @@ from spinsqueeze.experiments import (
     effective_counterpart,
     nc_convergence,
     relative_error_curve,
+    run_trace,
     scaling_fit,
-    trotter_order_fit,
+    tat_optimum,
+    time_cost,
 )
-from spinsqueeze.propagate import schedule_unitary, unitary_distance
 from spinsqueeze.schedules import (
-    S_PARAM,
     compile_scheme,
     free,
+    level_param,
     pulse,
     strength_divisor,
     ts_coefficients,
 )
+from spinsqueeze.spin_ops import build_operators
+
+from oracles import (coherent_state_z, dense_jx, dense_jy, dense_twist_xy, evolve_twist, schedule_unitary,
+                     squeezing_parameter, trotter_order_fit, unitary_distance)
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -76,7 +72,7 @@ def test_criterion_2_pulse_conjugation():
     for n in (2, 11, 25, 40):
         ops = build_operators(n)
         for chi_t in (0.1, 1.0, np.pi):
-            for axis, gen in (("x", ops.jy), ("y", ops.jx)):
+            for axis, gen in (("x", dense_jy(ops)), ("y", dense_jx(ops))):
                 lhs = schedule_unitary(ops, [pulse(axis, 1), free(chi_t), pulse(axis, -1)], 1.0)
                 rhs = expm(-1j * chi_t * np.asarray(gen @ gen))
                 worst = max(worst, float(np.abs(lhs - rhs).max()))
@@ -87,7 +83,7 @@ def test_criterion_3_two_spin_closed_form():
     # grid stops short of the quarter turn, where the mean spin vanishes
     ops = build_operators(2)
     psi0 = coherent_state_z(2)
-    twist = np.asarray(ops.twist_xy, dtype=complex)
+    twist = np.asarray(dense_twist_xy(ops), dtype=complex)
     worst_xi2 = worst_state = 0.0
     for t in np.linspace(0.0, 0.75, 100):
         state = evolve_twist(psi0, 1.0, t)
@@ -131,9 +127,9 @@ def _check_triple_jump_order(criterion, scheme, order, compiled_window, formula_
     """
     ops = build_operators(20)
     leaves = ts_coefficients(order)
-    h = np.asarray(ops.twist_xy, dtype=complex)
+    h = np.asarray(dense_twist_xy(ops), dtype=complex)
     jz_sq = np.diag(ops.jz_sq_diag).astype(complex)
-    jx_sq = np.asarray(ops.jx @ ops.jx, dtype=complex)
+    jx_sq = np.asarray(dense_jx(ops) @ dense_jx(ops), dtype=complex)
 
     fit = trotter_order_fit(scheme, 20, window=compiled_window, order=order)
     dt = compiled_window[0] / ops.total_spin
@@ -229,7 +225,7 @@ def test_criterion_7_time_costs(opt2000):
     cost_a = time_cost("schemeA", 2000)
     cost_b = time_cost("schemeB", 2000)
     ratio = cost_b / cost_a
-    expected_ratio = (12 * S_PARAM - 3) / 3
+    expected_ratio = (12 * level_param(2) - 3) / 3
     ok = (
         abs(cost_a - 0.006) <= 0.2 * 0.006
         and abs(cost_b - 0.027) <= 0.2 * 0.027

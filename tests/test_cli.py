@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import os
@@ -10,11 +11,14 @@ import numpy as np
 import pytest
 
 import spinsqueeze
-from spinsqueeze import build_operators, coherent_state_z, experiments, run_trace, squeezing_parameter
+from spinsqueeze import experiments
 from spinsqueeze.cli import main, trace_csv
 from spinsqueeze.config import parse_config, parse_sampling
-from spinsqueeze.experiments import ExperimentSpec, oat_optimum
+from spinsqueeze.experiments import ExperimentSpec, oat_optimum, run_trace
+from spinsqueeze.spin_ops import build_operators
 from spinsqueeze.squeezing import SqueezingTrace
+
+from oracles import coherent_state_z, squeezing_parameter
 
 
 MINIMAL = {"scheme": "schemeA", "n_spins": 1250, "n_cycles": 50}
@@ -154,34 +158,50 @@ def test_config_file_with_the_removed_strictness_key_exits_2(tmp_path, capsys):
 
 REMOVED_NAMES = {
     "schedules": ["compile_scheme_a", "compile_scheme_b", "_COMPILERS", "period_in_delta_t_units",
-                  "ScheduleStats", "schedule_stats", "_finish", "TsCoefficients"],
-    "experiments": ["strength_divisor", "run_many", "_pair_steps", "_Step", "_interior_offsets"],
+                  "ScheduleStats", "schedule_stats", "_finish", "TsCoefficients", "S_PARAM"],
+    "experiments": ["strength_divisor", "run_many", "_pair_steps", "_Step", "_interior_offsets",
+                    "trotter_order_fit"],
     "propagate": ["rotate", "rotation_matrix", "_rotation_factorization", "rotation_propagator",
-                  "Propagator", "evolve_oat", "spectral_norm_estimate", "frobenius_norm"],
-    "spin_ops": ["expectation", "state_from_amplitudes", "mean_spin_vector"],
+                  "Propagator", "evolve_oat", "spectral_norm_estimate", "frobenius_norm",
+                  "twist_factorization", "evolve_twist", "schedule_unitary", "unitary_distance", "HALF_PI"],
+    "spin_ops": ["expectation", "state_from_amplitudes", "mean_spin_vector", "DickeState",
+                 "even_sector_state", "coherent_state_z", "coherent_state_x", "apply_jx", "apply_jy",
+                 "apply_jz"],
+    "squeezing": ["squeezing_parameter", "transverse_basis"],
+    "tolerances": ["UNITARITY", "RECONSTRUCTION"],
     "config": ["FORMATS"],
+}
+# Members of library classes that moved to the test oracles as functions.
+REMOVED_MEMBERS = {
+    "propagate.EigenFactorization": ["of", "propagator", "apply", "reconstruction_error"],
+    "spin_ops.SpinOperators": ["jx", "jy", "jz", "twist_xy", "_dense"],
 }
 
 
 def test_import_and_api_guard(tmp_path):
-    """One fresh process: the CLI import loads no process machinery, __all__ resolves,
-    removed names are defined nowhere in their old modules (experiments imports
-    `strength_divisor` from schedules, its one definition), and a config's
-    `format` key is unknown (exit 2)."""
+    """One fresh process: the CLI import loads no process machinery, the package root
+    re-exports nothing but its submodules, removed names are defined nowhere in their old
+    modules (experiments imports `strength_divisor` from schedules, its one definition),
+    removed class members are gone, and a config's `format` key is unknown (exit 2)."""
     config = tmp_path / "run.json"
     config.write_text(json.dumps({**MINIMAL, "n_spins": 8, "n_cycles": 2, "format": "csv"}))
     script = f"""
-import importlib, sys
+import importlib, sys, types
 import spinsqueeze, spinsqueeze.cli
 loaded = {{"multiprocessing", "concurrent.futures.process"}} & set(sys.modules)
 assert not loaded, loaded
-missing = [name for name in spinsqueeze.__all__ if not hasattr(spinsqueeze, name)]
-assert not missing, missing
+exported = [name for name, value in vars(spinsqueeze).items()
+            if not name.startswith("_") and not isinstance(value, types.ModuleType)]
+assert not exported, exported
 for module, names in {REMOVED_NAMES!r}.items():
     mod = importlib.import_module("spinsqueeze." + module)
     defined = [name for name in names if hasattr(mod, name)
                and getattr(getattr(mod, name), "__module__", mod.__name__) == mod.__name__]
     assert not defined, (module, defined)
+for owner, names in {REMOVED_MEMBERS!r}.items():
+    module, _, cls = owner.partition(".")
+    kept = [name for name in names if hasattr(getattr(importlib.import_module("spinsqueeze." + module), cls), name)]
+    assert not kept, (owner, kept)
 sys.exit(spinsqueeze.cli.main(["simulate", "--config", {str(config)!r}]))
 """
     src = Path(spinsqueeze.__file__).resolve().parent.parent
@@ -226,6 +246,21 @@ assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith
 """
         result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
         assert result.returncode == 0, (run, result.stderr)
+
+
+def test_no_library_module_imports_scipy():
+    """No module of the package imports scipy, at its top or inside a function: numpy is its one dependency."""
+    importers = []
+    for path in sorted(Path(spinsqueeze.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""] if node.level == 0 else []
+            else:
+                continue
+            importers += [f"{path.name}:{node.lineno}" for m in modules if m.partition(".")[0] == "scipy"]
+    assert not importers, importers
 
 
 def test_compare_emits_three_files(tmp_path):

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 from scipy.linalg import expm
 
 import spinsqueeze
-from spinsqueeze import cli, experiments, find_optimum, propagate, run_trace, tat_optimum, time_cost
+from spinsqueeze import cli, experiments, propagate
 from spinsqueeze.experiments import (
     IDEAL_SCHEMES,
     SCAN_CHUNK_COLUMNS,
@@ -25,26 +26,25 @@ from spinsqueeze.experiments import (
     nc_convergence,
     oat_optimum,
     relative_error_curve,
+    run_trace,
     scaling_fit,
     strobe_indices,
+    tat_optimum,
+    time_cost,
     validate_spec,
 )
-from spinsqueeze.propagate import HALF_PI, EigenFactorization, evolve_twist
+from spinsqueeze.propagate import EigenFactorization
 from spinsqueeze.schedules import (
-    S_PARAM,
     compile_scheme,
     delta_t_for,
+    level_param,
     strength_divisor,
 )
-from spinsqueeze.spin_ops import (
-    NumericalConsistencyError,
-    build_operators,
-    coherent_state_x,
-    coherent_state_z,
-)
-from spinsqueeze.squeezing import MeanSpinVanishing, oat_moments, squeezing_parameter
+from spinsqueeze.spin_ops import NumericalConsistencyError, build_operators
+from spinsqueeze.squeezing import MeanSpinVanishing, find_optimum, oat_moments
 
-from conftest import oat_evolved, rotated
+from oracles import (HALF_PI, coherent_state_x, coherent_state_z, evolve_twist, oat_evolved, rotated,
+                     squeezing_parameter)
 
 
 def test_spec_validation():
@@ -89,8 +89,36 @@ def test_sample_count_is_checked_against_memory_before_any_sample(spec, monkeypa
     monkeypatch.setattr(experiments, "_sample_times", fail)
     with pytest.raises(ValueError, match="1000 samples need .* GiB, more than"):
         run_trace(spec)
-    monkeypatch.setattr(experiments, "memory_limit_bytes", lambda: 1000 * experiments.SAMPLE_BYTES)
+    # schemeA's phase tables: a row of N//2 + 1 = 3 complex numbers for each of its 3 steps and 998 interior samples
+    tables = 0 if spec.scheme in IDEAL_SCHEMES else (3 + 998) * 3 * 16
+    monkeypatch.setattr(experiments, "memory_limit_bytes", lambda: 1000 * experiments.SAMPLE_BYTES + tables)
     validate_spec(spec)
+
+
+@pytest.mark.parametrize("scheme,order,steps", [("schemeA", 2, 3), ("general", 6, 19)])
+def test_pulse_phase_tables_are_checked_against_memory(monkeypatch, capsys, scheme, order, steps):
+    """A pulse run's phase tables, a complex row of N//2 + 1 per step and per interior sample,
+    count against memory with its samples: a limit just under their sum exits 2, their sum runs."""
+    argv = ["simulate", "--scheme", scheme, "--order", str(order), "--n-spins", "40", "--n-cycles", "2",
+            "--t-total", "0.01", "--sampling", "fine(50)"]
+    need = (2 * 51 + 1) * experiments.SAMPLE_BYTES + (steps + 50) * 21 * 16
+    monkeypatch.setattr(experiments, "memory_limit_bytes", lambda: need - 1)
+    assert cli.main(argv) == 2
+    assert "samples need" in capsys.readouterr().err
+    monkeypatch.setattr(experiments, "memory_limit_bytes", lambda: need)
+    assert cli.main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 2 * 51 + 1
+
+
+def test_itinerary_is_linear_in_the_offsets():
+    """10^6 interior offsets are placed in one pass, not one list shift per offset."""
+    steps = compile_scheme("schemeA", 1.0, 1).steps
+    offsets = list(np.linspace(0.0, 3.0, 10**6 + 2)[1:-1])
+    start = time.perf_counter()
+    itinerary = _itinerary(steps, offsets, 3.0)
+    assert time.perf_counter() - start < 10.0
+    assert sum(len(partials) for _, partials in itinerary) == 10**6
+    assert all(0.0 <= t <= step.duration for step, partials in itinerary for t in partials)
 
 
 def test_traces_are_deterministic():
@@ -187,7 +215,7 @@ def test_oat_scaling_exponent_small_sweep():
 def test_time_cost_ratio_is_spin_number_independent():
     ratio_small = time_cost("schemeB", 40) / time_cost("schemeA", 40)
     ratio_large = time_cost("schemeB", 120) / time_cost("schemeA", 120)
-    expected = (12 * S_PARAM - 3) / 3
+    expected = (12 * level_param(2) - 3) / 3
     assert ratio_small == pytest.approx(expected, rel=1e-12)
     assert ratio_large == pytest.approx(expected, rel=1e-12)
     assert expected == pytest.approx(4.405, abs=1e-3)
@@ -201,13 +229,13 @@ def test_time_cost_rejects_plain_twisting_baseline():
 def test_strength_divisors():
     assert strength_divisor("liu1") == 3.0
     assert strength_divisor("schemeA") == 3.0
-    assert strength_divisor("schemeB") == 12 * S_PARAM - 3
+    assert strength_divisor("schemeB") == 12 * level_param(2) - 3
     assert strength_divisor("general", order=6) > strength_divisor("general", order=4)
     for ideal in IDEAL_SCHEMES:
         with pytest.raises(ValueError, match="unknown pulse scheme"):
             strength_divisor(ideal)
     assert effective_counterpart(ExperimentSpec("ideal-TAT", 10, 5, 0.1, divisor=7.0)).divisor == 1.0
-    assert effective_counterpart(ExperimentSpec("schemeB", 10, 5, 0.1)).divisor == 12 * S_PARAM - 3
+    assert effective_counterpart(ExperimentSpec("schemeB", 10, 5, 0.1)).divisor == 12 * level_param(2) - 3
 
 
 def test_default_t_total_covers_the_optimum():
@@ -494,27 +522,6 @@ def test_stroboscopic_mean_spin_has_exact_transverse_zeros(scheme, order, n):
         assert mean[0] == 0.0 and mean[1] == 0.0
 
 
-def test_traces_never_touch_the_full_dimension_state(monkeypatch):
-    """Every pulse scheme and both ideal traces run with the full-dimension sampling path broken."""
-
-    def broken(*args, **kwargs):
-        raise AssertionError("full-dimension sampling path called")
-
-    names = ("squeezing_parameter", "even_sector_state", "apply_jx", "apply_jy", "apply_jz")
-    modules = [m for k, m in sys.modules.items() if k.partition(".")[0] == "spinsqueeze"]
-    for module in modules:
-        for name in names:
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, broken)
-    n = 41
-    for scheme, order in PULSE_CASES:
-        strobe = _pulse_spec(scheme, order, n, "stroboscopic")
-        run_trace(strobe)
-        run_trace(replace(strobe, sampling="fine", subsamples=3))
-    for scheme in IDEAL_SCHEMES:
-        run_trace(ExperimentSpec(scheme, n, 4, 0.1, sampling="fine", subsamples=3))
-
-
 def _leaky_factorization(monkeypatch):
     """Make every pair phase non-unitary: eigenvalues with a 1e-6 imaginary part."""
     real = propagate.pair_factorization
@@ -573,7 +580,7 @@ def test_vanishing_mean_spin_is_reported_before_a_later_norm_drift(monkeypatch, 
         run_trace(spec)
 
 
-BUFFER_DEPTHS = ("SAMPLE_BUFFER_ROWS", "SCAN_CHUNK_COLUMNS")
+BUFFER_DEPTHS = ("SAMPLE_BUFFER_ROWS", "SCAN_CHUNK_COLUMNS", "PAIR_BLOCK_ENTRIES")
 
 
 def _sample_bytes(trace):
@@ -616,8 +623,6 @@ def test_pulse_run_builds_no_dense_matrix():
     script = """
 import tracemalloc
 from spinsqueeze.experiments import ExperimentSpec, oat_optimum, run_trace, tat_optimum
-from spinsqueeze.propagate import twist_factorization
-from spinsqueeze.spin_ops import build_operators
 n = 2000
 tracemalloc.start()
 for scheme, order in (("liu1", 2), ("schemeA", 2), ("schemeB", 4), ("general", 6),
@@ -627,9 +632,6 @@ tat_optimum(n)
 oat_optimum(n)
 peak = tracemalloc.get_traced_memory()[1]
 assert peak < 8 * (n + 1) ** 2, peak
-assert twist_factorization.cache_info().currsize == 0
-lazy = {"jx", "jy", "jz", "twist_xy"} & set(vars(build_operators(n)))
-assert not lazy, lazy
 """
     src = Path(spinsqueeze.__file__).resolve().parent.parent
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinsqueeze.schedules import (
-    S_PARAM,
     compile_general,
     compile_order1,
     compile_scheme,
@@ -46,8 +45,8 @@ def cancels_to_identity(pulses):
 
 
 def test_splitting_parameter_value():
-    assert S_PARAM == pytest.approx(1.3512071919596578, abs=1e-15)
-    assert S_PARAM == pytest.approx(1 / (2 - 2 ** (1 / 3)), abs=1e-15)
+    assert level_param(2) == pytest.approx(1.3512071919596578, abs=1e-15)
+    assert level_param(2) == pytest.approx(1 / (2 - 2 ** (1 / 3)), abs=1e-15)
 
 
 def test_order1_structure():
@@ -69,7 +68,7 @@ def test_scheme_a_structure():
 def test_scheme_b_durations_match_splitting_formulas():
     dt = 1.0
     sched = compile_scheme_b(dt, 1)
-    s = S_PARAM
+    s = level_param(2)
     expected = [s / 2, 2 * s, (3 * s - 1) / 2, 2 * (2 * s - 1), (3 * s - 1) / 2, 2 * s, s / 2]
     np.testing.assert_allclose(free_durations(sched), expected, rtol=1e-15)
     np.testing.assert_allclose(
@@ -126,7 +125,7 @@ def test_general_order4_equals_scheme_b():
     """schemeB is the order-4 coefficient list: the closed-form t_1..t_4 within 4 ulp."""
     dt = 0.17
     sched = compile_scheme("schemeB", dt, 5)
-    s = S_PARAM
+    s = level_param(2)
     t1, t2 = s * dt / 2.0, 2.0 * s * dt
     t3, t4 = (3.0 * s - 1.0) * dt / 2.0, 2.0 * (2.0 * s - 1.0) * dt
     closed = np.array([t1, t2, t3, t4, t3, t2, t1])
@@ -188,7 +187,7 @@ def test_schedule_stats():
     sched_b = compile_scheme_b(0.01, 17)
     assert sched_b.pulses_per_period * sched_b.n_cycles == 102
     assert sched_b.pulses_per_period == 6
-    assert sched_b.t_c == pytest.approx((12 * S_PARAM - 3) * 0.01, rel=1e-14)
+    assert sched_b.t_c == pytest.approx((12 * level_param(2) - 3) * 0.01, rel=1e-14)
 
 
 def test_period_units_unknown_scheme():

@@ -3,24 +3,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinsqueeze import build_operators, coherent_state_z
-from spinsqueeze.propagate import HALF_PI
-from spinsqueeze.spin_ops import coherent_state_x, apply_jx, apply_jy, apply_jz
+from spinsqueeze.spin_ops import build_operators
 
-from conftest import mean_spin, random_state, rotated
+from oracles import (HALF_PI, apply_jx, apply_jy, apply_jz, coherent_state_x, coherent_state_z, dense_jx, dense_jy,
+                     dense_jz, dense_twist_xy, mean_spin, random_state, rotated)
 
 
 def test_single_spin_matrices():
     ops = build_operators(1)
-    np.testing.assert_allclose(np.diag(ops.jz), [0.5, -0.5])
-    np.testing.assert_allclose(ops.jx, [[0, 0.5], [0.5, 0]], atol=1e-15)
-    np.testing.assert_allclose(ops.jy, [[0, -0.5j], [0.5j, 0]], atol=1e-15)
+    np.testing.assert_allclose(np.diag(dense_jz(ops)), [0.5, -0.5])
+    np.testing.assert_allclose(dense_jx(ops), [[0, 0.5], [0.5, 0]], atol=1e-15)
+    np.testing.assert_allclose(dense_jy(ops), [[0, -0.5j], [0.5j, 0]], atol=1e-15)
 
 
 def test_two_spin_ladder_coefficients():
     ops = build_operators(2)
-    np.testing.assert_allclose(np.diag(ops.jz), [1.0, 0.0, -1.0])
-    off = np.diag(np.asarray(ops.jx), 1)
+    np.testing.assert_allclose(np.diag(dense_jz(ops)), [1.0, 0.0, -1.0])
+    off = np.diag(np.asarray(dense_jx(ops)), 1)
     np.testing.assert_allclose(off, [1 / np.sqrt(2), 1 / np.sqrt(2)])
 
 
@@ -28,7 +27,8 @@ def test_two_spin_ladder_coefficients():
 def test_casimir_identity(n):
     ops = build_operators(n)
     j = n / 2
-    total = ops.jx @ ops.jx + ops.jy @ ops.jy + ops.jz @ ops.jz
+    jx, jy, jz = dense_jx(ops), dense_jy(ops), dense_jz(ops)
+    total = jx @ jx + jy @ jy + jz @ jz
     assert np.abs(total - j * (j + 1) * np.eye(n + 1)).max() <= 1e-9
 
 
@@ -36,18 +36,20 @@ def test_casimir_identity(n):
 @given(n=st.integers(min_value=1, max_value=100))
 def test_commutator_and_hermiticity(n):
     ops = build_operators(n)
-    for mat in (ops.jx, ops.jy, ops.jz):
+    jx, jy, jz = dense_jx(ops), dense_jy(ops), dense_jz(ops)
+    for mat in (jx, jy, jz):
         assert np.abs(mat - mat.conj().T).max() <= 1e-12
-    comm = ops.jx @ ops.jy - ops.jy @ ops.jx - 1j * ops.jz
+    comm = jx @ jy - jy @ jx - 1j * jz
     assert np.abs(comm).max() <= 1e-10
 
 
 def test_twist_matches_dense_difference_and_is_pentadiagonal():
     ops = build_operators(13)
-    dense = ops.jx @ ops.jx - ops.jy @ ops.jy
-    assert np.abs(ops.twist_xy - dense).max() <= 1e-12
+    jx, jy = dense_jx(ops), dense_jy(ops)
+    dense = jx @ jx - jy @ jy
+    assert np.abs(dense_twist_xy(ops) - dense).max() <= 1e-12
     # only couplings two steps apart; everything else exactly zero
-    tw = np.asarray(ops.twist_xy)
+    tw = np.asarray(dense_twist_xy(ops))
     for offset in range(14):
         band = np.diag(tw, offset)
         if offset == 2:
@@ -57,7 +59,7 @@ def test_twist_matches_dense_difference_and_is_pentadiagonal():
 
 
 def test_twist_parity_blocks_do_not_couple():
-    tw = np.asarray(build_operators(17).twist_xy)
+    tw = np.asarray(dense_twist_xy(build_operators(17)))
     even = np.arange(0, 18, 2)
     odd = np.arange(1, 18, 2)
     assert np.all(tw[np.ix_(even, odd)] == 0)
@@ -99,22 +101,15 @@ def test_expectation_examples():
 def test_banded_applications_match_dense(n, seed):
     ops = build_operators(n)
     amps = random_state(n, seed).amplitudes
-    np.testing.assert_allclose(apply_jx(ops, amps), ops.jx @ amps, atol=1e-12)
-    np.testing.assert_allclose(apply_jy(ops, amps), ops.jy @ amps, atol=1e-12)
-    np.testing.assert_allclose(apply_jz(ops, amps), ops.jz @ amps, atol=1e-12)
+    np.testing.assert_allclose(apply_jx(ops, amps), dense_jx(ops) @ amps, atol=1e-12)
+    np.testing.assert_allclose(apply_jy(ops, amps), dense_jy(ops) @ amps, atol=1e-12)
+    np.testing.assert_allclose(apply_jz(ops, amps), dense_jz(ops) @ amps, atol=1e-12)
 
 
 def test_operator_arrays_are_immutable():
     ops = build_operators(5)
     with pytest.raises(ValueError):
-        ops.jx[0, 0] = 1.0
-
-
-def test_dense_operators_are_built_on_first_access_only():
-    ops = build_operators.__wrapped__(31)  # a fresh instance, not the cached one
-    assert not {"jx", "jy", "jz", "twist_xy"} & set(vars(ops))
-    assert ops.jx is ops.jx
-    assert "jx" in vars(ops) and "jy" not in vars(ops)
+        dense_jx(ops)[0, 0] = 1.0
 
 
 def test_dense_size_check_against_memory():

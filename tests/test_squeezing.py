@@ -3,39 +3,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinsqueeze import (
-    build_operators,
-    coherent_state_z,
-    evolve_twist,
-    find_optimum,
-    squeezing_parameter,
-)
 from spinsqueeze.experiments import _samples, _tat_scan, _tat_states, tat_optimum
 from spinsqueeze.propagate import pair_bands, pair_coefficients
-from spinsqueeze.spin_ops import even_sector_state
+from spinsqueeze.spin_ops import build_operators
 from spinsqueeze.squeezing import (
     MeanSpinVanishing,
     SqueezingSample,
     SqueezingTrace,
     even_sector_moments,
+    find_optimum,
     oat_moments,
     pair_sector_moments,
     sector_samples,
-    transverse_basis,
     twist_moments,
     twist_sector_samples,
     twist_xi2,
 )
 
-from oracles import full_window, pair_evolve, pair_twist
-
-from conftest import random_state, rotated
+from oracles import (coherent_state_z, dense_jx, dense_jy, dense_jz, even_sector_state, evolve_twist, full_window,
+                     pair_evolve, pair_twist, random_state, rotated, squeezing_parameter, transverse_basis)
 
 
 def brute_force_xi2(state, ops, n_angles=3000):
     """Independent oracle: scan transverse directions for the minimal variance."""
     amps = state.amplitudes
-    vx, vy, vz = ops.jx @ amps, ops.jy @ amps, ops.jz @ amps
+    vx, vy, vz = dense_jx(ops) @ amps, dense_jy(ops) @ amps, dense_jz(ops) @ amps
     mean = np.array([np.vdot(amps, v).real for v in (vx, vy, vz)])
     u = mean / np.linalg.norm(mean)
     n1, n2 = transverse_basis(mean, ops.total_spin)
@@ -116,7 +108,7 @@ def test_minimum_bounds_any_fixed_direction():
     amps = state.amplitudes
     for phi in np.linspace(0, np.pi, 17):
         d = np.cos(phi) * n1 + np.sin(phi) * n2
-        w = d[0] * (ops.jx @ amps) + d[1] * (ops.jy @ amps) + d[2] * (ops.jz @ amps)
+        w = d[0] * (dense_jx(ops) @ amps) + d[1] * (dense_jy(ops) @ amps) + d[2] * (dense_jz(ops) @ amps)
         var = np.vdot(w, w).real - np.vdot(amps, w).real ** 2
         assert sample.xi2 <= 2 * var / ops.total_spin + 1e-12
 

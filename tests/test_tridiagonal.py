@@ -10,7 +10,8 @@ import pytest
 import scipy.linalg
 
 import spinsqueeze
-from spinsqueeze import build_operators, tridiagonal
+from spinsqueeze import tridiagonal
+from spinsqueeze.spin_ops import build_operators
 
 from oracles import mirrored_window
 
