@@ -1,40 +1,36 @@
 """Run squeezing experiments: pulse-driven traces, ideal references, sweeps and fits.
 
 Every trace samples one grid, `_sample_times`: t = 0, then per period of
-t_total / n_cycles its interior instants (fine(k) only) and its end.  A
-run whose samples, at SAMPLE_BYTES each, and phase tables (one complex row
-of N//2 + 1 per step and per interior sample of a pulse trace) the memory
-cannot hold is refused by `validate_spec`.  Pulse schemes run on the
-even-index Dicke sector (see `propagate`): each period is the schedule's
-steps, free z^2 twisting or a pulse pair (a+, tau, a-) evolved through its
-eigen-coefficients.  A step's phases, and those of the fine samples inside
-it, depend only on durations, so each is built once per trace.  Samples
-fork off the main line, so a fine run applies exactly the operations of a
-stroboscopic one.
-The kernels only write each sample's <J_z>, T = J(J+1) - <J_z^2> and P =
-<J_+^2> into per-trace arrays indexed by sample; one tail per trace,
-`squeezing.sector_samples`, turns them into xi^2, mean spins and
-directions.  A fine sample inside a pair is measured straight from the
-pair's eigen-coefficients by the banded moments of
-`squeezing.pair_sector_moments`, PAIR_BLOCK_ENTRIES phases at a time, in
-the frame rotated by the opening pulse; the tail maps their mean spins and
-minimal-variance directions back with the pulse's signed permutation,
-exactly.  Every other sample's vector goes into a buffer of
-SAMPLE_BUFFER_ROWS rows measured by `squeezing.even_sector_moments`.  No
-kernel's per-row bits depend on the batch, so samples do not depend on the
-buffer depth, and a fine run's period-boundary samples are a stroboscopic
-run's, bit for bit.  No sample
-builds a full (N+1)-dimensional state.  At every period boundary the state
-norm is checked against `tolerances.NORM_DRIFT`; an earlier sample whose
-mean spin vanished is reported first.  Ideal xy twisting (the ideal-TAT
-trace, `tat_optimum`) runs on the same sector, on `twist_window`, as real
-rows measured by `squeezing.twist_moments`, a sum of squares with no
-cancellation; a scan or a trace builds them SCAN_CHUNK_COLUMNS times at a
-time in one state buffer.  Ideal z^2 twisting (the ideal-OAT trace,
-`oat_optimum`) evolves no state: it is the closed form
-`squeezing.oat_moments`.  Both optima zoom in on their
-minimum in four batched calls of one xi^2 kernel (`_scan_minimize`).  Each
-run parameter's rule is stated once, in `check_field`; `validate_spec`
+t_total / n_cycles its interior instants (fine(k) only) and its end.
+`validate_spec` refuses a run whose samples (SAMPLE_BYTES each) and tables
+the memory cannot hold: a pulse trace's pair eigenvectors and a complex
+phase row of N//2 + 1 per distinct step duration and per interior sample.
+Pulse schemes run on the even-index Dicke sector (see `propagate`): each
+period is the schedule's steps, free z^2 twisting or a pulse pair
+(a+, tau, a-), and every step is phases in its own basis, Dicke or pair.
+A step's samples are the rows `phases * c` of the state's coefficients c
+in that basis, measured SAMPLE_BLOCK_ENTRIES phases at a time by the one
+kernel `squeezing.sector_moments` with that basis's bands; its end is
+`phase * c`, mapped back to the Dicke basis, where t = 0 and each period
+end are one-row blocks.  Samples fork off the main line, so a fine run
+applies exactly the operations of a stroboscopic one, and the kernel's
+per-row bits do not depend on the block, so its period-boundary samples
+are a stroboscopic run's, bit for bit.  The kernel only writes each
+sample's <J_z>, T = J(J+1) - <J_z^2> and P = <J_+^2> into per-trace
+arrays; one tail per trace, `squeezing.sector_samples`, turns them into
+xi^2, mean spins and directions, mapping a sample inside a pair back from
+the frame rotated by the opening pulse with its signed permutation,
+exactly.  No sample builds a full (N+1)-dimensional state.  At every
+period boundary the state norm is checked against `tolerances.NORM_DRIFT`;
+an earlier sample whose mean spin vanished is reported first.  Ideal xy
+twisting (the ideal-TAT trace, `tat_optimum`) runs on the same sector, on
+`twist_window`, as real rows measured by `squeezing.twist_moments`, a sum
+of squares with no cancellation; a scan or a trace builds them
+SCAN_CHUNK_COLUMNS times at a time in one state buffer.  Ideal z^2
+twisting (the ideal-OAT trace, `oat_optimum`) evolves no state: it is the
+closed form `squeezing.oat_moments`.  Both optima zoom in on their minimum
+in four batched calls of one xi^2 kernel (`_scan_minimize`).  Each run
+parameter's rule is stated once, in `check_field`; `validate_spec`
 applies it to every spec.
 """
 
@@ -48,12 +44,12 @@ import numpy as np
 
 from . import tolerances
 from .propagate import (
-    free_phases,
+    dicke_bands,
     pair_amplitudes,
     pair_bands,
     pair_coefficients,
-    pair_phases,
     pulse_frame,
+    step_phases,
     twist_window,
 )
 from .schedules import Step, compile_scheme, delta_t_for, strength_divisor
@@ -64,11 +60,10 @@ from .squeezing import (
     Optimum,
     SqueezingSample,
     SqueezingTrace,
-    even_sector_moments,
     find_optimum,
     min_variance,
     oat_moments,
-    pair_sector_moments,
+    sector_moments,
     sector_samples,
     twist_moments,
     twist_sector_samples,
@@ -88,13 +83,9 @@ PRE_OPTIMUM_FACTOR = 1.5
 # suits the same two GEMMs; the coupling is intended, so a change of the zoom's
 # width also changes the trace's batches (its samples move within 1e-13 relative).
 SCAN_CHUNK_COLUMNS = 64
-# Dicke-basis rows per moment-kernel call of a pulse trace.  In compare_fine
-# bodies (N ~ 1250, one BLAS thread, medians of 25) 1 to 16 rows time alike
-# within the quartiles, so the buffer stays small.
-SAMPLE_BUFFER_ROWS = 4
-# Phase-table entries per call of the pair kernel, at least one row: the samples
-# inside a pulse pair are measured in blocks, so its temporaries stay near 7 MB.
-PAIR_BLOCK_ENTRIES = 2**16
+# Phase-table entries per moment-kernel call, at least one row: a step's samples
+# are measured in blocks, so the kernel's temporaries stay near 7 MB.
+SAMPLE_BLOCK_ENTRIES = 2**16
 # Peak bytes per sample of a trace and its CSV text: 632-633 B measured with
 # tracemalloc over 10^5-sample ideal-OAT, ideal-TAT, liu1 and schemeA runs.
 SAMPLE_BYTES = 640
@@ -142,16 +133,23 @@ def validate_spec(spec: ExperimentSpec) -> None:
         raise ValueError("fine sampling needs subsamples >= 1")
     interior = _interior_samples(spec)
     samples = spec.n_cycles * (interior + 1) + 1
-    tables = 0  # a pulse trace holds one complex phase row of N//2 + 1 per step and per interior sample
+    tables = 0  # a pulse trace's phase rows, complex of h = N//2 + 1, and its h x h real pair eigenvectors
     if spec.scheme in PULSE_SCHEMES:
-        steps = len(compile_scheme(spec.scheme, 1.0, 1, spec.order).steps)
-        tables = (steps + interior) * even_sector_dim(spec.n_spins) * 16
+        h = even_sector_dim(spec.n_spins)
+        delta_t = delta_t_for(spec.scheme, spec.t_total, spec.n_cycles, spec.order)
+        steps = compile_scheme(spec.scheme, delta_t, 1, spec.order).steps
+        tables = (len({_phase_key(step) for step in steps}) + interior) * h * 16 + h * h * 8
     limit = memory_limit_bytes()
     if samples * SAMPLE_BYTES + tables > limit:
         raise ValueError(
-            f"{samples} samples need {samples * SAMPLE_BYTES / 2**30:.1f} GiB and their phase tables "
+            f"{samples} samples need {samples * SAMPLE_BYTES / 2**30:.1f} GiB and their tables "
             f"{tables / 2**30:.1f} GiB, more than the {limit / 2**30:.1f} GiB of memory available"
         )
+
+
+def _phase_key(step: Step) -> tuple[bool, float]:
+    """What a step's end phases depend on: its basis (pairs about x and y share V's) and its duration."""
+    return bool(step.axis), step.duration
 
 
 def effective_counterpart(spec: ExperimentSpec) -> ExperimentSpec:
@@ -221,83 +219,58 @@ def _samples(stamps, xi2, mean, direction, j: float) -> list[SqueezingSample]:
 def _pulse_samples(spec: ExperimentSpec) -> list[SqueezingSample]:
     """Main-line propagation into per-sample moments, measured by one tail at the end.
 
-    Dicke-basis vectors (t = 0, free steps, period ends) are written into a
-    buffer measured whenever it is full; the samples inside a pulse pair are
-    measured at once from its eigen-coefficients.
+    Every step is measured and applied alike, through the state's
+    coefficients in the step's basis (the state itself for free twisting).
     """
     n = spec.n_spins
     j = n / 2
-    ops = build_operators(n)
     delta_t = delta_t_for(spec.scheme, spec.t_total, spec.n_cycles, spec.order)
     schedule = compile_scheme(spec.scheme, delta_t, spec.n_cycles, spec.order)
     times = _sample_times(spec)
     per = (len(times) - 1) // spec.n_cycles  # samples per period; times[1:per] are its interior offsets
     itinerary = _itinerary(schedule.steps, times[1:per], times[per])
 
-    def step_phases(step: Step, ts: list[float]):
-        """One row of phases per time t into `step`: applied as `amps * row` when free, `row * coeffs` in a pair."""
-        return pair_phases(n, spec.chi, ts) if step.axis else [free_phases(ops, spec.chi, t) for t in ts]
-
-    # Phases depend only on the step and the times into it, so each is built once per trace.
-    legs = [
-        (step, step_phases(step, [step.duration])[0], step_phases(step, partials)) for step, partials in itinerary
+    keyed = {_phase_key(step): step for step in schedule.steps}  # one end row per distinct duration of each basis
+    ends = {key: step_phases(n, step.axis, spec.chi, [step.duration])[0] for key, step in keyed.items()}
+    bands = {axis: pair_bands(n, axis) if axis else dicke_bands(n) for axis in {"", *(s.axis for s in schedule.steps)}}
+    legs = [  # (step, end phases, interior phases, the leg whose pulse frame its samples are measured in, or -1)
+        (step, ends[_phase_key(step)], step_phases(n, step.axis, spec.chi, partials), leg if step.axis else -1)
+        for leg, (step, partials) in enumerate(itinerary)
     ]
     frames = np.array([pulse_frame(step.axis, step.sign) if step.axis else np.eye(3) for step, _ in itinerary])
 
     moments = (np.empty(len(times)), np.empty(len(times)), np.empty(len(times), dtype=complex))  # <J_z>, T, P
-    leg_of = np.full(len(times), -1)  # the pair leg whose frame a sample inside a pair is measured in
-    pair_axes = {step.axis for step, partials in itinerary if step.axis and partials}
-    bands = {axis: pair_bands(n, axis) for axis in pair_axes}
-    h = even_sector_dim(n)
-    pair_rows = max(1, PAIR_BLOCK_ENTRIES // h)
-    buffer = np.empty((SAMPLE_BUFFER_ROWS, h), dtype=complex)
-    held: list[int] = []  # the samples whose Dicke-basis vectors fill the buffer's first rows
+    frame_of = np.full(len(times), -1)
+    block_rows = max(1, SAMPLE_BLOCK_ENTRIES // even_sector_dim(n))
 
-    def store(at, values) -> None:
-        for out, value in zip(moments, values):
+    def measure(first: int, rows: np.ndarray, axis: str, frame: int = -1) -> int:
+        """Samples first, first + 1, ... from `rows`, coefficients in the basis of a step about `axis`.
+
+        Returns the index after the last."""
+        at = slice(first, first + len(rows))
+        for out, value in zip(moments, sector_moments(rows, bands[axis])):
             out[at] = value
-
-    def flush() -> None:
-        store(held, even_sector_moments(buffer[: len(held)].T, ops))
-        held.clear()
-
-    def row(index: int) -> np.ndarray:
-        """The buffer row to write sample `index` into; a full buffer is measured first."""
-        if len(held) == len(buffer):
-            flush()
-        held.append(index)
-        return buffer[len(held) - 1]
+        frame_of[at] = frame
+        return at.stop
 
     def measured(count: int) -> list[SqueezingSample]:
         """The first `count` samples; their pulse frames are signed permutations, so mapping back is exact."""
-        flush()
         xi2, mean, direction = sector_samples(*(m[:count] for m in moments), j)
-        framed = np.flatnonzero(leg_of[:count] >= 0)
+        framed = np.flatnonzero(frame_of[:count] >= 0)
         for v in (mean, direction):
-            v[framed] = np.matmul(frames[leg_of[framed]], v[framed, :, None])[:, :, 0]
+            v[framed] = np.matmul(frames[frame_of[framed]], v[framed, :, None])[:, :, 0]
         return _samples(zip(times, range(count)), xi2, mean, direction, j)
 
-    psi = np.zeros(h, dtype=complex)
+    psi = np.zeros(even_sector_dim(n), dtype=complex)
     psi[0] = 1.0  # |J,J>
-    row(0)[:] = psi
-    index = 0
+    index = measure(0, psi[None], "")
     for _ in range(spec.n_cycles):
-        for leg, (step, phase, inner) in enumerate(legs):
-            if not step.axis:
-                for phases in inner:
-                    index += 1
-                    np.multiply(psi, phases, out=row(index))
-                psi = psi * phase
-                continue
-            coeffs = pair_coefficients(n, step.axis, psi)
-            for lo in range(0, len(inner), pair_rows):
-                phases = inner[lo : lo + pair_rows]
-                at = slice(index + 1, index + 1 + len(phases))
-                store(at, pair_sector_moments(phases * coeffs, bands[step.axis]))
-                leg_of[at] = leg
-                index += len(phases)
-            psi = pair_amplitudes(n, step.axis, phase * coeffs)
-        index += 1
+        for step, end, inner, frame in legs:
+            coeffs = pair_coefficients(n, step.axis, psi) if step.axis else psi
+            for lo in range(0, len(inner), block_rows):
+                index = measure(index, coeffs * inner[lo : lo + block_rows], step.axis, frame)
+            # numpy's complex product (FMA) is not commutative to the bit: a swap would move every later sample
+            psi = pair_amplitudes(n, step.axis, end * coeffs) if step.axis else coeffs * end
         drift = abs(float(np.linalg.norm(psi)) - 1.0)
         if not drift <= tolerances.NORM_DRIFT:
             measured(index)  # an earlier sample's vanishing mean spin is reported first
@@ -305,7 +278,7 @@ def _pulse_samples(spec: ExperimentSpec) -> list[SqueezingSample]:
                 f"sample {index} at t={times[index]:.6g}: state norm drifted by {drift:.3e} "
                 f"(tolerance {tolerances.NORM_DRIFT:.0e})"
             )
-        row(index)[:] = psi
+        index = measure(index, psi[None], "")
     return measured(len(times))
 
 

@@ -14,12 +14,13 @@ the pulse engine is
   recurrence in numpy alone (`pair_factorization`), applied as two products
   per pair, V^T psi (`pair_coefficients`) and V times the phased
   coefficients (`pair_amplitudes`), each one pass over V (`real_product`);
-* phases: a free step's (`free_phases`) and a pair's (`pair_phases`)
-  depend only on their durations, so a trace builds each once;
-* inside a pair: the moment operators J_z, J(J+1) - J_z^2 and J_+^2 in the
-  pair eigenbasis, where they are banded (`pair_bands`, closed forms in
-  O(N)), so a sample there is summed from the pair's phased
-  eigen-coefficients with no back-transform;
+* phases: every step is diagonal in its own basis, the Dicke basis for
+  free twisting and V for a pair, so its evolution is the phases
+  exp(-i chi t lambda) of its eigenvalues (`step_phases`), which depend only
+  on the time into it;
+* moments: J_z, J(J+1) - J_z^2 and J_+^2 are banded in both bases
+  (`Bands`: `dicke_bands`, and `pair_bands` in closed forms in O(N)), so a
+  sample is summed from a step's phased coefficients with no back-transform;
 * `pulse_frame`: the 3x3 signed permutation that maps the mean spin and the
   minimal-variance direction of a state inside a pair back from the frame
   rotated by the opening pulse.
@@ -43,7 +44,6 @@ import numpy as np
 from . import tolerances
 from .spin_ops import (
     NumericalConsistencyError,
-    SpinOperators,
     _frozen,
     build_operators,
     check_dense_fits,
@@ -281,11 +281,6 @@ def _gauge(amps: np.ndarray) -> np.ndarray:
     return out
 
 
-def free_phases(ops: SpinOperators, chi: float, t: float) -> np.ndarray:
-    """The diagonal of exp(-i chi J_z^2 t) on the even sector."""
-    return np.exp(-1j * chi * t * ops.jz_sq_diag[0::2])
-
-
 def pair_coefficients(n_spins: int, axis: str, amps: np.ndarray) -> np.ndarray:
     """Eigen-coefficients of an even-sector state for a pair of pulses about `axis`.
 
@@ -295,14 +290,17 @@ def pair_coefficients(n_spins: int, axis: str, amps: np.ndarray) -> np.ndarray:
     return real_product(fac.eigenvectors, _gauge(amps) if axis == "x" else amps, transpose=True)
 
 
-def pair_phases(n_spins: int, chi: float, ts) -> np.ndarray:
-    """The phases exp(-i chi t m^2) of the pair eigenvectors at each time t into a pair, one row per t.
+def step_phases(n_spins: int, axis: str, chi: float, ts) -> np.ndarray:
+    """The phases exp(-i chi t lambda) of a step's basis at each time t into it, one row per t.
 
-    A row's bits do not depend on the other times.
+    lambda are the even-sector eigenvalues of the step's generator: J_z^2 in
+    the Dicke basis for free twisting (no axis), the pair's m^2 in V for a
+    pair about either axis.  A row's bits do not depend on the other times.
     """
+    values = pair_factorization(n_spins).eigenvalues if axis else build_operators(n_spins).jz_sq_diag[0::2]
     rates = -1j * chi * np.asarray(ts, dtype=float)
-    phases = rates[:, None] * pair_factorization(n_spins).eigenvalues
-    return np.exp(phases, out=phases)  # in place: a pair's phase table is built without a second copy
+    phases = rates[:, None] * values
+    return np.exp(phases, out=phases)  # in place: a phase table is built without a second copy
 
 
 def pair_amplitudes(n_spins: int, axis: str, coeffs: np.ndarray) -> np.ndarray:
@@ -312,25 +310,52 @@ def pair_amplitudes(n_spins: int, axis: str, coeffs: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PairBands:
-    """The even-sector moment operators A in the pair eigenbasis V: diagonals of V^T A V.
+class Bands:
+    """The even-sector moment operators A in a basis W, as the nonzero diagonals of W^T A W.
 
-    Each field holds the diagonals at offsets -w, ..., w, each as
-    `np.diag(V^T A V, offset)`:
-    * `jz`, w = 1: A = J_z;
-    * `transverse`, w = 2: A = J(J+1) - J_z^2;
-    * `twist`, w = 2: A = the J_+^2 band whose mean is P (`squeezing.even_sector_moments`).
-    Every entry outside these bands is zero.
+    Each field maps an offset to `np.diag(W^T A W, offset)` up to its last
+    nonzero entry:
+    * `jz`: A = J_z;
+    * `transverse`: A = J(J+1) - J_z^2;
+    * `twist`: A = J_+^2, whose mean is P.
+    W is real, so the first two are symmetric and keep only the offsets >= 0.
+    Every other entry is zero, and `squeezing.sector_moments` sums only these.
     """
 
-    jz: tuple[np.ndarray, ...]
-    transverse: tuple[np.ndarray, ...]
-    twist: tuple[np.ndarray, ...]
+    jz: dict[int, np.ndarray]
+    transverse: dict[int, np.ndarray]
+    twist: dict[int, np.ndarray]
+
+
+def _bands(**fields: dict) -> Bands:
+    """`Bands` of the given diagonals, each cut after its last nonzero entry and left out if none is left."""
+
+    def nonzero(diagonals: dict) -> dict:
+        cut = {offset: np.trim_zeros(d, "b") for offset, d in diagonals.items()}
+        return {offset: _frozen(d) for offset, d in cut.items() if d.size}
+
+    return Bands(**{name: nonzero(diagonals) for name, diagonals in fields.items()})
+
+
+@lru_cache(maxsize=2)  # O(N) floats an entry
+def dicke_bands(n_spins: int) -> Bands:
+    """The `Bands` of the Dicke basis, where free twisting is diagonal.
+
+    J_z and J(J+1) - J_z^2 are diagonal there, and J_+^2 is the first
+    super-diagonal ladder[2i] ladder[2i+1] = 2 twist_band[2i].
+    """
+    ops = build_operators(n_spins)
+    j = ops.total_spin
+    return _bands(
+        jz={0: ops.m_values[0::2]},
+        transverse={0: j * (j + 1.0) - ops.jz_sq_diag[0::2]},
+        twist={1: 2.0 * ops.twist_band[0::2]},
+    )
 
 
 @lru_cache(maxsize=4)  # O(N) floats an entry: both axes of two spin numbers
-def pair_bands(n_spins: int, axis: str) -> PairBands:
-    """The `PairBands` of a pair about `axis`, from closed forms in O(N).
+def pair_bands(n_spins: int, axis: str) -> Bands:
+    """The `Bands` of the eigenvectors V of a pair about `axis`, from closed forms in O(N).
 
     Column m of V is the even part of the J_x eigenvectors of eigenvalue
     +/-m, and J_z acts on those as a ladder: Z = V^T J_z V is tridiagonal with
@@ -338,13 +363,13 @@ def pair_bands(n_spins: int, axis: str) -> PairBands:
     m = 0, even N), except Z = (J + 1/2)/2 at m = 1/2, odd N, where +/-1/2
     meet.  With D = diag(m^2) = V^T J_x^2 V, J_y^2 = J(J+1) - J_x^2 - J_z^2 and
     J_x J_y + J_y J_x = i [J_x^2, J_z], the other two are J(J+1) - Z^2 and
-    J_+^2 = 2 D + Z^2 - J(J+1) - [D, Z].  A pair about x acts in the gauge
-    diag((-1)^i), which only flips the sign of J_+^2.  No matrix product is
-    made, so the bands do not depend on the BLAS thread count.
+    J_+^2 = 2 D + Z^2 - J(J+1) - [D, Z], both of width 2.  A pair about x acts
+    in the gauge diag((-1)^i), which only flips the sign of J_+^2.  No matrix
+    product is made, so the bands do not depend on the BLAS thread count.
     """
     if axis == "x":
         bands = pair_bands(n_spins, "y")
-        return replace(bands, twist=tuple(_frozen(-d) for d in bands.twist))
+        return replace(bands, twist={offset: _frozen(-d) for offset, d in bands.twist.items()})
     ops = build_operators(n_spins)
     h = even_sector_dim(n_spins)
     jj = ops.total_spin * (ops.total_spin + 1.0)
@@ -362,15 +387,11 @@ def pair_bands(n_spins: int, axis: str) -> PairBands:
     sq2 = z1[:-1] * z1[1:]
     comm = (2.0 * mu[:-1] + 1.0) * z1  # [Z, D] above the diagonal: (mu_(a+1)^2 - mu_a^2) Z_(a, a+1)
     t1, t2 = -sq1, -sq2
-    bands = PairBands(
-        jz=(z1, z0, z1),
-        transverse=(t2, t1, jj - sq0, t1, t2),
-        twist=(sq2, sq1 - comm, 2.0 * mu**2 + sq0 - jj, sq1 + comm, sq2),
+    return _bands(  # z0, and with it sq1, is zero past its first entry
+        jz={0: z0, 1: z1},
+        transverse={0: jj - sq0, 1: t1, 2: t2},
+        twist={-2: sq2, -1: sq1 - comm, 0: 2.0 * mu**2 + sq0 - jj, 1: sq1 + comm, 2: sq2},
     )
-    for diagonals in (bands.jz, bands.transverse, bands.twist):
-        for d in diagonals:
-            _frozen(d)
-    return bands
 
 
 def pulse_frame(axis: str, sign: int) -> np.ndarray:

@@ -26,11 +26,17 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def memory_limit_bytes() -> int:
-    """Physical memory, or the address-space limit of this process if that is lower."""
-    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    """Physical memory, or what the address-space limit of this process leaves unmapped if that is lower."""
+    page = os.sysconf("SC_PAGE_SIZE")
+    limit = page * os.sysconf("SC_PHYS_PAGES")
     soft, _ = resource.getrlimit(resource.RLIMIT_AS)
     if soft != resource.RLIM_INFINITY:
-        limit = min(limit, soft)
+        try:
+            with open("/proc/self/statm") as statm:  # Linux: the mapped size, in pages, comes first
+                mapped = int(statm.read().split()[0]) * page
+        except (OSError, ValueError, IndexError):
+            mapped = 0
+        limit = min(limit, soft - mapped)
     return limit
 
 

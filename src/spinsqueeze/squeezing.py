@@ -2,12 +2,12 @@
 
 xi^2 = 2 * (minimal spin variance perpendicular to the mean spin) / J,
 normalized so a coherent state gives exactly 1.  Every production sample
-comes from a closed form: a pulse run's even-sector states from the batched
-band moments of `even_sector_moments`, one column per sample, a state inside
-a pulse pair from the banded moments of its pair eigen-coefficients
-(`pair_sector_moments`), an xy-twisted state (ideal-TAT traces, the TAT
-scan) from the cancellation-free variances `twist_moments`, all three
-through one tail (`sector_samples`), and z^2 twisting from `oat_moments`.
+comes from a closed form: a pulse run's states from the banded moments of
+their coefficients in the basis of the step they are in (`sector_moments`,
+Dicke amplitudes or a pair's eigen-coefficients), an xy-twisted state
+(ideal-TAT traces, the TAT scan) from the cancellation-free variances
+`twist_moments`, both through one tail (`sector_samples`), and z^2 twisting
+from `oat_moments`.
 """
 
 from __future__ import annotations
@@ -77,23 +77,6 @@ def min_variance(c11, c22, c12, basis) -> tuple[np.ndarray, np.ndarray]:
     return lam_min, np.where((radius <= bound)[:, None], n1, direction)
 
 
-def even_sector_moments(amps: np.ndarray, ops: SpinOperators):
-    """<J_z>, T = J(J+1) - <J_z^2> and P = <J_+^2> of every column of an (N//2 + 1) x k block.
-
-    P = 2 sum_i twist_band[2i] conj(a_i) a_(i+1).  Each column is summed as one
-    contiguous row of the transposed block with no BLAS product, so its bits do
-    not depend on k.  Pulse samples only: twisted states use `twist_moments`.
-    """
-    rows = np.ascontiguousarray(amps.T)  # no copy for the transposed rows callers pass
-    j = ops.total_spin
-    p = 2.0 * (rows[:, :-1].conj() * ops.twist_band[0::2] * rows[:, 1:]).sum(axis=-1)
-    weight = np.square(rows.real)
-    weight += np.square(rows.imag)
-    jz = (ops.m_values[0::2] * weight).sum(axis=-1)
-    transverse = ((j * (j + 1.0) - ops.jz_sq_diag[0::2]) * weight).sum(axis=-1)
-    return jz, transverse, p
-
-
 def twist_moments(rows: np.ndarray, ops: SpinOperators):
     """<J_z> and lambda_pm = <J_theta^2> at theta = pi/4 and 3 pi/4 of every row r of a k x (N//2 + 1) real block.
 
@@ -119,29 +102,38 @@ def twist_moments(rows: np.ndarray, ops: SpinOperators):
     return np.einsum("ij,ij,j->i", rows, rows, ops.m_values[0::2]), *lam
 
 
-def pair_sector_moments(coeffs: np.ndarray, bands):
-    """<J_z>, T and P, as `even_sector_moments`, of every row of a k x (N//2 + 1) block of pair eigen-coefficients.
+def sector_moments(rows: np.ndarray, bands):
+    """<J_z>, T = J(J+1) - <J_z^2> and P = <J_+^2> of every row of a k x (N//2 + 1) block of coefficients.
 
-    A row c stands for the state V c, V the pair eigenvectors, e.g. the
-    phased coefficients exp(-i chi t m^2) c of a pair's state t into it.  Each moment is c^dagger B c with B = V^T A V
-    banded, summed from B's diagonals (`propagate.pair_bands`): O(N) per row
-    and no back-transform to the Dicke basis.  Each row is summed as one
-    contiguous row with no BLAS product, so its bits do not depend on k.
+    A row c stands for the even-sector state W c: Dicke amplitudes (W = 1) or
+    a pair's eigen-coefficients (W = V), e.g. the phased exp(-i chi t lambda) c
+    of a state t into a step.  Each moment is c^dagger B c with B = W^T A W
+    banded (`propagate.Bands`): B_ii |c_i|^2 on the diagonal and
+    (conj(c_i) B_(i, i+d)) c_(i+d) at offset d, up to each diagonal's last
+    nonzero entry, twice its real part for the symmetric <J_z> and T, so in
+    the Dicke basis P = sum_i (conj(a_i) ladder[2i] ladder[2i+1]) a_(i+1).
+    O(N) per row with no back-transform to the Dicke basis; each row is
+    summed as one contiguous row with no BLAS product, so its bits do not
+    depend on k.
     """
-    rows = np.ascontiguousarray(coeffs)
-    weight = rows.real**2
-    weight += rows.imag**2
-    products = [rows[:, :-d].conj() * rows[:, d:] for d in (1, 2)]  # conj(c_i) c_(i+d)
+    rows = np.ascontiguousarray(rows)
+    conj = rows.conj()
+    weight = np.square(rows.real)
+    weight += np.square(rows.imag)
 
-    def form(diagonals) -> np.ndarray:
-        w = len(diagonals) // 2  # the diagonals run over offsets -w ... w
-        total = (diagonals[w] * weight).sum(axis=-1)
-        for d in range(1, w + 1):
-            q = products[d - 1]
-            total = total + (diagonals[w + d] * q + diagonals[w - d] * q.conj()).sum(axis=-1)
+    def form(diagonals, symmetric: bool) -> np.ndarray:
+        total = np.zeros(len(rows))
+        for offset, diagonal in diagonals.items():
+            near, far = slice(0, diagonal.size), slice(abs(offset), abs(offset) + diagonal.size)
+            if offset:
+                left, right = (near, far) if offset > 0 else (far, near)
+                term = (conj[:, left] * diagonal * rows[:, right]).sum(axis=-1)
+                total = total + (2.0 * term.real if symmetric else term)
+            else:
+                total = total + (diagonal * weight[:, near]).sum(axis=-1)
         return total
 
-    return form(bands.jz).real, form(bands.transverse).real, form(bands.twist)
+    return form(bands.jz, True), form(bands.transverse, True), form(bands.twist, False)
 
 
 def sector_xi2(jz, lam_min, j: float) -> np.ndarray:
@@ -153,12 +145,12 @@ def sector_xi2(jz, lam_min, j: float) -> np.ndarray:
 def sector_samples(jz, transverse, p, j: float, lam_min=None):
     """xi^2, mean spins (0, 0, <J_z>) and minimal-variance directions (k x 3) of even-sector moments.
 
-    The one tail of `even_sector_moments`, `pair_sector_moments` and
-    `twist_moments`.  On the even-index sector <J_x> = <J_y> = 0 exactly and the
-    transverse covariance is <J_x^2> = (T + Re P)/2, <J_y^2> = (T - Re P)/2,
-    Cov(J_x, J_y) = Im P/2 (Kitagawa and Ueda, PRA 47, 5138, 1993), so its
-    smaller eigenvalue is lambda_min = (T - |P|)/2 unless the caller has it in
-    a stabler form.  The directions are in the transverse basis (e_x, sign<J_z> e_y).
+    The one tail of `sector_moments` and `twist_moments`.  On the even-index
+    sector <J_x> = <J_y> = 0 exactly and the transverse covariance is
+    <J_x^2> = (T + Re P)/2, <J_y^2> = (T - Re P)/2, Cov(J_x, J_y) = Im P/2
+    (Kitagawa and Ueda, PRA 47, 5138, 1993), so its smaller eigenvalue is
+    lambda_min = (T - |P|)/2 unless the caller has it in a stabler form.  The
+    directions are in the transverse basis (e_x, sign<J_z> e_y).
     """
     sign = np.sign(jz)
     mean = np.column_stack([np.zeros((jz.size, 2)), jz])

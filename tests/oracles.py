@@ -27,10 +27,9 @@ from scipy.linalg import expm
 from spinsqueeze.experiments import FitResult, _loglog_fit
 from spinsqueeze.propagate import (
     EigenFactorization,
-    free_phases,
     pair_amplitudes,
-    pair_phases,
     real_product,
+    step_phases,
     twist_window,
 )
 from spinsqueeze.schedules import compile_scheme
@@ -374,7 +373,7 @@ def full_window(n_spins: int) -> EigenFactorization:
 
 def evolve_free(ops: SpinOperators, amps: np.ndarray, chi: float, t: float) -> np.ndarray:
     """exp(-i chi J_z^2 t) on an even-sector amplitude vector."""
-    return amps * free_phases(ops, chi, t)
+    return amps * step_phases(ops.n_spins, "", chi, [t])[0]
 
 
 def pair_twist(n_spins: int, coeffs: np.ndarray, chi: float, ts) -> np.ndarray:
@@ -385,7 +384,7 @@ def pair_twist(n_spins: int, coeffs: np.ndarray, chi: float, ts) -> np.ndarray:
     V times a row; at t = tau, the pair's free time, the closing pulse undoes
     it.  A row's bits do not depend on the other times.
     """
-    return pair_phases(n_spins, chi, ts) * coeffs
+    return step_phases(n_spins, "y", chi, ts) * coeffs
 
 
 def pair_evolve(n_spins: int, axis: str, coeffs: np.ndarray, chi: float, t: float) -> np.ndarray:

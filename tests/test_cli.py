@@ -160,14 +160,15 @@ REMOVED_NAMES = {
     "schedules": ["compile_scheme_a", "compile_scheme_b", "_COMPILERS", "period_in_delta_t_units",
                   "ScheduleStats", "schedule_stats", "_finish", "TsCoefficients", "S_PARAM"],
     "experiments": ["strength_divisor", "run_many", "_pair_steps", "_Step", "_interior_offsets",
-                    "trotter_order_fit"],
+                    "trotter_order_fit", "SAMPLE_BUFFER_ROWS", "PAIR_BLOCK_ENTRIES"],
     "propagate": ["rotate", "rotation_matrix", "_rotation_factorization", "rotation_propagator",
                   "Propagator", "evolve_oat", "spectral_norm_estimate", "frobenius_norm",
-                  "twist_factorization", "evolve_twist", "schedule_unitary", "unitary_distance", "HALF_PI"],
+                  "twist_factorization", "evolve_twist", "schedule_unitary", "unitary_distance", "HALF_PI",
+                  "free_phases", "pair_phases", "PairBands"],
     "spin_ops": ["expectation", "state_from_amplitudes", "mean_spin_vector", "DickeState",
                  "even_sector_state", "coherent_state_z", "coherent_state_x", "apply_jx", "apply_jy",
                  "apply_jz"],
-    "squeezing": ["squeezing_parameter", "transverse_basis"],
+    "squeezing": ["squeezing_parameter", "transverse_basis", "even_sector_moments", "pair_sector_moments"],
     "tolerances": ["UNITARITY", "RECONSTRUCTION"],
     "config": ["FORMATS"],
 }

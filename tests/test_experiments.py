@@ -1,5 +1,6 @@
 import math
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -89,25 +90,73 @@ def test_sample_count_is_checked_against_memory_before_any_sample(spec, monkeypa
     monkeypatch.setattr(experiments, "_sample_times", fail)
     with pytest.raises(ValueError, match="1000 samples need .* GiB, more than"):
         run_trace(spec)
-    # schemeA's phase tables: a row of N//2 + 1 = 3 complex numbers for each of its 3 steps and 998 interior samples
-    tables = 0 if spec.scheme in IDEAL_SCHEMES else (3 + 998) * 3 * 16
+    # schemeA's tables: a row of N//2 + 1 = 3 complex numbers for each of its 2 distinct step durations and 998
+    # interior samples, and the 3 x 3 real pair eigenvectors
+    tables = 0 if spec.scheme in IDEAL_SCHEMES else (2 + 998) * 3 * 16 + 9 * 8
     monkeypatch.setattr(experiments, "memory_limit_bytes", lambda: 1000 * experiments.SAMPLE_BYTES + tables)
     validate_spec(spec)
 
 
-@pytest.mark.parametrize("scheme,order,steps", [("schemeA", 2, 3), ("general", 6, 19)])
-def test_pulse_phase_tables_are_checked_against_memory(monkeypatch, capsys, scheme, order, steps):
-    """A pulse run's phase tables, a complex row of N//2 + 1 per step and per interior sample,
-    count against memory with its samples: a limit just under their sum exits 2, their sum runs."""
+@pytest.mark.parametrize(
+    "scheme,order,steps,durations", [("schemeA", 2, 3, 2), ("general", 6, 19, 8)], ids=["schemeA-2-3", "general-6-19"]
+)
+def test_pulse_phase_tables_are_checked_against_memory(monkeypatch, capsys, scheme, order, steps, durations):
+    """A pulse run's tables, a complex row of N//2 + 1 per distinct step duration of each basis and per
+    interior sample, and the (N//2 + 1)^2 real pair eigenvectors, count against memory with its samples:
+    a limit just under their sum exits 2, their sum runs."""
+    assert len(compile_scheme(scheme, 1.0, 1, order).steps) == steps
     argv = ["simulate", "--scheme", scheme, "--order", str(order), "--n-spins", "40", "--n-cycles", "2",
             "--t-total", "0.01", "--sampling", "fine(50)"]
-    need = (2 * 51 + 1) * experiments.SAMPLE_BYTES + (steps + 50) * 21 * 16
+    need = (2 * 51 + 1) * experiments.SAMPLE_BYTES + (durations + 50) * 21 * 16 + 21 * 21 * 8
     monkeypatch.setattr(experiments, "memory_limit_bytes", lambda: need - 1)
     assert cli.main(argv) == 2
     assert "samples need" in capsys.readouterr().err
     monkeypatch.setattr(experiments, "memory_limit_bytes", lambda: need)
     assert cli.main(argv) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1 + 2 * 51 + 1
+
+
+def test_phase_rows_are_counted_per_distinct_duration(monkeypatch):
+    """A stroboscopic order-20 period has 39367 steps but 1024 distinct durations (512 free, 512
+    pair): its spec at N = 2000 validates under a limit that one phase row per step would exceed,
+    and needs exactly its 1024 rows, V and its 2 samples."""
+    spec = ExperimentSpec("general", 2000, 1, 0.01, order=20)
+    h = 1001
+    limit = 100 * 2**20
+    assert len(compile_scheme("general", 1.0, 1, 20).steps) * h * 16 > 6 * limit
+    monkeypatch.setattr(experiments, "memory_limit_bytes", lambda: limit)
+    validate_spec(spec)
+    need = 1024 * h * 16 + h * h * 8 + 2 * experiments.SAMPLE_BYTES
+    monkeypatch.setattr(experiments, "memory_limit_bytes", lambda: need - 1)
+    with pytest.raises(ValueError, match="samples need"):
+        validate_spec(spec)
+    monkeypatch.setattr(experiments, "memory_limit_bytes", lambda: need)
+    validate_spec(spec)
+
+
+@pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="the mapped size is read from /proc/self/statm")
+def test_memory_check_counts_what_the_process_already_maps():
+    """Under an address-space limit that the samples, tables and V only fit into if the memory the
+    interpreter already maps is not counted, a large fine run exits 2 before it allocates them."""
+    script = """
+import sys
+from spinsqueeze import cli
+sys.exit(cli.main(["simulate", "--scheme", "schemeA", "--n-spins", "4000", "--n-cycles", "1",
+                   "--sampling", "fine(45000)"]))
+"""
+
+    def limit_address_space():  # as `ulimit -v 1500000` in the shell that starts the run
+        resource.setrlimit(resource.RLIMIT_AS, (1500000 * 1024, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+    src = Path(spinsqueeze.__file__).resolve().parent.parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    start = time.perf_counter()
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120,
+                            preexec_fn=limit_address_space)
+    assert result.returncode == 2, result.stderr
+    assert "samples need" in result.stderr
+    assert time.perf_counter() - start < 30.0
 
 
 def test_itinerary_is_linear_in_the_offsets():
@@ -558,20 +607,21 @@ def _first_pair_sample(spec):
     raise AssertionError("no sample inside a pair")
 
 
-@pytest.mark.parametrize("kernel", ["even_sector_moments", "pair_sector_moments"])
-def test_vanishing_mean_spin_is_reported_before_a_later_norm_drift(monkeypatch, kernel):
-    """A kernel that reports <J_z> = 0 for every row it measures makes its first sample vanish;
-    a leaky pair makes the norm drift at the first period end, after it.  The vanishing sample
-    is named, as in a run without the drift."""
-    real = getattr(experiments, kernel)
+@pytest.mark.parametrize("basis", ["dicke", "pair"])
+def test_vanishing_mean_spin_is_reported_before_a_later_norm_drift(monkeypatch, basis):
+    """The moment kernel reporting <J_z> = 0 for every row it measures in one basis makes the first
+    sample in that basis vanish; a leaky pair makes the norm drift at the first period end, after
+    it.  The vanishing sample is named, as in a run without the drift."""
+    real = experiments.sector_moments
+    dicke = propagate.dicke_bands(40)
 
-    def no_mean_spin(*args, **kwargs):
-        jz, transverse, p = real(*args, **kwargs)
-        return np.zeros_like(jz), transverse, p
+    def no_mean_spin(rows, bands):
+        jz, transverse, p = real(rows, bands)
+        return (np.zeros_like(jz) if (bands is dicke) == (basis == "dicke") else jz), transverse, p
 
-    monkeypatch.setattr(experiments, kernel, no_mean_spin)
+    monkeypatch.setattr(experiments, "sector_moments", no_mean_spin)
     spec = ExperimentSpec("schemeA", 40, 5, 0.5, sampling="fine", subsamples=3)
-    first = 0 if kernel == "even_sector_moments" else _first_pair_sample(spec)
+    first = 0 if basis == "dicke" else _first_pair_sample(spec)
     assert first < spec.subsamples + 1  # before the first period end, where the norm drifts
     with pytest.raises(MeanSpinVanishing, match=rf"^sample {first} at"):
         run_trace(spec)
@@ -580,7 +630,7 @@ def test_vanishing_mean_spin_is_reported_before_a_later_norm_drift(monkeypatch, 
         run_trace(spec)
 
 
-BUFFER_DEPTHS = ("SAMPLE_BUFFER_ROWS", "SCAN_CHUNK_COLUMNS", "PAIR_BLOCK_ENTRIES")
+BUFFER_DEPTHS = ("SCAN_CHUNK_COLUMNS", "SAMPLE_BLOCK_ENTRIES")
 
 
 def _sample_bytes(trace):

@@ -13,6 +13,7 @@ from scipy.linalg import expm
 import spinsqueeze
 from spinsqueeze.propagate import (
     pair_coefficients,
+    dicke_bands,
     pair_bands,
     pair_factorization,
     pulse_frame,
@@ -304,33 +305,40 @@ def test_pair_vectors_are_dense_eigh_up_to_sign(n):
     assert vectors[0].min() >= 0.0  # d[0] = 1 > 0 fixes every sign
 
 
-@pytest.mark.parametrize("axis", ["x", "y"])
+@pytest.mark.parametrize("axis", ["x", "y", pytest.param("", id="dicke")])
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 40, 41])
 def test_pair_bands_are_the_moment_operators_in_the_pair_basis(n, axis):
-    """The cached diagonals are those of dense W^T A W, W the (gauged, for x) pair eigenvectors,
-    for A = J_z, J(J+1) - J_z^2 and the J_+^2 band; every entry off the band is ~0."""
+    """The cached diagonals are those of dense W^T A W, W the (gauged, for x) pair eigenvectors or,
+    for the Dicke bands of free twisting, the identity, for A = J_z, J(J+1) - J_z^2 and J_+^2 of
+    the dense oracle operators on the even rows (the symmetric first two stored as their upper
+    half); every entry off the listed diagonals is ~0."""
     ops = build_operators(n)
     h = n // 2 + 1
     j = ops.total_spin
-    m = ops.m_values[0::2]
-    raising = np.diag(2.0 * ops.twist_band[0::2], 1) if h > 1 else np.zeros((1, 1))
-    gauge = (-1.0) ** np.arange(h) if axis == "x" else np.ones(h)
-    w = gauge[:, None] * pair_factorization(n).eigenvectors
-    bands = pair_bands(n, axis)
-    for operator, diagonals in (
-        (np.diag(m), bands.jz),
-        (np.diag(j * (j + 1) - m**2), bands.transverse),
-        (raising, bands.twist),
+    even = np.ix_(np.arange(0, n + 1, 2), np.arange(0, n + 1, 2))
+    jz = dense_jz(ops)
+    jplus = dense_jx(ops) + 1j * dense_jy(ops)
+    if axis:
+        gauge = (-1.0) ** np.arange(h) if axis == "x" else np.ones(h)
+        w, bands = gauge[:, None] * pair_factorization(n).eigenvectors, pair_bands(n, axis)
+    else:
+        w, bands = np.eye(h), dicke_bands(n)
+    for operator, diagonals, symmetric in (
+        (jz[even], bands.jz, True),
+        ((j * (j + 1) * np.eye(n + 1) - jz @ jz)[even], bands.transverse, True),
+        ((jplus @ jplus)[even], bands.twist, False),
     ):
         dense = w.T @ operator @ w
-        width = len(diagonals) // 2
         banded = np.zeros_like(dense)
-        for offset, diagonal in zip(range(-width, width + 1), diagonals):
-            assert diagonal.shape == (max(h - abs(offset), 0),)
+        for offset, diagonal in diagonals.items():
+            assert 0 < diagonal.size <= h - abs(offset) and diagonal[-1] != 0.0
             assert not diagonal.flags.writeable
-            if diagonal.size:
-                np.testing.assert_allclose(diagonal, np.diag(dense, offset), rtol=0, atol=1e-12 * j**2)
-                banded += np.diag(diagonal, offset)
+            full = np.zeros(h - abs(offset))
+            full[: diagonal.size] = diagonal
+            for mirror in {offset, -offset} if symmetric else {offset}:
+                assert not symmetric or offset >= 0  # a symmetric band keeps its upper half
+                np.testing.assert_allclose(full, np.diag(dense, mirror), rtol=0, atol=1e-12 * j**2)
+                banded += np.diag(full, mirror)
         assert np.abs(dense - banded).max() <= 1e-12 * j**2
 
 

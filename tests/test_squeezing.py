@@ -4,16 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinsqueeze.experiments import _samples, _tat_scan, _tat_states, tat_optimum
-from spinsqueeze.propagate import pair_bands, pair_coefficients
+from spinsqueeze.propagate import dicke_bands, pair_bands, pair_coefficients
 from spinsqueeze.spin_ops import build_operators
 from spinsqueeze.squeezing import (
     MeanSpinVanishing,
     SqueezingSample,
     SqueezingTrace,
-    even_sector_moments,
     find_optimum,
     oat_moments,
-    pair_sector_moments,
+    sector_moments,
     sector_samples,
     twist_moments,
     twist_sector_samples,
@@ -198,7 +197,7 @@ def test_even_sector_kernel_matches_squeezing_parameter(n):
     the signed minimal-variance direction, and MeanSpinVanishing exactly where that raises."""
     ops = build_operators(n)
     amps = _even_sector_columns(n)
-    xi2, mean, direction = sector_samples(*even_sector_moments(amps, ops), ops.total_spin)
+    xi2, mean, direction = sector_samples(*sector_moments(amps.T, dicke_bands(ops.n_spins)), ops.total_spin)
     assert np.all(mean[:, :2] == 0.0)
     vanished = []
     for i, col in enumerate(amps.T):
@@ -241,13 +240,13 @@ def test_twist_kernel_matches_squeezing_parameter(n):
     and 7 (h = 4) and N = 8 and 9 (h = 5) cover both parities of h at each parity of N.
 
     Its xi^2 is the bits of the xi^2-only `twist_xi2`, for a C- or F-ordered block alike, and
-    its mean spin and direction agree with the `even_sector_moments` samples of the complex amplitudes."""
+    its mean spin and direction agree with the Dicke-basis `sector_moments` samples of the complex amplitudes."""
     ops = build_operators(n)
     rows, amps = _twist_rows(n)
     xi2, mean, direction = twist_sector_samples(*twist_moments(rows, ops), ops.total_spin)
     np.testing.assert_array_equal(twist_xi2(rows, ops), xi2)
     np.testing.assert_array_equal(twist_xi2(np.asfortranarray(rows), ops), xi2)
-    _, amp_mean, amp_direction = sector_samples(*even_sector_moments(amps, ops), ops.total_spin)
+    _, amp_mean, amp_direction = sector_samples(*sector_moments(amps.T, dicke_bands(ops.n_spins)), ops.total_spin)
     assert np.abs(mean - amp_mean).max() <= 1e-13 * ops.total_spin
     assert np.abs(direction - amp_direction).max() <= 1e-10
     assert np.all(mean[:, :2] == 0.0)
@@ -325,15 +324,15 @@ def _pair_columns(n):
 @pytest.mark.parametrize("n", [40, 41, 400, 401])
 def test_pair_band_moments_match_the_amplitude_path(n, axis):
     """Samples inside a pair from its eigen-coefficients and `pair_bands` agree with the
-    back-transformed amplitudes (`pair_evolve`) measured by `even_sector_moments`."""
+    back-transformed amplitudes (`pair_evolve`) measured in the Dicke basis."""
     ops = build_operators(n)
     j = ops.total_spin
     ts = np.array([0.0, 0.3, 2.0, 7.0, 20.0]) / n
     for psi in _pair_columns(n):
         coeffs = pair_coefficients(n, axis, psi)
-        got = sector_samples(*pair_sector_moments(pair_twist(n, coeffs, 1.3, ts), pair_bands(n, axis)), j)
+        got = sector_samples(*sector_moments(pair_twist(n, coeffs, 1.3, ts), pair_bands(n, axis)), j)
         amps = np.column_stack([pair_evolve(n, axis, coeffs, 1.3, t) for t in ts])
-        want = sector_samples(*even_sector_moments(amps, ops), ops.total_spin)
+        want = sector_samples(*sector_moments(amps.T, dicke_bands(ops.n_spins)), ops.total_spin)
         assert np.all(np.isfinite(want[0]))
         np.testing.assert_allclose(got[0], want[0], rtol=1e-9, atol=0.0)
         assert np.abs(got[1] - want[1]).max() <= 1e-9 * j
@@ -348,11 +347,11 @@ def test_pair_band_moments_of_a_row_do_not_depend_on_the_block(n, axis):
     ts = np.linspace(0.0, 9.0 / n, 7)
     bands = pair_bands(n, axis)
     block = pair_twist(n, coeffs, 1.0, ts)
-    moments = pair_sector_moments(block, bands)
+    moments = sector_moments(block, bands)
     for i, t in enumerate(ts):
         row = pair_twist(n, coeffs, 1.0, [t])
         np.testing.assert_array_equal(row[0], block[i])
-        for whole, single in zip(moments, pair_sector_moments(row, bands)):
+        for whole, single in zip(moments, sector_moments(row, bands)):
             assert whole[i].tobytes() == single[0].tobytes()
 
 
@@ -368,9 +367,9 @@ def test_vanishing_mean_spin_inside_a_pair_names_the_same_sample_on_both_paths(n
     rows.append(pair_coefficients(n, axis, balanced))
     block = np.array(rows)
     stamps = [(0.1 * i, 7 + i) for i in range(len(rows))]
-    banded = sector_samples(*pair_sector_moments(block, pair_bands(n, axis)), ops.total_spin)
+    banded = sector_samples(*sector_moments(block, pair_bands(n, axis)), ops.total_spin)
     amps = np.column_stack([pair_evolve(n, axis, row, 1.0, 0.0) for row in block])
-    for measured in (banded, sector_samples(*even_sector_moments(amps, ops), ops.total_spin)):
+    for measured in (banded, sector_samples(*sector_moments(amps.T, dicke_bands(ops.n_spins)), ops.total_spin)):
         np.testing.assert_array_equal(np.isinf(measured[0]), [False, True, False, True])
         with pytest.raises(MeanSpinVanishing, match="^sample 8 at"):
             _samples(stamps, *measured, ops.total_spin)
@@ -393,7 +392,8 @@ def test_even_sector_kernel_is_as_accurate_as_the_state_path(n):
     p_re = 2 * (band * (re[:-1] * re[1:] + im[:-1] * im[1:])).sum(axis=0)
     p_im = 2 * (band * (re[:-1] * im[1:] - im[:-1] * re[1:])).sum(axis=0)
     exact = (transverse - np.sqrt(p_re**2 + p_im**2)) / j
-    kernel = np.abs(sector_samples(*even_sector_moments(amps, ops), ops.total_spin)[0] - exact) / exact
+    measured = sector_samples(*sector_moments(amps.T, dicke_bands(n)), ops.total_spin)[0]
+    kernel = np.abs(measured - exact) / exact
     state = [squeezing_parameter(even_sector_state(n, col), ops).xi2 for col in amps.T]
     state_path = np.abs(np.array(state, dtype=np.longdouble) - exact) / exact
     assert kernel.max() <= 2 * state_path.max(), (kernel, state_path)
