@@ -36,12 +36,7 @@ def _fmt(value: float) -> str:
 
 def trace_csv(trace: SqueezingTrace) -> str:
     lines = ["t,xi2,jx,jy,jz"]
-    for s in trace.samples:
-        lines.append(
-            ",".join(
-                [_fmt(s.t), _fmt(s.xi2), _fmt(s.mean_spin[0]), _fmt(s.mean_spin[1]), _fmt(s.mean_spin[2])]
-            )
-        )
+    lines.extend(",".join(_fmt(v) for v in (s.t, s.xi2, *s.mean_spin)) for s in trace.samples)
     return "\n".join(lines) + "\n"
 
 

@@ -52,7 +52,7 @@ from .propagate import (
     step_phases,
     twist_window,
 )
-from .schedules import Step, compile_scheme, delta_t_for, strength_divisor
+from .schedules import Schedule, Step, compile_scheme, delta_t_for, strength_divisor
 from .spin_ops import NumericalConsistencyError, build_operators, even_sector_dim, memory_limit_bytes
 from .squeezing import (
     MEAN_SPIN_EPS_FACTOR,
@@ -124,7 +124,8 @@ def check_field(key: str, value):
     return value
 
 
-def validate_spec(spec: ExperimentSpec) -> None:
+def validate_spec(spec: ExperimentSpec) -> Schedule | None:
+    """ValueError unless `spec` obeys every rule and fits in memory; a pulse trace's compiled period, else None."""
     for key in ("scheme", "n_spins", "n_cycles", "t_total", "chi", "order", "divisor"):
         check_field(key, getattr(spec, key))
     if spec.sampling not in ("stroboscopic", "fine"):
@@ -134,17 +135,19 @@ def validate_spec(spec: ExperimentSpec) -> None:
     interior = _interior_samples(spec)
     samples = spec.n_cycles * (interior + 1) + 1
     tables = 0  # a pulse trace's phase rows, complex of h = N//2 + 1, and its h x h real pair eigenvectors
+    period = None
     if spec.scheme in PULSE_SCHEMES:
         h = even_sector_dim(spec.n_spins)
         delta_t = delta_t_for(spec.scheme, spec.t_total, spec.n_cycles, spec.order)
-        steps = compile_scheme(spec.scheme, delta_t, 1, spec.order).steps
-        tables = (len({_phase_key(step) for step in steps}) + interior) * h * 16 + h * h * 8
+        period = compile_scheme(spec.scheme, delta_t, 1, spec.order)
+        tables = (len({_phase_key(step) for step in period.steps}) + interior) * h * 16 + h * h * 8
     limit = memory_limit_bytes()
     if samples * SAMPLE_BYTES + tables > limit:
         raise ValueError(
             f"{samples} samples need {samples * SAMPLE_BYTES / 2**30:.1f} GiB and their tables "
             f"{tables / 2**30:.1f} GiB, more than the {limit / 2**30:.1f} GiB of memory available"
         )
+    return period
 
 
 def _phase_key(step: Step) -> tuple[bool, float]:
@@ -216,28 +219,28 @@ def _samples(stamps, xi2, mean, direction, j: float) -> list[SqueezingSample]:
     return samples
 
 
-def _pulse_samples(spec: ExperimentSpec) -> list[SqueezingSample]:
-    """Main-line propagation into per-sample moments, measured by one tail at the end.
+def _pulse_samples(spec: ExperimentSpec, period: Schedule) -> list[SqueezingSample]:
+    """Main-line propagation of the compiled `period` into per-sample moments, measured by one tail at the end.
 
     Every step is measured and applied alike, through the state's
     coefficients in the step's basis (the state itself for free twisting).
     """
     n = spec.n_spins
     j = n / 2
-    delta_t = delta_t_for(spec.scheme, spec.t_total, spec.n_cycles, spec.order)
-    schedule = compile_scheme(spec.scheme, delta_t, spec.n_cycles, spec.order)
     times = _sample_times(spec)
     per = (len(times) - 1) // spec.n_cycles  # samples per period; times[1:per] are its interior offsets
-    itinerary = _itinerary(schedule.steps, times[1:per], times[per])
+    itinerary = _itinerary(period.steps, times[1:per], times[per])
 
-    keyed = {_phase_key(step): step for step in schedule.steps}  # one end row per distinct duration of each basis
+    keyed = {_phase_key(step): step for step in period.steps}  # one end row per distinct duration of each basis
     ends = {key: step_phases(n, step.axis, spec.chi, [step.duration])[0] for key, step in keyed.items()}
-    bands = {axis: pair_bands(n, axis) if axis else dicke_bands(n) for axis in {"", *(s.axis for s in schedule.steps)}}
-    legs = [  # (step, end phases, interior phases, the leg whose pulse frame its samples are measured in, or -1)
-        (step, ends[_phase_key(step)], step_phases(n, step.axis, spec.chi, partials), leg if step.axis else -1)
-        for leg, (step, partials) in enumerate(itinerary)
+    bands = {axis: pair_bands(n, axis) if axis else dicke_bands(n) for axis in {"", *(s.axis for s in period.steps)}}
+    frame_index = {key: i for i, key in enumerate(dict.fromkeys((s.axis, s.sign) for s in period.steps if s.axis))}
+    frames = np.array([pulse_frame(axis, sign) for axis, sign in frame_index])  # one per (axis, sign), at most 4
+    legs = [  # (step, end phases, interior phases or none, the index of the pulse frame its samples are in, or -1)
+        (step, ends[_phase_key(step)], step_phases(n, step.axis, spec.chi, partials) if partials else (),
+         frame_index.get((step.axis, step.sign), -1))
+        for step, partials in itinerary
     ]
-    frames = np.array([pulse_frame(step.axis, step.sign) if step.axis else np.eye(3) for step, _ in itinerary])
 
     moments = (np.empty(len(times)), np.empty(len(times)), np.empty(len(times), dtype=complex))  # <J_z>, T, P
     frame_of = np.full(len(times), -1)
@@ -309,8 +312,8 @@ def _oat_samples(n_spins: int, chi: float, times: list[float]) -> list[Squeezing
 
 def run_trace(spec: ExperimentSpec) -> SqueezingTrace:
     """Deterministic squeezing trace for one experiment description."""
-    validate_spec(spec)
-    samples = _pulse_samples(spec) if spec.scheme in PULSE_SCHEMES else _ideal_samples(spec)
+    period = validate_spec(spec)
+    samples = _pulse_samples(spec, period) if spec.scheme in PULSE_SCHEMES else _ideal_samples(spec)
     sampling = "stroboscopic" if spec.sampling == "stroboscopic" else f"fine({spec.subsamples})"
     return SqueezingTrace(tuple(samples), spec.scheme, spec.n_spins, spec.n_cycles, sampling)
 

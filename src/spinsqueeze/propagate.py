@@ -50,8 +50,7 @@ from .spin_ops import (
     even_sector_dim,
 )
 
-TWIST_WINDOW_HALF_WIDTH = 96  # of the first window; wide enough up to N = 10^4
-TWIST_WINDOW_N = 10**4  # past it the first window doubles per doubling of N
+TWIST_WINDOW_HALF_WIDTH = 96  # of the first window at every N; it doubled at most once at the N measured up to 10^5
 
 
 SMALL_GEMM_MNK = 10**6  # OpenBLAS's small-matrix dgemm path (SkylakeX kernels) takes M*N*K up to this
@@ -116,28 +115,26 @@ class TwistWindow:
 def twist_window(n_spins: int) -> TwistWindow:
     """The `TwistWindow` of N spins, solved in numpy alone (`tridiagonal.window_eigenpairs`).
 
-    The number of lambda > 0 starts at TWIST_WINDOW_HALF_WIDTH (twice that per
-    doubling of N past TWIST_WINDOW_N) and doubles until the largest one's
-    |<J,J|v>| <= TWIST_WINDOW_EDGE (its mirror's is the same), or the window
-    is the whole block.  If the captured weight |even[0]|^2 is then off 1 by
-    more than TWIST_WINDOW_WEIGHT, it raises NumericalConsistencyError, not
-    truncating.  The banded residual of every solved vector and the
-    orthogonality probes of `even` and `odd` (`_check_eigenpairs`) guard the
-    solve.  Both are column-major, the faster layout for the GEMMs with their
-    transposes that build twisted states.
+    The number of lambda > 0 starts at TWIST_WINDOW_HALF_WIDTH at every N and
+    doubles until the largest one's |<J,J|v>| <= TWIST_WINDOW_EDGE (its
+    mirror's is the same), or the window is the whole block.  If the captured
+    weight |even[0]|^2 is then off 1 by more than TWIST_WINDOW_WEIGHT, it
+    raises NumericalConsistencyError, not truncating.  The banded residual of
+    every solved vector and the orthogonality probes of `even` and `odd`
+    (`_check_eigenpairs`) guard the solve.  Both are column-major, the faster
+    layout for the GEMMs with their transposes that build twisted states.
     """
     band = build_operators(n_spins).twist_band[0::2]
     h = band.size + 1
-    half = TWIST_WINDOW_HALF_WIDTH * 2 ** max(0, math.ceil(math.log2(n_spins / TWIST_WINDOW_N)))
+    count = min(TWIST_WINDOW_HALF_WIDTH, h // 2)
     # Imported on first use: pulse runs never solve a window, so they do not load the solver.
     from .tridiagonal import window_eigenpairs
 
     while True:
-        count = min(half, h // 2)
         w, even, odd = window_eigenpairs(band, count, f"twist window at N={n_spins}")
         if count == h // 2 or abs(even[0, -1]) / math.sqrt(2.0) <= tolerances.TWIST_WINDOW_EDGE:
             break
-        half *= 2
+        count = min(2 * count, h // 2)
     missing = abs(float(even[0] @ even[0]) - 1.0)
     if not missing <= tolerances.TWIST_WINDOW_WEIGHT:
         raise NumericalConsistencyError(

@@ -134,6 +134,43 @@ def test_phase_rows_are_counted_per_distinct_duration(monkeypatch):
     validate_spec(spec)
 
 
+def counting(monkeypatch, module, name: str) -> list:
+    """Patch module.name to record each call's arguments in the returned list."""
+    real, calls = getattr(module, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_order_20_pulse_run_builds_frames_and_tables_only_where_samples_use_them(monkeypatch):
+    """A one-cycle fine(3) order-20 trace at N = 200 (39367 steps) builds at most one pulse frame per
+    (axis, sign), one end phase row per distinct step duration of each basis and one interior table per
+    step that holds an interior sample, and compiles its period once."""
+    spec = ExperimentSpec("general", 200, 1, 0.01, order=20, sampling="fine", subsamples=3)
+    steps = compile_scheme("general", delta_t_for("general", spec.t_total, 1, 20), 1, 20).steps
+    times = _sample_times(spec)
+    sampled = sum(1 for _, partials in _itinerary(steps, times[1:4], times[4]) if partials)
+    frames = counting(monkeypatch, experiments, "pulse_frame")
+    phases = counting(monkeypatch, experiments, "step_phases")
+    compiles = counting(monkeypatch, experiments, "compile_scheme")
+    trace = run_trace(spec)
+    assert len(trace.samples) == 5
+    assert len(frames) <= 4
+    assert len(phases) <= len({experiments._phase_key(step) for step in steps}) + sampled
+    assert len(compiles) == 1
+
+
+@pytest.mark.parametrize("scheme,order", [("liu1", 2), ("schemeA", 2), ("schemeB", 4), ("general", 6)])
+def test_pulse_trace_compiles_its_period_once(monkeypatch, scheme, order):
+    compiles = counting(monkeypatch, experiments, "compile_scheme")
+    run_trace(ExperimentSpec(scheme, 40, 3, 0.01, order=order, sampling="fine", subsamples=2))
+    assert len(compiles) == 1
+
+
 @pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="the mapped size is read from /proc/self/statm")
 def test_memory_check_counts_what_the_process_already_maps():
     """Under an address-space limit that the samples, tables and V only fit into if the memory the

@@ -20,10 +20,10 @@ from spinsqueeze.propagate import (
     real_product,
     twist_window,
 )
-from spinsqueeze import propagate, tolerances, tridiagonal
+from spinsqueeze import propagate, spin_ops, tolerances, tridiagonal
 from spinsqueeze.spin_ops import NumericalConsistencyError, build_operators
 from spinsqueeze.schedules import compile_scheme, free, pulse
-from spinsqueeze.experiments import _tat_states
+from spinsqueeze.experiments import _tat_states, tat_optimum
 
 from oracles import (HALF_PI, RECONSTRUCTION, UNITARITY, apply, coherent_state_z, dense_jx, dense_jy, dense_jz,
                      dense_twist_xy, even_sector_state, evolve_free, evolve_twist, factorize, full_window,
@@ -436,9 +436,14 @@ def test_pair_factorization_cache_holds_two_spin_numbers(fresh_pair_factorizatio
     assert pair_factorization.cache_info().currsize <= 2
 
 
-def test_oversized_dense_arrays_are_refused_before_allocating():
-    """The h x h pair eigenvectors and the twist window check memory; the band data does not."""
-    n = 10**6  # h = 500001: the pair block needs 2 TB, the first twist window 98 GB
+def test_oversized_dense_arrays_are_refused_before_allocating(monkeypatch):
+    """The h x h pair eigenvectors and the twist window check memory; the band data does not.
+
+    Under a 1 GiB limit: at N = 10^6 (h = 500001) the pair block needs 2 TB and the first twist
+    window 1.5 GB, and neither starts its solve.
+    """
+    monkeypatch.setattr(spin_ops, "memory_limit_bytes", lambda: 2**30)
+    n = 10**6
     assert build_operators(n).dim == n + 1
     with pytest.raises(ValueError, match="memory"):
         pair_factorization(n)
@@ -558,17 +563,32 @@ def test_loose_window_edge_raises_instead_of_truncating(monkeypatch, fresh_twist
         twist_window(400)
 
 
-@pytest.mark.parametrize("n,columns", [(10**4, 193), (10**4 + 2, 384)])
-def test_first_twist_window_is_wide_enough_past_ten_thousand(
-    monkeypatch, fresh_twist_window, n, columns
-):
-    """One solve per N: the first window doubles with N past 10^4 instead of solving twice."""
-    real, widths = tridiagonal.window_eigenpairs, []
+@pytest.mark.parametrize("n,widths", [(10**4 + 1, [193]), (10**4 + 2, [192, 384])], ids=["10001", "10002"])
+def test_twist_window_widens_only_while_its_edge_check_fails(monkeypatch, fresh_twist_window, n, widths):
+    """The first window has TWIST_WINDOW_HALF_WIDTH positive pairs at every N; past 10^4 it doubles only
+    where that width fails the edge check, and the final window is the first that passes."""
+    real, solved = tridiagonal.window_eigenpairs, []
 
     def counting(band, count, what):
-        widths.append(2 * count + (band.size + 1) % 2)  # columns of the mirrored window
+        solved.append(2 * count + (band.size + 1) % 2)  # columns of the mirrored window
         return real(band, count, what)
 
     monkeypatch.setattr(tridiagonal, "window_eigenpairs", counting)
-    assert full_window(n).eigenvectors.shape[1] == columns
-    assert widths == [columns]
+    assert full_window(n).eigenvectors.shape[1] == widths[-1]
+    assert solved == widths
+
+
+def test_tat_optimum_does_not_depend_on_the_first_window_width(monkeypatch, fresh_twist_window):
+    """At N = 2*10^4 the default first window (solves 193 and 385 columns) and one started at 384 pairs
+    (769 columns) give the same optimum: xi^2 within 1e-12 relative and the same t_opt."""
+    n = 2 * 10**4
+    tat_optimum.cache_clear()
+    default = tat_optimum(n)
+    twist_window.cache_clear()
+    tat_optimum.cache_clear()
+    monkeypatch.setattr(propagate, "TWIST_WINDOW_HALF_WIDTH", 384)
+    wide = tat_optimum(n)
+    tat_optimum.cache_clear()
+    assert twist_window(n).values.size == 385
+    assert wide.t_opt == default.t_opt
+    assert abs(wide.xi2_min - default.xi2_min) <= 1e-12 * wide.xi2_min
