@@ -18,14 +18,15 @@ per-row bits do not depend on the block, so its period-boundary samples
 are a stroboscopic run's, bit for bit.  The kernel only writes each
 sample's <J_z>, T = J(J+1) - <J_z^2> and P = <J_+^2> into per-trace
 arrays; one tail per trace, `squeezing.sector_samples`, turns them into
-xi^2, mean spins and directions, mapping a sample inside a pair back from
-the frame rotated by the opening pulse with its signed permutation,
+xi^2 and mean spins, mapping the mean spin of a sample inside a pair back
+from the frame rotated by the opening pulse with its signed permutation,
 exactly.  No sample builds a full (N+1)-dimensional state.  At every
 period boundary the state norm is checked against `tolerances.NORM_DRIFT`;
 an earlier sample whose mean spin vanished is reported first.  Ideal xy
 twisting (the ideal-TAT trace, `tat_optimum`) runs on the same sector, on
-`twist_window`, as real rows measured by `squeezing.twist_moments`, a sum
-of squares with no cancellation; a scan or a trace builds them
+`twist_window`, as real rows whose xi^2 and <J_z> `squeezing.twist_xi2`
+takes from a sum of squares with no cancellation; the scan and the trace
+share one loop (`_tat_scan`) that builds and measures them
 SCAN_CHUNK_COLUMNS times at a time in one state buffer.  Ideal z^2
 twisting (the ideal-OAT trace, `oat_optimum`) evolves no state: it is the
 closed form `squeezing.oat_moments`.  Both optima zoom in on their minimum
@@ -61,12 +62,9 @@ from .squeezing import (
     SqueezingSample,
     SqueezingTrace,
     find_optimum,
-    min_variance,
     oat_moments,
     sector_moments,
     sector_samples,
-    twist_moments,
-    twist_sector_samples,
     twist_xi2,
 )
 
@@ -79,16 +77,15 @@ PRE_OPTIMUM_FACTOR = 1.5
 
 # Times per zoom level of the optimum search (four levels reach 1e-6 of the
 # window) and per TAT batch, whose window x 64 real state buffer a scan reuses.
-# An ideal-TAT trace builds its states in batches of the same width, which
-# suits the same two GEMMs; the coupling is intended, so a change of the zoom's
-# width also changes the trace's batches (its samples move within 1e-13 relative).
+# The ideal-TAT trace runs the scan's loop, so a change of the zoom's width also
+# changes the trace's batches (its samples move within 1e-13 relative).
 SCAN_CHUNK_COLUMNS = 64
 # Phase-table entries per moment-kernel call, at least one row: a step's samples
 # are measured in blocks, so the kernel's temporaries stay near 7 MB.
 SAMPLE_BLOCK_ENTRIES = 2**16
-# Peak bytes per sample of a trace and its CSV text: 632-633 B measured with
+# Peak bytes per sample of a trace and its CSV text: 490-491 B measured with
 # tracemalloc over 10^5-sample ideal-OAT, ideal-TAT, liu1 and schemeA runs.
-SAMPLE_BYTES = 640
+SAMPLE_BYTES = 496
 
 
 @dataclass(frozen=True)
@@ -101,7 +98,7 @@ class ExperimentSpec:
     t_total: float
     chi: float = 1.0
     sampling: str = "stroboscopic"  # "stroboscopic" | "fine"
-    subsamples: int = 0  # interior samples per period in fine mode
+    subsamples: int = 0  # interior samples per period: k for fine(k), 0 stroboscopically
     order: int = 2  # Trotter-Suzuki order for scheme "general"
     divisor: float = 1.0  # strength divisor for ideal-TAT references
 
@@ -132,15 +129,16 @@ def validate_spec(spec: ExperimentSpec) -> Schedule | None:
         raise ValueError(f"sampling must be 'stroboscopic' or 'fine', got {spec.sampling!r}")
     if spec.sampling == "fine" and spec.subsamples < 1:
         raise ValueError("fine sampling needs subsamples >= 1")
-    interior = _interior_samples(spec)
-    samples = spec.n_cycles * (interior + 1) + 1
+    if spec.sampling == "stroboscopic" and spec.subsamples != 0:
+        raise ValueError(f"stroboscopic sampling takes subsamples = 0, got {spec.subsamples!r}")
+    samples = spec.n_cycles * (spec.subsamples + 1) + 1
     tables = 0  # a pulse trace's phase rows, complex of h = N//2 + 1, and its h x h real pair eigenvectors
     period = None
     if spec.scheme in PULSE_SCHEMES:
         h = even_sector_dim(spec.n_spins)
         delta_t = delta_t_for(spec.scheme, spec.t_total, spec.n_cycles, spec.order)
         period = compile_scheme(spec.scheme, delta_t, 1, spec.order)
-        tables = (len({_phase_key(step) for step in period.steps}) + interior) * h * 16 + h * h * 8
+        tables = (len({_phase_key(step) for step in period.steps}) + spec.subsamples) * h * 16 + h * h * 8
     limit = memory_limit_bytes()
     if samples * SAMPLE_BYTES + tables > limit:
         raise ValueError(
@@ -161,18 +159,13 @@ def effective_counterpart(spec: ExperimentSpec) -> ExperimentSpec:
     return replace(spec, scheme="ideal-TAT", divisor=d)
 
 
-def _interior_samples(spec: ExperimentSpec) -> int:
-    """Samples strictly inside each period: k for fine(k), none stroboscopically."""
-    return spec.subsamples if spec.sampling == "fine" else 0
-
-
 def _sample_times(spec: ExperimentSpec) -> list[float]:
     """Every sample instant of a trace: 0, then each period's interior instants and its end.
 
     The period is t_total / n_cycles; fine(k) spaces k instants evenly inside it.
     """
     period = spec.t_total / spec.n_cycles
-    k = _interior_samples(spec)
+    k = spec.subsamples
     times = [0.0]
     for cycle in range(spec.n_cycles):
         t0 = cycle * period
@@ -203,19 +196,19 @@ def _itinerary(steps: tuple[Step, ...], offsets: list[float], period: float) -> 
     return out
 
 
-def _samples(stamps, xi2, mean, direction, j: float) -> list[SqueezingSample]:
+def _samples(stamps, xi2, mean, j: float) -> list[SqueezingSample]:
     """Samples from per-sample tail output and one (t, index) stamp per sample.
 
     The first +inf xi^2 in stamp order raises MeanSpinVanishing naming its sample.
     """
     samples = []
-    for (t, index), x, mu, d in zip(stamps, xi2, mean, direction):
+    for (t, index), x, mu in zip(stamps, xi2, mean):
         if math.isinf(x):
             raise MeanSpinVanishing(
                 f"sample {index} at t={t:.6g}: |<J>| = {np.linalg.norm(mu):.3e} <= "
                 f"{MEAN_SPIN_EPS_FACTOR * j:.3e}; transverse plane undefined"
             )
-        samples.append(SqueezingSample(t, float(x), mu, d))
+        samples.append(SqueezingSample(t, float(x), mu))
     return samples
 
 
@@ -258,11 +251,10 @@ def _pulse_samples(spec: ExperimentSpec, period: Schedule) -> list[SqueezingSamp
 
     def measured(count: int) -> list[SqueezingSample]:
         """The first `count` samples; their pulse frames are signed permutations, so mapping back is exact."""
-        xi2, mean, direction = sector_samples(*(m[:count] for m in moments), j)
+        xi2, mean = sector_samples(*(m[:count] for m in moments), j)
         framed = np.flatnonzero(frame_of[:count] >= 0)
-        for v in (mean, direction):
-            v[framed] = np.matmul(frames[frame_of[framed]], v[framed, :, None])[:, :, 0]
-        return _samples(zip(times, range(count)), xi2, mean, direction, j)
+        mean[framed] = np.matmul(frames[frame_of[framed]], mean[framed, :, None])[:, :, 0]
+        return _samples(zip(times, range(count)), xi2, mean, j)
 
     psi = np.zeros(even_sector_dim(n), dtype=complex)
     psi[0] = 1.0  # |J,J>
@@ -286,33 +278,25 @@ def _pulse_samples(spec: ExperimentSpec, period: Schedule) -> list[SqueezingSamp
 
 
 def _ideal_samples(spec: ExperimentSpec) -> list[SqueezingSample]:
+    """Closed-form z^2 twisting, or xy twisting at rate chi / divisor through the TAT scan's loop."""
     times = _sample_times(spec)
-    if spec.scheme == "ideal-OAT":
-        return _oat_samples(spec.n_spins, spec.chi, times)
-    ops = build_operators(spec.n_spins)
-    states_at = _tat_states(spec.n_spins, spec.chi / spec.divisor, SCAN_CHUNK_COLUMNS)
     ts = np.array(times)
-    jz, plus, minus = np.empty(ts.size), np.empty(ts.size), np.empty(ts.size)
-    for s in range(0, ts.size, SCAN_CHUNK_COLUMNS):
-        chunk = slice(s, s + SCAN_CHUNK_COLUMNS)
-        jz[chunk], plus[chunk], minus[chunk] = twist_moments(states_at(ts[chunk]), ops)
-    j = ops.total_spin
-    return _samples(zip(times, range(ts.size)), *twist_sector_samples(jz, plus, minus, j), j)
-
-
-def _oat_samples(n_spins: int, chi: float, times: list[float]) -> list[SqueezingSample]:
-    """Samples of `oat_moments`; directions in the transverse basis (e_y, sign<J_x> e_z)."""
-    m = oat_moments(n_spins, chi * np.array(times))
-    sign = np.sign(m.mean_x)
-    basis = (np.array([0.0, 1.0, 0.0]), sign[:, None] * np.array([0.0, 0.0, 1.0]))
-    _, direction = min_variance(m.var_y, np.full_like(m.var_y, m.var_z), sign * m.cov_yz, basis)
-    mean = np.column_stack([m.mean_x, np.zeros((len(times), 2))])
-    return _samples(zip(times, range(len(times))), m.xi2, mean, direction, n_spins / 2)
+    if spec.scheme == "ideal-OAT":
+        m = oat_moments(spec.n_spins, spec.chi * ts)
+        xi2, mean = m.xi2, np.column_stack([m.mean_x, np.zeros((ts.size, 2))])
+    else:
+        xi2, jz = _tat_scan(spec.n_spins, spec.chi / spec.divisor)(ts)
+        mean = np.column_stack([np.zeros((ts.size, 2)), jz])
+    return _samples(zip(times, range(ts.size)), xi2, mean, spec.n_spins / 2)
 
 
 def run_trace(spec: ExperimentSpec) -> SqueezingTrace:
     """Deterministic squeezing trace for one experiment description."""
-    period = validate_spec(spec)
+    return _run_trace(spec, validate_spec(spec))
+
+
+def _run_trace(spec: ExperimentSpec, period: Schedule | None) -> SqueezingTrace:
+    """The trace of a validated `spec`, on the period `validate_spec` compiled for it."""
     samples = _pulse_samples(spec, period) if spec.scheme in PULSE_SCHEMES else _ideal_samples(spec)
     sampling = "stroboscopic" if spec.sampling == "stroboscopic" else f"fine({spec.subsamples})"
     return SqueezingTrace(tuple(samples), spec.scheme, spec.n_spins, spec.n_cycles, sampling)
@@ -415,22 +399,27 @@ def _tat_states(n_spins: int, rate: float, columns: int):
     return states_at
 
 
-def _tat_scan(n_spins: int):
-    """Map of times to the xi^2 of unit-strength xy twisting from |J,J>, SCAN_CHUNK_COLUMNS at a time."""
+def _tat_scan(n_spins: int, rate: float = 1.0):
+    """Map of times to the xi^2 and <J_z> of xy twisting at `rate` from |J,J>, SCAN_CHUNK_COLUMNS at a time.
+
+    The one loop of the TAT optimum scan and the ideal-TAT trace.
+    """
     ops = build_operators(n_spins)
-    states_at = _tat_states(n_spins, 1.0, SCAN_CHUNK_COLUMNS)
+    states_at = _tat_states(n_spins, rate, SCAN_CHUNK_COLUMNS)
 
-    def xi2_of_times(ts: np.ndarray) -> np.ndarray:
-        chunks = range(0, ts.size, SCAN_CHUNK_COLUMNS)
-        return np.concatenate([twist_xi2(states_at(ts[s : s + SCAN_CHUNK_COLUMNS]), ops) for s in chunks])
+    def measure(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        starts = range(0, ts.size, SCAN_CHUNK_COLUMNS)
+        chunks = [twist_xi2(states_at(ts[s : s + SCAN_CHUNK_COLUMNS]), ops) for s in starts]
+        return tuple(np.concatenate(values) for values in zip(*chunks))
 
-    return xi2_of_times
+    return measure
 
 
 @lru_cache(maxsize=32)
 def tat_optimum(n_spins: int) -> Optimum:
     """Optimal time and squeezing of unit-strength xy twisting from |J,J>."""
-    t_opt, xi2_min = _scan_minimize(_tat_scan(n_spins), 0.0, 10.0 / n_spins)
+    scan = _tat_scan(n_spins)
+    t_opt, xi2_min = _scan_minimize(lambda ts: scan(ts)[0], 0.0, 10.0 / n_spins)
     return Optimum(t_opt=t_opt, xi2_min=xi2_min)
 
 
@@ -472,15 +461,14 @@ def nc_convergence(
 ) -> tuple[NcRow, ...]:
     """Best stroboscopic xi^2 per cycle count, against the ideal twisting minimum.
 
-    Every count's spec is validated before the first trace runs.
+    Every count's spec is validated, and its period compiled once, before the first trace runs.
     """
     specs = [ExperimentSpec(scheme, n_spins, int(nc), t_total, chi=chi, order=order) for nc in nc_list]
-    for spec in specs:
-        validate_spec(spec)
+    periods = [validate_spec(spec) for spec in specs]
     ideal = tat_optimum(n_spins)
     rows = []
-    for spec in specs:
-        best = find_optimum(run_trace(spec))
+    for spec, period in zip(specs, periods):
+        best = find_optimum(_run_trace(spec, period))
         rows.append(
             NcRow(spec.n_cycles, best.xi2_min, abs(best.xi2_min - ideal.xi2_min) / ideal.xi2_min)
         )

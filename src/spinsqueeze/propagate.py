@@ -21,9 +21,8 @@ the pulse engine is
 * moments: J_z, J(J+1) - J_z^2 and J_+^2 are banded in both bases
   (`Bands`: `dicke_bands`, and `pair_bands` in closed forms in O(N)), so a
   sample is summed from a step's phased coefficients with no back-transform;
-* `pulse_frame`: the 3x3 signed permutation that maps the mean spin and the
-  minimal-variance direction of a state inside a pair back from the frame
-  rotated by the opening pulse.
+* `pulse_frame`: the 3x3 signed permutation that maps the mean spin of a
+  state inside a pair back from the frame rotated by the opening pulse.
 
 Ideal xy twisting from |J,J> stays in that sector too, where J_x^2 - J_y^2
 is tridiagonal with zero diagonal, so its spectrum is +/-lambda with
@@ -395,7 +394,7 @@ def pulse_frame(axis: str, sign: int) -> np.ndarray:
     """Signed permutation P with <J>(exp(-i sign pi/2 J_axis) psi) = P <J>(psi).
 
     The rotation by sign * pi/2 about the axis, acting on 3-vectors (Rodrigues'
-    formula with cos = 0): it also maps the minimal-variance direction.
+    formula with cos = 0).
     """
     n = np.array([axis == "x", axis == "y", False], dtype=float)
     cross = np.array([[0.0, -n[2], n[1]], [n[2], 0.0, -n[0]], [-n[1], n[0], 0.0]])

@@ -4,10 +4,11 @@ xi^2 = 2 * (minimal spin variance perpendicular to the mean spin) / J,
 normalized so a coherent state gives exactly 1.  Every production sample
 comes from a closed form: a pulse run's states from the banded moments of
 their coefficients in the basis of the step they are in (`sector_moments`,
-Dicke amplitudes or a pair's eigen-coefficients), an xy-twisted state
-(ideal-TAT traces, the TAT scan) from the cancellation-free variances
-`twist_moments`, both through one tail (`sector_samples`), and z^2 twisting
-from `oat_moments`.
+Dicke amplitudes or a pair's eigen-coefficients, through `sector_samples`),
+an xy-twisted state (ideal-TAT traces, the TAT scan) from the
+cancellation-free variances `twist_moments` (`twist_xi2`), both through one
+`sector_xi2`, and z^2 twisting from `oat_moments`.  A sample is xi^2 and
+the mean spin.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import numpy as np
 from .spin_ops import SpinOperators
 
 MEAN_SPIN_EPS_FACTOR = 1e-8
-DEGENERACY_TOL = 1e-12
 
 
 class MeanSpinVanishing(ValueError):
@@ -31,7 +31,6 @@ class SqueezingSample:
     t: float
     xi2: float
     mean_spin: np.ndarray
-    min_variance_direction: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -53,28 +52,6 @@ class SqueezingTrace:
 class Optimum:
     t_opt: float
     xi2_min: float
-
-
-def min_variance(c11, c22, c12, basis) -> tuple[np.ndarray, np.ndarray]:
-    """Per column of length-k c11, c22, c12: lambda_min of [[c11, c12], [c12, c22]] and its direction.
-
-    `basis` is a pair of 3-vectors or of k x 3 arrays; the directions are k x 3.
-    A degenerate covariance (radius <= DEGENERACY_TOL max(|half trace|, 1)) reports
-    the first basis vector, a diagonal one (|c12| within that bound) the basis
-    vector of the smaller variance.
-    """
-    n1, n2 = basis
-    half_trace = (c11 + c22) / 2.0
-    radius = np.hypot((c11 - c22) / 2.0, c12)
-    lam_min = half_trace - radius
-    bound = DEGENERACY_TOL * np.maximum(np.abs(half_trace), 1.0)
-    v1, v2 = c12, lam_min - c11
-    with np.errstate(divide="ignore", invalid="ignore"):
-        norm = np.hypot(v1, v2)
-        rotated = (v1 / norm)[:, None] * n1 + (v2 / norm)[:, None] * n2
-    diagonal = np.where((c11 <= c22)[:, None], n1, n2)
-    direction = np.where((np.abs(c12) <= bound)[:, None], diagonal, rotated)
-    return lam_min, np.where((radius <= bound)[:, None], n1, direction)
 
 
 def twist_moments(rows: np.ndarray, ops: SpinOperators):
@@ -142,46 +119,30 @@ def sector_xi2(jz, lam_min, j: float) -> np.ndarray:
     return np.where(np.abs(jz) <= MEAN_SPIN_EPS_FACTOR * j, np.inf, xi2)
 
 
-def sector_samples(jz, transverse, p, j: float, lam_min=None):
-    """xi^2, mean spins (0, 0, <J_z>) and minimal-variance directions (k x 3) of even-sector moments.
+def sector_samples(jz, transverse, p, j: float) -> tuple[np.ndarray, np.ndarray]:
+    """xi^2 and mean spins (0, 0, <J_z>) (k x 3) of `sector_moments` output.
 
-    The one tail of `sector_moments` and `twist_moments`.  On the even-index
-    sector <J_x> = <J_y> = 0 exactly and the transverse covariance is
-    <J_x^2> = (T + Re P)/2, <J_y^2> = (T - Re P)/2, Cov(J_x, J_y) = Im P/2
-    (Kitagawa and Ueda, PRA 47, 5138, 1993), so its smaller eigenvalue is
-    lambda_min = (T - |P|)/2 unless the caller has it in a stabler form.  The
-    directions are in the transverse basis (e_x, sign<J_z> e_y).
+    On the even-index sector <J_x> = <J_y> = 0 exactly and the transverse
+    covariance is <J_x^2> = (T + Re P)/2, <J_y^2> = (T - Re P)/2,
+    Cov(J_x, J_y) = Im P/2 (Kitagawa and Ueda, PRA 47, 5138, 1993), so its
+    smaller eigenvalue is lambda_min = (T - |P|)/2.
     """
-    sign = np.sign(jz)
     mean = np.column_stack([np.zeros((jz.size, 2)), jz])
-    basis = (np.array([1.0, 0.0, 0.0]), sign[:, None] * np.array([0.0, 1.0, 0.0]))
-    c11, c22 = (transverse + p.real) / 2.0, (transverse - p.real) / 2.0
-    _, direction = min_variance(c11, c22, sign * p.imag / 2.0, basis)
-    lam_min = (transverse - np.abs(p)) / 2.0 if lam_min is None else lam_min
-    return sector_xi2(jz, lam_min, j), mean, direction
+    return sector_xi2(jz, (transverse - np.abs(p)) / 2.0, j), mean
 
 
-def twist_xi2(rows: np.ndarray, ops: SpinOperators) -> np.ndarray:
-    """The xi^2 = 2 min(lambda_pm) / J of every row of `twist_moments`, no directions."""
+def twist_xi2(rows: np.ndarray, ops: SpinOperators) -> tuple[np.ndarray, np.ndarray]:
+    """xi^2 = 2 min(lambda_pm) / J and <J_z> of every row of `twist_moments`."""
     jz, plus, minus = twist_moments(rows, ops)
-    return sector_xi2(jz, np.minimum(plus, minus), ops.total_spin)
-
-
-def twist_sector_samples(jz, plus, minus, j: float):
-    """`sector_samples` of `twist_moments` output: T = lambda_+ + lambda_-, P = i (lambda_+ - lambda_-),
-    and the xi^2 of `twist_xi2`."""
-    return sector_samples(jz, plus + minus, 1j * (plus - minus), j, np.minimum(plus, minus))
+    return sector_xi2(jz, np.minimum(plus, minus), ops.total_spin), jz
 
 
 @dataclass(frozen=True)
 class OatMoments:
-    """Per time: xi^2 (+inf where the mean spin vanishes), <J_x> and the transverse moments."""
+    """Per time: xi^2 (+inf where the mean spin vanishes) and <J_x>."""
 
     xi2: np.ndarray
     mean_x: np.ndarray
-    var_y: np.ndarray
-    var_z: float
-    cov_yz: np.ndarray  # symmetrized
 
 
 def _cos_power(sin_sq: np.ndarray, cos: np.ndarray, k: int) -> np.ndarray:
@@ -200,8 +161,7 @@ def oat_moments(n_spins: int, chi_t: np.ndarray) -> OatMoments:
     N/4 (1 + (N-1) A/2), Var J_z = N/4, Cov(J_y, J_z) = N(N-1) B/16 and xi^2 =
     1 - (N-1)/4 B^2 / (A + sqrt(A^2 + B^2)), +inf where |cos chi t|^(N-1) <=
     MEAN_SPIN_EPS_FACTOR.  A (where cos mu > 0) and |B| go through log1p, which
-    keeps xi^2 within 2e-13 of exact up to N = 10^4; B keeps its sign, which sets
-    the squeezing direction.
+    keeps xi^2 within 2e-13 of exact up to N = 10^4.
     """
     n = int(n_spins)
     sin_h, cos_h = np.sin(chi_t), np.cos(chi_t)
@@ -217,9 +177,7 @@ def oat_moments(n_spins: int, chi_t: np.ndarray) -> OatMoments:
         xi2 = cos_h**2 / (1.0 + np.abs(sin_h))
     mean = _cos_power(sin_sq, cos_h, n - 1)
     xi2 = np.where(np.abs(mean) <= MEAN_SPIN_EPS_FACTOR, np.inf, np.maximum(xi2, 0.0))
-    return OatMoments(
-        xi2, n / 2.0 * mean, n / 4.0 * (1.0 + (n - 1) * a / 2.0), n / 4.0, n * (n - 1) * b / 16.0
-    )
+    return OatMoments(xi2, n / 2.0 * mean)
 
 
 def find_optimum(trace: SqueezingTrace) -> Optimum:

@@ -34,7 +34,7 @@ from spinsqueeze.propagate import (
 )
 from spinsqueeze.schedules import compile_scheme
 from spinsqueeze.spin_ops import SpinOperators, _frozen, build_operators, check_dense_fits
-from spinsqueeze.squeezing import MEAN_SPIN_EPS_FACTOR, MeanSpinVanishing, SqueezingSample, min_variance
+from spinsqueeze.squeezing import MEAN_SPIN_EPS_FACTOR, MeanSpinVanishing, SqueezingSample
 
 UNITARITY = 1e-9  # ||U^dagger U - 1||_2 of `schedule_unitary`'s pulses
 RECONSTRUCTION = 1e-8  # `reconstruction_error` of `twist_factorization`
@@ -281,11 +281,9 @@ def transverse_basis(direction: np.ndarray, scale: float) -> tuple[np.ndarray, n
     """Deterministic orthonormal pair spanning the plane perpendicular to `direction`.
 
     The first vector is built from the canonical axis least aligned with the
-    direction, which also fixes the convention reported for degenerate
-    covariances.  Components within 64 eps of `scale`, the size their
-    roundoff scales with (J for a mean spin, whatever |<J>| is), count as
-    zero and ties go to the lowest axis, so roundoff picks neither the axis
-    nor the sign of the direction reported.
+    direction.  Components within 64 eps of `scale`, the size their roundoff
+    scales with (J for a mean spin, whatever |<J>| is), count as zero and
+    ties go to the lowest axis, so roundoff does not pick the axis.
     """
     u = direction / np.linalg.norm(direction)
     zero = np.abs(direction) <= 64 * np.finfo(float).eps * scale
@@ -333,9 +331,9 @@ def squeezing_parameter(
     c22 = float(np.vdot(w2, w2).real) - m2 * m2
     c12 = float(np.vdot(w1, w2).real) - m1 * m2
 
-    lam_min, direction = min_variance(np.array([c11]), np.array([c22]), np.array([c12]), (n1, n2))
-    xi2 = 2.0 * max(float(lam_min[0]), 0.0) / j
-    return SqueezingSample(t=t, xi2=xi2, mean_spin=mean, min_variance_direction=direction[0])
+    lam_min = (c11 + c22) / 2.0 - math.hypot((c11 - c22) / 2.0, c12)
+    xi2 = 2.0 * max(lam_min, 0.0) / j
+    return SqueezingSample(t=t, xi2=xi2, mean_spin=mean)
 
 
 # -- the twist window and pulse pairs, one state at a time -------------------------

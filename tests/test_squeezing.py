@@ -15,7 +15,6 @@ from spinsqueeze.squeezing import (
     sector_moments,
     sector_samples,
     twist_moments,
-    twist_sector_samples,
     twist_xi2,
 )
 
@@ -45,8 +44,6 @@ def test_coherent_state_is_unsqueezed(n):
     sample = squeezing_parameter(coherent_state_z(n), ops)
     assert sample.xi2 == pytest.approx(1.0, abs=1e-9)
     np.testing.assert_allclose(sample.mean_spin, [0, 0, n / 2], atol=1e-12)
-    # degenerate covariance: deterministic first-transverse-axis convention
-    np.testing.assert_allclose(sample.min_variance_direction, [1, 0, 0], atol=1e-12)
 
 
 def test_two_spin_twisting_closed_form_and_oracle():
@@ -88,16 +85,6 @@ def test_basis_choice_is_irrelevant():
         assert alt == pytest.approx(default, abs=1e-10)
 
 
-def test_direction_is_transverse_unit_vector():
-    ops = build_operators(9)
-    state = evolve_twist(coherent_state_z(9), 1.0, 0.05)
-    sample = squeezing_parameter(state, ops)
-    assert np.linalg.norm(sample.min_variance_direction) == pytest.approx(1.0, abs=1e-12)
-    assert abs(np.dot(sample.min_variance_direction, sample.mean_spin)) <= 1e-9 * np.linalg.norm(
-        sample.mean_spin
-    )
-
-
 def test_minimum_bounds_any_fixed_direction():
     ops = build_operators(9)
     state = evolve_twist(coherent_state_z(9), 1.0, 0.05)
@@ -124,7 +111,7 @@ def _trace(samples):
 
 
 def _sample(t, xi2):
-    return SqueezingSample(t=t, xi2=xi2, mean_spin=np.zeros(3), min_variance_direction=np.zeros(3))
+    return SqueezingSample(t=t, xi2=xi2, mean_spin=np.zeros(3))
 
 
 def test_find_optimum_interior_minimum():
@@ -193,11 +180,11 @@ def _even_sector_columns(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 40, 41])
 def test_even_sector_kernel_matches_squeezing_parameter(n):
-    """Per column it gives squeezing_parameter of the scattered state: xi^2, the mean spin and
-    the signed minimal-variance direction, and MeanSpinVanishing exactly where that raises."""
+    """Per column it gives squeezing_parameter of the scattered state: xi^2 and the mean spin,
+    and MeanSpinVanishing exactly where that raises."""
     ops = build_operators(n)
     amps = _even_sector_columns(n)
-    xi2, mean, direction = sector_samples(*sector_moments(amps.T, dicke_bands(ops.n_spins)), ops.total_spin)
+    xi2, mean = sector_samples(*sector_moments(amps.T, dicke_bands(ops.n_spins)), ops.total_spin)
     assert np.all(mean[:, :2] == 0.0)
     vanished = []
     for i, col in enumerate(amps.T):
@@ -209,7 +196,6 @@ def test_even_sector_kernel_matches_squeezing_parameter(n):
         assert abs(xi2[i] - want.xi2) <= 1e-12 * want.xi2
         assert want.mean_spin[0] == want.mean_spin[1] == 0.0
         assert abs(mean[i, 2] - want.mean_spin[2]) <= 1e-13 * ops.total_spin
-        assert np.abs(direction[i] - want.min_variance_direction).max() <= 1e-10
     assert vanished == ([amps.shape[1] - 1] if n > 1 else [])
     np.testing.assert_array_equal(np.flatnonzero(np.isinf(xi2)), vanished)
 
@@ -235,21 +221,21 @@ def _twist_rows(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6, 7, 8, 9])
 def test_twist_kernel_matches_squeezing_parameter(n):
-    """Per row it gives squeezing_parameter of the twisted state: xi^2, the mean spin and the
-    signed minimal-variance direction, and MeanSpinVanishing exactly where that raises.  N = 6
-    and 7 (h = 4) and N = 8 and 9 (h = 5) cover both parities of h at each parity of N.
+    """Per row it gives squeezing_parameter of the twisted state: xi^2 and the mean spin along z,
+    and MeanSpinVanishing exactly where that raises.  N = 6 and 7 (h = 4) and N = 8 and 9 (h = 5)
+    cover both parities of h at each parity of N.
 
-    Its xi^2 is the bits of the xi^2-only `twist_xi2`, for a C- or F-ordered block alike, and
-    its mean spin and direction agree with the Dicke-basis `sector_moments` samples of the complex amplitudes."""
+    Its <J_z> is the bits of `twist_moments`, its xi^2 and <J_z> are those of a C- or F-ordered
+    block alike, and its <J_z> agrees with the Dicke-basis `sector_moments` samples of the complex
+    amplitudes, whose mean spin has no transverse part."""
     ops = build_operators(n)
     rows, amps = _twist_rows(n)
-    xi2, mean, direction = twist_sector_samples(*twist_moments(rows, ops), ops.total_spin)
-    np.testing.assert_array_equal(twist_xi2(rows, ops), xi2)
-    np.testing.assert_array_equal(twist_xi2(np.asfortranarray(rows), ops), xi2)
-    _, amp_mean, amp_direction = sector_samples(*sector_moments(amps.T, dicke_bands(ops.n_spins)), ops.total_spin)
-    assert np.abs(mean - amp_mean).max() <= 1e-13 * ops.total_spin
-    assert np.abs(direction - amp_direction).max() <= 1e-10
-    assert np.all(mean[:, :2] == 0.0)
+    xi2, jz = twist_xi2(rows, ops)
+    np.testing.assert_array_equal(twist_moments(rows, ops)[0], jz)
+    np.testing.assert_array_equal(twist_xi2(np.asfortranarray(rows), ops), (xi2, jz))
+    _, amp_mean = sector_samples(*sector_moments(amps.T, dicke_bands(ops.n_spins)), ops.total_spin)
+    assert np.abs(jz - amp_mean[:, 2]).max() <= 1e-13 * ops.total_spin
+    assert np.all(amp_mean[:, :2] == 0.0)
     vanished = []
     for i, col in enumerate(amps.T):
         try:
@@ -258,8 +244,7 @@ def test_twist_kernel_matches_squeezing_parameter(n):
             vanished.append(i)
             continue
         assert abs(xi2[i] - want.xi2) <= 1e-12 * want.xi2
-        assert abs(mean[i, 2] - want.mean_spin[2]) <= 1e-13 * ops.total_spin
-        assert np.abs(direction[i] - want.min_variance_direction).max() <= 1e-10
+        assert abs(jz[i] - want.mean_spin[2]) <= 1e-13 * ops.total_spin
     assert vanished == ([len(rows) - 1] if n > 1 else [])
     np.testing.assert_array_equal(np.flatnonzero(np.isinf(xi2)), vanished)
 
@@ -288,7 +273,7 @@ def test_twist_kernel_matches_40_digit_arithmetic(n):
     t_opt = tat_optimum(n).t_opt
     ts = t_opt * np.array([1.0 - 2e-4, 1.0, 1.0 + 2e-4])
     rows = _tat_states(n, 1.0, ts.size)(ts).copy()
-    got = twist_xi2(rows, build_operators(n))
+    got, _ = twist_xi2(rows, build_operators(n))
     j = mp.mpf(n) / 2
     ladder = [mp.sqrt((k + 1) * (n - k)) for k in range(n)]
     for r, xi2 in zip(rows, got):
@@ -305,7 +290,7 @@ def test_twist_kernel_is_smooth_at_the_optimum():
     n = 10**4
     t_opt = tat_optimum(n).t_opt
     u = np.linspace(-2e-4, 2e-4, 41)
-    xi2 = _tat_scan(n)(t_opt * (1.0 + u))
+    xi2, _ = _tat_scan(n)(t_opt * (1.0 + u))
     fit = np.polyval(np.polyfit(u, xi2, 2), u)
     assert np.abs(xi2 - fit).max() <= 1e-12 * xi2.min()
 
@@ -336,7 +321,6 @@ def test_pair_band_moments_match_the_amplitude_path(n, axis):
         assert np.all(np.isfinite(want[0]))
         np.testing.assert_allclose(got[0], want[0], rtol=1e-9, atol=0.0)
         assert np.abs(got[1] - want[1]).max() <= 1e-9 * j
-        assert np.abs(got[2] - want[2]).max() <= 1e-9
 
 
 @pytest.mark.parametrize("axis", ["x", "y"])
