@@ -3,8 +3,9 @@
 Every trace samples one grid, `_sample_times`: t = 0, then per period of
 t_total / n_cycles its interior instants (fine(k) only) and its end.
 `validate_spec` refuses a run whose samples (SAMPLE_BYTES each) and tables
-the memory cannot hold: a pulse trace's pair eigenvectors and a complex
-phase row of N//2 + 1 per distinct step duration and per interior sample.
+the memory cannot hold: a pulse trace's pair eigenvectors (4 h^2 bytes,
+`propagate.pair_store_bytes`) and a complex phase row of h = N//2 + 1 per
+distinct step duration and per interior sample.
 Pulse schemes run on the even-index Dicke sector (see `propagate`): each
 period is the schedule's steps, free z^2 twisting or a pulse pair
 (a+, tau, a-), and every step is phases in its own basis, Dicke or pair.
@@ -49,6 +50,7 @@ from .propagate import (
     pair_amplitudes,
     pair_bands,
     pair_coefficients,
+    pair_store_bytes,
     pulse_frame,
     step_phases,
     twist_window,
@@ -100,7 +102,7 @@ class ExperimentSpec:
     sampling: str = "stroboscopic"  # "stroboscopic" | "fine"
     subsamples: int = 0  # interior samples per period: k for fine(k), 0 stroboscopically
     order: int = 2  # Trotter-Suzuki order for scheme "general"
-    divisor: float = 1.0  # strength divisor for ideal-TAT references
+    divisor: float = 1.0  # strength divisor for ideal-TAT references; other schemes take 1.0
 
 
 def check_field(key: str, value):
@@ -131,14 +133,16 @@ def validate_spec(spec: ExperimentSpec) -> Schedule | None:
         raise ValueError("fine sampling needs subsamples >= 1")
     if spec.sampling == "stroboscopic" and spec.subsamples != 0:
         raise ValueError(f"stroboscopic sampling takes subsamples = 0, got {spec.subsamples!r}")
+    if spec.divisor != 1.0 and spec.scheme != "ideal-TAT":  # it scales ideal-TAT references only
+        raise ValueError(f"field 'divisor' must be 1.0 for scheme {spec.scheme!r}, got {spec.divisor!r}")
     samples = spec.n_cycles * (spec.subsamples + 1) + 1
-    tables = 0  # a pulse trace's phase rows, complex of h = N//2 + 1, and its h x h real pair eigenvectors
+    tables = 0  # a pulse trace's phase rows, complex of h = N//2 + 1, and its pair eigenvectors' half-size store
     period = None
     if spec.scheme in PULSE_SCHEMES:
         h = even_sector_dim(spec.n_spins)
         delta_t = delta_t_for(spec.scheme, spec.t_total, spec.n_cycles, spec.order)
         period = compile_scheme(spec.scheme, delta_t, 1, spec.order)
-        tables = (len({_phase_key(step) for step in period.steps}) + spec.subsamples) * h * 16 + h * h * 8
+        tables = (len(set(map(_phase_key, period.steps))) + spec.subsamples) * h * 16 + pair_store_bytes(spec.n_spins)
     limit = memory_limit_bytes()
     if samples * SAMPLE_BYTES + tables > limit:
         raise ValueError(

@@ -11,9 +11,9 @@ the pulse engine is
 * free twisting: diagonal phases on the even sector, O(N);
 * pair evolution: one cached factorization of J_x^2 per spin number, its
   exact eigenvalues m^2 and its eigenvectors V from the three-term Wigner-d
-  recurrence in numpy alone (`pair_factorization`), applied as two products
-  per pair, V^T psi (`pair_coefficients`) and V times the phased
-  coefficients (`pair_amplitudes`), each one pass over V (`real_product`);
+  recurrence in numpy alone (`pair_factorization`), kept half-size by V's
+  symmetries, applied as two products per pair, V^T psi (`pair_coefficients`)
+  and V times the phased coefficients (`pair_amplitudes`);
 * phases: every step is diagonal in its own basis, the Dicke basis for
   free twisting and V for a pair, so its evolution is the phases
   exp(-i chi t lambda) of its eigenvalues (`step_phases`), which depend only
@@ -43,9 +43,10 @@ import numpy as np
 from . import tolerances
 from .spin_ops import (
     NumericalConsistencyError,
+    SpinOperators,
     _frozen,
     build_operators,
-    check_dense_fits,
+    check_fits,
     even_sector_dim,
 )
 
@@ -85,12 +86,35 @@ def real_product(matrix: np.ndarray, vector: np.ndarray, transpose: bool = False
     return out
 
 
+def symmetric_product(strips: tuple[np.ndarray, ...], vector: np.ndarray) -> np.ndarray:
+    """S @ vector for a real symmetric S held as row strips, strip [lo, hi) being S[lo:hi, lo:].
+
+    A strip's product with vector[lo:] is y[lo:hi] from the columns >= lo; its part right of the diagonal block,
+    transposed, times vector[lo:hi] adds to y[hi:].  `pair_factorization`'s strips keep each GEMM small."""
+    pairs = np.ascontiguousarray(vector, dtype=complex).view(float).reshape(-1, 2)
+    out = np.empty(len(pairs), dtype=complex)
+    out_pairs, transposed, partial = out.view(float).reshape(-1, 2), np.zeros_like(pairs), np.empty_like(pairs)
+    lo = 0
+    for strip in strips:
+        hi = lo + strip.shape[0]
+        np.matmul(strip, pairs[lo:], out=out_pairs[lo:hi])
+        transposed[hi:] += np.matmul(strip[:, hi - lo :].T, pairs[lo:hi], out=partial[hi:])
+        lo = hi
+    out_pairs += transposed
+    return out
+
+
 @dataclass(frozen=True)
 class EigenFactorization:
-    """Hermitian factorization H = V diag(w) V^dagger, reused for any evolution time."""
+    """J_x^2 on the even sector: eigenvalues m^2, m = J mod 1, ..., J, and eigenvectors V, half-size.
+
+    `store` holds the about h^2 / 2 distinct numbers of V.  Even N: rows m_z and -m_z agree up to the
+    column sign (-1)^(J-m), so V is two blocks of its top rows (and middle row), one per sign, acting on
+    psi_top +/- psi_mirror.  Odd N: rows ordered by |m_z| = J, J - 1, ... and columns by m = J, J - 1, ...
+    make a symmetric S (d_ab(pi/2) = (-1)^(a-b) d_ba(pi/2)), kept as `symmetric_product` strips."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    store: tuple[np.ndarray, ...]
 
 
 @dataclass(frozen=True)
@@ -146,20 +170,22 @@ def twist_window(n_spins: int) -> TwistWindow:
     vectors[:, h % 2 :] /= math.sqrt(2.0)
     scale = 2.0 * float(band.max()) if band.size else 1.0
     residual = _tridiagonal_residual(np.zeros(h), band, vectors, w) / scale
-    _check_eigenpairs(f"twist window at N={n_spins}", residual, even, odd)
+    grams = [(x.shape[1], lambda z, x=x: np.einsum("ij,i->j", x, np.einsum("ij,j->i", x, z))) for x in (even, odd)]
+    _check_eigenpairs(f"twist window at N={n_spins}", residual, *grams)  # einsum, with no BLAS call
     return TwistWindow(_frozen(w), _frozen(even), _frozen(odd))
 
 
-def _check_eigenpairs(what: str, residual: float, *bases: np.ndarray) -> None:
+def _check_eigenpairs(what: str, residual: float, *round_trips) -> None:
     """Raise NumericalConsistencyError unless `residual` and every basis X pass the PAIR bounds.
 
     `residual` is a banded residual |T V - V diag(values)| over about ||T||;
-    X^T X = 1 is probed as |X^T X z - z| with a fixed z.
+    X^T X = 1 is probed as |X^T X z - z| with a fixed z, X^T X applied by
+    each (columns, function) of `round_trips`.
     """
     drifts = [0.0]
-    for x in bases:
-        z = np.cos(np.arange(x.shape[1]))  # a fixed probe with no special relation to the columns
-        drifts.append(np.abs(np.einsum("ij,i->j", x, np.einsum("ij,j->i", x, z)) - z).max(initial=0.0))
+    for size, round_trip in round_trips:
+        z = np.cos(np.arange(size))  # a fixed probe with no special relation to the columns
+        drifts.append(np.abs(round_trip(z) - z).max(initial=0.0))
     drift = float(np.max(drifts))  # NaN-propagating, unlike the builtin max
     if not (residual <= tolerances.PAIR_RESIDUAL and drift <= tolerances.PAIR_ORTHOGONALITY):
         raise NumericalConsistencyError(f"{what}: residual {residual:.1e}, orthogonality drift {drift:.1e}")
@@ -168,7 +194,7 @@ def _check_eigenpairs(what: str, residual: float, *bases: np.ndarray) -> None:
 # -- even-sector pulse engine ----------------------------------------------------
 
 
-@lru_cache(maxsize=2)  # an entry is h x h floats, 0.8 GB at N = 2*10^4; a run uses one N
+@lru_cache(maxsize=2)  # an entry is about h^2 / 2 floats, 0.4 GB at N = 2*10^4; a run uses one N
 def pair_factorization(n_spins: int) -> EigenFactorization:
     """Eigendecomposition of J_x^2 on the even-index sector, the generator of a y pulse pair.
 
@@ -180,80 +206,117 @@ def pair_factorization(n_spins: int) -> EigenFactorization:
 
     Its eigenvalues are the exact m^2, m = J mod 1, ..., J, and the column of
     m^2 is the even rows of the J_x eigenvector of eigenvalue m, i.e. of the
-    Wigner matrix d^J(pi/2) (`_wigner_pair_vectors`).  They are built by
-    elementwise numpy alone, with no LAPACK or BLAS call, so they, and every
-    pulse trace built on them, do not depend on the BLAS thread count.  The
-    banded residual and an orthogonality probe are checked against
-    `tolerances.PAIR_RESIDUAL` and `tolerances.PAIR_ORTHOGONALITY`.
+    Wigner matrix d^J(pi/2), held half-size (`EigenFactorization`) as
+    `_wigner_pair_vectors` writes it by elementwise numpy alone, so no pulse
+    trace depends on the BLAS thread count.  The recurrence's banded residual
+    and an orthogonality probe through the store's products are checked
+    against `tolerances.PAIR_RESIDUAL` and `tolerances.PAIR_ORTHOGONALITY`.
     """
+    check_fits(pair_store_bytes(n_spins), f"pair factorization at N={n_spins} needs a half-size store of")
     ops = build_operators(n_spins)
     h = even_sector_dim(n_spins)
-    check_dense_fits(h, h, 8, f"pair factorization at N={n_spins}")
-    mu = ops.m_values[:h][::-1]  # J mod 1, ..., J
-    vectors = _wigner_pair_vectors(ops.ladder, mu)
-    squares = np.zeros(ops.dim + 1)
-    squares[1:-1] = ops.ladder**2
-    diag = (squares[:-1] + squares[1:])[0::2] / 4.0
-    off = ops.twist_band[0::2] / 2.0
-    residual = _tridiagonal_residual(diag, off, vectors, mu**2) / ops.total_spin**2
-    _check_eigenpairs(f"pair eigenvectors at N={n_spins}", residual, vectors)
-    return EigenFactorization(_frozen(mu**2), _frozen(vectors))
+    store, residual = _wigner_pair_vectors(ops)
+    store = tuple(_frozen(block) for block in store)
+    round_trip = (h, lambda z: _coefficients(n_spins, store, _amplitudes(n_spins, store, z)))
+    _check_eigenpairs(f"pair eigenvectors at N={n_spins}", residual, round_trip)
+    return EigenFactorization(_frozen(ops.m_values[:h][::-1] ** 2), store)
+
+
+def _pair_store_shapes(n_spins: int):
+    """Shapes of `EigenFactorization.store`: the blocks of sign +1 and -1 at even N, the strips at odd N."""
+    h = even_sector_dim(n_spins)
+    if n_spins % 2 == 0:
+        return [(h - h // 2, h - h // 2), (h // 2, h // 2)]
+    rows = max(1, min(PRODUCT_BLOCK_ROWS, SMALL_GEMM_MNK // (2 * h)))  # a strip's GEMMs within SMALL_GEMM_MNK
+    return ((min(rows, h - lo), h - lo) for lo in range(0, h, rows))  # lazily: one-row strips past N = 10^6
+
+
+def pair_store_bytes(n_spins: int) -> int:
+    """Bytes of the pair eigenvectors' half-size store of N spins, about 4 h^2."""
+    return 8 * sum(rows * cols for rows, cols in _pair_store_shapes(n_spins))
+
+
+def _column_parities(n_spins: int) -> tuple[slice, slice]:
+    """At even N, V's columns of mirror sign +1 (m = J, J - 2, ...) and -1, each ascending in m."""
+    first = (n_spins // 2) % 2
+    return slice(first, None, 2), slice(1 - first, None, 2)
 
 
 _HUGE = 1e150  # a recurring column that passes it is scaled by 1/_HUGE
 
 
-def _wigner_pair_vectors(ladder: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Unit even-sector eigenvectors of J_x^2, one column per m = mu, from the J_x recurrence.
+def _wigner_pair_vectors(ops: SpinOperators) -> tuple[list[np.ndarray], float]:
+    """The store of V (`EigenFactorization`) from the J_x recurrence, and its banded residual over J^2.
 
     Column m solves (L[k-1] d[k-1] + L[k] d[k+1]) / 2 = m d[k], L = ladder,
     from d[0] = 1 at m_z = J down to the middle, k = 0 ... N//2: each step
-    recurs into the growing solution, which is stable.  Two rows are held;
-    row k goes to V[k/2] when k is even, and its mirror
-    d[N-k] = (-1)^(J-m) d[k] goes to V[(N-k)/2] when N-k is even, which
-    covers odd N.  A column passing _HUGE is scaled down; the rows written
-    before that are scaled in one pass after the loop, with the norms.
+    recurs into the growing solution, which is stable.  Row k is V's row k/2
+    at even k and its mirror d[N-k] = (-1)^(J-m) d[k] V's row (N-k)/2 when
+    N-k is even, which covers odd N; it goes straight into the store.  Five
+    rows are held, so V's rows' residual |J_x^2 d - m^2 d| is taken as d[k+2]
+    arrives.  A column passing _HUGE is scaled down; the rows stored before
+    that are scaled after the loop, with the norms.
     """
-    n = ladder.size
-    h = mu.size
-    sign = np.where(np.rint(n / 2.0 - mu) % 2 == 0, 1.0, -1.0)
-    vectors = np.empty((h, h))
-    norm2 = np.zeros(h)
-    events = []  # (rows written from the top, first row written from the bottom, columns)
-    top, bottom = 0, h
-    prev, cur = np.zeros(h), np.ones(h)
+    n, j, ladder = ops.n_spins, ops.total_spin, ops.ladder
+    h = even_sector_dim(n)
+    mu = ops.m_values[:h][::-1]  # J mod 1, ..., J
+    cols = mu[::-1] if n % 2 else np.concatenate([mu[parity] for parity in _column_parities(n)])
+    sign, values = np.where(np.rint(j - cols) % 2 == 0, 1.0, -1.0), cols * cols
+    store = [np.empty(shape) for shape in _pair_store_shapes(n)]
+    lead = len(store[0])  # S's strip height at odd N; the sign +1 columns, which lead `cols`, at even N
+
+    def targets(k: int) -> list[tuple[np.ndarray, slice]]:
+        """The store rows that hold recurrence row k, each with its columns of the recurrence."""
+        if n % 2:
+            return [(store[k // lead][k % lead], slice(k // lead * lead, None))]
+        halves = (slice(0, lead), slice(lead, None))
+        return [(block[k // 2], at) for block, at in zip(store, halves) if k % 2 == 0 and k // 2 < len(block)]
+
+    def row(x: int) -> np.ndarray:  # d[x] from the held d[k-4] ... d[k], or past the middle its mirror
+        return held[x - k - 1] if x <= k else sign * held[n - x - k - 1]
+
+    def check(q: int) -> None:  # row q's residual |J_x^2 d - m^2 d| into `worst`, if V holds row q
+        if n % 2 or q % 2 == 0:
+            r = ((ladder[q - 1] ** 2 if q else 0.0) + ladder[q] ** 2) / 4.0 - values
+            r *= row(q)
+            if q >= 2:  # J_x^2 couples rows q and q + 2 by twist_band[q] / 2
+                r += ops.twist_band[q - 2] / 2.0 * row(q - 2)
+            if q + 2 <= n:
+                r += ops.twist_band[q] / 2.0 * row(q + 2)
+            np.maximum(worst, np.abs(r, out=r), out=worst)
+
+    norm2, worst = np.zeros(h), np.zeros(h)  # worst: each column's largest residual, in the recurrence's units
+    events = []  # (first row after a scaling, its columns)
+    held = [np.zeros(h), np.zeros(h), np.ones(h)]  # d[-2], d[-1], d[0]
     for k in range(n // 2 + 1):
-        if k % 2 == 0:
-            vectors[top] = cur
-            top += 1
+        cur = held[-1]
+        for target, at in targets(k):
+            np.multiply(cur[at], sign[at] if k % 2 else 1.0, out=target)
+        for _ in range((k % 2 == 0) + ((n - k) % 2 == 0 and n - k != k)):  # once per V row that row k gives
             norm2 += cur * cur
-        if (n - k) % 2 == 0 and n - k != k:
-            bottom -= 1
-            np.multiply(cur, sign, out=vectors[bottom])
-            norm2 += cur * cur
+        for q in range(max(0, k - 2), k + 1 if k == n // 2 else k - 1):
+            check(q)  # the row whose residual d[k] completes, and at the middle the last two
         if k == n // 2:
             break
-        nxt = 2.0 * mu * cur
-        if k:
-            nxt -= ladder[k - 1] * prev
+        nxt = 2.0 * cols * cur
+        nxt -= ladder[k - 1] * held[-2]  # d[-1] = 0
         nxt /= ladder[k]
-        prev, cur = cur, nxt
-        big = np.abs(cur) > _HUGE
-        if big.any():
-            cols = np.flatnonzero(big)
-            cur[cols] /= _HUGE
-            prev[cols] /= _HUGE
-            norm2[cols] /= _HUGE**2
-            events.append((top, bottom, cols))
+        held = held[-4:] + [nxt]
+        if np.abs(nxt).max() > _HUGE:
+            at = np.flatnonzero(np.abs(nxt) > _HUGE)
+            for d in held:
+                d[at] /= _HUGE
+            norm2[at] /= _HUGE**2
+            worst[at] /= _HUGE
+            events.append((k + 1, at.tolist()))  # a list takes a fifth of a small array's memory
     scale = 1.0 / np.sqrt(norm2)
-    for later_top, later_bottom, cols in reversed(events):
-        vectors[later_top:top] *= scale
-        vectors[bottom:later_bottom] *= scale
-        scale[cols] /= _HUGE
-        top, bottom = later_top, later_bottom
-    vectors[:top] *= scale
-    vectors[bottom:] *= scale
-    return vectors
+    residual = float(np.max(worst * scale)) / j**2
+    for k in range(n // 2, -1, -1):
+        while events and events[-1][0] > k:
+            scale[events.pop()[1]] /= _HUGE
+        for target, at in targets(k):
+            target *= scale[at]
+    return store, residual
 
 
 def _tridiagonal_residual(diag, off, vectors, values, rows: int = 8) -> float:
@@ -278,12 +341,41 @@ def _gauge(amps: np.ndarray) -> np.ndarray:
 
 
 def pair_coefficients(n_spins: int, axis: str, amps: np.ndarray) -> np.ndarray:
-    """Eigen-coefficients of an even-sector state for a pair of pulses about `axis`.
+    """Eigen-coefficients V^T psi of an even-sector state for a pair of pulses about `axis`.
 
     A pair about y twists with J_x^2, one about x with J_y^2 (the gauged J_x^2).
     """
-    fac = pair_factorization(n_spins)
-    return real_product(fac.eigenvectors, _gauge(amps) if axis == "x" else amps, transpose=True)
+    return _coefficients(n_spins, pair_factorization(n_spins).store, _gauge(amps) if axis == "x" else amps)
+
+
+def _coefficients(n_spins: int, store: tuple[np.ndarray, ...], psi: np.ndarray) -> np.ndarray:
+    """V^T psi from the store, in V's column order m = J mod 1, ..., J."""
+    h, half = psi.size, psi.size // 2
+    if n_spins % 2:  # S's rows |m_z| = J, J - 1, ... alternate between V's top rows and its bottom ones
+        x = np.empty(h, dtype=complex)
+        x[0::2], x[1::2] = psi[: h - half], psi[::-1][:half]
+        return symmetric_product(store, x)[::-1]
+    coeffs = np.empty(h, dtype=complex)
+    for block, columns, fold in zip(store, _column_parities(n_spins), (1.0, -1.0)):
+        folded = psi[: len(block)].astype(complex)  # at odd h, the middle row is its own mirror
+        folded[:half] += fold * psi[::-1][:half]
+        coeffs[columns] = real_product(block, folded, transpose=True)
+    return coeffs
+
+
+def _amplitudes(n_spins: int, store: tuple[np.ndarray, ...], coeffs: np.ndarray) -> np.ndarray:
+    """V c from the store: undoes `_coefficients`."""
+    h, half = coeffs.size, coeffs.size // 2
+    psi = np.empty(h, dtype=complex)
+    if n_spins % 2:
+        y = symmetric_product(store, coeffs[::-1])
+        psi[: h - half], psi[h - half :] = y[0::2], y[1::2][::-1]
+        return psi
+    plus, minus = (real_product(block, coeffs[columns]) for block, columns in zip(store, _column_parities(n_spins)))
+    psi[: h - half] = plus
+    psi[:half] += minus
+    psi[h - half :] = (plus[:half] - minus)[::-1]
+    return psi
 
 
 def step_phases(n_spins: int, axis: str, chi: float, ts) -> np.ndarray:
@@ -301,7 +393,7 @@ def step_phases(n_spins: int, axis: str, chi: float, ts) -> np.ndarray:
 
 def pair_amplitudes(n_spins: int, axis: str, coeffs: np.ndarray) -> np.ndarray:
     """The even-sector state V c of eigen-coefficients c of a pair about `axis`: undoes `pair_coefficients`."""
-    amps = real_product(pair_factorization(n_spins).eigenvectors, coeffs)
+    amps = _amplitudes(n_spins, pair_factorization(n_spins).store, coeffs)
     return _gauge(amps) if axis == "x" else amps
 
 

@@ -42,12 +42,15 @@ def memory_limit_bytes() -> int:
 
 def check_dense_fits(rows: int, cols: int, itemsize: int, what: str) -> None:
     """Raise ValueError, before allocating, if a dense rows x cols array cannot fit in memory."""
-    nbytes = rows * cols * itemsize
+    check_fits(rows * cols * itemsize, f"{what} needs a dense {rows} x {cols} array of")
+
+
+def check_fits(nbytes: int, need: str) -> None:
+    """Raise ValueError, before allocating, if `nbytes` cannot fit in memory; `need` says what needs them."""
     limit = memory_limit_bytes()
     if nbytes > limit:
         raise ValueError(
-            f"{what} needs a dense {rows} x {cols} array of {nbytes / 2**30:.1f} GiB, "
-            f"more than the {limit / 2**30:.1f} GiB of memory available"
+            f"{need} {nbytes / 2**30:.1f} GiB, more than the {limit / 2**30:.1f} GiB of memory available"
         )
 
 

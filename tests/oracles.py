@@ -5,9 +5,13 @@ matrices, where the library keeps O(N) band data and even-sector factorizations:
 
 * the dense J_x, J_y, J_z and J_x^2 - J_y^2; full-dimension states, their
   rotations and mean spins, and `squeezing_parameter` of any state;
-* `factorize`, `propagator`, `apply` and `reconstruction_error` on an
-  `EigenFactorization`; the full parity-block factorization of J_x^2 - J_y^2
+* `factorize`, `propagator`, `apply` and `reconstruction_error` on a
+  `DenseFactorization`; the full parity-block factorization of J_x^2 - J_y^2
   (`twist_factorization`, `evolve_twist`);
+* the dense h x h pair eigenvectors V of the even-sector J_x^2 from the J_x
+  recurrence (`wigner_pair_vectors`, `dense_pair_vectors`), and the
+  library's half-size store expanded to V by its symmetries
+  (`expanded_pair_vectors`);
 * the per-period unitary `schedule_unitary` (pulses by scipy's expm), the
   phase-stripped `unitary_distance` and the order fit built on both;
 * the twist window mirrored into full eigenvectors (`mirrored_window`,
@@ -26,8 +30,8 @@ from scipy.linalg import expm
 
 from spinsqueeze.experiments import FitResult, _loglog_fit
 from spinsqueeze.propagate import (
-    EigenFactorization,
     pair_amplitudes,
+    pair_factorization,
     real_product,
     step_phases,
     twist_window,
@@ -157,31 +161,39 @@ def apply_jz(ops: SpinOperators, amps: np.ndarray) -> np.ndarray:
 # -- eigenfactorizations, unitaries and the order fit ------------------------------
 
 
-def factorize(matrix: np.ndarray) -> EigenFactorization:
+@dataclass(frozen=True)
+class DenseFactorization:
+    """Hermitian factorization H = V diag(w) V^dagger, reused for any evolution time."""
+
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+
+
+def factorize(matrix: np.ndarray) -> DenseFactorization:
     w, v = np.linalg.eigh(matrix)
-    return EigenFactorization(_frozen(w), _frozen(v))
+    return DenseFactorization(_frozen(w), _frozen(v))
 
 
-def propagator(fac: EigenFactorization, t: float) -> np.ndarray:
+def propagator(fac: DenseFactorization, t: float) -> np.ndarray:
     """Dense matrix exp(-i H t)."""
     phases = np.exp(-1j * t * fac.eigenvalues)
     return (fac.eigenvectors * phases) @ fac.eigenvectors.conj().T
 
 
-def apply(fac: EigenFactorization, amplitudes: np.ndarray, t: float) -> np.ndarray:
+def apply(fac: DenseFactorization, amplitudes: np.ndarray, t: float) -> np.ndarray:
     """exp(-i H t) |psi> via two `real_product`s; for real eigenvectors only."""
     coeffs = real_product(fac.eigenvectors, amplitudes, transpose=True)
     coeffs *= np.exp(-1j * t * fac.eigenvalues)
     return real_product(fac.eigenvectors, coeffs)
 
 
-def reconstruction_error(fac: EigenFactorization, matrix: np.ndarray) -> float:
+def reconstruction_error(fac: DenseFactorization, matrix: np.ndarray) -> float:
     rebuilt = (fac.eigenvectors * fac.eigenvalues) @ fac.eigenvectors.conj().T
     return float(np.max(np.abs(rebuilt - matrix)))
 
 
 @lru_cache(maxsize=8)
-def twist_factorization(n_spins: int) -> EigenFactorization:
+def twist_factorization(n_spins: int) -> DenseFactorization:
     """Eigendecomposition of J_x^2 - J_y^2, solved block-by-block.
 
     The generator only couples basis indices two apart, so even and odd index
@@ -204,7 +216,7 @@ def twist_factorization(n_spins: int) -> EigenFactorization:
         values[col : col + idx.size] = w
         vectors[np.ix_(idx, np.arange(col, col + idx.size))] = v
         col += idx.size
-    return EigenFactorization(_frozen(values), _frozen(vectors))
+    return DenseFactorization(_frozen(values), _frozen(vectors))
 
 
 def evolve_twist(state: DickeState, chi: float, t: float) -> DickeState:
@@ -363,10 +375,10 @@ def mirrored_window(values: np.ndarray, even: np.ndarray, odd: np.ndarray) -> tu
     return w, v
 
 
-def full_window(n_spins: int) -> EigenFactorization:
+def full_window(n_spins: int) -> DenseFactorization:
     """`twist_window` of N spins as the full eigenvector window, by `mirrored_window`."""
     win = twist_window(n_spins)
-    return EigenFactorization(*mirrored_window(win.values, win.even, win.odd))
+    return DenseFactorization(*mirrored_window(win.values, win.even, win.odd))
 
 
 def evolve_free(ops: SpinOperators, amps: np.ndarray, chi: float, t: float) -> np.ndarray:
@@ -391,3 +403,98 @@ def pair_evolve(n_spins: int, axis: str, coeffs: np.ndarray, chi: float, t: floa
     At t = tau, the pair's free time, this is the state after the pair.
     """
     return pair_amplitudes(n_spins, axis, pair_twist(n_spins, coeffs, chi, [t])[0])
+
+
+# -- the pair eigenvectors as a dense h x h matrix ----------------------------------
+
+
+_HUGE = 1e150  # a recurring column that passes it is scaled by 1/_HUGE
+
+
+def wigner_pair_vectors(ladder: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Unit even-sector eigenvectors of J_x^2, one column per m = mu, from the J_x recurrence.
+
+    Column m solves (L[k-1] d[k-1] + L[k] d[k+1]) / 2 = m d[k], L = ladder,
+    from d[0] = 1 at m_z = J down to the middle, k = 0 ... N//2: each step
+    recurs into the growing solution, which is stable.  Two rows are held;
+    row k goes to V[k/2] when k is even, and its mirror
+    d[N-k] = (-1)^(J-m) d[k] goes to V[(N-k)/2] when N-k is even, which
+    covers odd N.  A column passing _HUGE is scaled down; the rows written
+    before that are scaled in one pass after the loop, with the norms.
+    """
+    n = ladder.size
+    h = mu.size
+    sign = np.where(np.rint(n / 2.0 - mu) % 2 == 0, 1.0, -1.0)
+    vectors = np.empty((h, h))
+    norm2 = np.zeros(h)
+    events = []  # (rows written from the top, first row written from the bottom, columns)
+    top, bottom = 0, h
+    prev, cur = np.zeros(h), np.ones(h)
+    for k in range(n // 2 + 1):
+        if k % 2 == 0:
+            vectors[top] = cur
+            top += 1
+            norm2 += cur * cur
+        if (n - k) % 2 == 0 and n - k != k:
+            bottom -= 1
+            np.multiply(cur, sign, out=vectors[bottom])
+            norm2 += cur * cur
+        if k == n // 2:
+            break
+        nxt = 2.0 * mu * cur
+        if k:
+            nxt -= ladder[k - 1] * prev
+        nxt /= ladder[k]
+        prev, cur = cur, nxt
+        big = np.abs(cur) > _HUGE
+        if big.any():
+            cols = np.flatnonzero(big)
+            cur[cols] /= _HUGE
+            prev[cols] /= _HUGE
+            norm2[cols] /= _HUGE**2
+            events.append((top, bottom, cols))
+    scale = 1.0 / np.sqrt(norm2)
+    for later_top, later_bottom, cols in reversed(events):
+        vectors[later_top:top] *= scale
+        vectors[bottom:later_bottom] *= scale
+        scale[cols] /= _HUGE
+        top, bottom = later_top, later_bottom
+    vectors[:top] *= scale
+    vectors[bottom:] *= scale
+    return vectors
+
+
+def dense_pair_vectors(n_spins: int) -> np.ndarray:
+    """`wigner_pair_vectors` of N spins, columns m = J mod 1, ..., J."""
+    ops, h = build_operators(n_spins), n_spins // 2 + 1
+    check_dense_fits(h, h, 8, f"dense pair eigenvectors at N={n_spins}")
+    return wigner_pair_vectors(ops.ladder, ops.m_values[:h][::-1])
+
+
+def expanded_pair_vectors(n_spins: int) -> np.ndarray:
+    """The dense V that `pair_factorization`'s half-size store holds, by V's symmetries.
+
+    Even N: rows m_z and -m_z agree up to the column sign (-1)^(J-m), and the
+    store is V's top rows (with the middle one) of the columns of each sign.
+    Odd N: row k of the symmetric S, k = J - |m_z|, is V's row k/2 at even k
+    and (N-k)/2 at odd k, with S's columns m = J, ..., 1/2; the store is S's
+    row strips, each from its first row's column on.
+    """
+    store = pair_factorization(n_spins).store
+    h = n_spins // 2 + 1
+    v = np.zeros((h, h))
+    if n_spins % 2:
+        s = np.zeros((h, h))
+        lo = 0
+        for strip in store:
+            hi = lo + strip.shape[0]
+            s[lo:hi, lo:] = strip
+            s[hi:, lo:hi] = strip[:, hi - lo :].T
+            lo = hi
+        v[[k // 2 if k % 2 == 0 else (n_spins - k) // 2 for k in range(h)]] = s[:, ::-1]
+        return v
+    half = h // 2
+    plus = (n_spins // 2 - np.arange(h)) % 2 == 0  # columns m with (-1)^(J-m) = +1
+    v[: h - half, plus], v[h - half :, plus] = store[0], store[0][:half][::-1]
+    v[:half, ~plus], v[h - half :, ~plus] = store[1], -store[1][::-1]
+    return v

@@ -34,7 +34,6 @@ from spinsqueeze.experiments import (
     time_cost,
     validate_spec,
 )
-from spinsqueeze.propagate import EigenFactorization
 from spinsqueeze.schedules import (
     compile_scheme,
     delta_t_for,
@@ -69,6 +68,12 @@ def test_spec_validation():
             validate_spec(bad)
         with pytest.raises(ValueError):
             run_trace(bad)
+    for scheme in ("schemeA", "general", "ideal-OAT"):  # the strength divisor scales ideal-TAT references only
+        bad = ExperimentSpec(scheme, 10, 5, 0.1, divisor=7.0)
+        for run in (validate_spec, run_trace):
+            with pytest.raises(ValueError, match="field 'divisor'"):
+                run(bad)
+    validate_spec(ExperimentSpec("ideal-TAT", 10, 5, 0.1, divisor=7.0))
 
 
 @pytest.mark.parametrize(
@@ -93,8 +98,8 @@ def test_sample_count_is_checked_against_memory_before_any_sample(spec, monkeypa
     with pytest.raises(ValueError, match="1000 samples need .* GiB, more than"):
         run_trace(spec)
     # schemeA's tables: a row of N//2 + 1 = 3 complex numbers for each of its 2 distinct step durations and 998
-    # interior samples, and the 3 x 3 real pair eigenvectors
-    tables = 0 if spec.scheme in IDEAL_SCHEMES else (2 + 998) * 3 * 16 + 9 * 8
+    # interior samples, and the pair eigenvectors' half-size store, a 2 x 2 and a 1 x 1 real block
+    tables = 0 if spec.scheme in IDEAL_SCHEMES else (2 + 998) * 3 * 16 + 5 * 8
     monkeypatch.setattr(experiments, "memory_limit_bytes", lambda: 1000 * experiments.SAMPLE_BYTES + tables)
     validate_spec(spec)
 
@@ -104,12 +109,12 @@ def test_sample_count_is_checked_against_memory_before_any_sample(spec, monkeypa
 )
 def test_pulse_phase_tables_are_checked_against_memory(monkeypatch, capsys, scheme, order, steps, durations):
     """A pulse run's tables, a complex row of N//2 + 1 per distinct step duration of each basis and per
-    interior sample, and the (N//2 + 1)^2 real pair eigenvectors, count against memory with its samples:
-    a limit just under their sum exits 2, their sum runs."""
+    interior sample, and the pair eigenvectors' half-size store (at N = 40, real blocks of 11 x 11 and
+    10 x 10), count against memory with its samples: a limit just under their sum exits 2, their sum runs."""
     assert len(compile_scheme(scheme, 1.0, 1, order).steps) == steps
     argv = ["simulate", "--scheme", scheme, "--order", str(order), "--n-spins", "40", "--n-cycles", "2",
             "--t-total", "0.01", "--sampling", "fine(50)"]
-    need = (2 * 51 + 1) * experiments.SAMPLE_BYTES + (durations + 50) * 21 * 16 + 21 * 21 * 8
+    need = (2 * 51 + 1) * experiments.SAMPLE_BYTES + (durations + 50) * 21 * 16 + (11 * 11 + 10 * 10) * 8
     monkeypatch.setattr(experiments, "memory_limit_bytes", lambda: need - 1)
     assert cli.main(argv) == 2
     assert "samples need" in capsys.readouterr().err
@@ -121,14 +126,15 @@ def test_pulse_phase_tables_are_checked_against_memory(monkeypatch, capsys, sche
 def test_phase_rows_are_counted_per_distinct_duration(monkeypatch):
     """A stroboscopic order-20 period has 39367 steps but 1024 distinct durations (512 free, 512
     pair): its spec at N = 2000 validates under a limit that one phase row per step would exceed,
-    and needs exactly its 1024 rows, V and its 2 samples."""
+    and needs exactly its 1024 rows, V's half-size store (real blocks of 501 x 501 and 500 x 500) and
+    its 2 samples."""
     spec = ExperimentSpec("general", 2000, 1, 0.01, order=20)
     h = 1001
     limit = 100 * 2**20
     assert len(compile_scheme("general", 1.0, 1, 20).steps) * h * 16 > 6 * limit
     monkeypatch.setattr(experiments, "memory_limit_bytes", lambda: limit)
     validate_spec(spec)
-    need = 1024 * h * 16 + h * h * 8 + 2 * experiments.SAMPLE_BYTES
+    need = 1024 * h * 16 + (501 * 501 + 500 * 500) * 8 + 2 * experiments.SAMPLE_BYTES
     monkeypatch.setattr(experiments, "memory_limit_bytes", lambda: need - 1)
     with pytest.raises(ValueError, match="samples need"):
         validate_spec(spec)
@@ -620,7 +626,7 @@ def _leaky_factorization(monkeypatch):
 
     def leaky(n_spins):
         fac = real(n_spins)
-        return EigenFactorization(fac.eigenvalues - 1e-6j, fac.eigenvectors)
+        return replace(fac, eigenvalues=fac.eigenvalues - 1e-6j)
 
     monkeypatch.setattr(propagate, "pair_factorization", leaky)
 

@@ -12,12 +12,16 @@ from scipy.linalg import expm
 
 import spinsqueeze
 from spinsqueeze.propagate import (
+    EigenFactorization,
+    pair_amplitudes,
     pair_coefficients,
     dicke_bands,
     pair_bands,
     pair_factorization,
+    pair_store_bytes,
     pulse_frame,
     real_product,
+    symmetric_product,
     twist_window,
 )
 from spinsqueeze import propagate, spin_ops, tolerances, tridiagonal
@@ -25,8 +29,9 @@ from spinsqueeze.spin_ops import NumericalConsistencyError, build_operators
 from spinsqueeze.schedules import compile_scheme, free, pulse
 from spinsqueeze.experiments import _tat_states, tat_optimum
 
-from oracles import (HALF_PI, RECONSTRUCTION, UNITARITY, apply, coherent_state_z, dense_jx, dense_jy, dense_jz,
-                     dense_twist_xy, even_sector_state, evolve_free, evolve_twist, factorize, full_window,
+from oracles import (HALF_PI, RECONSTRUCTION, UNITARITY, DenseFactorization, apply, coherent_state_z,
+                     dense_jx, dense_jy, dense_jz, dense_pair_vectors, dense_twist_xy, even_sector_state,
+                     evolve_free, evolve_twist, expanded_pair_vectors, factorize, full_window,
                      mean_spin, oat_evolved, pair_evolve, propagator, random_state, reconstruction_error, rotated,
                      schedule_unitary, squeezing_parameter, trotter_order_fit, twist_factorization,
                      unitary_distance)
@@ -235,7 +240,7 @@ def test_eigenfactorization_of_generic_hermitian():
 def test_pair_factorization_is_jx_squared_on_the_even_sector(n):
     """One factorization gives J_x^2 and, through the (-1)^i gauge, J_y^2 on the even sector."""
     ops = build_operators(n)
-    fac = pair_factorization(n)
+    fac = DenseFactorization(pair_factorization(n).eigenvalues, expanded_pair_vectors(n))
     even = np.arange(0, n + 1, 2)
     jx_sq = np.asarray(dense_jx(ops) @ dense_jx(ops))[np.ix_(even, even)]
     jy_sq = np.asarray(dense_jy(ops) @ dense_jy(ops))[np.ix_(even, even)]
@@ -295,11 +300,12 @@ def test_pair_spectrum_is_exactly_the_squares(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 41, 400, 401, 1250, 1251])
 def test_pair_vectors_are_dense_eigh_up_to_sign(n):
-    """The recurrence's columns are dense `eigh`'s eigenvectors of the even-sector J_x^2."""
+    """The recurrence's columns, expanded from their half-size store, are dense `eigh`'s eigenvectors of
+    the even-sector J_x^2."""
     jx = dense_jx(build_operators(n)).real
     even = np.arange(0, n + 1, 2)
     _, v = np.linalg.eigh(jx[even] @ jx[:, even])
-    vectors = pair_factorization(n).eigenvectors
+    vectors = expanded_pair_vectors(n)
     signs = np.sign(np.sum(v * vectors, axis=0))
     assert np.abs(vectors - v * signs).max() <= 1e-12
     assert vectors[0].min() >= 0.0  # d[0] = 1 > 0 fixes every sign
@@ -320,7 +326,7 @@ def test_pair_bands_are_the_moment_operators_in_the_pair_basis(n, axis):
     jplus = dense_jx(ops) + 1j * dense_jy(ops)
     if axis:
         gauge = (-1.0) ** np.arange(h) if axis == "x" else np.ones(h)
-        w, bands = gauge[:, None] * pair_factorization(n).eigenvectors, pair_bands(n, axis)
+        w, bands = gauge[:, None] * expanded_pair_vectors(n), pair_bands(n, axis)
     else:
         w, bands = np.eye(h), dicke_bands(n)
     for operator, diagonals, symmetric in (
@@ -350,7 +356,8 @@ def fresh_pair_factorization():
 
 
 def test_pair_recurrence_off_its_ladder_raises(monkeypatch, fresh_pair_factorization):
-    """A ladder off by 1e-9 at one step leaves m^2 no eigenvalue: the banded residual shows it."""
+    """A ladder off by 1e-9 at one step leaves m^2 no eigenvalue: the banded residual shows it, at
+    both parities."""
     real = propagate.build_operators
 
     def corrupted(n_spins):
@@ -360,30 +367,56 @@ def test_pair_recurrence_off_its_ladder_raises(monkeypatch, fresh_pair_factoriza
         return replace(ops, ladder=ladder)
 
     monkeypatch.setattr(propagate, "build_operators", corrupted)
-    with pytest.raises(NumericalConsistencyError, match="pair eigenvectors at N=401: residual"):
-        pair_factorization(401)
+    for n in (400, 401):
+        with pytest.raises(NumericalConsistencyError, match=f"pair eigenvectors at N={n}: residual"):
+            pair_factorization(n)
 
 
 def test_pair_vectors_off_unit_norm_raise(monkeypatch, fresh_pair_factorization):
-    """A column scaled by 1 + 1e-9 is still an eigenvector; the orthogonality probe catches it."""
+    """V's column 7 scaled by 1 + 1e-9 in the store the recurrence wrote: the orthogonality probe
+    catches it, at both parities.  At even N the column stays an eigenvector; at odd N the store
+    holds it in the same numbers as S's matching row, which is scaled with it."""
     real = propagate._wigner_pair_vectors
+    stretch = 1.0 + 1e-9
 
-    def stretched(ladder, mu):
-        vectors = real(ladder, mu)
-        vectors[:, 7] *= 1.0 + 1e-9
-        return vectors
+    def stretched(ops):
+        store, residual = real(ops)
+        n, h = ops.n_spins, ops.n_spins // 2 + 1
+        if n % 2:
+            c, lo = h - 1 - 7, 0  # S's column of m = 7.5 is V's column 7
+            for strip in store:
+                hi = lo + strip.shape[0]
+                if lo <= c:
+                    strip[:, c - lo] *= stretch
+                if lo <= c < hi:
+                    strip[c - lo] *= stretch
+                lo = hi
+        else:
+            plus = (n // 2 - np.arange(h)) % 2 == 0  # columns with (-1)^(J-m) = +1, stored in store[0]
+            block = store[0] if plus[7] else store[1]
+            block[:, np.flatnonzero(plus == plus[7]).tolist().index(7)] *= stretch
+        return store, residual
 
     monkeypatch.setattr(propagate, "_wigner_pair_vectors", stretched)
-    with pytest.raises(NumericalConsistencyError, match="orthogonality drift"):
-        pair_factorization(401)
+    for n in (400, 401):
+        with pytest.raises(NumericalConsistencyError, match="orthogonality drift"):
+            pair_factorization(n)
 
 
 def test_pair_vectors_do_not_depend_on_the_blas_thread_count():
-    """V is built without BLAS: its bytes hash alike under 1 and 2 OpenBLAS threads at N = 2001."""
+    """The store is built without BLAS and its products are small GEMMs: at N = 2000 and 2001, its bytes
+    and a schemeA CSV hash alike under 1 and 2 OpenBLAS threads."""
     script = """
-import hashlib
+import contextlib, hashlib, io
+from spinsqueeze import cli
 from spinsqueeze.propagate import pair_factorization
-print(hashlib.sha256(pair_factorization(2001).eigenvectors.tobytes()).hexdigest())
+for n in (2000, 2001):
+    digest = hashlib.sha256(b"".join(block.tobytes() for block in pair_factorization(n).store))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["simulate", "--scheme", "schemeA", "--n-spins", str(n), "--n-cycles", "50"]) == 0
+    digest.update(out.getvalue().encode())
+    print(digest.hexdigest())
 """
     src = Path(spinsqueeze.__file__).resolve().parent.parent
     digests = []
@@ -393,7 +426,82 @@ print(hashlib.sha256(pair_factorization(2001).eigenvectors.tobytes()).hexdigest(
         result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
         digests.append(result.stdout)
-    assert digests[0] == digests[1]
+    assert len(digests[0].split()) == 2 and digests[0] == digests[1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 40, 41, 400, 401, 2000, 2001])
+def test_half_size_products_are_the_dense_v_products(n):
+    """`pair_coefficients` and `pair_amplitudes` from the store equal V^T x and V x with the dense V of
+    the recurrence the store replaced, about both axes, for a unit x."""
+    h = n // 2 + 1
+    v = dense_pair_vectors(n)
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=h) + 1j * rng.normal(size=h)
+    x /= np.linalg.norm(x)
+    for axis, gauge in (("y", np.ones(h)), ("x", (-1.0) ** np.arange(h))):
+        assert np.abs(pair_coefficients(n, axis, x) - v.T @ (gauge * x)).max() <= 1e-13
+        assert np.abs(pair_amplitudes(n, axis, x) - gauge * (v @ x)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9, 40, 41, 400, 401])
+def test_pair_vectors_have_the_symmetries_the_store_keeps(n):
+    """On dense `eigh` eigenvectors of the even-sector J_x^2: at even N, rows m_z and -m_z agree up to
+    the column sign (-1)^(J-m); at odd N, the rows ordered by |m_z| = J, J - 1, ... and the columns
+    by m = J, J - 1, ... make a symmetric S once each column's sign is that of d^J(pi/2), whose
+    entries grow from m_z = J with no change of sign (the first above 1e-8 is taken positive)."""
+    jx = dense_jx(build_operators(n)).real
+    even = np.arange(0, n + 1, 2)
+    _, v = np.linalg.eigh(jx[even] @ jx[:, even])  # columns m = J mod 1, ..., J
+    h = v.shape[0]
+    v *= np.sign(v[np.argmax(np.abs(v) > 1e-8, axis=0), np.arange(h)])
+    if n % 2 == 0:
+        sign = (-1.0) ** (n // 2 - np.arange(h))
+        assert np.abs(v[::-1] - v * sign).max() <= 1e-13
+    else:
+        s = v[[k // 2 if k % 2 == 0 else (n - k) // 2 for k in range(h)]][:, ::-1]
+        assert np.abs(s - s.T).max() <= 1e-13
+
+
+def test_pair_factorization_keeps_half_of_v():
+    """The factorization holds no eigenvectors field and no h x h array; in a fresh process, with the
+    operators' band data built first, the tracemalloc peak of building it at N = 2000 and 2001 is
+    at most 0.55 of the 8 h^2 bytes of a dense V, and its store is `pair_store_bytes`."""
+    assert "eigenvectors" not in EigenFactorization.__dataclass_fields__
+    for n in (400, 401):
+        h = n // 2 + 1
+        store = pair_factorization(n).store
+        assert all(block.shape != (h, h) and not block.flags.writeable for block in store)
+    script = """
+import tracemalloc
+from spinsqueeze.propagate import pair_factorization, pair_store_bytes
+from spinsqueeze.spin_ops import build_operators
+for n in (2000, 2001):
+    h = n // 2 + 1
+    build_operators(n)
+    tracemalloc.start()
+    fac = pair_factorization(n)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert sum(block.nbytes for block in fac.store) == pair_store_bytes(n)
+    assert peak <= 0.55 * 8 * h * h, (n, peak / (8 * h * h))
+"""
+    src = Path(spinsqueeze.__file__).resolve().parent.parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("rows", [1, 7, 64])
+@pytest.mark.parametrize("h", [1, 2, 63, 64, 65, 1001])
+def test_symmetric_product_is_the_dense_product(h, rows):
+    """Strips [lo, lo + rows) x [lo, h) of a symmetric S give S x, across strip remainders."""
+    rng = np.random.default_rng(h)
+    a = rng.normal(size=(h, h)) / np.sqrt(h)
+    s = a + a.T
+    x = rng.normal(size=h) + 1j * rng.normal(size=h)
+    strips = tuple(s[lo : lo + rows, lo:].copy() for lo in range(0, h, rows))
+    assert np.abs(symmetric_product(strips, x) - s @ x).max() <= 1e-13 * np.linalg.norm(x)
 
 
 @pytest.mark.parametrize("h", [1, 2, 3, 63, 64, 65, 626, 1001, 2001])
@@ -437,9 +545,9 @@ def test_pair_factorization_cache_holds_two_spin_numbers(fresh_pair_factorizatio
 
 
 def test_oversized_dense_arrays_are_refused_before_allocating(monkeypatch):
-    """The h x h pair eigenvectors and the twist window check memory; the band data does not.
+    """The pair eigenvectors' store and the twist window check memory; the band data does not.
 
-    Under a 1 GiB limit: at N = 10^6 (h = 500001) the pair block needs 2 TB and the first twist
+    Under a 1 GiB limit: at N = 10^6 (h = 500001) the pair store needs 1 TB and the first twist
     window 1.5 GB, and neither starts its solve.
     """
     monkeypatch.setattr(spin_ops, "memory_limit_bytes", lambda: 2**30)
