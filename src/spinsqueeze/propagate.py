@@ -62,7 +62,8 @@ def real_product(matrix: np.ndarray, vector: np.ndarray, transpose: bool = False
 
     The complex vector is read as an n x 2 real array (its real and imaginary
     parts side by side), so the matrix is read once, not once per part as by
-    two GEMVs.  One unblocked two-column GEMM packs the matrix and is slower
+    two GEMVs; an n x c complex `vector` is read as n x 2c, c vectors in one
+    pass.  One unblocked two-column GEMM packs the matrix and is slower
     than the GEMV pair from about 1000 rows, so the product runs in row
     blocks, each GEMM small enough (M N K <= SMALL_GEMM_MNK) for OpenBLAS's
     small-matrix kernel, which runs on the calling thread: the result's bits
@@ -71,10 +72,11 @@ def real_product(matrix: np.ndarray, vector: np.ndarray, transpose: bool = False
     matrix[block].T @ vector[block] in row order.
     """
     rows, cols = matrix.shape
-    pairs = np.ascontiguousarray(vector, dtype=complex).view(float).reshape(-1, 2)
-    out = np.empty(cols if transpose else rows, dtype=complex)
-    out_pairs = out.view(float).reshape(-1, 2)
-    block = max(1, min(PRODUCT_BLOCK_ROWS, SMALL_GEMM_MNK // (2 * cols)))
+    vector = np.ascontiguousarray(vector, dtype=complex)
+    pairs = vector.view(float).reshape(len(vector), -1)
+    out = np.empty((cols if transpose else rows, *vector.shape[1:]), dtype=complex)
+    out_pairs = out.view(float).reshape(len(out), -1)
+    block = max(1, min(PRODUCT_BLOCK_ROWS, SMALL_GEMM_MNK // (pairs.shape[1] * cols)))
     if not transpose:
         for lo in range(0, rows, block):
             np.matmul(matrix[lo : lo + block], pairs, out=out_pairs[lo : lo + block])
@@ -86,32 +88,14 @@ def real_product(matrix: np.ndarray, vector: np.ndarray, transpose: bool = False
     return out
 
 
-def symmetric_product(strips: tuple[np.ndarray, ...], vector: np.ndarray) -> np.ndarray:
-    """S @ vector for a real symmetric S held as row strips, strip [lo, hi) being S[lo:hi, lo:].
-
-    A strip's product with vector[lo:] is y[lo:hi] from the columns >= lo; its part right of the diagonal block,
-    transposed, times vector[lo:hi] adds to y[hi:].  `pair_factorization`'s strips keep each GEMM small."""
-    pairs = np.ascontiguousarray(vector, dtype=complex).view(float).reshape(-1, 2)
-    out = np.empty(len(pairs), dtype=complex)
-    out_pairs, transposed, partial = out.view(float).reshape(-1, 2), np.zeros_like(pairs), np.empty_like(pairs)
-    lo = 0
-    for strip in strips:
-        hi = lo + strip.shape[0]
-        np.matmul(strip, pairs[lo:], out=out_pairs[lo:hi])
-        transposed[hi:] += np.matmul(strip[:, hi - lo :].T, pairs[lo:hi], out=partial[hi:])
-        lo = hi
-    out_pairs += transposed
-    return out
-
-
 @dataclass(frozen=True)
 class EigenFactorization:
     """J_x^2 on the even sector: eigenvalues m^2, m = J mod 1, ..., J, and eigenvectors V, half-size.
 
-    `store` holds the about h^2 / 2 distinct numbers of V.  Even N: rows m_z and -m_z agree up to the
-    column sign (-1)^(J-m), so V is two blocks of its top rows (and middle row), one per sign, acting on
-    psi_top +/- psi_mirror.  Odd N: rows ordered by |m_z| = J, J - 1, ... and columns by m = J, J - 1, ...
-    make a symmetric S (d_ab(pi/2) = (-1)^(a-b) d_ba(pi/2)), kept as `symmetric_product` strips."""
+    `store` holds about h^2 / 2 numbers of V.  Even N: rows m_z and -m_z agree up to the column sign
+    (-1)^(J-m), so V is two blocks of its top rows (and middle row), one per sign, acting on
+    psi_top +/- psi_mirror.  Odd N: the store is V_E, V's columns m = 1/2, 5/2, ...; the others are
+    V_O = W V_E / D (`OddPairing`), so a product is one pass over V_E with two vectors."""
 
     eigenvalues: np.ndarray
     store: tuple[np.ndarray, ...]
@@ -222,13 +206,12 @@ def pair_factorization(n_spins: int) -> EigenFactorization:
     return EigenFactorization(_frozen(ops.m_values[:h][::-1] ** 2), store)
 
 
-def _pair_store_shapes(n_spins: int):
-    """Shapes of `EigenFactorization.store`: the blocks of sign +1 and -1 at even N, the strips at odd N."""
+def _pair_store_shapes(n_spins: int) -> list[tuple[int, int]]:
+    """Shapes of `EigenFactorization.store`: the blocks of sign +1 and -1 at even N, V_E at odd N."""
     h = even_sector_dim(n_spins)
     if n_spins % 2 == 0:
         return [(h - h // 2, h - h // 2), (h // 2, h // 2)]
-    rows = max(1, min(PRODUCT_BLOCK_ROWS, SMALL_GEMM_MNK // (2 * h)))  # a strip's GEMMs within SMALL_GEMM_MNK
-    return ((min(rows, h - lo), h - lo) for lo in range(0, h, rows))  # lazily: one-row strips past N = 10^6
+    return [(h, h - h // 2)]
 
 
 def pair_store_bytes(n_spins: int) -> int:
@@ -242,6 +225,48 @@ def _column_parities(n_spins: int) -> tuple[slice, slice]:
     return slice(first, None, 2), slice(1 - first, None, 2)
 
 
+@dataclass(frozen=True)
+class OddPairing:
+    """At odd N, the map of V's columns m = 1/2, 5/2, ... (V_E) onto m = 3/2, 7/2, ... (V_O).
+
+    W = J_z + s R (J+ - J-)/2 on the even sector, R the reversal m_z -> -m_z and
+    s = (-1)^((N-1)/2), is a sparse real operator that J_x^2 commutes with, and
+    in V it couples only columns m and m + 1 for m = 1/2, 5/2, ..., by
+    D = sqrt(J(J+1) - m(m+1)): W V_E = V_O D, with the last column of V_E sent
+    to 0 when h is odd.  So V_O = W V_E / D: V^T psi is V_E^T psi and
+    V_E^T (W psi) / D, and V c is a + W b for [a, b] = V_E [c_E, c_O / D].
+    `diagonal`, `mirror` and `mirror_next` apply W (`apply`); `inverse_d` is 1/D.
+    """
+
+    diagonal: np.ndarray
+    mirror: np.ndarray
+    mirror_next: np.ndarray
+    inverse_d: np.ndarray
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """W x: J_z x plus s R (J+ - J-)/2 x, whose row j reads x[h-1-j] and x[h-j]; x may hold columns."""
+        rows = (slice(None),) + (None,) * (x.ndim - 1)
+        rev = x[::-1]
+        out = self.diagonal[rows] * x + self.mirror[rows] * rev
+        out[1:] += self.mirror_next[rows] * rev[:-1]
+        return out
+
+
+@lru_cache(maxsize=2)
+def _odd_pairing(n_spins: int) -> OddPairing:
+    """The `OddPairing` of odd N spins, from the ladder in O(N)."""
+    ops = build_operators(n_spins)
+    h, j = even_sector_dim(n_spins), ops.total_spin
+    s = 1.0 if (n_spins // 2) % 2 == 0 else -1.0
+    m = ops.m_values[:h][::-1][0 : h - 1 : 2]  # 1/2, 5/2, ... with a partner m + 1
+    return OddPairing(
+        _frozen(ops.m_values[0::2]),
+        _frozen(-s / 2.0 * ops.ladder[0::2][::-1]),  # the (J+ - J-)/2 term from x[h-1-j]
+        _frozen(s / 2.0 * ops.ladder[1::2][::-1]),  # and from x[h-j], j >= 1
+        _frozen(1.0 / np.sqrt(j * (j + 1.0) - m * (m + 1.0))),
+    )
+
+
 _HUGE = 1e150  # a recurring column that passes it is scaled by 1/_HUGE
 
 
@@ -252,23 +277,24 @@ def _wigner_pair_vectors(ops: SpinOperators) -> tuple[list[np.ndarray], float]:
     from d[0] = 1 at m_z = J down to the middle, k = 0 ... N//2: each step
     recurs into the growing solution, which is stable.  Row k is V's row k/2
     at even k and its mirror d[N-k] = (-1)^(J-m) d[k] V's row (N-k)/2 when
-    N-k is even, which covers odd N; it goes straight into the store.  Five
-    rows are held, so V's rows' residual |J_x^2 d - m^2 d| is taken as d[k+2]
-    arrives.  A column passing _HUGE is scaled down; the rows stored before
-    that are scaled after the loop, with the norms.
+    N-k is even, which covers odd N; it goes straight into the store.  At odd
+    N only the stored columns V_E recur.  Five rows are held, so V's rows'
+    residual |J_x^2 d - m^2 d| is taken as d[k+2] arrives.  A column passing
+    _HUGE is scaled down; the rows stored before that are scaled after the
+    loop, with the norms.
     """
     n, j, ladder = ops.n_spins, ops.total_spin, ops.ladder
     h = even_sector_dim(n)
     mu = ops.m_values[:h][::-1]  # J mod 1, ..., J
-    cols = mu[::-1] if n % 2 else np.concatenate([mu[parity] for parity in _column_parities(n)])
+    cols = mu[0::2] if n % 2 else np.concatenate([mu[parity] for parity in _column_parities(n)])
     sign, values = np.where(np.rint(j - cols) % 2 == 0, 1.0, -1.0), cols * cols
     store = [np.empty(shape) for shape in _pair_store_shapes(n)]
-    lead = len(store[0])  # S's strip height at odd N; the sign +1 columns, which lead `cols`, at even N
+    lead = len(store[0])  # the sign +1 columns, which lead `cols`, at even N
 
     def targets(k: int) -> list[tuple[np.ndarray, slice]]:
         """The store rows that hold recurrence row k, each with its columns of the recurrence."""
         if n % 2:
-            return [(store[k // lead][k % lead], slice(k // lead * lead, None))]
+            return [(store[0][k // 2 if k % 2 == 0 else (n - k) // 2], slice(None))]
         halves = (slice(0, lead), slice(lead, None))
         return [(block[k // 2], at) for block, at in zip(store, halves) if k % 2 == 0 and k // 2 < len(block)]
 
@@ -285,9 +311,10 @@ def _wigner_pair_vectors(ops: SpinOperators) -> tuple[list[np.ndarray], float]:
                 r += ops.twist_band[q] / 2.0 * row(q + 2)
             np.maximum(worst, np.abs(r, out=r), out=worst)
 
-    norm2, worst = np.zeros(h), np.zeros(h)  # worst: each column's largest residual, in the recurrence's units
+    width = cols.size
+    norm2, worst = np.zeros(width), np.zeros(width)  # worst: each column's largest residual, in the recurrence's units
     events = []  # (first row after a scaling, its columns)
-    held = [np.zeros(h), np.zeros(h), np.ones(h)]  # d[-2], d[-1], d[0]
+    held = [np.zeros(width), np.zeros(width), np.ones(width)]  # d[-2], d[-1], d[0]
     for k in range(n // 2 + 1):
         cur = held[-1]
         for target, at in targets(k):
@@ -351,11 +378,14 @@ def pair_coefficients(n_spins: int, axis: str, amps: np.ndarray) -> np.ndarray:
 def _coefficients(n_spins: int, store: tuple[np.ndarray, ...], psi: np.ndarray) -> np.ndarray:
     """V^T psi from the store, in V's column order m = J mod 1, ..., J."""
     h, half = psi.size, psi.size // 2
-    if n_spins % 2:  # S's rows |m_z| = J, J - 1, ... alternate between V's top rows and its bottom ones
-        x = np.empty(h, dtype=complex)
-        x[0::2], x[1::2] = psi[: h - half], psi[::-1][:half]
-        return symmetric_product(store, x)[::-1]
     coeffs = np.empty(h, dtype=complex)
+    if n_spins % 2:  # V_E^T [psi, W psi] in one pass: V_E^T psi and D V_O^T psi
+        pairing = _odd_pairing(n_spins)
+        both = np.empty((h, 2), dtype=complex)
+        both[:, 0], both[:, 1] = psi, pairing.apply(psi)
+        both = real_product(store[0], both, transpose=True)
+        coeffs[0::2], coeffs[1::2] = both[:, 0], both[:half, 1] * pairing.inverse_d
+        return coeffs
     for block, columns, fold in zip(store, _column_parities(n_spins), (1.0, -1.0)):
         folded = psi[: len(block)].astype(complex)  # at odd h, the middle row is its own mirror
         folded[:half] += fold * psi[::-1][:half]
@@ -366,11 +396,13 @@ def _coefficients(n_spins: int, store: tuple[np.ndarray, ...], psi: np.ndarray) 
 def _amplitudes(n_spins: int, store: tuple[np.ndarray, ...], coeffs: np.ndarray) -> np.ndarray:
     """V c from the store: undoes `_coefficients`."""
     h, half = coeffs.size, coeffs.size // 2
+    if n_spins % 2:  # V_E [c_E, c_O / D] in one pass, then V_E c_E + W V_E c_O / D
+        pairing = _odd_pairing(n_spins)
+        both = np.zeros((h - half, 2), dtype=complex)  # at odd h, V_E's last column has no partner
+        both[:, 0], both[:half, 1] = coeffs[0::2], coeffs[1::2] * pairing.inverse_d
+        both = real_product(store[0], both)
+        return both[:, 0] + pairing.apply(both[:, 1])
     psi = np.empty(h, dtype=complex)
-    if n_spins % 2:
-        y = symmetric_product(store, coeffs[::-1])
-        psi[: h - half], psi[h - half :] = y[0::2], y[1::2][::-1]
-        return psi
     plus, minus = (real_product(block, coeffs[columns]) for block, columns in zip(store, _column_parities(n_spins)))
     psi[: h - half] = plus
     psi[:half] += minus

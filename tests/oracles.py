@@ -30,6 +30,7 @@ from scipy.linalg import expm
 
 from spinsqueeze.experiments import FitResult, _loglog_fit
 from spinsqueeze.propagate import (
+    _odd_pairing,
     pair_amplitudes,
     pair_factorization,
     real_product,
@@ -476,22 +477,16 @@ def expanded_pair_vectors(n_spins: int) -> np.ndarray:
 
     Even N: rows m_z and -m_z agree up to the column sign (-1)^(J-m), and the
     store is V's top rows (with the middle one) of the columns of each sign.
-    Odd N: row k of the symmetric S, k = J - |m_z|, is V's row k/2 at even k
-    and (N-k)/2 at odd k, with S's columns m = J, ..., 1/2; the store is S's
-    row strips, each from its first row's column on.
+    Odd N: the store is V_E, V's columns 0, 2, ..., and V_O = W V_E / D
+    (`propagate.OddPairing`) gives columns 1, 3, ....
     """
     store = pair_factorization(n_spins).store
     h = n_spins // 2 + 1
     v = np.zeros((h, h))
     if n_spins % 2:
-        s = np.zeros((h, h))
-        lo = 0
-        for strip in store:
-            hi = lo + strip.shape[0]
-            s[lo:hi, lo:] = strip
-            s[hi:, lo:hi] = strip[:, hi - lo :].T
-            lo = hi
-        v[[k // 2 if k % 2 == 0 else (n_spins - k) // 2 for k in range(h)]] = s[:, ::-1]
+        pairing = _odd_pairing(n_spins)
+        v[:, 0::2] = store[0]
+        v[:, 1::2] = pairing.apply(store[0])[:, : h // 2] * pairing.inverse_d
         return v
     half = h // 2
     plus = (n_spins // 2 - np.arange(h)) % 2 == 0  # columns m with (-1)^(J-m) = +1

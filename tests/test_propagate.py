@@ -21,7 +21,6 @@ from spinsqueeze.propagate import (
     pair_store_bytes,
     pulse_frame,
     real_product,
-    symmetric_product,
     twist_window,
 )
 from spinsqueeze import propagate, spin_ops, tolerances, tridiagonal
@@ -373,9 +372,9 @@ def test_pair_recurrence_off_its_ladder_raises(monkeypatch, fresh_pair_factoriza
 
 
 def test_pair_vectors_off_unit_norm_raise(monkeypatch, fresh_pair_factorization):
-    """V's column 7 scaled by 1 + 1e-9 in the store the recurrence wrote: the orthogonality probe
-    catches it, at both parities.  At even N the column stays an eigenvector; at odd N the store
-    holds it in the same numbers as S's matching row, which is scaled with it."""
+    """A column of V scaled by 1 + 1e-9 in the store the recurrence wrote, where it stays an
+    eigenvector: the orthogonality probe catches it, at both parities.  At even N it is column 7; at
+    odd N, where the store is V_E (columns 0, 2, ...), column 6, which also scales its partner 7."""
     real = propagate._wigner_pair_vectors
     stretch = 1.0 + 1e-9
 
@@ -383,14 +382,7 @@ def test_pair_vectors_off_unit_norm_raise(monkeypatch, fresh_pair_factorization)
         store, residual = real(ops)
         n, h = ops.n_spins, ops.n_spins // 2 + 1
         if n % 2:
-            c, lo = h - 1 - 7, 0  # S's column of m = 7.5 is V's column 7
-            for strip in store:
-                hi = lo + strip.shape[0]
-                if lo <= c:
-                    strip[:, c - lo] *= stretch
-                if lo <= c < hi:
-                    strip[c - lo] *= stretch
-                lo = hi
+            store[0][:, 3] *= stretch  # V's column 6
         else:
             plus = (n // 2 - np.arange(h)) % 2 == 0  # columns with (-1)^(J-m) = +1, stored in store[0]
             block = store[0] if plus[7] else store[1]
@@ -445,10 +437,11 @@ def test_half_size_products_are_the_dense_v_products(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9, 40, 41, 400, 401])
 def test_pair_vectors_have_the_symmetries_the_store_keeps(n):
-    """On dense `eigh` eigenvectors of the even-sector J_x^2: at even N, rows m_z and -m_z agree up to
-    the column sign (-1)^(J-m); at odd N, the rows ordered by |m_z| = J, J - 1, ... and the columns
-    by m = J, J - 1, ... make a symmetric S once each column's sign is that of d^J(pi/2), whose
-    entries grow from m_z = J with no change of sign (the first above 1e-8 is taken positive)."""
+    """On dense `eigh` eigenvectors of the even-sector J_x^2, each column's sign that of d^J(pi/2), whose
+    entries grow from m_z = J with no change of sign (the first above 1e-8 is taken positive): at
+    even N, rows m_z and -m_z agree up to the column sign (-1)^(J-m); at odd N, the rows ordered by
+    |m_z| = J, J - 1, ... and the columns by m = J, J - 1, ... make a symmetric S, and the store's
+    pairing holds, W V_E = V_O D with V_E's last column sent to 0 at odd h (`OddPairing`)."""
     jx = dense_jx(build_operators(n)).real
     even = np.arange(0, n + 1, 2)
     _, v = np.linalg.eigh(jx[even] @ jx[:, even])  # columns m = J mod 1, ..., J
@@ -460,6 +453,10 @@ def test_pair_vectors_have_the_symmetries_the_store_keeps(n):
     else:
         s = v[[k // 2 if k % 2 == 0 else (n - k) // 2 for k in range(h)]][:, ::-1]
         assert np.abs(s - s.T).max() <= 1e-13
+        pairing = propagate._odd_pairing(n)
+        partners = np.zeros((h, h - h // 2))
+        partners[:, : h // 2] = v[:, 1::2] / pairing.inverse_d
+        assert np.abs(pairing.apply(v[:, 0::2]) - partners).max() <= 1e-13 * n
 
 
 def test_pair_factorization_keeps_half_of_v():
@@ -490,18 +487,6 @@ for n in (2000, 2001):
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
     result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-
-
-@pytest.mark.parametrize("rows", [1, 7, 64])
-@pytest.mark.parametrize("h", [1, 2, 63, 64, 65, 1001])
-def test_symmetric_product_is_the_dense_product(h, rows):
-    """Strips [lo, lo + rows) x [lo, h) of a symmetric S give S x, across strip remainders."""
-    rng = np.random.default_rng(h)
-    a = rng.normal(size=(h, h)) / np.sqrt(h)
-    s = a + a.T
-    x = rng.normal(size=h) + 1j * rng.normal(size=h)
-    strips = tuple(s[lo : lo + rows, lo:].copy() for lo in range(0, h, rows))
-    assert np.abs(symmetric_product(strips, x) - s @ x).max() <= 1e-13 * np.linalg.norm(x)
 
 
 @pytest.mark.parametrize("h", [1, 2, 3, 63, 64, 65, 626, 1001, 2001])
