@@ -19,11 +19,12 @@ per-row bits do not depend on the block, so its period-boundary samples
 are a stroboscopic run's, bit for bit.  The kernel only writes each
 sample's <J_z>, T = J(J+1) - <J_z^2> and P = <J_+^2> into per-trace
 arrays; one tail per trace, `squeezing.sector_samples`, turns them into
-xi^2 and mean spins, mapping the mean spin of a sample inside a pair back
-from the frame rotated by the opening pulse with its signed permutation,
-exactly.  No sample builds a full (N+1)-dimensional state.  At every
-period boundary the state norm is checked against `tolerances.NORM_DRIFT`;
-an earlier sample whose mean spin vanished is reported first.  Ideal xy
+xi^2 and mean spins.  A sample inside a pair has the mean spin (0, 0, <J_z>)
+in the frame of the opening +pi/2 pulse, so it reads (<J_z>, 0, 0) inside a
+y pair and (0, -<J_z>, 0) inside an x pair, exactly.  No sample builds a
+full (N+1)-dimensional state.  At every period boundary the state norm is
+checked against `tolerances.NORM_DRIFT`; an earlier sample whose mean spin
+vanished is reported first.  Ideal xy
 twisting (the ideal-TAT trace, `tat_optimum`) runs on the same sector, on
 `twist_window`, as real rows whose xi^2 and <J_z> `squeezing.twist_xi2`
 takes from a sum of squares with no cancellation; the scan and the trace
@@ -51,7 +52,6 @@ from .propagate import (
     pair_bands,
     pair_coefficients,
     pair_store_bytes,
-    pulse_frame,
     step_phases,
     twist_window,
 )
@@ -231,43 +231,42 @@ def _pulse_samples(spec: ExperimentSpec, period: Schedule) -> list[SqueezingSamp
     keyed = {_phase_key(step): step for step in period.steps}  # one end row per distinct duration of each basis
     ends = {key: step_phases(n, step.axis, spec.chi, [step.duration])[0] for key, step in keyed.items()}
     bands = {axis: pair_bands(n, axis) if axis else dicke_bands(n) for axis in {"", *(s.axis for s in period.steps)}}
-    frame_index = {key: i for i, key in enumerate(dict.fromkeys((s.axis, s.sign) for s in period.steps if s.axis))}
-    frames = np.array([pulse_frame(axis, sign) for axis, sign in frame_index])  # one per (axis, sign), at most 4
-    legs = [  # (step, end phases, interior phases or none, the index of the pulse frame its samples are in, or -1)
-        (step, ends[_phase_key(step)], step_phases(n, step.axis, spec.chi, partials) if partials else (),
-         frame_index.get((step.axis, step.sign), -1))
+    legs = [  # (step, end phases, interior phases or none)
+        (step, ends[_phase_key(step)], step_phases(n, step.axis, spec.chi, partials) if partials else ())
         for step, partials in itinerary
     ]
 
     moments = (np.empty(len(times)), np.empty(len(times)), np.empty(len(times), dtype=complex))  # <J_z>, T, P
-    frame_of = np.full(len(times), -1)
+    axis_of = np.full(len(times), "")  # the axis of the pair a sample is inside, or ""
     block_rows = max(1, SAMPLE_BLOCK_ENTRIES // even_sector_dim(n))
 
-    def measure(first: int, rows: np.ndarray, axis: str, frame: int = -1) -> int:
+    def measure(first: int, rows: np.ndarray, axis: str) -> int:
         """Samples first, first + 1, ... from `rows`, coefficients in the basis of a step about `axis`.
 
         Returns the index after the last."""
         at = slice(first, first + len(rows))
         for out, value in zip(moments, sector_moments(rows, bands[axis])):
             out[at] = value
-        frame_of[at] = frame
+        axis_of[at] = axis
         return at.stop
 
     def measured(count: int) -> list[SqueezingSample]:
-        """The first `count` samples; their pulse frames are signed permutations, so mapping back is exact."""
+        """The first `count` samples, the mean spin of those inside a pair back from its opening pulse's frame."""
         xi2, mean = sector_samples(*(m[:count] for m in moments), j)
-        framed = np.flatnonzero(frame_of[:count] >= 0)
-        mean[framed] = np.matmul(frames[frame_of[framed]], mean[framed, :, None])[:, :, 0]
+        for axis, component, sign in (("y", 0, 1.0), ("x", 1, -1.0)):
+            inside = np.flatnonzero(axis_of[:count] == axis)
+            mean[inside, component] = sign * mean[inside, 2]
+            mean[inside, 2] = 0.0
         return _samples(zip(times, range(count)), xi2, mean, j)
 
     psi = np.zeros(even_sector_dim(n), dtype=complex)
     psi[0] = 1.0  # |J,J>
     index = measure(0, psi[None], "")
     for _ in range(spec.n_cycles):
-        for step, end, inner, frame in legs:
+        for step, end, inner in legs:
             coeffs = pair_coefficients(n, step.axis, psi) if step.axis else psi
             for lo in range(0, len(inner), block_rows):
-                index = measure(index, coeffs * inner[lo : lo + block_rows], step.axis, frame)
+                index = measure(index, coeffs * inner[lo : lo + block_rows], step.axis)
             # numpy's complex product (FMA) is not commutative to the bit: a swap would move every later sample
             psi = pair_amplitudes(n, step.axis, end * coeffs) if step.axis else coeffs * end
         drift = abs(float(np.linalg.norm(psi)) - 1.0)

@@ -1,7 +1,7 @@
 """Exact unitary time evolution.
 
 Every pulse schedule starts from |J,J> and is a sequence of free z^2
-twisting and pulse pairs (a +/- pi/2 pulse about a, free time tau, the
+twisting and pulse pairs (a +pi/2 pulse about a, free time tau, the
 inverse pulse).  A pair about y is exp(-i chi tau J_x^2) and a pair about x
 is exp(-i chi tau J_y^2); both, like free twisting, keep the state in the
 even-index Dicke sector of dimension N//2 + 1.  On that sector J_x^2 is real
@@ -12,17 +12,16 @@ the pulse engine is
 * pair evolution: one cached factorization of J_x^2 per spin number, its
   exact eigenvalues m^2 and its eigenvectors V from the three-term Wigner-d
   recurrence in numpy alone (`pair_factorization`), kept half-size by V's
-  symmetries, applied as two products per pair, V^T psi (`pair_coefficients`)
-  and V times the phased coefficients (`pair_amplitudes`);
+  symmetries and checked once that store is built, applied as two products
+  per pair, V^T psi (`pair_coefficients`) and V times the phased
+  coefficients (`pair_amplitudes`);
 * phases: every step is diagonal in its own basis, the Dicke basis for
   free twisting and V for a pair, so its evolution is the phases
   exp(-i chi t lambda) of its eigenvalues (`step_phases`), which depend only
   on the time into it;
 * moments: J_z, J(J+1) - J_z^2 and J_+^2 are banded in both bases
   (`Bands`: `dicke_bands`, and `pair_bands` in closed forms in O(N)), so a
-  sample is summed from a step's phased coefficients with no back-transform;
-* `pulse_frame`: the 3x3 signed permutation that maps the mean spin of a
-  state inside a pair back from the frame rotated by the opening pulse.
+  sample is summed from a step's phased coefficients with no back-transform.
 
 Ideal xy twisting from |J,J> stays in that sector too, where J_x^2 - J_y^2
 is tridiagonal with zero diagonal, so its spectrum is +/-lambda with
@@ -94,11 +93,12 @@ class EigenFactorization:
 
     `store` holds about h^2 / 2 numbers of V.  Even N: rows m_z and -m_z agree up to the column sign
     (-1)^(J-m), so V is two blocks of its top rows (and middle row), one per sign, acting on
-    psi_top +/- psi_mirror.  Odd N: the store is V_E, V's columns m = 1/2, 5/2, ...; the others are
-    V_O = W V_E / D (`OddPairing`), so a product is one pass over V_E with two vectors."""
+    psi_top +/- psi_mirror; `pairing` is None.  Odd N: the store is V_E, V's columns m = 1/2, 5/2, ...;
+    the others are V_O = W V_E / D (`pairing`), so a product is one pass over V_E with two vectors."""
 
     eigenvalues: np.ndarray
     store: tuple[np.ndarray, ...]
+    pairing: OddPairing | None
 
 
 @dataclass(frozen=True)
@@ -192,18 +192,35 @@ def pair_factorization(n_spins: int) -> EigenFactorization:
     m^2 is the even rows of the J_x eigenvector of eigenvalue m, i.e. of the
     Wigner matrix d^J(pi/2), held half-size (`EigenFactorization`) as
     `_wigner_pair_vectors` writes it by elementwise numpy alone, so no pulse
-    trace depends on the BLAS thread count.  The recurrence's banded residual
-    and an orthogonality probe through the store's products are checked
-    against `tolerances.PAIR_RESIDUAL` and `tolerances.PAIR_ORTHOGONALITY`.
+    trace depends on the BLAS thread count.  The finished store is then
+    checked: the banded residual |J_x^2 V - V diag(m^2)| / J^2 of every row of
+    V (`_tridiagonal_residual`) and an orthogonality probe through the store's
+    products, against `tolerances.PAIR_RESIDUAL` and `tolerances.PAIR_ORTHOGONALITY`.
     """
     check_fits(pair_store_bytes(n_spins), f"pair factorization at N={n_spins} needs a half-size store of")
     ops = build_operators(n_spins)
     h = even_sector_dim(n_spins)
-    store, residual = _wigner_pair_vectors(ops)
-    store = tuple(_frozen(block) for block in store)
-    round_trip = (h, lambda z: _coefficients(n_spins, store, _amplitudes(n_spins, store, z)))
-    _check_eigenpairs(f"pair eigenvectors at N={n_spins}", residual, round_trip)
-    return EigenFactorization(_frozen(ops.m_values[:h][::-1] ** 2), store)
+    values = _frozen(ops.m_values[:h][::-1] ** 2)
+    store = tuple(_frozen(block) for block in _wigner_pair_vectors(ops))
+    fac = EigenFactorization(values, store, _odd_pairing(n_spins) if n_spins % 2 else None)
+
+    squares = np.concatenate(([0.0], ops.ladder**2, [0.0]))  # ladder[k-1]^2 at k, zero past both ends
+    diag, off = (squares[0 : 2 * h : 2] + squares[1 : 2 * h : 2]) / 4.0, ops.twist_band[0::2] / 2.0
+
+    def residual(block: np.ndarray, columns: slice, sign: float = 0.0) -> float:
+        """Of a block of V's top r rows; with a sign, V continues with its row r = sign * row h-1-r, the
+        block's own row if h-1-r < r and otherwise the zero middle row of the sign -1 block at odd h."""
+        r = len(block)
+        below = sign * block[h - 1 - r] if sign and h - 1 - r < r else None
+        return _tridiagonal_residual(diag[:r], off[:r], block, values[columns], below)
+
+    if n_spins % 2:
+        worst = residual(store[0], slice(0, None, 2))  # V_E holds all h rows
+    else:
+        worst = np.max([residual(*part) for part in zip(store, _column_parities(h), (1.0, -1.0))])
+    round_trip = (h, lambda z: _coefficients(fac, _amplitudes(fac, z)))
+    _check_eigenpairs(f"pair eigenvectors at N={n_spins}", float(worst) / ops.total_spin**2, round_trip)
+    return fac
 
 
 def _pair_store_shapes(n_spins: int) -> list[tuple[int, int]]:
@@ -219,9 +236,9 @@ def pair_store_bytes(n_spins: int) -> int:
     return 8 * sum(rows * cols for rows, cols in _pair_store_shapes(n_spins))
 
 
-def _column_parities(n_spins: int) -> tuple[slice, slice]:
-    """At even N, V's columns of mirror sign +1 (m = J, J - 2, ...) and -1, each ascending in m."""
-    first = (n_spins // 2) % 2
+def _column_parities(h: int) -> tuple[slice, slice]:
+    """At even N = 2 (h - 1), V's columns of mirror sign +1 (m = J, J - 2, ...) and -1, each ascending in m."""
+    first = (h - 1) % 2
     return slice(first, None, 2), slice(1 - first, None, 2)
 
 
@@ -252,7 +269,6 @@ class OddPairing:
         return out
 
 
-@lru_cache(maxsize=2)
 def _odd_pairing(n_spins: int) -> OddPairing:
     """The `OddPairing` of odd N spins, from the ladder in O(N)."""
     ops = build_operators(n_spins)
@@ -270,24 +286,23 @@ def _odd_pairing(n_spins: int) -> OddPairing:
 _HUGE = 1e150  # a recurring column that passes it is scaled by 1/_HUGE
 
 
-def _wigner_pair_vectors(ops: SpinOperators) -> tuple[list[np.ndarray], float]:
-    """The store of V (`EigenFactorization`) from the J_x recurrence, and its banded residual over J^2.
+def _wigner_pair_vectors(ops: SpinOperators) -> list[np.ndarray]:
+    """The store of V (`EigenFactorization`) from the J_x recurrence.
 
     Column m solves (L[k-1] d[k-1] + L[k] d[k+1]) / 2 = m d[k], L = ladder,
     from d[0] = 1 at m_z = J down to the middle, k = 0 ... N//2: each step
     recurs into the growing solution, which is stable.  Row k is V's row k/2
     at even k and its mirror d[N-k] = (-1)^(J-m) d[k] V's row (N-k)/2 when
     N-k is even, which covers odd N; it goes straight into the store.  At odd
-    N only the stored columns V_E recur.  Five rows are held, so V's rows'
-    residual |J_x^2 d - m^2 d| is taken as d[k+2] arrives.  A column passing
+    N only the stored columns V_E recur.  Two rows are held.  A column passing
     _HUGE is scaled down; the rows stored before that are scaled after the
     loop, with the norms.
     """
     n, j, ladder = ops.n_spins, ops.total_spin, ops.ladder
     h = even_sector_dim(n)
     mu = ops.m_values[:h][::-1]  # J mod 1, ..., J
-    cols = mu[0::2] if n % 2 else np.concatenate([mu[parity] for parity in _column_parities(n)])
-    sign, values = np.where(np.rint(j - cols) % 2 == 0, 1.0, -1.0), cols * cols
+    cols = mu[0::2] if n % 2 else np.concatenate([mu[parity] for parity in _column_parities(h)])
+    sign = np.where(np.rint(j - cols) % 2 == 0, 1.0, -1.0)
     store = [np.empty(shape) for shape in _pair_store_shapes(n)]
     lead = len(store[0])  # the sign +1 columns, which lead `cols`, at even N
 
@@ -298,56 +313,41 @@ def _wigner_pair_vectors(ops: SpinOperators) -> tuple[list[np.ndarray], float]:
         halves = (slice(0, lead), slice(lead, None))
         return [(block[k // 2], at) for block, at in zip(store, halves) if k % 2 == 0 and k // 2 < len(block)]
 
-    def row(x: int) -> np.ndarray:  # d[x] from the held d[k-4] ... d[k], or past the middle its mirror
-        return held[x - k - 1] if x <= k else sign * held[n - x - k - 1]
-
-    def check(q: int) -> None:  # row q's residual |J_x^2 d - m^2 d| into `worst`, if V holds row q
-        if n % 2 or q % 2 == 0:
-            r = ((ladder[q - 1] ** 2 if q else 0.0) + ladder[q] ** 2) / 4.0 - values
-            r *= row(q)
-            if q >= 2:  # J_x^2 couples rows q and q + 2 by twist_band[q] / 2
-                r += ops.twist_band[q - 2] / 2.0 * row(q - 2)
-            if q + 2 <= n:
-                r += ops.twist_band[q] / 2.0 * row(q + 2)
-            np.maximum(worst, np.abs(r, out=r), out=worst)
-
-    width = cols.size
-    norm2, worst = np.zeros(width), np.zeros(width)  # worst: each column's largest residual, in the recurrence's units
+    norm2 = np.zeros(cols.size)
     events = []  # (first row after a scaling, its columns)
-    held = [np.zeros(width), np.zeros(width), np.ones(width)]  # d[-2], d[-1], d[0]
+    prev, cur = np.zeros(cols.size), np.ones(cols.size)  # d[-1], d[0]
     for k in range(n // 2 + 1):
-        cur = held[-1]
         for target, at in targets(k):
             np.multiply(cur[at], sign[at] if k % 2 else 1.0, out=target)
         for _ in range((k % 2 == 0) + ((n - k) % 2 == 0 and n - k != k)):  # once per V row that row k gives
             norm2 += cur * cur
-        for q in range(max(0, k - 2), k + 1 if k == n // 2 else k - 1):
-            check(q)  # the row whose residual d[k] completes, and at the middle the last two
         if k == n // 2:
             break
         nxt = 2.0 * cols * cur
-        nxt -= ladder[k - 1] * held[-2]  # d[-1] = 0
+        nxt -= ladder[k - 1] * prev  # d[-1] = 0
         nxt /= ladder[k]
-        held = held[-4:] + [nxt]
-        if np.abs(nxt).max() > _HUGE:
-            at = np.flatnonzero(np.abs(nxt) > _HUGE)
-            for d in held:
-                d[at] /= _HUGE
+        prev, cur = cur, nxt
+        if np.abs(cur).max() > _HUGE:
+            at = np.flatnonzero(np.abs(cur) > _HUGE)
+            prev[at] /= _HUGE
+            cur[at] /= _HUGE
             norm2[at] /= _HUGE**2
-            worst[at] /= _HUGE
             events.append((k + 1, at.tolist()))  # a list takes a fifth of a small array's memory
     scale = 1.0 / np.sqrt(norm2)
-    residual = float(np.max(worst * scale)) / j**2
     for k in range(n // 2, -1, -1):
         while events and events[-1][0] > k:
             scale[events.pop()[1]] /= _HUGE
         for target, at in targets(k):
             target *= scale[at]
-    return store, residual
+    return store
 
 
-def _tridiagonal_residual(diag, off, vectors, values, rows: int = 8) -> float:
-    """max |T V - V diag(values)| of the symmetric tridiagonal T = (diag, off), `rows` rows at a time."""
+def _tridiagonal_residual(diag, off, vectors, values, below=None, rows: int = 8) -> float:
+    """max |T V - V diag(values)| of the symmetric tridiagonal T = (diag, off), `rows` rows at a time.
+
+    With `below`, V is the top rows of a taller V that continues with that row, coupled to V's last
+    row by off[-1]; without it, the row below is zero or there is none.
+    """
     h = diag.size
     worst = [0.0]
     for lo in range(0, h, rows):
@@ -356,6 +356,8 @@ def _tridiagonal_residual(diag, off, vectors, values, rows: int = 8) -> float:
         up, down = min(hi, h - 1), max(lo, 1)  # rows with a neighbour below, above
         r[: up - lo] += off[lo:up, None] * vectors[lo + 1 : up + 1]
         r[down - lo :] += off[down - 1 : hi - 1, None] * vectors[down - 1 : hi - 1]
+        if hi == h and below is not None:
+            r[-1] += off[h - 1] * below
         worst.append(np.abs(r, out=r).max())
     return float(np.max(worst))  # NaN-propagating, unlike the builtin max
 
@@ -372,38 +374,36 @@ def pair_coefficients(n_spins: int, axis: str, amps: np.ndarray) -> np.ndarray:
 
     A pair about y twists with J_x^2, one about x with J_y^2 (the gauged J_x^2).
     """
-    return _coefficients(n_spins, pair_factorization(n_spins).store, _gauge(amps) if axis == "x" else amps)
+    return _coefficients(pair_factorization(n_spins), _gauge(amps) if axis == "x" else amps)
 
 
-def _coefficients(n_spins: int, store: tuple[np.ndarray, ...], psi: np.ndarray) -> np.ndarray:
-    """V^T psi from the store, in V's column order m = J mod 1, ..., J."""
-    h, half = psi.size, psi.size // 2
+def _coefficients(fac: EigenFactorization, psi: np.ndarray) -> np.ndarray:
+    """V^T psi from the factorization's store, in V's column order m = J mod 1, ..., J."""
+    h, half, store, pairing = psi.size, psi.size // 2, fac.store, fac.pairing
     coeffs = np.empty(h, dtype=complex)
-    if n_spins % 2:  # V_E^T [psi, W psi] in one pass: V_E^T psi and D V_O^T psi
-        pairing = _odd_pairing(n_spins)
+    if pairing is not None:  # V_E^T [psi, W psi] in one pass: V_E^T psi and D V_O^T psi
         both = np.empty((h, 2), dtype=complex)
         both[:, 0], both[:, 1] = psi, pairing.apply(psi)
         both = real_product(store[0], both, transpose=True)
         coeffs[0::2], coeffs[1::2] = both[:, 0], both[:half, 1] * pairing.inverse_d
         return coeffs
-    for block, columns, fold in zip(store, _column_parities(n_spins), (1.0, -1.0)):
+    for block, columns, fold in zip(store, _column_parities(h), (1.0, -1.0)):
         folded = psi[: len(block)].astype(complex)  # at odd h, the middle row is its own mirror
         folded[:half] += fold * psi[::-1][:half]
         coeffs[columns] = real_product(block, folded, transpose=True)
     return coeffs
 
 
-def _amplitudes(n_spins: int, store: tuple[np.ndarray, ...], coeffs: np.ndarray) -> np.ndarray:
-    """V c from the store: undoes `_coefficients`."""
-    h, half = coeffs.size, coeffs.size // 2
-    if n_spins % 2:  # V_E [c_E, c_O / D] in one pass, then V_E c_E + W V_E c_O / D
-        pairing = _odd_pairing(n_spins)
+def _amplitudes(fac: EigenFactorization, coeffs: np.ndarray) -> np.ndarray:
+    """V c from the factorization's store: undoes `_coefficients`."""
+    h, half, store, pairing = coeffs.size, coeffs.size // 2, fac.store, fac.pairing
+    if pairing is not None:  # V_E [c_E, c_O / D] in one pass, then V_E c_E + W V_E c_O / D
         both = np.zeros((h - half, 2), dtype=complex)  # at odd h, V_E's last column has no partner
         both[:, 0], both[:half, 1] = coeffs[0::2], coeffs[1::2] * pairing.inverse_d
         both = real_product(store[0], both)
         return both[:, 0] + pairing.apply(both[:, 1])
     psi = np.empty(h, dtype=complex)
-    plus, minus = (real_product(block, coeffs[columns]) for block, columns in zip(store, _column_parities(n_spins)))
+    plus, minus = (real_product(block, coeffs[columns]) for block, columns in zip(store, _column_parities(h)))
     psi[: h - half] = plus
     psi[:half] += minus
     psi[h - half :] = (plus[:half] - minus)[::-1]
@@ -425,7 +425,7 @@ def step_phases(n_spins: int, axis: str, chi: float, ts) -> np.ndarray:
 
 def pair_amplitudes(n_spins: int, axis: str, coeffs: np.ndarray) -> np.ndarray:
     """The even-sector state V c of eigen-coefficients c of a pair about `axis`: undoes `pair_coefficients`."""
-    amps = _amplitudes(n_spins, pair_factorization(n_spins).store, coeffs)
+    amps = _amplitudes(pair_factorization(n_spins), coeffs)
     return _gauge(amps) if axis == "x" else amps
 
 
@@ -457,7 +457,6 @@ def _bands(**fields: dict) -> Bands:
     return Bands(**{name: nonzero(diagonals) for name, diagonals in fields.items()})
 
 
-@lru_cache(maxsize=2)  # O(N) floats an entry
 def dicke_bands(n_spins: int) -> Bands:
     """The `Bands` of the Dicke basis, where free twisting is diagonal.
 
@@ -473,7 +472,6 @@ def dicke_bands(n_spins: int) -> Bands:
     )
 
 
-@lru_cache(maxsize=4)  # O(N) floats an entry: both axes of two spin numbers
 def pair_bands(n_spins: int, axis: str) -> Bands:
     """The `Bands` of the eigenvectors V of a pair about `axis`, from closed forms in O(N).
 
@@ -513,13 +511,3 @@ def pair_bands(n_spins: int, axis: str) -> Bands:
         twist={-2: sq2, -1: sq1 - comm, 0: 2.0 * mu**2 + sq0 - jj, 1: sq1 + comm, 2: sq2},
     )
 
-
-def pulse_frame(axis: str, sign: int) -> np.ndarray:
-    """Signed permutation P with <J>(exp(-i sign pi/2 J_axis) psi) = P <J>(psi).
-
-    The rotation by sign * pi/2 about the axis, acting on 3-vectors (Rodrigues'
-    formula with cos = 0).
-    """
-    n = np.array([axis == "x", axis == "y", False], dtype=float)
-    cross = np.array([[0.0, -n[2], n[1]], [n[2], 0.0, -n[0]], [-n[1], n[0], 0.0]])
-    return np.outer(n, n) + sign * cross

@@ -1,8 +1,8 @@
 """Compile twisting pulse schedules from Trotter-Suzuki product formulas.
 
 A schedule describes one period as time-ordered steps, repeated n_cycles
-times.  A step is free z^2 twisting or a pulse pair: a +/- pi/2 pulse about
-x or y, free twisting, then the inverse pulse (Liu et al., PRL 107, 013601,
+times.  A step is free z^2 twisting or a pulse pair: a +pi/2 pulse about x
+or y, free twisting, then the inverse pulse (Liu et al., PRL 107, 013601,
 2011), the unit the even-sector engine runs.  The flat list of free segments
 and instantaneous pulses (`Schedule.segments`), the period length `t_c` and
 the pulse count are read off the steps.  Every period but liu1's comes from
@@ -60,12 +60,11 @@ def pulse(axis: str, sign: int) -> Segment:
 class Step:
     """Free z^2 twisting (no axis), or a pulse pair about `axis`.
 
-    A pair is the `sign` pulse, `duration` of free twisting, then the inverse pulse.
+    A pair is the +pi/2 pulse, `duration` of free twisting, then the inverse pulse.
     """
 
     duration: float
     axis: str = ""
-    sign: int = 0
 
 
 @dataclass(frozen=True)
@@ -84,7 +83,7 @@ class Schedule:
         out: list[Segment] = []
         for step in self.steps:
             if step.axis:
-                out += [pulse(step.axis, step.sign), free(step.duration), pulse(step.axis, -step.sign)]
+                out += [pulse(step.axis, 1), free(step.duration), pulse(step.axis, -1)]
             else:
                 out.append(free(step.duration))
         return tuple(out)
@@ -138,7 +137,7 @@ def _block(coefficient: float, delta_t: float) -> list[Step]:
     """
     c = abs(coefficient)
     axis = "y" if coefficient > 0 else "x"
-    return [Step(c * delta_t / 2.0), Step(2.0 * c * delta_t, axis, 1), Step(c * delta_t / 2.0)]
+    return [Step(c * delta_t / 2.0), Step(2.0 * c * delta_t, axis), Step(c * delta_t / 2.0)]
 
 
 def _normalize(steps: list[Step]) -> list[Step]:
@@ -155,7 +154,7 @@ def _normalize(steps: list[Step]) -> list[Step]:
 def compile_order1(delta_t: float, n_cycles: int) -> Schedule:
     """First-order split: one twist block per period, pulses at delta_t and 3*delta_t."""
     _validate_args(delta_t, n_cycles)
-    return Schedule("liu1", 1, (Step(delta_t), Step(2.0 * delta_t, "y", 1)), delta_t, n_cycles)
+    return Schedule("liu1", 1, (Step(delta_t), Step(2.0 * delta_t, "y")), delta_t, n_cycles)
 
 
 def compile_general(order: int, delta_t: float, n_cycles: int) -> Schedule:

@@ -40,11 +40,6 @@ def memory_limit_bytes() -> int:
     return limit
 
 
-def check_dense_fits(rows: int, cols: int, itemsize: int, what: str) -> None:
-    """Raise ValueError, before allocating, if a dense rows x cols array cannot fit in memory."""
-    check_fits(rows * cols * itemsize, f"{what} needs a dense {rows} x {cols} array of")
-
-
 def check_fits(nbytes: int, need: str) -> None:
     """Raise ValueError, before allocating, if `nbytes` cannot fit in memory; `need` says what needs them."""
     limit = memory_limit_bytes()

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .spin_ops import NumericalConsistencyError, check_dense_fits
+from .spin_ops import NumericalConsistencyError, check_fits
 
 STURM_BLOCK = 64  # pivot rows a sweep holds at once
 MULTISECTION_SHIFTS = 4  # shifts per wanted eigenvalue in an isolating sweep, at least 7 per bracket
@@ -37,7 +37,7 @@ def window_eigenpairs(band: np.ndarray, count: int, what: str) -> tuple[np.ndarr
     cannot fit in memory.
     """
     h = band.size + 1
-    check_dense_fits(h, count, 4 * 8, what)  # at its peak the solver holds four h x count float arrays
+    check_fits(4 * 8 * h * count, f"{what} needs at its peak four {h} x {count} float arrays, in all")
     values = _positive_eigenvalues(band, count)
     vectors = _twisted_vectors(band, values)
     even = math.sqrt(2.0) * vectors[0::2]

@@ -30,7 +30,6 @@ from scipy.linalg import expm
 
 from spinsqueeze.experiments import FitResult, _loglog_fit
 from spinsqueeze.propagate import (
-    _odd_pairing,
     pair_amplitudes,
     pair_factorization,
     real_product,
@@ -38,7 +37,7 @@ from spinsqueeze.propagate import (
     twist_window,
 )
 from spinsqueeze.schedules import compile_scheme
-from spinsqueeze.spin_ops import SpinOperators, _frozen, build_operators, check_dense_fits
+from spinsqueeze.spin_ops import SpinOperators, _frozen, build_operators, check_fits
 from spinsqueeze.squeezing import MEAN_SPIN_EPS_FACTOR, MeanSpinVanishing, SqueezingSample
 
 UNITARITY = 1e-9  # ||U^dagger U - 1||_2 of `schedule_unitary`'s pulses
@@ -50,7 +49,7 @@ HALF_PI = math.pi / 2.0
 
 
 def _dense(ops: SpinOperators, what: str) -> None:
-    check_dense_fits(ops.dim, ops.dim, 16, f"dense {what} at N={ops.n_spins}")
+    check_fits(16 * ops.dim**2, f"dense {what} at N={ops.n_spins} needs")
 
 
 def dense_jx(ops: SpinOperators) -> np.ndarray:
@@ -204,7 +203,7 @@ def twist_factorization(n_spins: int) -> DenseFactorization:
     """
     ops = build_operators(n_spins)
     dim = ops.dim
-    check_dense_fits(dim, dim, 8, f"twist factorization at N={n_spins}")
+    check_fits(8 * dim**2, f"twist factorization at N={n_spins} needs")
     values = np.empty(dim)
     vectors = np.zeros((dim, dim))
     col = 0
@@ -468,7 +467,7 @@ def wigner_pair_vectors(ladder: np.ndarray, mu: np.ndarray) -> np.ndarray:
 def dense_pair_vectors(n_spins: int) -> np.ndarray:
     """`wigner_pair_vectors` of N spins, columns m = J mod 1, ..., J."""
     ops, h = build_operators(n_spins), n_spins // 2 + 1
-    check_dense_fits(h, h, 8, f"dense pair eigenvectors at N={n_spins}")
+    check_fits(8 * h**2, f"dense pair eigenvectors at N={n_spins} need")
     return wigner_pair_vectors(ops.ladder, ops.m_values[:h][::-1])
 
 
@@ -480,11 +479,11 @@ def expanded_pair_vectors(n_spins: int) -> np.ndarray:
     Odd N: the store is V_E, V's columns 0, 2, ..., and V_O = W V_E / D
     (`propagate.OddPairing`) gives columns 1, 3, ....
     """
-    store = pair_factorization(n_spins).store
+    fac = pair_factorization(n_spins)
+    store, pairing = fac.store, fac.pairing
     h = n_spins // 2 + 1
     v = np.zeros((h, h))
     if n_spins % 2:
-        pairing = _odd_pairing(n_spins)
         v[:, 0::2] = store[0]
         v[:, 1::2] = pairing.apply(store[0])[:, : h // 2] * pairing.inverse_d
         return v

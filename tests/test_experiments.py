@@ -154,20 +154,18 @@ def counting(monkeypatch, module, name: str) -> list:
     return calls
 
 
-def test_order_20_pulse_run_builds_frames_and_tables_only_where_samples_use_them(monkeypatch):
-    """A one-cycle fine(3) order-20 trace at N = 200 (39367 steps) builds at most one pulse frame per
-    (axis, sign), one end phase row per distinct step duration of each basis and one interior table per
-    step that holds an interior sample, and compiles its period once."""
+def test_order_20_pulse_run_builds_tables_only_where_samples_use_them(monkeypatch):
+    """A one-cycle fine(3) order-20 trace at N = 200 (39367 steps) builds one end phase row per distinct
+    step duration of each basis and one interior table per step that holds an interior sample, and
+    compiles its period once."""
     spec = ExperimentSpec("general", 200, 1, 0.01, order=20, sampling="fine", subsamples=3)
     steps = compile_scheme("general", delta_t_for("general", spec.t_total, 1, 20), 1, 20).steps
     times = _sample_times(spec)
     sampled = sum(1 for _, partials in _itinerary(steps, times[1:4], times[4]) if partials)
-    frames = counting(monkeypatch, experiments, "pulse_frame")
     phases = counting(monkeypatch, experiments, "step_phases")
     compiles = counting(monkeypatch, experiments, "compile_scheme")
     trace = run_trace(spec)
     assert len(trace.samples) == 5
-    assert len(frames) <= 4
     assert len(phases) <= len({experiments._phase_key(step) for step in steps}) + sampled
     assert len(compiles) == 1
 
@@ -662,11 +660,11 @@ def test_vanishing_mean_spin_is_reported_before_a_later_norm_drift(monkeypatch, 
     sample in that basis vanish; a leaky pair makes the norm drift at the first period end, after
     it.  The vanishing sample is named, as in a run without the drift."""
     real = experiments.sector_moments
-    dicke = propagate.dicke_bands(40)
 
     def no_mean_spin(rows, bands):
         jz, transverse, p = real(rows, bands)
-        return (np.zeros_like(jz) if (bands is dicke) == (basis == "dicke") else jz), transverse, p
+        dicke = 1 not in bands.jz  # J_z is diagonal in the Dicke basis only
+        return (np.zeros_like(jz) if dicke == (basis == "dicke") else jz), transverse, p
 
     monkeypatch.setattr(experiments, "sector_moments", no_mean_spin)
     spec = ExperimentSpec("schemeA", 40, 5, 0.5, sampling="fine", subsamples=3)

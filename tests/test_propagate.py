@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -19,7 +20,6 @@ from spinsqueeze.propagate import (
     pair_bands,
     pair_factorization,
     pair_store_bytes,
-    pulse_frame,
     real_product,
     twist_window,
 )
@@ -270,12 +270,13 @@ def test_pair_evolution_matches_pulse_conjugated_twisting(axis, n):
 @pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("axis", ["x", "y"])
 def test_pulse_frame_maps_mean_spin_through_the_pulse(axis, sign):
+    """A sign * pi/2 pulse turns the mean spin by a quarter turn about `axis`: with sign = +1, the
+    opening pulse of every pair, (0, 0, <J_z>) reads (<J_z>, 0, 0) after a y pulse and (0, -<J_z>, 0)
+    after an x pulse, the map the pulse traces apply to samples inside a pair."""
     state = random_state(7, seed=4)
-    frame = pulse_frame(axis, sign)
-    assert set(np.abs(frame).ravel()) == {0.0, 1.0}
-    np.testing.assert_allclose(
-        mean_spin(rotated(state, axis, sign * HALF_PI)), frame @ mean_spin(state), atol=1e-12
-    )
+    x, y, z = mean_spin(state)
+    turned = {"y": (sign * z, y, -sign * x), "x": (x, -sign * z, sign * y)}[axis]
+    np.testing.assert_allclose(mean_spin(rotated(state, axis, sign * HALF_PI)), turned, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 40, 41])
@@ -313,7 +314,7 @@ def test_pair_vectors_are_dense_eigh_up_to_sign(n):
 @pytest.mark.parametrize("axis", ["x", "y", pytest.param("", id="dicke")])
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 40, 41])
 def test_pair_bands_are_the_moment_operators_in_the_pair_basis(n, axis):
-    """The cached diagonals are those of dense W^T A W, W the (gauged, for x) pair eigenvectors or,
+    """The diagonals are those of dense W^T A W, W the (gauged, for x) pair eigenvectors or,
     for the Dicke bands of free twisting, the identity, for A = J_z, J(J+1) - J_z^2 and J_+^2 of
     the dense oracle operators on the even rows (the symmetric first two stored as their upper
     half); every entry off the listed diagonals is ~0."""
@@ -379,7 +380,7 @@ def test_pair_vectors_off_unit_norm_raise(monkeypatch, fresh_pair_factorization)
     stretch = 1.0 + 1e-9
 
     def stretched(ops):
-        store, residual = real(ops)
+        store = real(ops)
         n, h = ops.n_spins, ops.n_spins // 2 + 1
         if n % 2:
             store[0][:, 3] *= stretch  # V's column 6
@@ -387,12 +388,31 @@ def test_pair_vectors_off_unit_norm_raise(monkeypatch, fresh_pair_factorization)
             plus = (n // 2 - np.arange(h)) % 2 == 0  # columns with (-1)^(J-m) = +1, stored in store[0]
             block = store[0] if plus[7] else store[1]
             block[:, np.flatnonzero(plus == plus[7]).tolist().index(7)] *= stretch
-        return store, residual
+        return store
 
     monkeypatch.setattr(propagate, "_wigner_pair_vectors", stretched)
     for n in (400, 401):
         with pytest.raises(NumericalConsistencyError, match="orthogonality drift"):
             pair_factorization(n)
+
+
+@pytest.mark.parametrize("n,block", [(400, 0), (400, 1), (401, 0), (402, 0), (402, 1)])
+def test_pair_residual_sees_a_corrupted_last_row(monkeypatch, fresh_pair_factorization, n, block):
+    """One entry of a block's last row, off by 1e-9 in the store the recurrence wrote, breaks the
+    eigen-equation of V's rows next to it: the residual, taken from the finished store, exceeds
+    PAIR_RESIDUAL for both blocks at odd h (N = 400, where the sign -1 block ends above the zero
+    middle row) and even h (N = 402), and for V_E's last row at N = 401."""
+    real = propagate._wigner_pair_vectors
+
+    def corrupted(ops):
+        store = real(ops)
+        store[block][-1, 1] += 1e-9
+        return store
+
+    monkeypatch.setattr(propagate, "_wigner_pair_vectors", corrupted)
+    with pytest.raises(NumericalConsistencyError, match=f"pair eigenvectors at N={n}: residual") as raised:
+        pair_factorization(n)
+    assert float(re.search(r"residual (\S+),", str(raised.value)).group(1)) > tolerances.PAIR_RESIDUAL
 
 
 def test_pair_vectors_do_not_depend_on_the_blas_thread_count():

@@ -113,9 +113,8 @@ def test_operator_arrays_are_immutable():
 
 
 def test_dense_size_check_against_memory():
-    from spinsqueeze.spin_ops import check_dense_fits, memory_limit_bytes
+    from spinsqueeze.spin_ops import check_fits, memory_limit_bytes
 
-    check_dense_fits(1000, 1000, 16, "small")
-    rows = int(np.sqrt(memory_limit_bytes() / 8)) + 1
-    with pytest.raises(ValueError, match="big needs a dense"):
-        check_dense_fits(rows, rows, 8, "big")
+    check_fits(16 * 1000 * 1000, "small needs")
+    with pytest.raises(ValueError, match="big needs"):
+        check_fits(2 * memory_limit_bytes(), "big needs")
