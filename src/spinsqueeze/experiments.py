@@ -11,23 +11,23 @@ period is the schedule's steps, free z^2 twisting or a pulse pair
 (a+, tau, a-), and every step is phases in its own basis, Dicke or pair.
 A step's samples are the rows `phases * c` of the state's coefficients c
 in that basis, measured SAMPLE_BLOCK_ENTRIES phases at a time by the one
-kernel `squeezing.sector_moments` with that basis's bands; its end is
-`phase * c`, mapped back to the Dicke basis, where t = 0 and each period
-end are one-row blocks.  Samples fork off the main line, so a fine run
-applies exactly the operations of a stroboscopic one, and the kernel's
-per-row bits do not depend on the block, so its period-boundary samples
-are a stroboscopic run's, bit for bit.  The kernel only writes each
-sample's <J_z>, T = J(J+1) - <J_z^2> and P = <J_+^2> into per-trace
-arrays; one tail per trace, `squeezing.sector_samples`, turns them into
-xi^2 and mean spins.  A sample inside a pair has the mean spin (0, 0, <J_z>)
-in the frame of the opening +pi/2 pulse, so it reads (<J_z>, 0, 0) inside a
-y pair and (0, -<J_z>, 0) inside an x pair, exactly.  No sample builds a
-full (N+1)-dimensional state.  At every period boundary the state norm is
-checked against `tolerances.NORM_DRIFT`; an earlier sample whose mean spin
-vanished is reported first.  Ideal xy
+kernel `squeezing.sector_moments` with that basis's bands (pairs about x
+and y share V's); its end is `phase * c`, mapped back to the Dicke basis,
+where t = 0 and each period end are one-row blocks.  Samples fork off the
+main line, so a fine run applies exactly the operations of a stroboscopic
+one, and the kernel's per-row bits do not depend on the block, so its
+period-boundary samples are a stroboscopic run's, bit for bit.  The kernel
+only writes each sample's <J_z> and smallest transverse variance into
+per-trace arrays; one tail per trace turns them into xi^2
+(`squeezing.sector_xi2`) and mean spins.  A sample inside a pair has the
+mean spin (0, 0, <J_z>) in the frame of the opening +pi/2 pulse, so it
+reads (<J_z>, 0, 0) inside a y pair and (0, -<J_z>, 0) inside an x pair,
+exactly.  No sample builds a full (N+1)-dimensional state.  At every
+period boundary the state norm is checked against `tolerances.NORM_DRIFT`;
+an earlier sample whose mean spin vanished is reported first.  Ideal xy
 twisting (the ideal-TAT trace, `tat_optimum`) runs on the same sector, on
 `twist_window`, as real rows whose xi^2 and <J_z> `squeezing.twist_xi2`
-takes from a sum of squares with no cancellation; the scan and the trace
+takes from the same sum of squares on real numbers; the scan and the trace
 share one loop (`_tat_scan`) that builds and measures them
 SCAN_CHUNK_COLUMNS times at a time in one state buffer.  Ideal z^2
 twisting (the ideal-OAT trace, `oat_optimum`) evolves no state: it is the
@@ -66,7 +66,7 @@ from .squeezing import (
     find_optimum,
     oat_moments,
     sector_moments,
-    sector_samples,
+    sector_xi2,
     twist_xi2,
 )
 
@@ -83,7 +83,7 @@ PRE_OPTIMUM_FACTOR = 1.5
 # changes the trace's batches (its samples move within 1e-13 relative).
 SCAN_CHUNK_COLUMNS = 64
 # Phase-table entries per moment-kernel call, at least one row: a step's samples
-# are measured in blocks, so the kernel's temporaries stay near 7 MB.
+# are measured in blocks, so the kernel's temporaries stay under 4 MB.
 SAMPLE_BLOCK_ENTRIES = 2**16
 # Peak bytes per sample of a trace and its CSV text: 490-491 B measured with
 # tracemalloc over 10^5-sample ideal-OAT, ideal-TAT, liu1 and schemeA runs.
@@ -230,13 +230,13 @@ def _pulse_samples(spec: ExperimentSpec, period: Schedule) -> list[SqueezingSamp
 
     keyed = {_phase_key(step): step for step in period.steps}  # one end row per distinct duration of each basis
     ends = {key: step_phases(n, step.axis, spec.chi, [step.duration])[0] for key, step in keyed.items()}
-    bands = {axis: pair_bands(n, axis) if axis else dicke_bands(n) for axis in {"", *(s.axis for s in period.steps)}}
+    bands = {False: dicke_bands(n), True: pair_bands(n)}  # by bool(axis): pairs about x and y share V's
     legs = [  # (step, end phases, interior phases or none)
         (step, ends[_phase_key(step)], step_phases(n, step.axis, spec.chi, partials) if partials else ())
         for step, partials in itinerary
     ]
 
-    moments = (np.empty(len(times)), np.empty(len(times)), np.empty(len(times), dtype=complex))  # <J_z>, T, P
+    moments = (np.empty(len(times)), np.empty(len(times)))  # <J_z>, lambda_min
     axis_of = np.full(len(times), "")  # the axis of the pair a sample is inside, or ""
     block_rows = max(1, SAMPLE_BLOCK_ENTRIES // even_sector_dim(n))
 
@@ -245,19 +245,19 @@ def _pulse_samples(spec: ExperimentSpec, period: Schedule) -> list[SqueezingSamp
 
         Returns the index after the last."""
         at = slice(first, first + len(rows))
-        for out, value in zip(moments, sector_moments(rows, bands[axis])):
+        for out, value in zip(moments, sector_moments(rows, bands[bool(axis)])):
             out[at] = value
         axis_of[at] = axis
         return at.stop
 
     def measured(count: int) -> list[SqueezingSample]:
         """The first `count` samples, the mean spin of those inside a pair back from its opening pulse's frame."""
-        xi2, mean = sector_samples(*(m[:count] for m in moments), j)
-        for axis, component, sign in (("y", 0, 1.0), ("x", 1, -1.0)):
-            inside = np.flatnonzero(axis_of[:count] == axis)
-            mean[inside, component] = sign * mean[inside, 2]
-            mean[inside, 2] = 0.0
-        return _samples(zip(times, range(count)), xi2, mean, j)
+        jz, lam_min = (m[:count] for m in moments)
+        mean = np.zeros((count, 3))
+        for axis, component, sign in (("", 2, 1.0), ("y", 0, 1.0), ("x", 1, -1.0)):
+            inside = axis_of[:count] == axis
+            mean[inside, component] = sign * jz[inside]
+        return _samples(zip(times, range(count)), sector_xi2(jz, lam_min, j), mean, j)
 
     psi = np.zeros(even_sector_dim(n), dtype=complex)
     psi[0] = 1.0  # |J,J>

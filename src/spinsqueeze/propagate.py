@@ -19,9 +19,10 @@ the pulse engine is
   free twisting and V for a pair, so its evolution is the phases
   exp(-i chi t lambda) of its eigenvalues (`step_phases`), which depend only
   on the time into it;
-* moments: J_z, J(J+1) - J_z^2 and J_+^2 are banded in both bases
-  (`Bands`: `dicke_bands`, and `pair_bands` in closed forms in O(N)), so a
-  sample is summed from a step's phased coefficients with no back-transform.
+* moments: J_z is banded in both bases, and J_+ and J_- are banded maps
+  into the odd-index sector (`Bands`: `dicke_bands`, and `pair_bands` in
+  closed forms in O(N), shared by pairs about both axes), so a sample is
+  summed from a step's phased coefficients with no back-transform.
 
 Ideal xy twisting from |J,J> stays in that sector too, where J_x^2 - J_y^2
 is tridiagonal with zero diagonal, so its spectrum is +/-lambda with
@@ -34,7 +35,7 @@ on the even rows and an imaginary sin product on the odd ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -51,6 +52,11 @@ from .spin_ops import (
 
 TWIST_WINDOW_HALF_WIDTH = 96  # of the first window at every N; it doubled at most once at the N measured up to 10^5
 
+
+# Entries per chunk of `_tridiagonal_residual`.  On one BLAS thread the twist window's 97 columns ran
+# fastest in chunks of 2^13 entries or more, and the pair store's 501 (N = 2000) in 2^13-2^15; larger
+# chunks' temporaries would take the pair build past 0.55 * 8 h^2 bytes at N = 2000.
+RESIDUAL_CHUNK_ENTRIES = 2**13
 
 SMALL_GEMM_MNK = 10**6  # OpenBLAS's small-matrix dgemm path (SkylakeX kernels) takes M*N*K up to this
 PRODUCT_BLOCK_ROWS = 64  # taller row blocks ran no faster
@@ -342,13 +348,14 @@ def _wigner_pair_vectors(ops: SpinOperators) -> list[np.ndarray]:
     return store
 
 
-def _tridiagonal_residual(diag, off, vectors, values, below=None, rows: int = 8) -> float:
-    """max |T V - V diag(values)| of the symmetric tridiagonal T = (diag, off), `rows` rows at a time.
+def _tridiagonal_residual(diag, off, vectors, values, below=None) -> float:
+    """max |T V - V diag(values)| of the symmetric tridiagonal T = (diag, off), RESIDUAL_CHUNK_ENTRIES at a time.
 
-    With `below`, V is the top rows of a taller V that continues with that row, coupled to V's last
-    row by off[-1]; without it, the row below is zero or there is none.
+    A chunk is at least 8 rows.  With `below`, V is the top rows of a taller V that continues with
+    that row, coupled to V's last row by off[-1]; without it, the row below is zero or there is none.
     """
     h = diag.size
+    rows = max(8, RESIDUAL_CHUNK_ENTRIES // max(vectors.shape[1], 1))
     worst = [0.0]
     for lo in range(0, h, rows):
         hi = min(lo + rows, h)
@@ -431,20 +438,20 @@ def pair_amplitudes(n_spins: int, axis: str, coeffs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Bands:
-    """The even-sector moment operators A in a basis W, as the nonzero diagonals of W^T A W.
+    """The even-sector moment operators in a step's basis W, as nonzero diagonals.
 
-    Each field maps an offset to `np.diag(W^T A W, offset)` up to its last
-    nonzero entry:
-    * `jz`: A = J_z;
-    * `transverse`: A = J(J+1) - J_z^2;
-    * `twist`: A = J_+^2, whose mean is P.
-    W is real, so the first two are symmetric and keep only the offsets >= 0.
-    Every other entry is zero, and `squeezing.sector_moments` sums only these.
+    * `jz` maps an offset d >= 0 to `np.diag(W^T J_z W, d)`, a symmetric band.
+    * `plus` and `minus` are J_+ and J_- as real banded maps into the
+      odd-index Dicke sector, where both take the even sector: with U
+      orthonormal there, J_+ W = U `plus` and J_- W = U `minus`.  Offset d
+      holds the entries (i, i + d) from row i = max(-d, 0) on.
+    W is real, and each diagonal is cut after its last nonzero entry.  Every
+    other entry is zero, and `squeezing.sector_moments` sums only these.
     """
 
     jz: dict[int, np.ndarray]
-    transverse: dict[int, np.ndarray]
-    twist: dict[int, np.ndarray]
+    plus: dict[int, np.ndarray]
+    minus: dict[int, np.ndarray]
 
 
 def _bands(**fields: dict) -> Bands:
@@ -460,54 +467,42 @@ def _bands(**fields: dict) -> Bands:
 def dicke_bands(n_spins: int) -> Bands:
     """The `Bands` of the Dicke basis, where free twisting is diagonal.
 
-    J_z and J(J+1) - J_z^2 are diagonal there, and J_+^2 is the first
-    super-diagonal ladder[2i] ladder[2i+1] = 2 twist_band[2i].
+    J_z is diagonal there, and U is the odd Dicke rows, so J_+ and J_- are the
+    ladder pair: row 2i+1 of J_+ psi is L[2i+1] psi_(i+1) and of J_- psi
+    L[2i] psi_i, L = `ladder`.
     """
     ops = build_operators(n_spins)
-    j = ops.total_spin
-    return _bands(
-        jz={0: ops.m_values[0::2]},
-        transverse={0: j * (j + 1.0) - ops.jz_sq_diag[0::2]},
-        twist={1: 2.0 * ops.twist_band[0::2]},
-    )
+    return _bands(jz={0: ops.m_values[0::2]}, plus={1: ops.ladder[1::2]}, minus={0: ops.ladder[0::2]})
 
 
-def pair_bands(n_spins: int, axis: str) -> Bands:
-    """The `Bands` of the eigenvectors V of a pair about `axis`, from closed forms in O(N).
+def pair_bands(n_spins: int) -> Bands:
+    """The `Bands` of the pair eigenvectors V, from closed forms in O(N); pairs about x and y share them.
 
     Column m of V is the even part of the J_x eigenvectors of eigenvalue
     +/-m, and J_z acts on those as a ladder: Z = V^T J_z V is tridiagonal with
-    zero diagonal and super-diagonal sqrt(J(J+1) - m(m+1))/2 (times sqrt 2 at
-    m = 0, even N), except Z = (J + 1/2)/2 at m = 1/2, odd N, where +/-1/2
-    meet.  With D = diag(m^2) = V^T J_x^2 V, J_y^2 = J(J+1) - J_x^2 - J_z^2 and
-    J_x J_y + J_y J_x = i [J_x^2, J_z], the other two are J(J+1) - Z^2 and
-    J_+^2 = 2 D + Z^2 - J(J+1) - [D, Z], both of width 2.  A pair about x acts
-    in the gauge diag((-1)^i), which only flips the sign of J_+^2.  No matrix
-    product is made, so the bands do not depend on the BLAS thread count.
+    zero diagonal and super-diagonal z_m = sqrt(J(J+1) - m(m+1))/2 (times
+    sqrt 2 at m = 0, even N), except Z = (J + 1/2)/2 at m = 1/2, odd N, where
+    +/-1/2 meet.  With M = diag(m), U = J_x V M^-1 on the columns m != 0 is
+    orthonormal, as J_x^2 V = V M^2; it is the odd parts of the same
+    eigenvectors, so U^T J_z U has Z's super-diagonal over m >= 1/2 and -(J +
+    1/2)/2 at m = 1/2.  So U^T J_x V = M and, by J_y = -i [J_z, J_x],
+    i U^T J_y V = Y = U^T J_z U M - M Z: -z_(m-1) and z_m beside the diagonal
+    and -(J + 1/2)/2 at m = 1/2.  J_+- = J_x +- i J_y map V to U (M +- Y), both
+    tridiagonal.  A pair about x acts in the gauge diag((-1)^i), a quarter turn
+    about z that takes J_+- to -+i J_+- up to a diagonal unitary on the odd
+    sector, so it changes neither <J_z> nor the transverse covariance's
+    eigenvalues.  No matrix product is made, so the bands do not depend on
+    the BLAS thread count.
     """
-    if axis == "x":
-        bands = pair_bands(n_spins, "y")
-        return replace(bands, twist={offset: _frozen(-d) for offset, d in bands.twist.items()})
     ops = build_operators(n_spins)
-    h = even_sector_dim(n_spins)
-    jj = ops.total_spin * (ops.total_spin + 1.0)
+    h, j = even_sector_dim(n_spins), ops.total_spin
     mu = ops.m_values[:h][::-1]
-    z0 = np.zeros(h)
-    z1 = np.sqrt(jj - mu[:-1] * (mu[:-1] + 1.0)) / 2.0
-    if n_spins % 2:
-        z0[0] = (ops.total_spin + 0.5) / 2.0
-    elif h > 1:
+    z1 = np.sqrt(j * (j + 1.0) - mu[:-1] * (mu[:-1] + 1.0)) / 2.0
+    if n_spins % 2:  # U's row i is V's column i, and m = 1/2 has a diagonal entry in Y
+        meet = np.zeros(h)
+        meet[0] = (j + 0.5) / 2.0
+        return _bands(jz={0: meet, 1: z1}, plus={-1: -z1, 0: mu - meet, 1: z1}, minus={-1: z1, 0: mu + meet, 1: -z1})
+    if h > 1:
         z1[0] *= math.sqrt(2.0)
-    sq0 = z0**2  # the diagonals of Z^2 at offsets 0, 1, 2
-    sq0[:-1] += z1**2
-    sq0[1:] += z1**2
-    sq1 = z1 * (z0[:-1] + z0[1:])
-    sq2 = z1[:-1] * z1[1:]
-    comm = (2.0 * mu[:-1] + 1.0) * z1  # [Z, D] above the diagonal: (mu_(a+1)^2 - mu_a^2) Z_(a, a+1)
-    t1, t2 = -sq1, -sq2
-    return _bands(  # z0, and with it sq1, is zero past its first entry
-        jz={0: z0, 1: z1},
-        transverse={0: jj - sq0, 1: t1, 2: t2},
-        twist={-2: sq2, -1: sq1 - comm, 0: 2.0 * mu**2 + sq0 - jj, 1: sq1 + comm, 2: sq2},
-    )
-
+    # U's row i is V's column i + 1: m = 0 has no partner
+    return _bands(jz={1: z1}, plus={0: -z1, 1: mu[1:], 2: z1[1:]}, minus={0: z1, 1: mu[1:], 2: -z1[1:]})

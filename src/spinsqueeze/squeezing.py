@@ -2,13 +2,13 @@
 
 xi^2 = 2 * (minimal spin variance perpendicular to the mean spin) / J,
 normalized so a coherent state gives exactly 1.  Every production sample
-comes from a closed form: a pulse run's states from the banded moments of
-their coefficients in the basis of the step they are in (`sector_moments`,
-Dicke amplitudes or a pair's eigen-coefficients, through `sector_samples`),
-an xy-twisted state (ideal-TAT traces, the TAT scan) from the
-cancellation-free variances `twist_moments` (`twist_xi2`), both through one
-`sector_xi2`, and z^2 twisting from `oat_moments`.  A sample is xi^2 and
-the mean spin.
+comes from a closed form: an even-sector state from one kernel,
+`sector_moments`, whose smallest transverse variance is a sum of squares
+(a pulse run's states, from their coefficients in the basis of the step
+they are in), or from its real-row fast path `twist_moments` (`twist_xi2`:
+the xy-twisted states of the ideal-TAT trace and the TAT scan), both
+through `sector_xi2`; z^2 twisting from `oat_moments`.  A sample is xi^2
+and the mean spin.
 """
 
 from __future__ import annotations
@@ -57,10 +57,12 @@ class Optimum:
 def twist_moments(rows: np.ndarray, ops: SpinOperators):
     """<J_z> and lambda_pm = <J_theta^2> at theta = pi/4 and 3 pi/4 of every row r of a k x (N//2 + 1) real block.
 
-    Row r stands for the even-sector state a_i = r_i at even i and i r_i at
-    odd i, the form xy twisting keeps from |J,J> (`propagate.TwistWindow`).
-    There P = <J_+^2> is imaginary, so the transverse variance is extremal at
-    theta in {pi/4, 3 pi/4}: J_theta psi = w_pm/2 on the odd Dicke rows, with
+    `sector_moments`' Dicke case on real numbers, for the ideal-TAT trace and
+    the TAT scan.  Row r stands for the even-sector state a_i = r_i at even i
+    and i r_i at odd i, the form xy twisting keeps from |J,J>
+    (`propagate.TwistWindow`).  There P = <J_+^2> is imaginary, so the
+    transverse variance is extremal at theta in {pi/4, 3 pi/4}:
+    J_theta psi = w_pm/2 on the odd Dicke rows, with
     w_pm,i = L[2i] r_i +/- (-1)^i L[2i+1] r_(i+1) (L = `ladder`; at odd N the
     last row is L[N-1] r_(h-1) alone).  So T = lambda_+ + lambda_-, Im P =
     lambda_+ - lambda_-, and min(lambda_pm) = (T - |P|)/2 is a sum of squares,
@@ -79,56 +81,57 @@ def twist_moments(rows: np.ndarray, ops: SpinOperators):
     return np.einsum("ij,ij,j->i", rows, rows, ops.m_values[0::2]), *lam
 
 
-def sector_moments(rows: np.ndarray, bands):
-    """<J_z>, T = J(J+1) - <J_z^2> and P = <J_+^2> of every row of a k x (N//2 + 1) block of coefficients.
+def _mapped(diagonals: dict, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The banded map of `diagonals` (`propagate.Bands`: offset d from row max(-d, 0)) of every row, into zeros."""
+    for i, (offset, diagonal) in enumerate(diagonals.items()):
+        lo = max(-offset, 0)
+        target, source = out[:, lo : lo + diagonal.size], rows[:, lo + offset : lo + offset + diagonal.size]
+        if i:
+            target += diagonal * source
+        else:
+            np.multiply(diagonal, source, out=target)
+    return out
 
-    A row c stands for the even-sector state W c: Dicke amplitudes (W = 1) or
-    a pair's eigen-coefficients (W = V), e.g. the phased exp(-i chi t lambda) c
-    of a state t into a step.  Each moment is c^dagger B c with B = W^T A W
-    banded (`propagate.Bands`): B_ii |c_i|^2 on the diagonal and
-    (conj(c_i) B_(i, i+d)) c_(i+d) at offset d, up to each diagonal's last
-    nonzero entry, twice its real part for the symmetric <J_z> and T, so in
-    the Dicke basis P = sum_i (conj(a_i) ladder[2i] ladder[2i+1]) a_(i+1).
-    O(N) per row with no back-transform to the Dicke basis; each row is
-    summed as one contiguous row with no BLAS product, so its bits do not
-    depend on k.
+
+def sector_moments(rows: np.ndarray, bands) -> tuple[np.ndarray, np.ndarray]:
+    """<J_z> and lambda_min, the smaller transverse variance, of every row of a k x (N//2 + 1) block of coefficients.
+
+    A row c stands for the even-sector state psi = W c: Dicke amplitudes
+    (W = 1) or a pair's eigen-coefficients (W = V), e.g. the phased
+    exp(-i chi t lambda) c of a state t into a step.  <J_z> = c^dagger Z c
+    sums the band Z = W^T J_z W: Z_ii |c_i|^2 and twice Z_(i, i+d)
+    Re(conj(c_i) c_(i+d)).  On the even sector <J_x> = <J_y> = 0, so
+    the transverse variance along cos t x + sin t y is |J_t psi|^2, with
+    J_t psi = (e^(-it) J_+ psi + e^(it) J_- psi)/2 in the odd sector, where
+    the bands' banded maps give J_+ psi and J_- psi (`propagate.Bands`).  It
+    is smallest at e^(2it) = -P/|P|, P = <J_+^2> = (J_- psi)^dagger J_+ psi
+    (Kitagawa and Ueda, PRA 47, 5138, 1993), where lambda_min =
+    |J_+ psi - e^(i arg P) J_- psi|^2 / 4 is a sum of squares, free of the
+    cancellation in (T - |P|)/2 of two numbers of size J^2; an error in
+    arg P enters it only to second order.  O(N) per row with no
+    back-transform to the Dicke basis; each row is summed as one contiguous
+    row with no BLAS product, so its bits do not depend on k.
     """
-    rows = np.ascontiguousarray(rows)
-    conj = rows.conj()
-    weight = np.square(rows.real)
-    weight += np.square(rows.imag)
-
-    def form(diagonals, symmetric: bool) -> np.ndarray:
-        total = np.zeros(len(rows))
-        for offset, diagonal in diagonals.items():
-            near, far = slice(0, diagonal.size), slice(abs(offset), abs(offset) + diagonal.size)
-            if offset:
-                left, right = (near, far) if offset > 0 else (far, near)
-                term = (conj[:, left] * diagonal * rows[:, right]).sum(axis=-1)
-                total = total + (2.0 * term.real if symmetric else term)
-            else:
-                total = total + (diagonal * weight[:, near]).sum(axis=-1)
-        return total
-
-    return form(bands.jz, True), form(bands.transverse, True), form(bands.twist, False)
+    rows = np.ascontiguousarray(rows, dtype=complex)
+    pairs = rows.view(float)  # Re(conj(c_i) c_(i+d)) sums the real and the imaginary parts' products
+    jz = np.zeros(len(rows))
+    for offset, diagonal in bands.jz.items():
+        near, far = pairs[:, : 2 * diagonal.size], pairs[:, 2 * offset : 2 * (offset + diagonal.size)]
+        jz += (2.0 if offset else 1.0) * np.einsum("ij,ij,j->i", near, far, np.repeat(diagonal, 2))
+    size = max(max(-offset, 0) + d.size for diagonals in (bands.plus, bands.minus) for offset, d in diagonals.items())
+    up, down = np.zeros((2, len(rows), size), dtype=complex)  # one buffer, changed in place from here on
+    np.conjugate(_mapped(bands.minus, rows, down), out=down)
+    _mapped(bands.plus, rows, up)
+    down *= np.exp(-1j * np.angle(np.einsum("ij,ij->i", down, up)))[:, None]  # P = <J_+^2> = down . up
+    up -= np.conjugate(down, out=down)  # J_+ psi - e^(i arg P) J_- psi
+    parts = up.view(float)
+    return jz, np.einsum("ij,ij->i", parts, parts) / 4.0
 
 
 def sector_xi2(jz, lam_min, j: float) -> np.ndarray:
     """xi^2 = 2 lambda_min / J of even-sector moments, clipped at 0, +inf where |<J_z>| <= MEAN_SPIN_EPS_FACTOR J."""
     xi2 = 2.0 * np.maximum(lam_min, 0.0) / j
     return np.where(np.abs(jz) <= MEAN_SPIN_EPS_FACTOR * j, np.inf, xi2)
-
-
-def sector_samples(jz, transverse, p, j: float) -> tuple[np.ndarray, np.ndarray]:
-    """xi^2 and mean spins (0, 0, <J_z>) (k x 3) of `sector_moments` output.
-
-    On the even-index sector <J_x> = <J_y> = 0 exactly and the transverse
-    covariance is <J_x^2> = (T + Re P)/2, <J_y^2> = (T - Re P)/2,
-    Cov(J_x, J_y) = Im P/2 (Kitagawa and Ueda, PRA 47, 5138, 1993), so its
-    smaller eigenvalue is lambda_min = (T - |P|)/2.
-    """
-    mean = np.column_stack([np.zeros((jz.size, 2)), jz])
-    return sector_xi2(jz, (transverse - np.abs(p)) / 2.0, j), mean
 
 
 def twist_xi2(rows: np.ndarray, ops: SpinOperators) -> tuple[np.ndarray, np.ndarray]:

@@ -662,9 +662,9 @@ def test_vanishing_mean_spin_is_reported_before_a_later_norm_drift(monkeypatch, 
     real = experiments.sector_moments
 
     def no_mean_spin(rows, bands):
-        jz, transverse, p = real(rows, bands)
+        jz, lam_min = real(rows, bands)
         dicke = 1 not in bands.jz  # J_z is diagonal in the Dicke basis only
-        return (np.zeros_like(jz) if dicke == (basis == "dicke") else jz), transverse, p
+        return (np.zeros_like(jz) if dicke == (basis == "dicke") else jz), lam_min
 
     monkeypatch.setattr(experiments, "sector_moments", no_mean_spin)
     spec = ExperimentSpec("schemeA", 40, 5, 0.5, sampling="fine", subsamples=3)

@@ -314,38 +314,41 @@ def test_pair_vectors_are_dense_eigh_up_to_sign(n):
 @pytest.mark.parametrize("axis", ["x", "y", pytest.param("", id="dicke")])
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 40, 41])
 def test_pair_bands_are_the_moment_operators_in_the_pair_basis(n, axis):
-    """The diagonals are those of dense W^T A W, W the (gauged, for x) pair eigenvectors or,
-    for the Dicke bands of free twisting, the identity, for A = J_z, J(J+1) - J_z^2 and J_+^2 of
-    the dense oracle operators on the even rows (the symmetric first two stored as their upper
-    half); every entry off the listed diagonals is ~0."""
+    """`jz` holds the upper diagonals of dense W^T J_z W, W the pair eigenvectors or, for the Dicke
+    bands of free twisting, the identity, and every entry off them is ~0.  The maps `plus` and
+    `minus` are J_+ W and J_- W up to a unitary U on the odd rows: the Gram matrices of
+    [J_+ W, J_- W] and [plus, minus] agree.  A pair about x, W the gauged V, takes the y pair's
+    bands: a quarter turn about z takes J_+- to -+i J_+-, so its [J_+ W, J_- W] has the Gram matrix
+    of [plus, -minus]."""
     ops = build_operators(n)
     h = n // 2 + 1
     j = ops.total_spin
-    even = np.ix_(np.arange(0, n + 1, 2), np.arange(0, n + 1, 2))
-    jz = dense_jz(ops)
-    jplus = dense_jx(ops) + 1j * dense_jy(ops)
+    even, odd = np.arange(0, n + 1, 2), np.arange(1, n + 1, 2)
     if axis:
         gauge = (-1.0) ** np.arange(h) if axis == "x" else np.ones(h)
-        w, bands = gauge[:, None] * expanded_pair_vectors(n), pair_bands(n, axis)
+        w, bands = gauge[:, None] * expanded_pair_vectors(n), pair_bands(n)
     else:
         w, bands = np.eye(h), dicke_bands(n)
-    for operator, diagonals, symmetric in (
-        (jz[even], bands.jz, True),
-        ((j * (j + 1) * np.eye(n + 1) - jz @ jz)[even], bands.transverse, True),
-        ((jplus @ jplus)[even], bands.twist, False),
-    ):
-        dense = w.T @ operator @ w
-        banded = np.zeros_like(dense)
+
+    def dense(diagonals, rows: int, symmetric: bool = False) -> np.ndarray:
+        out = np.zeros((rows, h))
         for offset, diagonal in diagonals.items():
-            assert 0 < diagonal.size <= h - abs(offset) and diagonal[-1] != 0.0
-            assert not diagonal.flags.writeable
-            full = np.zeros(h - abs(offset))
-            full[: diagonal.size] = diagonal
-            for mirror in {offset, -offset} if symmetric else {offset}:
-                assert not symmetric or offset >= 0  # a symmetric band keeps its upper half
-                np.testing.assert_allclose(full, np.diag(dense, mirror), rtol=0, atol=1e-12 * j**2)
-                banded += np.diag(full, mirror)
-        assert np.abs(dense - banded).max() <= 1e-12 * j**2
+            lo = max(-offset, 0)
+            assert 0 < diagonal.size and lo + diagonal.size <= rows and lo + offset + diagonal.size <= h
+            assert diagonal[-1] != 0.0 and not diagonal.flags.writeable
+            assert not symmetric or offset >= 0  # a symmetric band keeps its upper half
+            at = np.arange(lo, lo + diagonal.size)
+            out[at, at + offset] = diagonal
+            if symmetric:
+                out[at + offset, at] = diagonal
+        return out
+
+    jz = w.T @ dense_jz(ops)[np.ix_(even, even)] @ w
+    assert np.abs(jz - dense(bands.jz, h, symmetric=True)).max() <= 1e-12 * j**2
+    jx, jy = (op(ops)[np.ix_(odd, even)] @ w for op in (dense_jx, dense_jy))
+    spin = np.hstack([jx + 1j * jy, jx - 1j * jy])
+    maps = np.hstack([dense(bands.plus, odd.size), (-1.0 if axis == "x" else 1.0) * dense(bands.minus, odd.size)])
+    assert np.abs(spin.conj().T @ spin - maps.conj().T @ maps).max() <= 1e-12 * j**2
 
 
 @pytest.fixture

@@ -1,10 +1,14 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinsqueeze.experiments import _samples, _tat_scan, _tat_states, tat_optimum
-from spinsqueeze.propagate import dicke_bands, pair_bands, pair_coefficients
+from spinsqueeze.experiments import (ExperimentSpec, _samples, _tat_scan, _tat_states, default_t_total, tat_optimum,
+                                     validate_spec)
+from spinsqueeze.propagate import dicke_bands, pair_amplitudes, pair_bands, pair_coefficients, step_phases
+from spinsqueeze.schedules import strength_divisor
 from spinsqueeze.spin_ops import build_operators
 from spinsqueeze.squeezing import (
     MeanSpinVanishing,
@@ -13,13 +17,20 @@ from spinsqueeze.squeezing import (
     find_optimum,
     oat_moments,
     sector_moments,
-    sector_samples,
+    sector_xi2,
     twist_moments,
     twist_xi2,
 )
 
 from oracles import (coherent_state_z, dense_jx, dense_jy, dense_jz, even_sector_state, evolve_twist, full_window,
                      pair_evolve, pair_twist, random_state, rotated, squeezing_parameter, transverse_basis)
+
+
+def kernel_samples(rows, bands, j):
+    """xi^2 and the mean spins (0, 0, <J_z>) of a block of rows, as a pulse trace's tail makes them from
+    `sector_moments`."""
+    jz, lam_min = sector_moments(rows, bands)
+    return sector_xi2(jz, lam_min, j), np.column_stack([np.zeros((jz.size, 2)), jz])
 
 
 def brute_force_xi2(state, ops, n_angles=3000):
@@ -184,8 +195,7 @@ def test_even_sector_kernel_matches_squeezing_parameter(n):
     and MeanSpinVanishing exactly where that raises."""
     ops = build_operators(n)
     amps = _even_sector_columns(n)
-    xi2, mean = sector_samples(*sector_moments(amps.T, dicke_bands(ops.n_spins)), ops.total_spin)
-    assert np.all(mean[:, :2] == 0.0)
+    xi2, mean = kernel_samples(amps.T, dicke_bands(ops.n_spins), ops.total_spin)
     vanished = []
     for i, col in enumerate(amps.T):
         try:
@@ -233,7 +243,7 @@ def test_twist_kernel_matches_squeezing_parameter(n):
     xi2, jz = twist_xi2(rows, ops)
     np.testing.assert_array_equal(twist_moments(rows, ops)[0], jz)
     np.testing.assert_array_equal(twist_xi2(np.asfortranarray(rows), ops), (xi2, jz))
-    _, amp_mean = sector_samples(*sector_moments(amps.T, dicke_bands(ops.n_spins)), ops.total_spin)
+    _, amp_mean = kernel_samples(amps.T, dicke_bands(ops.n_spins), ops.total_spin)
     assert np.abs(jz - amp_mean[:, 2]).max() <= 1e-13 * ops.total_spin
     assert np.all(amp_mean[:, :2] == 0.0)
     vanished = []
@@ -295,6 +305,111 @@ def test_twist_kernel_is_smooth_at_the_optimum():
     assert np.abs(xi2 - fit).max() <= 1e-12 * xi2.min()
 
 
+@lru_cache(maxsize=1)
+def _scheme_a_steps(n):
+    """(start time, step, the state's coefficients in the step's basis at its start) of every step of a
+    50-cycle schemeA run at default t_total, by the main line that `run_trace` runs; a period's first
+    step is free twisting, so its coefficients are the Dicke amplitudes at the previous period end."""
+    spec = ExperimentSpec("schemeA", n, 50, default_t_total("schemeA", n))
+    psi = np.zeros(n // 2 + 1, dtype=complex)
+    psi[0] = 1.0
+    t, steps = 0.0, []
+    for _ in range(spec.n_cycles):
+        for step in validate_spec(spec).steps:
+            coeffs = pair_coefficients(n, step.axis, psi) if step.axis else psi
+            steps.append((t, step, coeffs))
+            end = step_phases(n, step.axis, spec.chi, [step.duration])[0]
+            psi = pair_amplitudes(n, step.axis, end * coeffs) if step.axis else coeffs * end
+            t += step.duration
+    return steps
+
+
+def _scheme_a_optimum_period(n):
+    """The steps of the schemeA run's period that contains d t_opt, the TAT optimum on its time axis."""
+    steps = _scheme_a_steps(n)  # three a period: free, y pair, free
+    t_opt = strength_divisor("schemeA") * tat_optimum(n).t_opt
+    first = [i for i in range(0, len(steps), 3) if steps[i][0] <= t_opt][-1]
+    return steps[first : first + 3]
+
+
+def _exact_dicke_lambda(mp, n, amps):
+    """lambda_min = (T - |P|)/2 of Dicke amplitudes in mpmath, T = J(J+1) - <J_z^2> and P = <J_+^2> from the
+    exact ladder sqrt((k+1)(N-k))."""
+    j = mp.mpf(n) / 2
+    re, im = [mp.mpf(float(x)) for x in amps.real], [mp.mpf(float(x)) for x in amps.imag]
+    ladder = [mp.sqrt((k + 1) * (n - k)) for k in range(n)]
+    transverse = mp.fsum((j * (j + 1) - (j - 2 * i) ** 2) * (re[i] ** 2 + im[i] ** 2) for i in range(len(re)))
+    coupling = [ladder[2 * i] * ladder[2 * i + 1] for i in range(len(re) - 1)]
+    p_re = mp.fsum(c * (re[i] * re[i + 1] + im[i] * im[i + 1]) for i, c in enumerate(coupling))
+    p_im = mp.fsum(c * (re[i] * im[i + 1] - im[i] * re[i + 1]) for i, c in enumerate(coupling))
+    return (transverse - mp.sqrt(p_re**2 + p_im**2)) / 2
+
+
+def _exact_pair_lambda(mp, n, coeffs):
+    """lambda_min of pair eigen-coefficients c in mpmath, with no float band data: <J_x^2> = sum m^2 |c_m|^2,
+    <J_z^2> = |Z c|^2 and <J_x J_y + J_y J_x> = i <[J_x^2, J_z]> from the exact ladder of Z = V^T J_z V
+    (`propagate.pair_bands`), <J_y^2> = J(J+1) |c|^2 - <J_x^2> - <J_z^2>, then (T - |P|)/2."""
+    j = mp.mpf(n) / 2
+    c = [mp.mpc(complex(x)) for x in coeffs]
+    m = [mp.mpf(n % 2) / 2 + k for k in range(len(c))]
+    z = [mp.sqrt(j * (j + 1) - mk * (mk + 1)) / 2 for mk in m[:-1]]
+    if n % 2 == 0 and z:
+        z[0] *= mp.sqrt(2)
+    zc = [mp.mpc(0)] * len(c)
+    for k, zk in enumerate(z):
+        zc[k] += zk * c[k + 1]
+        zc[k + 1] += zk * c[k]
+    if n % 2:
+        zc[0] += (j + mp.mpf(1) / 2) / 2 * c[0]
+    jx2 = mp.fsum(mk**2 * abs(ck) ** 2 for mk, ck in zip(m, c))
+    jz2 = mp.fsum(abs(x) ** 2 for x in zc)
+    jy2 = j * (j + 1) * mp.fsum(abs(ck) ** 2 for ck in c) - jx2 - jz2  # J^2 of a state not normalized to the bit
+    anti = 2 * mp.fsum((2 * m[k] + 1) * zk * (mp.conj(c[k]) * c[k + 1]).imag for k, zk in enumerate(z))
+    return (jx2 + jy2 - abs(mp.mpc(jx2 - jy2, anti))) / 2
+
+
+@pytest.mark.parametrize("n", [40, 41, 2000, 2001, 10**4])
+def test_pulse_samples_match_40_digit_arithmetic(n):
+    """The kernel's xi^2 of a 50-cycle schemeA run's samples, against the same double coefficients in
+    40-digit arithmetic, within 1e-12 relative: in the Dicke basis at the period end before d t_opt and
+    at the run's last period start, in the pair basis at 1/3 and 2/3 of the y pair of that period."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    j = n / 2
+    (_, free, psi), (_, pair, coeffs), _ = _scheme_a_optimum_period(n)
+    assert not free.axis and pair.axis == "y"
+    dicke = np.array([psi, _scheme_a_steps(n)[-3][2]])
+    inside = step_phases(n, "y", 1.0, [pair.duration / 3, 2 * pair.duration / 3]) * coeffs
+    cases = ((dicke, dicke_bands(n), _exact_dicke_lambda), (inside, pair_bands(n), _exact_pair_lambda))
+    for rows, bands, exact in cases:
+        xi2 = sector_xi2(*sector_moments(rows, bands), j)
+        for row, got in zip(rows, xi2):
+            want = 2 * exact(mp, n, row) / (mp.mpf(n) / 2)
+            assert abs(mp.mpf(float(got)) - want) <= 1e-12 * want, (n, got, want)
+
+
+@pytest.mark.parametrize("basis", ["free", "pair"])
+def test_pulse_samples_are_smooth_inside_a_step(basis):
+    """At N = 10^4, the xi^2 of 41 samples evenly over +/-2e-4 d t_opt about the middle of a step of the
+    period that contains d t_opt (schemeA, 50 cycles, default t_total; d = 3 the strength divisor and
+    t_opt the TAT optimum, so d t_opt is the optimum on the run's time axis) is a smooth curve to 1e-12
+    relative: the kernel has no roundoff noise above that.  The samples are a fine run's interior
+    samples of that step: its coefficients times `step_phases`.  Inside the pair xi^2 moves fast (by
+    more than a factor 2.5 over this window), so a quadratic misses it by 7.7e-5 there; a degree-6
+    polynomial in u = (t - middle) / (2e-4 d t_opt) fits it (to 5.3e-14 inside the pair, against
+    1.2e-9 with (T - |P|)/2)."""
+    n = 10**4
+    _, pair, free = _scheme_a_optimum_period(n)
+    _, step, coeffs = pair if basis == "pair" else free
+    u = np.linspace(-1.0, 1.0, 41)
+    ts = step.duration / 2 + u * 2e-4 * strength_divisor("schemeA") * tat_optimum(n).t_opt
+    assert 0.0 < ts[0] and ts[-1] < step.duration
+    bands = pair_bands(n) if step.axis else dicke_bands(n)
+    xi2 = sector_xi2(*sector_moments(step_phases(n, step.axis, 1.0, ts) * coeffs, bands), n / 2)
+    fit = np.polyval(np.polyfit(u, xi2, 6), u)
+    assert np.abs(xi2 - fit).max() <= 1e-12 * xi2.min()
+
+
 def _pair_columns(n):
     """A TAT-evolved and a random even-sector state: the starts of the pairs below."""
     h = n // 2 + 1
@@ -315,9 +430,9 @@ def test_pair_band_moments_match_the_amplitude_path(n, axis):
     ts = np.array([0.0, 0.3, 2.0, 7.0, 20.0]) / n
     for psi in _pair_columns(n):
         coeffs = pair_coefficients(n, axis, psi)
-        got = sector_samples(*sector_moments(pair_twist(n, coeffs, 1.3, ts), pair_bands(n, axis)), j)
+        got = kernel_samples(pair_twist(n, coeffs, 1.3, ts), pair_bands(n), j)
         amps = np.column_stack([pair_evolve(n, axis, coeffs, 1.3, t) for t in ts])
-        want = sector_samples(*sector_moments(amps.T, dicke_bands(ops.n_spins)), ops.total_spin)
+        want = kernel_samples(amps.T, dicke_bands(ops.n_spins), ops.total_spin)
         assert np.all(np.isfinite(want[0]))
         np.testing.assert_allclose(got[0], want[0], rtol=1e-9, atol=0.0)
         assert np.abs(got[1] - want[1]).max() <= 1e-9 * j
@@ -326,17 +441,19 @@ def test_pair_band_moments_match_the_amplitude_path(n, axis):
 @pytest.mark.parametrize("axis", ["x", "y"])
 @pytest.mark.parametrize("n", [40, 41])
 def test_pair_band_moments_of_a_row_do_not_depend_on_the_block(n, axis):
-    """Each row of a k-row block gets the bits of a one-row call, from `pair_twist` on."""
+    """Each row of a k-row block gets the bits of a one-row call, from `pair_twist` on, in the pair
+    basis and, on the same states' Dicke amplitudes and on twisted states, in the Dicke basis."""
     coeffs = pair_coefficients(n, axis, _pair_columns(n)[0])
     ts = np.linspace(0.0, 9.0 / n, 7)
-    bands = pair_bands(n, axis)
     block = pair_twist(n, coeffs, 1.0, ts)
-    moments = sector_moments(block, bands)
     for i, t in enumerate(ts):
-        row = pair_twist(n, coeffs, 1.0, [t])
-        np.testing.assert_array_equal(row[0], block[i])
-        for whole, single in zip(moments, sector_moments(row, bands)):
-            assert whole[i].tobytes() == single[0].tobytes()
+        np.testing.assert_array_equal(pair_twist(n, coeffs, 1.0, [t])[0], block[i])
+    amps = np.array([pair_evolve(n, axis, coeffs, 1.0, t) for t in ts])
+    for rows, bands in ((block, pair_bands(n)), (amps, dicke_bands(n)), (_twist_rows(n)[1].T, dicke_bands(n))):
+        moments = sector_moments(rows, bands)
+        for i, row in enumerate(rows):
+            for whole, single in zip(moments, sector_moments(row[None], bands)):
+                assert whole[i].tobytes() == single[0].tobytes()
 
 
 @pytest.mark.parametrize("axis", ["x", "y"])
@@ -351,9 +468,9 @@ def test_vanishing_mean_spin_inside_a_pair_names_the_same_sample_on_both_paths(n
     rows.append(pair_coefficients(n, axis, balanced))
     block = np.array(rows)
     stamps = [(0.1 * i, 7 + i) for i in range(len(rows))]
-    banded = sector_samples(*sector_moments(block, pair_bands(n, axis)), ops.total_spin)
+    banded = kernel_samples(block, pair_bands(n), ops.total_spin)
     amps = np.column_stack([pair_evolve(n, axis, row, 1.0, 0.0) for row in block])
-    for measured in (banded, sector_samples(*sector_moments(amps.T, dicke_bands(ops.n_spins)), ops.total_spin)):
+    for measured in (banded, kernel_samples(amps.T, dicke_bands(ops.n_spins), ops.total_spin)):
         np.testing.assert_array_equal(np.isinf(measured[0]), [False, True, False, True])
         with pytest.raises(MeanSpinVanishing, match="^sample 8 at"):
             _samples(stamps, *measured, ops.total_spin)
@@ -376,7 +493,7 @@ def test_even_sector_kernel_is_as_accurate_as_the_state_path(n):
     p_re = 2 * (band * (re[:-1] * re[1:] + im[:-1] * im[1:])).sum(axis=0)
     p_im = 2 * (band * (re[:-1] * im[1:] - im[:-1] * re[1:])).sum(axis=0)
     exact = (transverse - np.sqrt(p_re**2 + p_im**2)) / j
-    measured = sector_samples(*sector_moments(amps.T, dicke_bands(n)), ops.total_spin)[0]
+    measured = kernel_samples(amps.T, dicke_bands(n), ops.total_spin)[0]
     kernel = np.abs(measured - exact) / exact
     state = [squeezing_parameter(even_sector_state(n, col), ops).xi2 for col in amps.T]
     state_path = np.abs(np.array(state, dtype=np.longdouble) - exact) / exact
