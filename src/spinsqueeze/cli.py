@@ -26,7 +26,7 @@ from .experiments import (
     tat_optimum,
     time_cost,
 )
-from .schedules import compile_scheme, delta_t_for, schedule_to_text, strength_divisor
+from .schedules import SCHEME_ORDERS, compile_scheme, delta_t_for, schedule_to_text, strength_divisor
 from .squeezing import SqueezingTrace
 
 
@@ -90,6 +90,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     spec_seq, out = _run(args)
+    if spec_seq.scheme not in (*SCHEME_ORDERS, "ideal-TAT"):
+        raise ValueError(f"compare needs a pulse scheme or ideal-TAT, got {spec_seq.scheme!r}")
     if out is None:
         raise ValueError("compare writes seq.csv/eff.csv/err.csv and needs --out DIR")
     spec_eff = effective_counterpart(spec_seq)
@@ -131,6 +133,8 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
     spec, out = _run(args)
+    if spec.scheme not in SCHEME_ORDERS:
+        raise ValueError(f"schedule needs a pulse scheme, one of {tuple(SCHEME_ORDERS)}, got {spec.scheme!r}")
     delta_t = delta_t_for(spec.scheme, spec.t_total, spec.n_cycles, spec.order)
     schedule = compile_scheme(spec.scheme, delta_t, spec.n_cycles, spec.order)
     _emit(out, schedule_to_text(schedule))

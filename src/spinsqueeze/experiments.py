@@ -32,9 +32,10 @@ share one loop (`_tat_scan`) that builds and measures them
 SCAN_CHUNK_COLUMNS times at a time in one state buffer.  Ideal z^2
 twisting (the ideal-OAT trace, `oat_optimum`) evolves no state: it is the
 closed form `squeezing.oat_moments`.  Both optima zoom in on their minimum
-in four batched calls of one xi^2 kernel (`_scan_minimize`).  Each run
-parameter's rule is stated once, in `check_field`; `validate_spec`
-applies it to every spec.
+in four batched calls of one xi^2 kernel (`_scan_minimize`).  The pulse
+schemes are `schedules.SCHEME_ORDERS`.  Each run parameter's rule is stated
+once, in `check_field`; `validate_spec` applies it to every spec and refuses
+an order the scheme would not read.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .propagate import (
     step_phases,
     twist_window,
 )
-from .schedules import Schedule, Step, compile_scheme, delta_t_for, strength_divisor
+from .schedules import MAX_ORDER, SCHEME_ORDERS, Schedule, Step, compile_scheme, delta_t_for, strength_divisor
 from .spin_ops import NumericalConsistencyError, build_operators, even_sector_dim, memory_limit_bytes
 from .squeezing import (
     MEAN_SPIN_EPS_FACTOR,
@@ -70,7 +71,6 @@ from .squeezing import (
     twist_xi2,
 )
 
-PULSE_SCHEMES = ("liu1", "schemeA", "schemeB", "general")
 IDEAL_SCHEMES = ("ideal-TAT", "ideal-OAT")
 
 # Claims about the pulse schemes concern the window before the squeezing
@@ -101,7 +101,7 @@ class ExperimentSpec:
     chi: float = 1.0
     sampling: str = "stroboscopic"  # "stroboscopic" | "fine"
     subsamples: int = 0  # interior samples per period: k for fine(k), 0 stroboscopically
-    order: int = 2  # Trotter-Suzuki order for scheme "general"
+    order: int = 2  # product-formula order: any even one for "general", 2 or its own for a named scheme, else 2
     divisor: float = 1.0  # strength divisor for ideal-TAT references; other schemes take 1.0
 
 
@@ -111,11 +111,11 @@ def check_field(key: str, value):
     The one statement of each rule, for library specs, documents and CLI flags alike.
     """
     if key == "scheme":
-        ok, rule = value in PULSE_SCHEMES + IDEAL_SCHEMES, f"be one of {PULSE_SCHEMES + IDEAL_SCHEMES}"
+        ok, rule = value in (*SCHEME_ORDERS, *IDEAL_SCHEMES), f"be one of {(*SCHEME_ORDERS, *IDEAL_SCHEMES)}"
     elif key in ("n_spins", "n_cycles"):
         ok, rule = value >= 1, "be >= 1"
     elif key == "order":
-        ok, rule = value >= 2 and value % 2 == 0, "be an even integer >= 2"
+        ok, rule = 2 <= value <= MAX_ORDER and value % 2 == 0, f"be an even integer from 2 to {MAX_ORDER}"
     else:  # chi, t_total, divisor
         ok, rule = value > 0 and math.isfinite(value), "be finite and positive"
     if not ok:
@@ -135,10 +135,12 @@ def validate_spec(spec: ExperimentSpec) -> Schedule | None:
         raise ValueError(f"stroboscopic sampling takes subsamples = 0, got {spec.subsamples!r}")
     if spec.divisor != 1.0 and spec.scheme != "ideal-TAT":  # it scales ideal-TAT references only
         raise ValueError(f"field 'divisor' must be 1.0 for scheme {spec.scheme!r}, got {spec.divisor!r}")
+    if spec.order != 2 and spec.scheme in IDEAL_SCHEMES:  # ideal twisting runs no product formula
+        raise ValueError(f"field 'order' must be 2 for scheme {spec.scheme!r}, got {spec.order!r}")
     samples = spec.n_cycles * (spec.subsamples + 1) + 1
     tables = 0  # a pulse trace's phase rows, complex of h = N//2 + 1, and its pair eigenvectors' half-size store
     period = None
-    if spec.scheme in PULSE_SCHEMES:
+    if spec.scheme in SCHEME_ORDERS:
         h = even_sector_dim(spec.n_spins)
         delta_t = delta_t_for(spec.scheme, spec.t_total, spec.n_cycles, spec.order)
         period = compile_scheme(spec.scheme, delta_t, 1, spec.order)
@@ -158,9 +160,9 @@ def _phase_key(step: Step) -> tuple[bool, float]:
 
 
 def effective_counterpart(spec: ExperimentSpec) -> ExperimentSpec:
-    """Ideal twisting reference sharing the sequence run's time axis."""
+    """Ideal twisting reference sharing the sequence run's time axis; ideal twisting reads no order."""
     d = 1.0 if spec.scheme == "ideal-TAT" else strength_divisor(spec.scheme, spec.order)
-    return replace(spec, scheme="ideal-TAT", divisor=d)
+    return replace(spec, scheme="ideal-TAT", divisor=d, order=2)
 
 
 def _sample_times(spec: ExperimentSpec) -> list[float]:
@@ -300,9 +302,8 @@ def run_trace(spec: ExperimentSpec) -> SqueezingTrace:
 
 def _run_trace(spec: ExperimentSpec, period: Schedule | None) -> SqueezingTrace:
     """The trace of a validated `spec`, on the period `validate_spec` compiled for it."""
-    samples = _pulse_samples(spec, period) if spec.scheme in PULSE_SCHEMES else _ideal_samples(spec)
-    sampling = "stroboscopic" if spec.sampling == "stroboscopic" else f"fine({spec.subsamples})"
-    return SqueezingTrace(tuple(samples), spec.scheme, spec.n_spins, spec.n_cycles, sampling)
+    samples = _pulse_samples(spec, period) if spec.scheme in SCHEME_ORDERS else _ideal_samples(spec)
+    return SqueezingTrace(tuple(samples), spec.scheme, spec.n_spins, spec.n_cycles)
 
 
 def strobe_indices(trace: SqueezingTrace) -> np.ndarray:
@@ -502,6 +503,8 @@ def scaling_fit(scheme: str, n_list, chi: float = 1.0, order: int = 2) -> FitRes
     n_list = [int(n) for n in n_list]
     if len(set(n_list)) < 3:
         raise ValueError("scaling fit needs at least 3 distinct spin numbers")
+    if order != 2 and scheme in IDEAL_SCHEMES:  # as validate_spec: the optima read no order
+        raise ValueError(f"field 'order' must be 2 for scheme {scheme!r}, got {order!r}")
     minima = []
     for n in n_list:
         if scheme == "ideal-TAT":

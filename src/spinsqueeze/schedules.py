@@ -5,20 +5,19 @@ times.  A step is free z^2 twisting or a pulse pair: a +pi/2 pulse about x
 or y, free twisting, then the inverse pulse (Liu et al., PRL 107, 013601,
 2011), the unit the even-sector engine runs.  The flat list of free segments
 and instantaneous pulses (`Schedule.segments`), the period length `t_c` and
-the pulse count are read off the steps.  Every period but liu1's comes from
-one ordered coefficient list, `ts_coefficients(order)`:
+the pulse count are read off the steps.  `SCHEME_ORDERS` is the one table of
+pulse schemes; every period is the product formula of its scheme's order,
+compiled by `compile_scheme` from one ordered coefficient list:
 
-* order 1 ("liu1"): one twist block, pulses at delta_t and 3*delta_t, the
-  one hand-written period;
+* "liu1": order 1, one first-order block, pulses at delta_t and 3*delta_t;
 * "schemeA": order 2, the symmetrized block, pulses at delta_t/2 and 5*delta_t/2;
 * "schemeB": order 4, the triple-jump pattern (s, 1 - 2s, s) merged into 4
   free steps and 3 pulse pairs;
 * "general": any even order by recursive triplet expansion.
 
 Negative coefficients are realized by swapping the twisting axis instead of
-reversing time.  `strength_divisor` is the period length over delta_t,
-3 * sum |c_i| (3 for liu1), and the divisor of chi in the effective
-Hamiltonian; it is defined here only.
+reversing time.  `strength_divisor`, 3 * sum |c_i|, is the period length over
+delta_t and the divisor of chi in the effective Hamiltonian, defined here only.
 
 The axis swap maps H = Jx^2 - Jy^2 to -H but leaves the third-order term
 [H, [H, Jz^2]] of each block unchanged, so the triple-jump cancellation fails
@@ -29,11 +28,11 @@ whatever its coefficient pattern's order: (delta_t^3 / 12) * sum |c_i|^3 *
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 MAX_ORDER = 20
-# Product-formula order of the named schemes; "general" takes its order as given.
-SCHEME_ORDERS = {"schemeA": 2, "schemeB": 4}
+# The pulse schemes, each with its product-formula order; "general" takes its order as given.
+SCHEME_ORDERS = {"liu1": 1, "schemeA": 2, "schemeB": 4, "general": None}
 
 
 @dataclass(frozen=True)
@@ -121,15 +120,8 @@ def ts_coefficients(order: int) -> tuple[float, ...]:
     return tuple(leaves)
 
 
-def _validate_args(delta_t: float, n_cycles: int) -> None:
-    if not delta_t > 0:
-        raise ValueError(f"delta_t must be positive, got {delta_t}")
-    if not isinstance(n_cycles, (int,)) or isinstance(n_cycles, bool) or n_cycles < 1:
-        raise ValueError(f"n_cycles must be a positive integer, got {n_cycles!r}")
-
-
-def _block(coefficient: float, delta_t: float) -> list[Step]:
-    """Second-order block for one signed coefficient.
+def _block(coefficient: float, delta_t: float, order: int) -> list[Step]:
+    """The block of one signed coefficient: free twisting then the pair at order 1, else split around it.
 
     Positive coefficients twist about x (a y pulse pair around the long step);
     negative ones twist about y (an x pair), which realizes the sign flip
@@ -137,6 +129,8 @@ def _block(coefficient: float, delta_t: float) -> list[Step]:
     """
     c = abs(coefficient)
     axis = "y" if coefficient > 0 else "x"
+    if order == 1:
+        return [Step(c * delta_t), Step(2.0 * c * delta_t, axis)]
     return [Step(c * delta_t / 2.0), Step(2.0 * c * delta_t, axis), Step(c * delta_t / 2.0)]
 
 
@@ -151,43 +145,41 @@ def _normalize(steps: list[Step]) -> list[Step]:
     return out
 
 
-def compile_order1(delta_t: float, n_cycles: int) -> Schedule:
-    """First-order split: one twist block per period, pulses at delta_t and 3*delta_t."""
-    _validate_args(delta_t, n_cycles)
-    return Schedule("liu1", 1, (Step(delta_t), Step(2.0 * delta_t, "y")), delta_t, n_cycles)
+def _formula(scheme: str, order: int) -> tuple[int, tuple[float, ...]]:
+    """The order pulse `scheme` runs at when asked for `order`, and its signed block coefficients.
 
-
-def compile_general(order: int, delta_t: float, n_cycles: int) -> Schedule:
-    """Compile any even order by recursive triplet expansion of second-order blocks."""
-    _validate_args(delta_t, n_cycles)
-    steps = [step for leaf in ts_coefficients(order) for step in _block(leaf, delta_t)]
-    return Schedule("general", order, tuple(_normalize(steps)), delta_t, n_cycles)
-
-
-def _scheme_order(scheme: str, order: int) -> int:
-    if scheme == "general":
-        return order
+    The one lookup of compiler and divisor.  A named scheme takes 2 (the
+    default) or its own order, and refuses any other, which it would ignore;
+    "general" takes the even orders `ts_coefficients` expands.  Order 1 has
+    one block of coefficient 1, as order 2 has.
+    """
     if scheme not in SCHEME_ORDERS:
         raise ValueError(f"unknown pulse scheme {scheme!r}")
-    return SCHEME_ORDERS[scheme]
+    own = SCHEME_ORDERS[scheme]
+    if own is None:
+        return order, ts_coefficients(order)
+    if order not in (2, own):
+        raise ValueError(f"field 'order' must be one of {sorted({2, own})} for scheme {scheme!r}, got {order!r}")
+    return own, ts_coefficients(max(own, 2))
 
 
 def compile_scheme(scheme: str, delta_t: float, n_cycles: int, order: int = 2) -> Schedule:
-    """One period of a pulse scheme; `order` is read for "general" only."""
-    if scheme == "liu1":
-        return compile_order1(delta_t, n_cycles)
-    return replace(compile_general(_scheme_order(scheme, order), delta_t, n_cycles), scheme=scheme)
+    """One period of a pulse scheme: the blocks of its coefficients, adjacent free steps merged."""
+    if not delta_t > 0:
+        raise ValueError(f"delta_t must be positive, got {delta_t}")
+    if not isinstance(n_cycles, int) or isinstance(n_cycles, bool) or n_cycles < 1:
+        raise ValueError(f"n_cycles must be a positive integer, got {n_cycles!r}")
+    order, coefficients = _formula(scheme, order)
+    steps = [step for c in coefficients for step in _block(c, delta_t, order)]
+    return Schedule(scheme, order, tuple(_normalize(steps)), delta_t, n_cycles)
 
 
 def strength_divisor(scheme: str, order: int = 2) -> float:
     """Period length over delta_t, also the divisor d of chi in the effective chi/d (Jx^2 - Jy^2).
 
-    A second-order block of coefficient c lasts 3 |c| delta_t, so d = 3 sum |c_i|;
-    liu1's single first-order block lasts 3 delta_t.
+    A block of coefficient c lasts 3 |c| delta_t at either order, so d = 3 sum |c_i|.
     """
-    if scheme == "liu1":
-        return 3.0
-    return 3.0 * sum(abs(c) for c in ts_coefficients(_scheme_order(scheme, order)))
+    return 3.0 * sum(abs(c) for c in _formula(scheme, order)[1])
 
 
 def delta_t_for(scheme: str, t_total: float, n_cycles: int, order: int = 2) -> float:

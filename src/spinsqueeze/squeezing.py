@@ -39,7 +39,6 @@ class SqueezingTrace:
     scheme: str
     n_spins: int
     n_cycles: int
-    sampling: str
 
     def times(self) -> np.ndarray:
         return np.array([s.t for s in self.samples])

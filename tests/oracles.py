@@ -1,7 +1,8 @@
 """Reference paths the tests hold the production engine to; no library code calls them.
 
-All work at small N, in the full (N+1)-dimensional Dicke basis or on dense
-matrices, where the library keeps O(N) band data and even-sector factorizations:
+All but the last work at small N, in the full (N+1)-dimensional Dicke basis
+or on dense matrices, where the library keeps O(N) band data and even-sector
+factorizations:
 
 * the dense J_x, J_y, J_z and J_x^2 - J_y^2; full-dimension states, their
   rotations and mean spins, and `squeezing_parameter` of any state;
@@ -17,7 +18,11 @@ matrices, where the library keeps O(N) band data and even-sector factorizations:
 * the twist window mirrored into full eigenvectors (`mirrored_window`,
   `full_window`), and free twisting and pulse pairs one state at a time
   (`evolve_free`, `pair_twist`, `pair_evolve`), the amplitude path that the
-  banded pair moments and the batched traces are checked against.
+  banded pair moments and the batched traces are checked against;
+* at any N, whole pulse traces (`chebyshev_pulse_trace`): free steps as
+  exact phases and pulse pairs by the Chebyshev series of exp(-i tau J_b^2)
+  (`chebyshev_evolve`, `bessel_j`), from the oracle's own ladder, with xi^2
+  from the full Dicke amplitudes.
 """
 
 import math
@@ -36,7 +41,7 @@ from spinsqueeze.propagate import (
     step_phases,
     twist_window,
 )
-from spinsqueeze.schedules import compile_scheme
+from spinsqueeze.schedules import compile_scheme, delta_t_for
 from spinsqueeze.spin_ops import SpinOperators, _frozen, build_operators, check_fits
 from spinsqueeze.squeezing import MEAN_SPIN_EPS_FACTOR, MeanSpinVanishing, SqueezingSample
 
@@ -317,8 +322,9 @@ def squeezing_parameter(
 
     `basis` overrides the deterministic transverse pair (the eigenvalues, and
     hence xi^2, cannot depend on that choice).  Raises MeanSpinVanishing when
-    |<J>| <= 1e-8 * J, where no transverse plane exists.  Production traces
-    use the sector kernels and `sector_samples`; this full-dimension path is their oracle.
+    |<J>| <= 1e-8 * J, where no transverse plane exists.  Production traces use
+    the sector kernels `sector_moments` and `twist_moments`; this full-dimension
+    path is their oracle.
     """
     amps = state.amplitudes
     vx = apply_jx(ops, amps)
@@ -492,3 +498,128 @@ def expanded_pair_vectors(n_spins: int) -> np.ndarray:
     v[: h - half, plus], v[h - half :, plus] = store[0], store[0][:half][::-1]
     v[:half, ~plus], v[h - half :, ~plus] = store[1], -store[1][::-1]
     return v
+
+
+# -- the Chebyshev propagator: the large-N oracle of pulse traces ------------------
+
+
+def _even_sector_bands(n_spins: int, ladder: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and first off-diagonal of J_x^2 on the even-index Dicke states k = 0, 2, ..., from the ladder.
+
+    With l_k = <k-1|J_+|k>, J_x^2 = (J_+^2 + J_-^2 + J_+ J_- + J_- J_+) / 4 has
+    the diagonal (l_k^2 + l_(k+1)^2) / 4 and <k|J_x^2|k+2> = l_(k+1) l_(k+2) / 4.
+    J_y^2 is the same band with its off-diagonal negated.
+    """
+    k = np.arange(0, n_spins + 1, 2)
+    return (ladder[k] ** 2 + ladder[k + 1] ** 2) / 4.0, ladder[k[:-1] + 1] * ladder[k[:-1] + 2] / 4.0
+
+
+def bessel_j(x: float, count: int) -> np.ndarray:
+    """J_0(x), ..., J_(count - 1)(x) by Miller's backward recurrence in extended precision.
+
+    J_(k-1) = (2k / x) J_k - J_(k+1) from 60 orders past the last one wanted,
+    normalized by J_0 + 2 (J_2 + J_4 + ...) = 1.  Where numpy's longdouble is
+    the x87 80-bit type, the values are within 1e-17 of 40-digit mpmath up to
+    x = 1100; scipy's `jv` is off by up to 1e-14 there, which the Chebyshev
+    series below turns into errors of 1e-12 in a pulse trace's xi^2.
+    """
+    if x == 0.0:
+        return (np.arange(count) == 0).astype(float)  # J_k(0) = delta_k0
+    x = np.longdouble(x)
+    start = count + 60
+    values = np.zeros(start + 2, dtype=np.longdouble)
+    values[start] = 1e-30
+    for k in range(start, 0, -1):
+        values[k - 1] = 2 * k / x * values[k] - values[k + 1]
+    return (values[:count] / (values[0] + 2 * values[2::2].sum())).astype(float)
+
+
+def chebyshev_evolve(psi: np.ndarray, diag: np.ndarray, off: np.ndarray, center: float, tau: float) -> np.ndarray:
+    """exp(-i tau A) psi for the real tridiagonal A = (diag, off) with spectrum in [0, 2 center].
+
+    Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984): with c = a = center,
+    exp(-i tau A) psi = e^(-i tau c) sum_k (2 - delta_k0) (-i)^k J_k(tau a) T_k((A - c)/a) psi,
+    each T_k psi one banded product by the three-term recurrence.  The series
+    stops past tau a where |J_k(tau a)| < 1e-20.
+    """
+    x = tau * center
+    orders = np.arange(int(x + 20.0 * np.cbrt(x) + 40.0))
+    bessel = bessel_j(x, orders.size)
+    terms = max(2, int(np.flatnonzero((np.abs(bessel) >= 1e-20) | (orders <= x))[-1]) + 1)
+    weights = bessel[:terms] * (-1j) ** (orders[:terms] % 4) * np.where(orders[:terms] == 0, 1.0, 2.0)
+    d, e = (diag - center) / center, off / center
+
+    def scaled(v: np.ndarray) -> np.ndarray:
+        out = d * v
+        out[:-1] += e * v[1:]
+        out[1:] += e * v[:-1]
+        return out
+
+    previous, current = psi, scaled(psi)
+    total = weights[0] * previous + weights[1] * current
+    for weight in weights[2:]:
+        previous, current = current, 2.0 * scaled(current) - previous
+        total += weight * current
+    return np.exp(-1j * x) * total
+
+
+def _sector_xi2(n_spins: int, ladder: np.ndarray, psi: np.ndarray) -> tuple[float, float]:
+    """xi^2 and <J_z> of an even-sector state from its full Dicke amplitudes and J_(+/-) psi.
+
+    The mean spin lies along z, so xi^2 = 2 ||(cos t J_x + sin t J_y) psi||^2 / J
+    at the angle t of the smaller eigenvector of the 2 x 2 Gram matrix of J_x psi
+    and J_y psi: a sum of squares, not a difference of the two variances.
+    """
+    full = np.zeros(n_spins + 1, dtype=complex)
+    full[0::2] = psi
+    raised, lowered = np.zeros_like(full), np.zeros_like(full)
+    raised[:-1] = ladder[1:-1] * full[1:]
+    lowered[1:] = ladder[1:-1] * full[:-1]
+    jx, jy = (raised + lowered) / 2.0, (raised - lowered) / 2j
+    gxx, gyy, gxy = np.vdot(jx, jx).real, np.vdot(jy, jy).real, np.vdot(jx, jy).real
+    angle = 0.5 * math.atan2(2.0 * gxy, gxx - gyy) + HALF_PI
+    w = math.cos(angle) * jx + math.sin(angle) * jy
+    jz = float(np.dot(n_spins / 2.0 - np.arange(n_spins + 1), np.abs(full) ** 2))
+    return 4.0 * float(np.vdot(w, w).real) / n_spins, jz
+
+
+def chebyshev_pulse_trace(spec) -> tuple[np.ndarray, np.ndarray]:
+    """xi^2 and <J_z> at every sample of a pulse run: free steps as exact phases, pairs by `chebyshev_evolve`.
+
+    Runs the compiled period of `spec` from |J,J> on the even sector, from its
+    own ladder, sharing no code with `propagate`.  A sample inside a pair is the
+    state in the frame of the pair's opening pulse, exp(-i chi s J_b^2) psi at
+    s into the pair (b = x in a y pair, y in an x pair), whose xi^2 is the
+    lab frame's; <J_z> is also read in that frame.
+    """
+    n, chi = spec.n_spins, spec.chi
+    delta_t = delta_t_for(spec.scheme, spec.t_total, spec.n_cycles, spec.order)
+    steps = compile_scheme(spec.scheme, delta_t, 1, spec.order).steps
+    period = spec.t_total / spec.n_cycles
+    offsets = [i * period / (spec.subsamples + 1) for i in range(1, spec.subsamples + 1)]
+    ladder = np.sqrt(np.arange(n + 2) * (n + 1.0 - np.arange(n + 2)))  # l_k, zero at k = 0 and N + 1
+    diag, off = _even_sector_bands(n, ladder)
+    m_squared = (n / 2.0 - np.arange(0, n + 1, 2)) ** 2
+    center = n * n / 8.0  # J^2 / 2: J_x^2 and J_y^2 have spectra in [0, J^2]
+
+    def evolve(psi: np.ndarray, axis: str, s: float) -> np.ndarray:
+        if not axis:
+            return psi * np.exp(-1j * chi * s * m_squared)
+        return chebyshev_evolve(psi, diag, off if axis == "y" else -off, center, chi * s)
+
+    psi = np.zeros(n // 2 + 1, dtype=complex)
+    psi[0] = 1.0
+    samples = [_sector_xi2(n, ladder, psi)]
+    for _ in range(spec.n_cycles):
+        start, at = 0.0, 0
+        for i, step in enumerate(steps):
+            last = i == len(steps) - 1
+            while at < len(offsets) and (last or offsets[at] < start + step.duration):
+                s = min(offsets[at] - start, step.duration)
+                samples.append(_sector_xi2(n, ladder, evolve(psi, step.axis, s)))
+                at += 1
+            psi = evolve(psi, step.axis, step.duration)
+            start += step.duration
+        samples.append(_sector_xi2(n, ladder, psi))
+    xi2, jz = zip(*samples)
+    return np.array(xi2), np.array(jz)

@@ -22,6 +22,7 @@ from oracles import coherent_state_z, squeezing_parameter
 
 
 MINIMAL = {"scheme": "schemeA", "n_spins": 1250, "n_cycles": 50}
+SMALL = ["--n-spins", "10", "--n-cycles", "3"]
 
 
 def test_parse_minimal_config():
@@ -70,14 +71,14 @@ def test_parse_config_resolves_default_time():
 
 
 def test_trace_csv_empty_trace_is_header_only():
-    empty = SqueezingTrace((), "schemeA", 4, 1, "stroboscopic")
+    empty = SqueezingTrace((), "schemeA", 4, 1)
     assert trace_csv(empty) == "t,xi2,jx,jy,jz\n"
 
 
 def test_trace_csv_coherent_row():
     ops = build_operators(4)
     sample = squeezing_parameter(coherent_state_z(4), ops, t=0.0)
-    trace = SqueezingTrace((sample,), "schemeA", 4, 1, "stroboscopic")
+    trace = SqueezingTrace((sample,), "schemeA", 4, 1)
     lines = trace_csv(trace).splitlines()
     assert lines[0] == "t,xi2,jx,jy,jz"
     assert lines[1] == "0,1,0,0,2"
@@ -158,9 +159,10 @@ def test_config_file_with_the_removed_strictness_key_exits_2(tmp_path, capsys):
 
 REMOVED_NAMES = {
     "schedules": ["compile_scheme_a", "compile_scheme_b", "_COMPILERS", "period_in_delta_t_units",
-                  "ScheduleStats", "schedule_stats", "_finish", "TsCoefficients", "S_PARAM"],
+                  "ScheduleStats", "schedule_stats", "_finish", "TsCoefficients", "S_PARAM",
+                  "compile_order1", "compile_general"],
     "experiments": ["strength_divisor", "run_many", "_pair_steps", "_Step", "_interior_offsets",
-                    "trotter_order_fit", "SAMPLE_BUFFER_ROWS", "PAIR_BLOCK_ENTRIES"],
+                    "trotter_order_fit", "SAMPLE_BUFFER_ROWS", "PAIR_BLOCK_ENTRIES", "PULSE_SCHEMES"],
     "propagate": ["rotate", "rotation_matrix", "_rotation_factorization", "rotation_propagator",
                   "Propagator", "evolve_oat", "spectral_norm_estimate", "frobenius_norm",
                   "twist_factorization", "evolve_twist", "schedule_unitary", "unitary_distance", "HALF_PI",
@@ -178,6 +180,7 @@ REMOVED_MEMBERS = {
     "propagate.EigenFactorization": ["of", "propagator", "apply", "reconstruction_error"],
     "spin_ops.SpinOperators": ["jx", "jy", "jz", "twist_xy", "_dense"],
     "propagate.Bands": ["transverse", "twist"],
+    "squeezing.SqueezingTrace": ["sampling"],
 }
 
 
@@ -391,8 +394,64 @@ def test_one_spin_with_a_run_length_stays_unsqueezed(capsys):
 def test_order_of_scaling_obeys_the_config_rule(scheme, order, capsys):
     assert main(["scaling", "--scheme", scheme, "--order", order, "--n-list", "20,40,80"]) == 2
     captured = capsys.readouterr()
-    assert f"field 'order' must be an even integer >= 2, got {order}" in captured.err
+    assert f"field 'order' must be an even integer from 2 to 20, got {order}" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, rule",
+    [
+        (["simulate", "--scheme", "schemeA", "--order", "6", *SMALL], "must be one of [2] for scheme 'schemeA', got 6"),
+        (["simulate", "--scheme", "ideal-TAT", "--order", "8", *SMALL], "must be 2 for scheme 'ideal-TAT', got 8"),
+        (["schedule", "--scheme", "liu1", "--order", "4", *SMALL], "must be one of [1, 2] for scheme 'liu1', got 4"),
+        (["scaling", "--scheme", "ideal-OAT", "--order", "6", "--n-list", "10,20,40"],
+         "must be 2 for scheme 'ideal-OAT', got 6"),
+        (["simulate", "--scheme", "general", "--order", "22", *SMALL], "must be an even integer from 2 to 20, got 22"),
+        (["simulate", "--scheme", "schemeB", "--order", "6", *SMALL],
+         "must be one of [2, 4] for scheme 'schemeB', got 6"),
+        (["converge", "--scheme", "ideal-TAT", "--order", "4", "--n-spins", "10", "--nc-list", "3,4"],
+         "must be 2 for scheme 'ideal-TAT', got 4"),
+    ],
+    ids=["schemeA", "ideal-TAT", "liu1-schedule", "ideal-OAT-scaling", "general-cap", "schemeB", "converge"],
+)
+def test_order_is_refused_where_the_scheme_would_ignore_it(argv, rule, capsys):
+    """An order a run would not read exits 2 on field 'order', before any output."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"error: field 'order' {rule}\n" == captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--scheme", "schemeB", "--order", "4"],
+        ["simulate", "--scheme", "liu1", "--order", "2"],
+        ["schedule", "--scheme", "general", "--order", "6"],
+        ["simulate", "--scheme", "ideal-OAT", "--order", "2"],
+    ],
+    ids=["schemeB-4", "liu1-2", "general-6", "ideal-OAT-2"],
+)
+def test_order_is_accepted_where_the_scheme_reads_it(argv, capsys):
+    assert main(argv + SMALL) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["compare", "--scheme", "ideal-OAT"], "compare needs a pulse scheme or ideal-TAT, got 'ideal-OAT'"),
+        (["schedule", "--scheme", "ideal-TAT"], "schedule needs a pulse scheme, one of ("),
+        (["schedule", "--scheme", "ideal-OAT"], "schedule needs a pulse scheme, one of ("),
+    ],
+    ids=["compare-ideal-OAT", "schedule-ideal-TAT", "schedule-ideal-OAT"],
+)
+def test_commands_say_which_schemes_they_take(argv, message, tmp_path, capsys):
+    """An ideal scheme the command cannot run exits 2 naming what it takes, and writes nothing."""
+    out = tmp_path / "out"
+    assert main(argv + [*SMALL, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_scaling_runs_general_at_a_valid_order(capsys):

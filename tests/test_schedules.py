@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinsqueeze.schedules import (
-    compile_general,
-    compile_order1,
+    MAX_ORDER,
+    SCHEME_ORDERS,
     compile_scheme,
     delta_t_for,
     level_param,
@@ -15,6 +16,10 @@ from spinsqueeze.schedules import (
     strength_divisor,
     ts_coefficients,
 )
+
+
+def compile_order1(delta_t, n_cycles):
+    return compile_scheme("liu1", delta_t, n_cycles)
 
 
 def compile_scheme_a(delta_t, n_cycles):
@@ -50,7 +55,7 @@ def test_splitting_parameter_value():
 
 
 def test_order1_structure():
-    sched = compile_order1(0.25, 4)
+    sched = compile_scheme("liu1", 0.25, 4)
     assert free_durations(sched) == [0.25, 0.5]
     assert pulse_list(sched) == [("y", 1), ("y", -1)]
     assert sched.t_c == pytest.approx(0.75)
@@ -99,7 +104,7 @@ def test_net_pulse_rotation_is_identity(compiler):
 
 @pytest.mark.parametrize("order", [2, 4, 6, 8])
 def test_general_net_rotation_and_palindrome(order):
-    sched = compile_general(order, 0.1, 1)
+    sched = compile_scheme("general", 0.1, 1, order)
     assert cancels_to_identity(pulse_list(sched))
     durations = free_durations(sched)
     np.testing.assert_allclose(durations, durations[::-1], rtol=1e-12)
@@ -112,7 +117,7 @@ def test_scheme_a_and_b_palindromic():
 
 
 def test_general_order2_equals_scheme_a():
-    general = compile_general(2, 0.17, 5)
+    general = compile_scheme("general", 0.17, 5, 2)
     direct = compile_scheme_a(0.17, 5)
     assert (direct.scheme, direct.order) == ("schemeA", 2)
     assert free_durations(general) == free_durations(direct)
@@ -131,7 +136,7 @@ def test_general_order4_equals_scheme_b():
     closed = np.array([t1, t2, t3, t4, t3, t2, t1])
     assert np.all(np.abs(np.array(free_durations(sched)) - closed) <= 4 * np.spacing(closed))
     assert (sched.scheme, sched.order, sched.n_cycles) == ("schemeB", 4, 5)
-    assert pulse_list(sched) == pulse_list(compile_general(4, dt, 5)) == [
+    assert pulse_list(sched) == pulse_list(compile_scheme("general", dt, 5, 4)) == [
         ("y", 1), ("y", -1), ("x", 1), ("x", -1), ("y", 1), ("y", -1),
     ]
     assert strength_divisor("schemeB") == strength_divisor("general", 4) == 12 * s - 3
@@ -154,7 +159,7 @@ def test_leaf_telescoping(order):
 
 
 def test_order6_schedule_shape():
-    sched = compile_general(6, 0.1, 1)
+    sched = compile_scheme("general", 0.1, 1, 6)
     assert sched.pulses_per_period == 18
     assert len(free_durations(sched)) == 19
     assert all(d > 0 for d in free_durations(sched))
@@ -164,11 +169,38 @@ def test_order6_schedule_shape():
 
 def test_general_rejects_bad_orders():
     with pytest.raises(ValueError):
-        compile_general(3, 0.1, 1)
+        compile_scheme("general", 0.1, 1, 3)
     with pytest.raises(ValueError):
-        compile_general(0, 0.1, 1)
+        compile_scheme("general", 0.1, 1, 0)
     with pytest.raises(ValueError):
-        compile_general(22, 0.1, 1)
+        compile_scheme("general", 0.1, 1, 22)
+
+
+def test_liu1_is_the_order1_row_of_the_one_scheme_table():
+    """liu1 compiles through the shared formula: one first-order block, d = 3 * sum |c| = 3."""
+    assert SCHEME_ORDERS == {"liu1": 1, "schemeA": 2, "schemeB": 4, "general": None}
+    sched = compile_scheme("liu1", 0.25, 4)
+    assert (sched.scheme, sched.order) == ("liu1", 1)
+    assert strength_divisor("liu1") == 3.0 * sum(abs(c) for c in ts_coefficients(2)) == 3.0
+    assert sched.t_c == 3.0 * 0.25
+    assert schedule_to_text(sched).startswith("# scheme=liu1 order=1 delta_t=0.25 t_c=0.75 n_cycles=4\n")
+
+
+@pytest.mark.parametrize("scheme, own", [("liu1", 1), ("schemeA", 2), ("schemeB", 4)])
+def test_named_scheme_takes_the_default_or_its_own_order(scheme, own):
+    """A named scheme compiles the same period at order 2 and at its own order, and refuses any other."""
+    default = compile_scheme(scheme, 0.1, 3)
+    assert compile_scheme(scheme, 0.1, 3, own) == default
+    assert default.order == own
+    assert strength_divisor(scheme, own) == strength_divisor(scheme)
+    refused = re.escape(f"field 'order' must be one of {sorted({2, own})} for scheme '{scheme}'")
+    for order in (6, 8, 0, MAX_ORDER + 2):
+        with pytest.raises(ValueError, match=refused):
+            compile_scheme(scheme, 0.1, 3, order)
+        with pytest.raises(ValueError, match="field 'order'"):
+            strength_divisor(scheme, order)
+        with pytest.raises(ValueError, match="field 'order'"):
+            delta_t_for(scheme, 1.0, 3, order)
 
 
 def test_delta_t_solver_round_trip():
