@@ -1,23 +1,32 @@
-"""Command-line front end: run experiments and serialize results as CSV or schedule text.
+"""Command-line front end: argv and the --config document to one checked run, then CSV or schedule text.
 
 Every subcommand is a thin shell over the library; nothing here computes
-physics.  Run flags are generated from `config.KEY_TYPES`, laid over the
---config file's object and parsed once (`converge` sets n_cycles from
---nc-list); `scaling` and `timecost` check theirs, spin numbers included,
-and `converge` its cycle counts, with `experiments.check_field`.  Exit codes: 0
-success, 2 validation error (any ValueError), 1 runtime error.
+physics.  Run flags are generated from `KEY_TYPES`, laid over the --config
+file's flat JSON object and parsed once by `parse_config` (`converge` sets
+n_cycles to the largest count of --nc-list), in this order: the keys and
+their JSON types (compare needs `out`); each field's rule and, for the
+`TRACE_COMMANDS`, every rule of `experiments.validate_spec`, memory
+included; the command's schemes (`COMMAND_SCHEMES`).  Only then is a
+missing t_total derived from the squeezing optimum, so no refusal waits for
+an optimum scan.  `scaling` leaves its checks to `experiments.scaling_fit`;
+`timecost` checks its flags, and `converge` its cycle counts, with
+`experiments.check_field`.
+Exit codes: 0 success, 2 validation error (any ValueError), 1 runtime error.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import re
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .config import KEY_TYPES, load_config, parse_config
 from .experiments import (
     ExperimentSpec,
     check_field,
+    default_t_total,
     effective_counterpart,
     nc_convergence,
     relative_error_curve,
@@ -25,9 +34,105 @@ from .experiments import (
     scaling_fit,
     tat_optimum,
     time_cost,
+    validate_spec,
 )
 from .schedules import SCHEME_ORDERS, compile_scheme, delta_t_for, schedule_to_text, strength_divisor
 from .squeezing import SqueezingTrace
+
+# The JSON type of each key of a run document, in the order the CLI lists
+# them; an integer is accepted where a number is.
+KEY_TYPES = {
+    "scheme": str,
+    "n_spins": int,
+    "n_cycles": int,
+    "chi": float,
+    "t_total": float,
+    "sampling": str,
+    "order": int,
+    "out": str,
+}
+REQUIRED_KEYS = ("scheme", "n_spins", "n_cycles")
+_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number"}
+
+_FINE_RE = re.compile(r"^fine\((0*[1-9]\d*)\)$")  # k >= 1
+
+# The commands that run traces, whose runs pass `validate_spec` before a default t_total is derived
+# (schedule runs none, so no trace's memory need refuses it).
+TRACE_COMMANDS = ("simulate", "compare", "converge")
+# The schemes of the commands that take fewer than every scheme, and how a refusal names them.
+_PULSE_ONLY = (tuple(SCHEME_ORDERS), f"a pulse scheme, one of {tuple(SCHEME_ORDERS)}")
+COMMAND_SCHEMES = {
+    "compare": ((*SCHEME_ORDERS, "ideal-TAT"), "a pulse scheme or ideal-TAT"),
+    "converge": _PULSE_ONLY,  # its error is measured against the TAT optimum
+    "schedule": _PULSE_ONLY,
+}
+
+
+def parse_sampling(tag: str) -> tuple[str, int]:
+    """Split a sampling tag into (mode, subsamples): 'stroboscopic' or 'fine(k)'."""
+    if tag == "stroboscopic":
+        return "stroboscopic", 0
+    match = _FINE_RE.match(tag)
+    if match:
+        return "fine", int(match.group(1))
+    raise ValueError(f"sampling must be 'stroboscopic' or 'fine(k)', got {tag!r}")
+
+
+def _flat_object(document) -> dict:
+    if not isinstance(document, dict):
+        raise ValueError(f"config document must be a flat object, got {type(document).__name__}")
+    unknown = sorted(set(document) - set(KEY_TYPES))
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    return document
+
+
+def _typed(key: str, value):
+    kind = KEY_TYPES[key]
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+        value = float(value)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"field '{key}' must be {_TYPE_NAMES[kind]}, got {value!r}")
+    return value
+
+
+def parse_config(document: dict, command: str = "simulate") -> tuple[ExperimentSpec, str | None]:
+    """The checked run of `command` that a flat key-value document describes, and its output path (None: stdout).
+
+    A run without t_total is validated at t_total = 1: the memory need counts
+    distinct step durations, which do not depend on the time scale.  Only a
+    run that passes every check gets its t_total from the squeezing optimum.
+    """
+    _flat_object(document)
+    missing = [k for k in REQUIRED_KEYS if k not in document]
+    if missing:
+        raise ValueError(f"missing required config keys: {', '.join(missing)}")
+    values = {key: _typed(key, document[key]) for key in KEY_TYPES if key in document}
+    out = values.pop("out", None)
+    if command == "compare" and out is None:
+        raise ValueError("compare writes seq.csv/eff.csv/err.csv and needs --out DIR")
+    sampling, subsamples = parse_sampling(values.pop("sampling", "stroboscopic"))
+    fields = {k: check_field(k, v) for k, v in values.items()}
+    spec = ExperimentSpec(**{"t_total": 1.0, **fields}, sampling=sampling, subsamples=subsamples)
+    if command in TRACE_COMMANDS:
+        validate_spec(spec)
+    schemes, takes = COMMAND_SCHEMES.get(command, (None, None))
+    if schemes is not None and spec.scheme not in schemes:
+        raise ValueError(f"{command} needs {takes}, got {spec.scheme!r}")
+    if "t_total" not in fields:
+        spec = replace(spec, t_total=default_t_total(spec.scheme, spec.n_spins, spec.chi, spec.order))
+    return spec, out
+
+
+def load_config(path: str | Path) -> dict:
+    """The flat object a JSON config file holds, not yet parsed: flags may still override it."""
+    try:
+        document = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"config file {path} is not valid JSON: {exc}") from None
+    except OSError as exc:
+        raise ValueError(f"cannot read config file {path}: {exc.strerror or exc}") from None
+    return _flat_object(document)
 
 
 def _fmt(value: float) -> str:
@@ -72,14 +177,14 @@ def _add_run_flags(parser: argparse.ArgumentParser, keys=tuple(KEY_TYPES)) -> No
 
 
 def _run(args: argparse.Namespace, **fixed) -> tuple[ExperimentSpec, str | None]:
-    """The run and output path of the given flags laid over the --config file's object.
+    """The checked run and output path of the subcommand's flags laid over the --config file's object.
 
     `fixed` values replace both, for keys the subcommand sets itself.
     """
     document = load_config(args.config) if args.config else {}
     flags = {key: getattr(args, key, None) for key in KEY_TYPES}
     document.update((key, value) for key, value in {**flags, **fixed}.items() if value is not None)
-    return parse_config(document)
+    return parse_config(document, args.command)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -90,10 +195,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     spec_seq, out = _run(args)
-    if spec_seq.scheme not in (*SCHEME_ORDERS, "ideal-TAT"):
-        raise ValueError(f"compare needs a pulse scheme or ideal-TAT, got {spec_seq.scheme!r}")
-    if out is None:
-        raise ValueError("compare writes seq.csv/eff.csv/err.csv and needs --out DIR")
     spec_eff = effective_counterpart(spec_seq)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -109,7 +210,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_converge(args: argparse.Namespace) -> int:
     nc_list = [check_field("n_cycles", int(v)) for v in args.nc_list.split(",")]
-    spec, out = _run(args, n_cycles=nc_list[0])  # the sweep's counts are the run's
+    spec, out = _run(args, n_cycles=max(nc_list))  # the sweep's counts are the run's; the largest needs the most
     rows = nc_convergence(spec.scheme, spec.n_spins, spec.chi, spec.t_total, nc_list, spec.order)
     lines = ["n_cycles,xi2_best_strobe,rel_error"]
     lines.extend(f"{r.n_cycles},{_fmt(r.xi2_best_strobe)},{_fmt(r.rel_error)}" for r in rows)
@@ -119,10 +220,8 @@ def _cmd_converge(args: argparse.Namespace) -> int:
 
 def _cmd_scaling(args: argparse.Namespace) -> int:
     scheme = args.scheme or "ideal-TAT"
-    n_list = [check_field("n_spins", int(v)) for v in args.n_list.split(",")]
-    fit = scaling_fit(
-        scheme, n_list, chi=check_field("chi", args.chi), order=check_field("order", args.order)
-    )
+    n_list = [int(v) for v in args.n_list.split(",")]
+    fit = scaling_fit(scheme, n_list, chi=args.chi, order=args.order)  # it validates every N's run
     print(f"scheme={scheme} exponent={fit.exponent:.4f} intercept={fit.intercept:.4f} r2={fit.r_squared:.6f}")
     if args.out:
         lines = ["n,xi2_min"]
@@ -133,8 +232,6 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
     spec, out = _run(args)
-    if spec.scheme not in SCHEME_ORDERS:
-        raise ValueError(f"schedule needs a pulse scheme, one of {tuple(SCHEME_ORDERS)}, got {spec.scheme!r}")
     delta_t = delta_t_for(spec.scheme, spec.t_total, spec.n_cycles, spec.order)
     schedule = compile_scheme(spec.scheme, delta_t, spec.n_cycles, spec.order)
     _emit(out, schedule_to_text(schedule))

@@ -303,7 +303,7 @@ def run_trace(spec: ExperimentSpec) -> SqueezingTrace:
 def _run_trace(spec: ExperimentSpec, period: Schedule | None) -> SqueezingTrace:
     """The trace of a validated `spec`, on the period `validate_spec` compiled for it."""
     samples = _pulse_samples(spec, period) if spec.scheme in SCHEME_ORDERS else _ideal_samples(spec)
-    return SqueezingTrace(tuple(samples), spec.scheme, spec.n_spins, spec.n_cycles)
+    return SqueezingTrace(tuple(samples), spec.n_spins, spec.n_cycles)
 
 
 def strobe_indices(trace: SqueezingTrace) -> np.ndarray:
@@ -499,27 +499,21 @@ def _loglog_fit(x: np.ndarray, y: np.ndarray) -> FitResult:
 
 
 def scaling_fit(scheme: str, n_list, chi: float = 1.0, order: int = 2) -> FitResult:
-    """Least-squares exponent of log xi^2_min against log N."""
+    """Least-squares exponent of log xi^2_min against log N; every N's run is validated (t_total = 1) first."""
     n_list = [int(n) for n in n_list]
     if len(set(n_list)) < 3:
         raise ValueError("scaling fit needs at least 3 distinct spin numbers")
-    if order != 2 and scheme in IDEAL_SCHEMES:  # as validate_spec: the optima read no order
-        raise ValueError(f"field 'order' must be 2 for scheme {scheme!r}, got {order!r}")
+    specs = [ExperimentSpec(scheme, n, n_cycles=50, t_total=1.0, chi=chi, order=order) for n in n_list]
+    for spec in specs:
+        validate_spec(spec)
     minima = []
-    for n in n_list:
+    for spec in specs:
         if scheme == "ideal-TAT":
-            minima.append(tat_optimum(n).xi2_min)
+            minima.append(tat_optimum(spec.n_spins).xi2_min)
         elif scheme == "ideal-OAT":
-            minima.append(oat_optimum(n).xi2_min)
+            minima.append(oat_optimum(spec.n_spins).xi2_min)
         else:
-            spec = ExperimentSpec(
-                scheme,
-                n,
-                n_cycles=50,
-                t_total=default_t_total(scheme, n, chi, order),
-                chi=chi,
-                order=order,
-            )
+            spec = replace(spec, t_total=default_t_total(scheme, spec.n_spins, chi, order))
             minima.append(find_optimum(run_trace(spec)).xi2_min)
     return _loglog_fit(np.array(n_list, dtype=float), np.array(minima))
 

@@ -82,7 +82,8 @@ def build_operators(n_spins: int) -> SpinOperators:
 
     Ladder convention: J+|J,m> = sqrt(J(J+1) - m(m+1)) |J,m+1>, with
     J_x = (J+ + J-)/2 and J_y = (J+ - J-)/(2i).  Only O(N) arrays are built
-    here; the routines that make a dense array check that it fits first.
+    here, after a check that they fit: at most four arrays of N + 1 floats,
+    temporaries included, are alive at once.  Dense arrays are checked too.
     """
     if not isinstance(n_spins, (int, np.integer)) or isinstance(n_spins, bool):
         raise ValueError(f"n_spins must be a positive integer, got {n_spins!r}")
@@ -91,6 +92,7 @@ def build_operators(n_spins: int) -> SpinOperators:
 
     n = int(n_spins)
     dim = n + 1
+    check_fits(4 * 8 * dim, f"operator band data at N={n} needs")
     j = n / 2.0
     m = j - np.arange(dim)
     # ladder[k] = <J,m[k]| J+ |J,m[k+1]>

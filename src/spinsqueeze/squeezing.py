@@ -36,7 +36,6 @@ class SqueezingSample:
 @dataclass(frozen=True)
 class SqueezingTrace:
     samples: tuple[SqueezingSample, ...]
-    scheme: str
     n_spins: int
     n_cycles: int
 

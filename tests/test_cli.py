@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 import spinsqueeze
-from spinsqueeze import experiments
-from spinsqueeze.cli import main, trace_csv
-from spinsqueeze.config import parse_config, parse_sampling
+from spinsqueeze import experiments, spin_ops
+from spinsqueeze.cli import main, parse_config, parse_sampling, trace_csv
 from spinsqueeze.experiments import ExperimentSpec, oat_optimum, run_trace
+from spinsqueeze.propagate import pair_store_bytes
 from spinsqueeze.spin_ops import build_operators
 from spinsqueeze.squeezing import SqueezingTrace
 
@@ -71,14 +71,14 @@ def test_parse_config_resolves_default_time():
 
 
 def test_trace_csv_empty_trace_is_header_only():
-    empty = SqueezingTrace((), "schemeA", 4, 1)
+    empty = SqueezingTrace((), 4, 1)
     assert trace_csv(empty) == "t,xi2,jx,jy,jz\n"
 
 
 def test_trace_csv_coherent_row():
     ops = build_operators(4)
     sample = squeezing_parameter(coherent_state_z(4), ops, t=0.0)
-    trace = SqueezingTrace((sample,), "schemeA", 4, 1)
+    trace = SqueezingTrace((sample,), 4, 1)
     lines = trace_csv(trace).splitlines()
     assert lines[0] == "t,xi2,jx,jy,jz"
     assert lines[1] == "0,1,0,0,2"
@@ -173,22 +173,24 @@ REMOVED_NAMES = {
     "squeezing": ["squeezing_parameter", "transverse_basis", "even_sector_moments", "pair_sector_moments",
                   "sector_samples"],
     "tolerances": ["UNITARITY", "RECONSTRUCTION"],
-    "config": ["FORMATS"],
 }
+# Modules folded into others: `config` into `cli`.
+REMOVED_MODULES = ["config"]
 # Members of library classes that moved to the test oracles as functions, or were deleted.
 REMOVED_MEMBERS = {
     "propagate.EigenFactorization": ["of", "propagator", "apply", "reconstruction_error"],
     "spin_ops.SpinOperators": ["jx", "jy", "jz", "twist_xy", "_dense"],
     "propagate.Bands": ["transverse", "twist"],
-    "squeezing.SqueezingTrace": ["sampling"],
+    "squeezing.SqueezingTrace": ["sampling", "scheme"],
 }
 
 
 def test_import_and_api_guard(tmp_path):
     """One fresh process: the CLI import loads no process machinery, the package root
-    re-exports nothing but its submodules, removed names are defined nowhere in their old
-    modules (experiments imports `strength_divisor` from schedules, its one definition),
-    removed class members are gone, and a config's `format` key is unknown (exit 2)."""
+    re-exports nothing but its submodules, removed modules do not import, removed names are
+    defined nowhere in their old modules (experiments imports `strength_divisor` from
+    schedules, its one definition), removed class members are gone, and a config's `format`
+    key is unknown (exit 2)."""
     config = tmp_path / "run.json"
     config.write_text(json.dumps({**MINIMAL, "n_spins": 8, "n_cycles": 2, "format": "csv"}))
     script = f"""
@@ -199,6 +201,12 @@ assert not loaded, loaded
 exported = [name for name, value in vars(spinsqueeze).items()
             if not name.startswith("_") and not isinstance(value, types.ModuleType)]
 assert not exported, exported
+for module in {REMOVED_MODULES!r}:
+    try:
+        importlib.import_module("spinsqueeze." + module)
+    except ModuleNotFoundError:
+        continue
+    raise AssertionError("spinsqueeze." + module + " still imports")
 for module, names in {REMOVED_NAMES!r}.items():
     mod = importlib.import_module("spinsqueeze." + module)
     defined = [name for name in names if hasattr(mod, name)
@@ -437,21 +445,97 @@ def test_order_is_accepted_where_the_scheme_reads_it(argv, capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.fixture
+def no_optimum_scan(monkeypatch):
+    """Both optimum scans raise: a refusal that waited for a default t_total would exit 1."""
+
+    def scan(n_spins):
+        raise AssertionError("an optimum scan ran")
+
+    monkeypatch.setattr(experiments, "tat_optimum", scan)
+    monkeypatch.setattr(experiments, "oat_optimum", scan)
+
+
+PULSE_ONLY = "needs a pulse scheme, one of ('liu1', 'schemeA', 'schemeB', 'general'), got "
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["compare", "--scheme", "ideal-OAT"], "compare needs a pulse scheme or ideal-TAT, got 'ideal-OAT'"),
-        (["schedule", "--scheme", "ideal-TAT"], "schedule needs a pulse scheme, one of ("),
-        (["schedule", "--scheme", "ideal-OAT"], "schedule needs a pulse scheme, one of ("),
+        (["compare", "--scheme", "ideal-OAT", *SMALL], "compare needs a pulse scheme or ideal-TAT, got 'ideal-OAT'"),
+        (["schedule", "--scheme", "ideal-TAT", *SMALL], "schedule " + PULSE_ONLY + "'ideal-TAT'"),
+        (["schedule", "--scheme", "ideal-OAT", *SMALL], "schedule " + PULSE_ONLY + "'ideal-OAT'"),
+        (["converge", "--scheme", "ideal-TAT", "--n-spins", "100", "--nc-list", "5,10"],
+         "converge " + PULSE_ONLY + "'ideal-TAT'"),
+        (["converge", "--scheme", "ideal-OAT", "--n-spins", "100", "--nc-list", "5,10"],
+         "converge " + PULSE_ONLY + "'ideal-OAT'"),
     ],
-    ids=["compare-ideal-OAT", "schedule-ideal-TAT", "schedule-ideal-OAT"],
+    ids=["compare-ideal-OAT", "schedule-ideal-TAT", "schedule-ideal-OAT", "converge-ideal-TAT", "converge-ideal-OAT"],
 )
-def test_commands_say_which_schemes_they_take(argv, message, tmp_path, capsys):
-    """An ideal scheme the command cannot run exits 2 naming what it takes, and writes nothing."""
+def test_commands_say_which_schemes_they_take(argv, message, tmp_path, capsys, no_optimum_scan):
+    """An ideal scheme the command cannot run exits 2 naming what it takes, before any optimum
+    scan, and writes nothing."""
     out = tmp_path / "out"
-    assert main(argv + [*SMALL, "--out", str(out)]) == 2
-    assert message in capsys.readouterr().err
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {message}\n" == captured.err
+    assert captured.out == ""
     assert not out.exists()
+
+
+def test_compare_without_out_exits_2_before_any_optimum_scan(capsys, no_optimum_scan):
+    assert main(["compare", "--scheme", "schemeA", *SMALL]) == 2
+    assert capsys.readouterr().err == "error: compare writes seq.csv/eff.csv/err.csv and needs --out DIR\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--scheme", "schemeA", "--n-spins", "100", "--n-cycles", "5"],
+        ["compare", "--scheme", "schemeA", "--n-spins", "100", "--n-cycles", "5", "--out", "{out}"],
+        ["converge", "--scheme", "schemeA", "--n-spins", "100", "--nc-list", "5,10"],
+        ["scaling", "--scheme", "schemeA", "--n-list", "20,40,100"],
+    ],
+    ids=["simulate", "compare", "converge", "scaling"],
+)
+def test_runs_memory_cannot_hold_exit_2_before_any_optimum_scan(argv, tmp_path, monkeypatch, capsys, no_optimum_scan):
+    """A pulse run whose tables do not fit is refused before its default t_total is derived."""
+    monkeypatch.setattr(experiments, "memory_limit_bytes", lambda: pair_store_bytes(100))
+    assert main([arg.replace("{out}", str(tmp_path / "cmp")) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert "samples need" in captured.err and "of memory available" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "cmp").exists()
+
+
+def test_converge_checks_its_largest_cycle_count_before_any_optimum_scan(capsys, no_optimum_scan):
+    argv = ["converge", "--scheme", "schemeA", "--n-spins", "20", "--nc-list", "5,1000000000000"]
+    assert main(argv) == 2
+    assert "samples need" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["timecost", "--n-spins", "4321"],
+     ["simulate", "--scheme", "ideal-TAT", "--n-spins", "4321", "--n-cycles", "5", "--t-total", "0.001"]],
+    ids=["timecost", "simulate-ideal-TAT"],
+)
+def test_band_data_memory_cannot_hold_exits_2(argv, monkeypatch, capsys):
+    """The ideal-TAT reference's band data is checked before it is allocated, as the pair store is."""
+    monkeypatch.setattr(spin_ops, "memory_limit_bytes", lambda: 4 * 8 * 4322 - 1)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "error: operator band data at N=4321 needs" in captured.err
+    assert captured.out == ""
+
+
+def test_schedule_runs_no_trace_so_the_pair_store_need_does_not_refuse_it(monkeypatch, capsys):
+    """The trace memory gate is not the schedule's: its text needs no pair store."""
+    monkeypatch.setattr(experiments, "memory_limit_bytes", lambda: 0)
+    assert main(["schedule", "--scheme", "schemeA", "--n-spins", "100000", "--n-cycles", "1", "--t-total", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("# scheme=schemeA order=2 ")
+    assert captured.err == ""
 
 
 def test_scaling_runs_general_at_a_valid_order(capsys):

@@ -3,11 +3,13 @@ import importlib
 import inspect
 import pkgutil
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 
 import spinsqueeze
+from spinsqueeze.cli import build_parser
 
 ROOT = Path(spinsqueeze.__file__).resolve().parent
 REFERENCE = re.compile(r"`([A-Za-z_]\w*)\.([A-Za-z_][\w.]*)`")
@@ -57,3 +59,14 @@ def test_backticked_references_in_the_docs_resolve():
                 unresolved.append(f"{where}: `{head}.{rest}`")
     assert checked >= 20  # the pattern still finds the docs' references
     assert not unresolved, unresolved
+
+
+def test_readme_command_lines_parse():
+    """Every `spinsqueeze ...` line of README's command block parses with the CLI's own parser
+    (nothing runs), so a flag that drifts from the docs fails here."""
+    readme = (ROOT.parent.parent / "README.md").read_text()
+    lines = [line for line in readme.splitlines() if line.startswith("spinsqueeze ")]
+    assert len(lines) >= 6  # the block of one line per command is still found
+    parser = build_parser()
+    commands = {parser.parse_args(shlex.split(line)[1:]).command for line in lines}
+    assert commands == {"simulate", "compare", "converge", "scaling", "schedule", "timecost"}

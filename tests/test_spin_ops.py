@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinsqueeze import spin_ops
 from spinsqueeze.spin_ops import build_operators
 
 from oracles import (HALF_PI, apply_jx, apply_jy, apply_jz, coherent_state_x, coherent_state_z, dense_jx, dense_jy,
@@ -118,3 +121,24 @@ def test_dense_size_check_against_memory():
     check_fits(16 * 1000 * 1000, "small needs")
     with pytest.raises(ValueError, match="big needs"):
         check_fits(2 * memory_limit_bytes(), "big needs")
+
+
+def test_band_data_is_checked_against_memory_before_it_is_allocated(monkeypatch):
+    """build_operators counts its peak, four arrays of N + 1 floats, and refuses before allocating any."""
+    n = 200_001
+    need = 4 * 8 * (n + 1)
+    monkeypatch.setattr(spin_ops, "memory_limit_bytes", lambda: need - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"operator band data at N={n} needs .* of memory available"):
+            build_operators.__wrapped__(n)  # uncached
+        refused_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        monkeypatch.setattr(spin_ops, "memory_limit_bytes", lambda: need)
+        ops = build_operators.__wrapped__(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ops.dim == n + 1
+    assert refused_peak < 8 * (n + 1)  # not one array was allocated
+    assert need - 8 * (n + 1) < peak <= need + 2**12  # the count is the peak, up to the Python objects

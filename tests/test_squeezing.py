@@ -118,7 +118,7 @@ def test_mean_spin_vanishing_raises():
 
 
 def _trace(samples):
-    return SqueezingTrace(tuple(samples), "test", 2, 1)
+    return SqueezingTrace(tuple(samples), 2, 1)
 
 
 def _sample(t, xi2):
