@@ -17,7 +17,7 @@ from spinsqueeze.experiments import (
     run_trace,
     tat_optimum,
 )
-from spinsqueeze.schedules import compile_scheme, delta_t_for, strength_divisor
+from spinsqueeze.schedules import strength_divisor
 
 
 def main() -> None:
@@ -40,9 +40,8 @@ def main() -> None:
         curve = relative_error_curve(trace_seq, trace_eff)
         (out / f"{scheme}_err.csv").write_text(error_curve_csv(curve), newline="\n")
         pre_opt = curve.relative_errors[curve.times <= d * ideal.t_opt]
-        schedule = compile_scheme(scheme, delta_t_for(scheme, spec.t_total, n_cycles), n_cycles)
         print(
-            f"{scheme} (N_p={n_cycles * schedule.pulses_per_period}): "
+            f"{scheme} (N_p={n_cycles * spec.schedule.pulses_per_period}): "
             f"max pre-optimum rel err = {pre_opt.max():.4f} -> {out}/{scheme}_*.csv"
         )
 

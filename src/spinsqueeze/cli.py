@@ -8,9 +8,10 @@ their JSON types (compare needs `out`); each field's rule and, for the
 `TRACE_COMMANDS`, every rule of `experiments.validate_spec`, memory
 included; the command's schemes (`COMMAND_SCHEMES`).  Only then is a
 missing t_total derived from the squeezing optimum, so no refusal waits for
-an optimum scan.  `scaling` leaves its checks to `experiments.scaling_fit`;
-`timecost` checks its flags, and `converge` its cycle counts, with
-`experiments.check_field`.
+an optimum scan; a given one keeps the checked spec, and its compiled period
+(`experiments.ExperimentSpec.schedule`), as the run's.  `scaling` leaves its
+checks to `experiments.scaling_fit`; `timecost` checks its flags, and
+`converge` its cycle counts, with `experiments.check_field`.
 Exit codes: 0 success, 2 validation error (any ValueError), 1 runtime error.
 """
 
@@ -36,7 +37,7 @@ from .experiments import (
     time_cost,
     validate_spec,
 )
-from .schedules import SCHEME_ORDERS, compile_scheme, delta_t_for, schedule_to_text, strength_divisor
+from .schedules import SCHEME_ORDERS, schedule_to_text, strength_divisor
 from .squeezing import SqueezingTrace
 
 # The JSON type of each key of a run document, in the order the CLI lists
@@ -219,10 +220,9 @@ def _cmd_converge(args: argparse.Namespace) -> int:
 
 
 def _cmd_scaling(args: argparse.Namespace) -> int:
-    scheme = args.scheme or "ideal-TAT"
     n_list = [int(v) for v in args.n_list.split(",")]
-    fit = scaling_fit(scheme, n_list, chi=args.chi, order=args.order)  # it validates every N's run
-    print(f"scheme={scheme} exponent={fit.exponent:.4f} intercept={fit.intercept:.4f} r2={fit.r_squared:.6f}")
+    fit = scaling_fit(args.scheme, n_list, chi=args.chi, order=args.order)  # it validates every N's run
+    print(f"scheme={args.scheme} exponent={fit.exponent:.4f} intercept={fit.intercept:.4f} r2={fit.r_squared:.6f}")
     if args.out:
         lines = ["n,xi2_min"]
         lines.extend(f"{n},{_fmt(xi2_min)}" for n, xi2_min in zip(n_list, fit.y))
@@ -232,9 +232,7 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
     spec, out = _run(args)
-    delta_t = delta_t_for(spec.scheme, spec.t_total, spec.n_cycles, spec.order)
-    schedule = compile_scheme(spec.scheme, delta_t, spec.n_cycles, spec.order)
-    _emit(out, schedule_to_text(schedule))
+    _emit(out, schedule_to_text(spec.schedule))
     return 0
 
 
@@ -280,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p, ("scheme",))
     p.add_argument("--n-list", required=True, help="comma-separated spin numbers")
     _add_flags(p, ("chi", "order", "out"))
-    p.set_defaults(func=_cmd_scaling, chi=1.0, order=2)
+    p.set_defaults(func=_cmd_scaling, scheme="ideal-TAT", chi=1.0, order=2)
 
     p = sub.add_parser("schedule", help="emit the compiled pulse schedule as text")
     _add_run_flags(p)

@@ -5,7 +5,8 @@ t_total / n_cycles its interior instants (fine(k) only) and its end.
 `validate_spec` refuses a run whose samples (SAMPLE_BYTES each) and tables
 the memory cannot hold: a pulse trace's pair eigenvectors (4 h^2 bytes,
 `propagate.pair_store_bytes`) and a complex phase row of h = N//2 + 1 per
-distinct step duration and per interior sample.
+distinct step duration of the period a spec compiles once and holds for
+its run (`ExperimentSpec.schedule`) and per interior sample.
 Pulse schemes run on the even-index Dicke sector (see `propagate`): each
 period is the schedule's steps, free z^2 twisting or a pulse pair
 (a+, tau, a-), and every step is phases in its own basis, Dicke or pair.
@@ -33,16 +34,16 @@ SCAN_CHUNK_COLUMNS times at a time in one state buffer.  Ideal z^2
 twisting (the ideal-OAT trace, `oat_optimum`) evolves no state: it is the
 closed form `squeezing.oat_moments`.  Both optima zoom in on their minimum
 in four batched calls of one xi^2 kernel (`_scan_minimize`).  The pulse
-schemes are `schedules.SCHEME_ORDERS`.  Each run parameter's rule is stated
-once, in `check_field`; `validate_spec` applies it to every spec and refuses
-an order the scheme would not read.
+schemes are `schedules.SCHEME_ORDERS`.  Each run parameter's rule, its type
+included, is stated once, in `check_field`; `validate_spec` applies it to
+every spec and refuses an order the scheme would not read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -104,16 +105,27 @@ class ExperimentSpec:
     order: int = 2  # product-formula order: any even one for "general", 2 or its own for a named scheme, else 2
     divisor: float = 1.0  # strength divisor for ideal-TAT references; other schemes take 1.0
 
+    @cached_property
+    def schedule(self) -> Schedule:
+        """A pulse run's compiled period, built on first use and held by this spec; a replaced spec compiles afresh."""
+        delta_t = delta_t_for(self.scheme, self.t_total, self.n_cycles, self.order)
+        return compile_scheme(self.scheme, delta_t, int(self.n_cycles), self.order)  # compile_scheme takes Python ints
+
 
 def check_field(key: str, value):
     """`value` if it obeys the rule of ExperimentSpec field `key`, else a ValueError naming the field.
 
     The one statement of each rule, for library specs, documents and CLI flags alike.
     """
-    if key == "scheme":
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if key in ("n_spins", "n_cycles", "order", "subsamples") and not integer:
+        ok, rule = False, "be an integer"
+    elif key == "scheme":
         ok, rule = value in (*SCHEME_ORDERS, *IDEAL_SCHEMES), f"be one of {(*SCHEME_ORDERS, *IDEAL_SCHEMES)}"
     elif key in ("n_spins", "n_cycles"):
         ok, rule = value >= 1, "be >= 1"
+    elif key == "subsamples":
+        ok, rule = value >= 0, "be >= 0"
     elif key == "order":
         ok, rule = 2 <= value <= MAX_ORDER and value % 2 == 0, f"be an even integer from 2 to {MAX_ORDER}"
     else:  # chi, t_total, divisor
@@ -123,9 +135,9 @@ def check_field(key: str, value):
     return value
 
 
-def validate_spec(spec: ExperimentSpec) -> Schedule | None:
-    """ValueError unless `spec` obeys every rule and fits in memory; a pulse trace's compiled period, else None."""
-    for key in ("scheme", "n_spins", "n_cycles", "t_total", "chi", "order", "divisor"):
+def validate_spec(spec: ExperimentSpec) -> None:
+    """ValueError unless `spec` obeys every rule and fits in memory; a pulse run compiles its schedule to count."""
+    for key in ("scheme", "n_spins", "n_cycles", "t_total", "chi", "order", "divisor", "subsamples"):
         check_field(key, getattr(spec, key))
     if spec.sampling not in ("stroboscopic", "fine"):
         raise ValueError(f"sampling must be 'stroboscopic' or 'fine', got {spec.sampling!r}")
@@ -139,19 +151,15 @@ def validate_spec(spec: ExperimentSpec) -> Schedule | None:
         raise ValueError(f"field 'order' must be 2 for scheme {spec.scheme!r}, got {spec.order!r}")
     samples = spec.n_cycles * (spec.subsamples + 1) + 1
     tables = 0  # a pulse trace's phase rows, complex of h = N//2 + 1, and its pair eigenvectors' half-size store
-    period = None
     if spec.scheme in SCHEME_ORDERS:
-        h = even_sector_dim(spec.n_spins)
-        delta_t = delta_t_for(spec.scheme, spec.t_total, spec.n_cycles, spec.order)
-        period = compile_scheme(spec.scheme, delta_t, 1, spec.order)
-        tables = (len(set(map(_phase_key, period.steps))) + spec.subsamples) * h * 16 + pair_store_bytes(spec.n_spins)
+        durations = len(set(map(_phase_key, spec.schedule.steps)))
+        tables = (durations + spec.subsamples) * even_sector_dim(spec.n_spins) * 16 + pair_store_bytes(spec.n_spins)
     limit = memory_limit_bytes()
     if samples * SAMPLE_BYTES + tables > limit:
         raise ValueError(
             f"{samples} samples need {samples * SAMPLE_BYTES / 2**30:.1f} GiB and their tables "
             f"{tables / 2**30:.1f} GiB, more than the {limit / 2**30:.1f} GiB of memory available"
         )
-    return period
 
 
 def _phase_key(step: Step) -> tuple[bool, float]:
@@ -218,8 +226,8 @@ def _samples(stamps, xi2, mean, j: float) -> list[SqueezingSample]:
     return samples
 
 
-def _pulse_samples(spec: ExperimentSpec, period: Schedule) -> list[SqueezingSample]:
-    """Main-line propagation of the compiled `period` into per-sample moments, measured by one tail at the end.
+def _pulse_samples(spec: ExperimentSpec) -> list[SqueezingSample]:
+    """Main-line propagation of the spec's `ExperimentSpec.schedule` into per-sample moments, measured by one tail.
 
     Every step is measured and applied alike, through the state's
     coefficients in the step's basis (the state itself for free twisting).
@@ -228,9 +236,9 @@ def _pulse_samples(spec: ExperimentSpec, period: Schedule) -> list[SqueezingSamp
     j = n / 2
     times = _sample_times(spec)
     per = (len(times) - 1) // spec.n_cycles  # samples per period; times[1:per] are its interior offsets
-    itinerary = _itinerary(period.steps, times[1:per], times[per])
+    itinerary = _itinerary(spec.schedule.steps, times[1:per], times[per])
 
-    keyed = {_phase_key(step): step for step in period.steps}  # one end row per distinct duration of each basis
+    keyed = {_phase_key(step): step for step in spec.schedule.steps}  # one end row per distinct duration of each basis
     ends = {key: step_phases(n, step.axis, spec.chi, [step.duration])[0] for key, step in keyed.items()}
     bands = {False: dicke_bands(n), True: pair_bands(n)}  # by bool(axis): pairs about x and y share V's
     legs = [  # (step, end phases, interior phases or none)
@@ -296,13 +304,9 @@ def _ideal_samples(spec: ExperimentSpec) -> list[SqueezingSample]:
 
 
 def run_trace(spec: ExperimentSpec) -> SqueezingTrace:
-    """Deterministic squeezing trace for one experiment description."""
-    return _run_trace(spec, validate_spec(spec))
-
-
-def _run_trace(spec: ExperimentSpec, period: Schedule | None) -> SqueezingTrace:
-    """The trace of a validated `spec`, on the period `validate_spec` compiled for it."""
-    samples = _pulse_samples(spec, period) if spec.scheme in SCHEME_ORDERS else _ideal_samples(spec)
+    """Deterministic squeezing trace for one experiment description, validated first."""
+    validate_spec(spec)
+    samples = _pulse_samples(spec) if spec.scheme in SCHEME_ORDERS else _ideal_samples(spec)
     return SqueezingTrace(tuple(samples), spec.n_spins, spec.n_cycles)
 
 
@@ -326,11 +330,9 @@ def relative_error_curve(trace_seq: SqueezingTrace, trace_eff: SqueezingTrace) -
     stroboscopic instants are a grid mismatch.
     """
     for field in ("n_spins", "n_cycles"):
-        if getattr(trace_seq, field) != getattr(trace_eff, field):
-            raise ValueError(
-                f"grid mismatch: {field} differs "
-                f"({getattr(trace_seq, field)} vs {getattr(trace_eff, field)})"
-            )
+        seq, eff = getattr(trace_seq, field), getattr(trace_eff, field)
+        if seq != eff:
+            raise ValueError(f"grid mismatch: {field} differs ({seq} vs {eff})")
     t_seq = trace_seq.times()[strobe_indices(trace_seq)]
     t_eff = trace_eff.times()[strobe_indices(trace_eff)]
     if not np.array_equal(t_seq, t_eff):
@@ -435,17 +437,17 @@ def oat_optimum(n_spins: int) -> Optimum:
     return Optimum(t_opt=t_opt, xi2_min=xi2_min)
 
 
-def _optimum_time(scheme: str, n_spins: int) -> float:
-    """t_opt of the ideal twisting a scheme is measured against; a ValueError for one spin, which never squeezes."""
+def _reference_optimum(scheme: str, n_spins: int) -> Optimum:
+    """The ideal twisting optimum a scheme is measured against; a ValueError for one spin, which never squeezes."""
     if n_spins == 1:
         raise ValueError("n_spins = 1 has no squeezing optimum: one spin keeps xi^2 = 1 at every time")
-    return (oat_optimum if scheme == "ideal-OAT" else tat_optimum)(n_spins).t_opt
+    return (oat_optimum if scheme == "ideal-OAT" else tat_optimum)(n_spins)
 
 
 def default_t_total(scheme: str, n_spins: int, chi: float = 1.0, order: int = 2) -> float:
     """Run length covering 1.5x the time to reach the squeezing optimum."""
     d = 1.0 if scheme in IDEAL_SCHEMES else strength_divisor(scheme, order)
-    return PRE_OPTIMUM_FACTOR * d * _optimum_time(scheme, n_spins) / chi
+    return PRE_OPTIMUM_FACTOR * d * _reference_optimum(scheme, n_spins).t_opt / chi
 
 
 @dataclass(frozen=True)
@@ -463,19 +465,20 @@ def nc_convergence(
     nc_list,
     order: int = 2,
 ) -> tuple[NcRow, ...]:
-    """Best stroboscopic xi^2 per cycle count, against the ideal twisting minimum.
+    """Best stroboscopic xi^2 of a pulse scheme per cycle count, against the ideal-TAT minimum.
 
-    Every count's spec is validated, and its period compiled once, before the first trace runs.
+    Every count's spec is validated, and its period compiled once, before the TAT optimum and the first trace.
     """
+    if scheme not in SCHEME_ORDERS:
+        raise ValueError(f"convergence needs a pulse scheme, one of {tuple(SCHEME_ORDERS)}, got {scheme!r}")
     specs = [ExperimentSpec(scheme, n_spins, int(nc), t_total, chi=chi, order=order) for nc in nc_list]
-    periods = [validate_spec(spec) for spec in specs]
-    ideal = tat_optimum(n_spins)
+    for spec in specs:
+        validate_spec(spec)
+    ideal = tat_optimum(n_spins).xi2_min
     rows = []
-    for spec, period in zip(specs, periods):
-        best = find_optimum(_run_trace(spec, period))
-        rows.append(
-            NcRow(spec.n_cycles, best.xi2_min, abs(best.xi2_min - ideal.xi2_min) / ideal.xi2_min)
-        )
+    for spec in specs:
+        best = find_optimum(run_trace(spec)).xi2_min
+        rows.append(NcRow(spec.n_cycles, best, abs(best - ideal) / ideal))
     return tuple(rows)
 
 
@@ -508,10 +511,8 @@ def scaling_fit(scheme: str, n_list, chi: float = 1.0, order: int = 2) -> FitRes
         validate_spec(spec)
     minima = []
     for spec in specs:
-        if scheme == "ideal-TAT":
-            minima.append(tat_optimum(spec.n_spins).xi2_min)
-        elif scheme == "ideal-OAT":
-            minima.append(oat_optimum(spec.n_spins).xi2_min)
+        if scheme in IDEAL_SCHEMES:
+            minima.append(_reference_optimum(scheme, spec.n_spins).xi2_min)
         else:
             spec = replace(spec, t_total=default_t_total(scheme, spec.n_spins, chi, order))
             minima.append(find_optimum(run_trace(spec)).xi2_min)
@@ -520,4 +521,4 @@ def scaling_fit(scheme: str, n_list, chi: float = 1.0, order: int = 2) -> FitRes
 
 def time_cost(scheme: str, n_spins: int, chi: float = 1.0, order: int = 2) -> float:
     """Total evolution time for the pulse scheme to reach the twisting optimum."""
-    return strength_divisor(scheme, order) * _optimum_time(scheme, n_spins) / chi
+    return strength_divisor(scheme, order) * _reference_optimum(scheme, n_spins).t_opt / chi

@@ -162,7 +162,8 @@ REMOVED_NAMES = {
                   "ScheduleStats", "schedule_stats", "_finish", "TsCoefficients", "S_PARAM",
                   "compile_order1", "compile_general"],
     "experiments": ["strength_divisor", "run_many", "_pair_steps", "_Step", "_interior_offsets",
-                    "trotter_order_fit", "SAMPLE_BUFFER_ROWS", "PAIR_BLOCK_ENTRIES", "PULSE_SCHEMES"],
+                    "trotter_order_fit", "SAMPLE_BUFFER_ROWS", "PAIR_BLOCK_ENTRIES", "PULSE_SCHEMES",
+                    "_run_trace"],
     "propagate": ["rotate", "rotation_matrix", "_rotation_factorization", "rotation_propagator",
                   "Propagator", "evolve_oat", "spectral_norm_estimate", "frobenius_norm",
                   "twist_factorization", "evolve_twist", "schedule_unitary", "unitary_distance", "HALF_PI",
@@ -397,6 +398,16 @@ def test_one_spin_with_a_run_length_stays_unsqueezed(capsys):
     assert [float(row.split(",")[1]) for row in rows] == [1.0, 1.0, 1.0]
 
 
+@pytest.mark.parametrize("scheme", ["ideal-TAT", "ideal-OAT"])
+def test_scaling_over_one_spin_exits_2_naming_the_cause(scheme, capsys, no_optimum_scan):
+    """An ideal fit's minima are the reference optima, which refuse one spin as a default run length
+    does, here before any optimum scan: the fit once took xi^2 = 1 at N = 1."""
+    assert main(["scaling", "--scheme", scheme, "--n-list", "1,2,3"]) == 2
+    captured = capsys.readouterr()
+    assert "n_spins = 1 has no squeezing optimum" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("order", ["0", "3", "7"])
 @pytest.mark.parametrize("scheme", ["general", "schemeA", "ideal-TAT"])
 def test_order_of_scaling_obeys_the_config_rule(scheme, order, capsys):
@@ -506,6 +517,29 @@ def test_runs_memory_cannot_hold_exit_2_before_any_optimum_scan(argv, tmp_path, 
     assert "samples need" in captured.err and "of memory available" in captured.err
     assert captured.out == ""
     assert not (tmp_path / "cmp").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, compiles",
+    [
+        (["simulate", "--scheme", "general", "--order", "6", *SMALL, "--t-total", "0.1"], 1),
+        (["compare", "--scheme", "schemeB", *SMALL, "--t-total", "0.1", "--out", "{out}"], 1),
+        (["simulate", "--scheme", "schemeA", *SMALL], 2),
+    ],
+    ids=["simulate", "compare", "simulate-derived-t_total"],
+)
+def test_trace_commands_compile_the_period_they_checked(argv, compiles, tmp_path, monkeypatch):
+    """With --t-total, the spec whose memory need was checked is the one that runs, and it holds its
+    compiled schedule: one compile.  A derived t_total is checked at t_total = 1, then compiled for the run."""
+    real, calls = experiments.compile_scheme, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(experiments, "compile_scheme", counted)
+    assert main([arg.replace("{out}", str(tmp_path / "cmp")) for arg in argv]) == 0
+    assert len(calls) == compiles
 
 
 def test_converge_checks_its_largest_cycle_count_before_any_optimum_scan(capsys, no_optimum_scan):

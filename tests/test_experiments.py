@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -185,6 +186,45 @@ def test_nc_convergence_compiles_each_period_once(monkeypatch):
     rows = nc_convergence("schemeA", 40, 1.0, 0.01, [5, 10, 20])
     assert len(compiles) == 3
     assert [(r.n_cycles, r.xi2_best_strobe) for r in rows] == list(zip((5, 10, 20), want))
+
+
+def test_spec_holds_its_schedule_and_a_replaced_spec_compiles_afresh(monkeypatch):
+    compiles = counting(monkeypatch, experiments, "compile_scheme")
+    spec = ExperimentSpec("schemeB", 40, 3, 0.3)
+    assert spec.schedule is spec.schedule
+    assert spec.schedule == compile_scheme("schemeB", delta_t_for("schemeB", 0.3, 3), 3)
+    longer = replace(spec, t_total=0.6)
+    assert longer.schedule.delta_t == 2 * spec.schedule.delta_t
+    assert len(compiles) == 2
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("n_spins", 10.0), ("n_spins", "10"), ("n_cycles", 2.5), ("n_cycles", True), ("order", 4.0),
+     ("order", True), ("subsamples", 2.0), ("subsamples", False)],
+)
+def test_integer_fields_refuse_other_types(field, value):
+    """A non-integer or bool spin number, cycle count, order or sample count is refused on its field
+    (it raised TypeError from range(), or ran one cycle for True); numpy integers run as ints do."""
+    spec = ExperimentSpec("schemeB", 10, 2, 0.1, order=4, sampling="fine", subsamples=2)
+    bad = replace(spec, **{field: value})
+    for run in (validate_spec, run_trace):
+        with pytest.raises(ValueError, match=re.escape(f"field '{field}' must be an integer, got {value!r}")):
+            run(bad)
+    numpy_ints = replace(spec, **{field: np.int64(getattr(spec, field))})
+    assert run_trace(numpy_ints).xi2().tolist() == run_trace(spec).xi2().tolist()
+
+
+@pytest.mark.parametrize("scheme", IDEAL_SCHEMES)
+def test_nc_convergence_refuses_ideal_schemes_before_any_optimum_scan(scheme, monkeypatch):
+    """An exact run has nothing to converge to: ideal-OAT against the TAT minimum read rel_error 1.8."""
+
+    def scan(n_spins):
+        raise AssertionError("an optimum scan ran")
+
+    monkeypatch.setattr(experiments, "tat_optimum", scan)
+    with pytest.raises(ValueError, match=f"convergence needs a pulse scheme, one of .*, got '{scheme}'"):
+        nc_convergence(scheme, 100, 1.0, 0.2, [5, 10])
 
 
 @pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="the mapped size is read from /proc/self/statm")

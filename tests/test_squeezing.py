@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinsqueeze.experiments import (ExperimentSpec, _samples, _tat_scan, _tat_states, default_t_total, tat_optimum,
-                                     validate_spec)
+from spinsqueeze.experiments import ExperimentSpec, _samples, _tat_scan, _tat_states, default_t_total, tat_optimum
 from spinsqueeze.propagate import dicke_bands, pair_amplitudes, pair_bands, pair_coefficients, step_phases
 from spinsqueeze.schedules import strength_divisor
 from spinsqueeze.spin_ops import build_operators
@@ -315,7 +314,7 @@ def _scheme_a_steps(n):
     psi[0] = 1.0
     t, steps = 0.0, []
     for _ in range(spec.n_cycles):
-        for step in validate_spec(spec).steps:
+        for step in spec.schedule.steps:
             coeffs = pair_coefficients(n, step.axis, psi) if step.axis else psi
             steps.append((t, step, coeffs))
             end = step_phases(n, step.axis, spec.chi, [step.duration])[0]
