@@ -32,7 +32,7 @@ def main() -> None:
 
     for scheme in ("liu1", "schemeA"):
         start = time.time()
-        rows = nc_convergence(scheme, args.n_spins, 1.0, t_total, nc_list)
+        rows = nc_convergence(scheme, args.n_spins, t_total, nc_list)
         table = out / f"{scheme}_convergence.csv"
         with table.open("w", newline="\n") as fh:
             fh.write("n_cycles,xi2_best_strobe,rel_error\n")

@@ -1,8 +1,9 @@
 """Command-line front end: argv and the --config document to one checked run, then CSV or schedule text.
 
 Every subcommand is a thin shell over the library; nothing here computes
-physics.  Run flags are generated from `KEY_TYPES`, laid over the --config
-file's flat JSON object and parsed once by `parse_config` (`converge` sets
+physics; time is in units of 1/chi.  Run flags are generated from `KEY_TYPES`,
+laid over the --config file's flat JSON object, which may hold only keys the
+command has flags for, and parsed once by `parse_config` (`converge` sets
 n_cycles to the largest count of --nc-list), in this order: the keys and
 their JSON types (compare needs `out`); each field's rule and, for the
 `TRACE_COMMANDS`, every rule of `experiments.validate_spec`, memory
@@ -46,7 +47,6 @@ KEY_TYPES = {
     "scheme": str,
     "n_spins": int,
     "n_cycles": int,
-    "chi": float,
     "t_total": float,
     "sampling": str,
     "order": int,
@@ -121,7 +121,7 @@ def parse_config(document: dict, command: str = "simulate") -> tuple[ExperimentS
     if schemes is not None and spec.scheme not in schemes:
         raise ValueError(f"{command} needs {takes}, got {spec.scheme!r}")
     if "t_total" not in fields:
-        spec = replace(spec, t_total=default_t_total(spec.scheme, spec.n_spins, spec.chi, spec.order))
+        spec = replace(spec, t_total=default_t_total(spec.scheme, spec.n_spins, spec.order))
     return spec, out
 
 
@@ -177,12 +177,23 @@ def _add_run_flags(parser: argparse.ArgumentParser, keys=tuple(KEY_TYPES)) -> No
     _add_flags(parser, keys)
 
 
+def _int_list(flag: str, text: str) -> list[int]:
+    """The comma-separated integers of `flag`'s value, else a ValueError naming the flag and the value."""
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{flag} must be comma-separated integers, got {text!r}") from None
+
+
 def _run(args: argparse.Namespace, **fixed) -> tuple[ExperimentSpec, str | None]:
     """The checked run and output path of the subcommand's flags laid over the --config file's object.
 
-    `fixed` values replace both, for keys the subcommand sets itself.
+    `fixed` values replace both, for keys the subcommand sets itself; any other config key needs a flag.
     """
     document = load_config(args.config) if args.config else {}
+    ignored = sorted(set(document) - set(vars(args)) - set(fixed))
+    if ignored:
+        raise ValueError(f"{args.command} takes no config keys: {', '.join(ignored)}")
     flags = {key: getattr(args, key, None) for key in KEY_TYPES}
     document.update((key, value) for key, value in {**flags, **fixed}.items() if value is not None)
     return parse_config(document, args.command)
@@ -210,9 +221,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_converge(args: argparse.Namespace) -> int:
-    nc_list = [check_field("n_cycles", int(v)) for v in args.nc_list.split(",")]
+    nc_list = [check_field("n_cycles", v) for v in _int_list("--nc-list", args.nc_list)]
     spec, out = _run(args, n_cycles=max(nc_list))  # the sweep's counts are the run's; the largest needs the most
-    rows = nc_convergence(spec.scheme, spec.n_spins, spec.chi, spec.t_total, nc_list, spec.order)
+    rows = nc_convergence(spec.scheme, spec.n_spins, spec.t_total, nc_list, spec.order)
     lines = ["n_cycles,xi2_best_strobe,rel_error"]
     lines.extend(f"{r.n_cycles},{_fmt(r.xi2_best_strobe)},{_fmt(r.rel_error)}" for r in rows)
     _emit(out, "\n".join(lines) + "\n")
@@ -220,8 +231,8 @@ def _cmd_converge(args: argparse.Namespace) -> int:
 
 
 def _cmd_scaling(args: argparse.Namespace) -> int:
-    n_list = [int(v) for v in args.n_list.split(",")]
-    fit = scaling_fit(args.scheme, n_list, chi=args.chi, order=args.order)  # it validates every N's run
+    n_list = _int_list("--n-list", args.n_list)
+    fit = scaling_fit(args.scheme, n_list, order=args.order)  # it validates every N's run
     print(f"scheme={args.scheme} exponent={fit.exponent:.4f} intercept={fit.intercept:.4f} r2={fit.r_squared:.6f}")
     if args.out:
         lines = ["n,xi2_min"]
@@ -240,12 +251,11 @@ def _cmd_timecost(args: argparse.Namespace) -> int:
     if args.n_spins is None:
         raise ValueError("timecost needs --n-spins")
     n_spins = check_field("n_spins", args.n_spins)
-    chi = check_field("chi", args.chi)
     lines = ["scheme,divisor,t_opt,total_time"]
     opt = tat_optimum(n_spins)
     for scheme in ("schemeA", "schemeB"):
         d = strength_divisor(scheme)
-        lines.append(f"{scheme},{_fmt(d)},{_fmt(opt.t_opt / chi)},{_fmt(time_cost(scheme, n_spins, chi))}")
+        lines.append(f"{scheme},{_fmt(d)},{_fmt(opt.t_opt)},{_fmt(time_cost(scheme, n_spins))}")
     ratio = strength_divisor("schemeB") / strength_divisor("schemeA")
     text = "\n".join(lines) + "\n" + f"# ratio schemeB/schemeA = {_fmt(ratio)}\n"
     _emit(args.out, text)
@@ -268,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("converge", help="sweep the cycle count and tabulate convergence")
-    _add_run_flags(p, [key for key in KEY_TYPES if key != "n_cycles"])
+    _add_run_flags(p, [key for key in KEY_TYPES if key not in ("n_cycles", "sampling")])  # it reads period ends only
     p.add_argument(
         "--nc-list", required=True, help="comma-separated cycle counts; they replace a config file's n_cycles"
     )
@@ -277,16 +287,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scaling", help="fit the spin-number scaling of the optimal squeezing")
     _add_flags(p, ("scheme",))
     p.add_argument("--n-list", required=True, help="comma-separated spin numbers")
-    _add_flags(p, ("chi", "order", "out"))
-    p.set_defaults(func=_cmd_scaling, scheme="ideal-TAT", chi=1.0, order=2)
+    _add_flags(p, ("order", "out"))
+    p.set_defaults(func=_cmd_scaling, scheme="ideal-TAT", order=2)
 
     p = sub.add_parser("schedule", help="emit the compiled pulse schedule as text")
-    _add_run_flags(p)
+    _add_run_flags(p, [key for key in KEY_TYPES if key != "sampling"])  # it runs no trace
     p.set_defaults(func=_cmd_schedule)
 
     p = sub.add_parser("timecost", help="total time to optimal squeezing per scheme")
-    _add_flags(p, ("n_spins", "chi", "out"))
-    p.set_defaults(func=_cmd_timecost, chi=1.0)
+    _add_flags(p, ("n_spins", "out"))
+    p.set_defaults(func=_cmd_timecost)
 
     return parser
 

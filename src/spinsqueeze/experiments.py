@@ -99,7 +99,6 @@ class ExperimentSpec:
     n_spins: int
     n_cycles: int
     t_total: float
-    chi: float = 1.0
     sampling: str = "stroboscopic"  # "stroboscopic" | "fine"
     subsamples: int = 0  # interior samples per period: k for fine(k), 0 stroboscopically
     order: int = 2  # product-formula order: any even one for "general", 2 or its own for a named scheme, else 2
@@ -128,7 +127,7 @@ def check_field(key: str, value):
         ok, rule = value >= 0, "be >= 0"
     elif key == "order":
         ok, rule = 2 <= value <= MAX_ORDER and value % 2 == 0, f"be an even integer from 2 to {MAX_ORDER}"
-    else:  # chi, t_total, divisor
+    else:  # t_total, divisor
         ok, rule = value > 0 and math.isfinite(value), "be finite and positive"
     if not ok:
         raise ValueError(f"field '{key}' must {rule}, got {value!r}")
@@ -137,7 +136,7 @@ def check_field(key: str, value):
 
 def validate_spec(spec: ExperimentSpec) -> None:
     """ValueError unless `spec` obeys every rule and fits in memory; a pulse run compiles its schedule to count."""
-    for key in ("scheme", "n_spins", "n_cycles", "t_total", "chi", "order", "divisor", "subsamples"):
+    for key in ("scheme", "n_spins", "n_cycles", "t_total", "order", "divisor", "subsamples"):
         check_field(key, getattr(spec, key))
     if spec.sampling not in ("stroboscopic", "fine"):
         raise ValueError(f"sampling must be 'stroboscopic' or 'fine', got {spec.sampling!r}")
@@ -239,10 +238,10 @@ def _pulse_samples(spec: ExperimentSpec) -> list[SqueezingSample]:
     itinerary = _itinerary(spec.schedule.steps, times[1:per], times[per])
 
     keyed = {_phase_key(step): step for step in spec.schedule.steps}  # one end row per distinct duration of each basis
-    ends = {key: step_phases(n, step.axis, spec.chi, [step.duration])[0] for key, step in keyed.items()}
+    ends = {key: step_phases(n, step.axis, [step.duration])[0] for key, step in keyed.items()}
     bands = {False: dicke_bands(n), True: pair_bands(n)}  # by bool(axis): pairs about x and y share V's
     legs = [  # (step, end phases, interior phases or none)
-        (step, ends[_phase_key(step)], step_phases(n, step.axis, spec.chi, partials) if partials else ())
+        (step, ends[_phase_key(step)], step_phases(n, step.axis, partials) if partials else ())
         for step, partials in itinerary
     ]
 
@@ -291,14 +290,14 @@ def _pulse_samples(spec: ExperimentSpec) -> list[SqueezingSample]:
 
 
 def _ideal_samples(spec: ExperimentSpec) -> list[SqueezingSample]:
-    """Closed-form z^2 twisting, or xy twisting at rate chi / divisor through the TAT scan's loop."""
+    """Closed-form z^2 twisting, or xy twisting at rate 1 / divisor through the TAT scan's loop."""
     times = _sample_times(spec)
     ts = np.array(times)
     if spec.scheme == "ideal-OAT":
-        m = oat_moments(spec.n_spins, spec.chi * ts)
+        m = oat_moments(spec.n_spins, ts)
         xi2, mean = m.xi2, np.column_stack([m.mean_x, np.zeros((ts.size, 2))])
     else:
-        xi2, jz = _tat_scan(spec.n_spins, spec.chi / spec.divisor)(ts)
+        xi2, jz = _tat_scan(spec.n_spins, 1.0 / spec.divisor)(ts)
         mean = np.column_stack([np.zeros((ts.size, 2)), jz])
     return _samples(zip(times, range(ts.size)), xi2, mean, spec.n_spins / 2)
 
@@ -437,17 +436,22 @@ def oat_optimum(n_spins: int) -> Optimum:
     return Optimum(t_opt=t_opt, xi2_min=xi2_min)
 
 
-def _reference_optimum(scheme: str, n_spins: int) -> Optimum:
-    """The ideal twisting optimum a scheme is measured against; a ValueError for one spin, which never squeezes."""
+def _check_squeezes(n_spins: int) -> None:
+    """A ValueError for one spin, which never squeezes."""
     if n_spins == 1:
         raise ValueError("n_spins = 1 has no squeezing optimum: one spin keeps xi^2 = 1 at every time")
+
+
+def _reference_optimum(scheme: str, n_spins: int) -> Optimum:
+    """The ideal twisting optimum a scheme is measured against; `_check_squeezes` first."""
+    _check_squeezes(n_spins)
     return (oat_optimum if scheme == "ideal-OAT" else tat_optimum)(n_spins)
 
 
-def default_t_total(scheme: str, n_spins: int, chi: float = 1.0, order: int = 2) -> float:
+def default_t_total(scheme: str, n_spins: int, order: int = 2) -> float:
     """Run length covering 1.5x the time to reach the squeezing optimum."""
     d = 1.0 if scheme in IDEAL_SCHEMES else strength_divisor(scheme, order)
-    return PRE_OPTIMUM_FACTOR * d * _reference_optimum(scheme, n_spins).t_opt / chi
+    return PRE_OPTIMUM_FACTOR * d * _reference_optimum(scheme, n_spins).t_opt
 
 
 @dataclass(frozen=True)
@@ -460,7 +464,6 @@ class NcRow:
 def nc_convergence(
     scheme: str,
     n_spins: int,
-    chi: float,
     t_total: float,
     nc_list,
     order: int = 2,
@@ -471,7 +474,7 @@ def nc_convergence(
     """
     if scheme not in SCHEME_ORDERS:
         raise ValueError(f"convergence needs a pulse scheme, one of {tuple(SCHEME_ORDERS)}, got {scheme!r}")
-    specs = [ExperimentSpec(scheme, n_spins, int(nc), t_total, chi=chi, order=order) for nc in nc_list]
+    specs = [ExperimentSpec(scheme, n_spins, int(nc), t_total, order=order) for nc in nc_list]
     for spec in specs:
         validate_spec(spec)
     ideal = tat_optimum(n_spins).xi2_min
@@ -501,24 +504,25 @@ def _loglog_fit(x: np.ndarray, y: np.ndarray) -> FitResult:
     return FitResult(float(coeffs[0]), float(coeffs[1]), r2, tuple(y.tolist()))
 
 
-def scaling_fit(scheme: str, n_list, chi: float = 1.0, order: int = 2) -> FitResult:
-    """Least-squares exponent of log xi^2_min against log N; every N's run is validated (t_total = 1) first."""
+def scaling_fit(scheme: str, n_list, order: int = 2) -> FitResult:
+    """Least-squares exponent of log xi^2_min against log N; every N's run (t_total = 1) and N > 1 are checked first."""
     n_list = [int(n) for n in n_list]
     if len(set(n_list)) < 3:
         raise ValueError("scaling fit needs at least 3 distinct spin numbers")
-    specs = [ExperimentSpec(scheme, n, n_cycles=50, t_total=1.0, chi=chi, order=order) for n in n_list]
+    specs = [ExperimentSpec(scheme, n, n_cycles=50, t_total=1.0, order=order) for n in n_list]
     for spec in specs:
         validate_spec(spec)
+        _check_squeezes(spec.n_spins)
     minima = []
     for spec in specs:
         if scheme in IDEAL_SCHEMES:
             minima.append(_reference_optimum(scheme, spec.n_spins).xi2_min)
         else:
-            spec = replace(spec, t_total=default_t_total(scheme, spec.n_spins, chi, order))
+            spec = replace(spec, t_total=default_t_total(scheme, spec.n_spins, order))
             minima.append(find_optimum(run_trace(spec)).xi2_min)
     return _loglog_fit(np.array(n_list, dtype=float), np.array(minima))
 
 
-def time_cost(scheme: str, n_spins: int, chi: float = 1.0, order: int = 2) -> float:
+def time_cost(scheme: str, n_spins: int, order: int = 2) -> float:
     """Total evolution time for the pulse scheme to reach the twisting optimum."""
-    return strength_divisor(scheme, order) * _reference_optimum(scheme, n_spins).t_opt / chi
+    return strength_divisor(scheme, order) * _reference_optimum(scheme, n_spins).t_opt

@@ -1,12 +1,12 @@
 """Exact unitary time evolution.
 
 Every pulse schedule starts from |J,J> and is a sequence of free z^2
-twisting and pulse pairs (a +pi/2 pulse about a, free time tau, the
-inverse pulse).  A pair about y is exp(-i chi tau J_x^2) and a pair about x
-is exp(-i chi tau J_y^2); both, like free twisting, keep the state in the
-even-index Dicke sector of dimension N//2 + 1.  On that sector J_x^2 is real
-symmetric tridiagonal and J_y^2 is the same matrix in the (-1)^i gauge, so
-the pulse engine is
+twisting exp(-i t J_z^2), time in units of 1/chi, and pulse pairs (a +pi/2
+pulse about a, free time tau, the inverse pulse).  A pair about y is
+exp(-i tau J_x^2) and a pair about x is exp(-i tau J_y^2); both, like free
+twisting, keep the state in the even-index Dicke sector of dimension
+N//2 + 1.  On that sector J_x^2 is real symmetric tridiagonal and J_y^2 is
+the same matrix in the (-1)^i gauge, so the pulse engine is
 
 * free twisting: diagonal phases on the even sector, O(N);
 * pair evolution: one cached factorization of J_x^2 per spin number, its
@@ -17,7 +17,7 @@ the pulse engine is
   coefficients (`pair_amplitudes`);
 * phases: every step is diagonal in its own basis, the Dicke basis for
   free twisting and V for a pair, so its evolution is the phases
-  exp(-i chi t lambda) of its eigenvalues (`step_phases`), which depend only
+  exp(-i t lambda) of its eigenvalues (`step_phases`), which depend only
   on the time into it;
 * moments: J_z is banded in both bases, and J_+ and J_- are banded maps
   into the odd-index sector (`Bands`: `dicke_bands`, and `pair_bands` in
@@ -417,15 +417,15 @@ def _amplitudes(fac: EigenFactorization, coeffs: np.ndarray) -> np.ndarray:
     return psi
 
 
-def step_phases(n_spins: int, axis: str, chi: float, ts) -> np.ndarray:
-    """The phases exp(-i chi t lambda) of a step's basis at each time t into it, one row per t.
+def step_phases(n_spins: int, axis: str, ts) -> np.ndarray:
+    """The phases exp(-i t lambda) of a step's basis at each time t into it, one row per t.
 
     lambda are the even-sector eigenvalues of the step's generator: J_z^2 in
     the Dicke basis for free twisting (no axis), the pair's m^2 in V for a
     pair about either axis.  A row's bits do not depend on the other times.
     """
     values = pair_factorization(n_spins).eigenvalues if axis else build_operators(n_spins).jz_sq_diag[0::2]
-    rates = -1j * chi * np.asarray(ts, dtype=float)
+    rates = -1j * np.asarray(ts, dtype=float)
     phases = rates[:, None] * values
     return np.exp(phases, out=phases)  # in place: a phase table is built without a second copy
 

@@ -96,7 +96,7 @@ def sector_moments(rows: np.ndarray, bands) -> tuple[np.ndarray, np.ndarray]:
 
     A row c stands for the even-sector state psi = W c: Dicke amplitudes
     (W = 1) or a pair's eigen-coefficients (W = V), e.g. the phased
-    exp(-i chi t lambda) c of a state t into a step.  <J_z> = c^dagger Z c
+    exp(-i t lambda) c of a state t into a step (t in units of 1/chi).  <J_z> = c^dagger Z c
     sums the band Z = W^T J_z W: Z_ii |c_i|^2 and twice Z_(i, i+d)
     Re(conj(c_i) c_(i+d)).  On the even sector <J_x> = <J_y> = 0, so
     the transverse variance along cos t x + sin t y is |J_t psi|^2, with
@@ -154,18 +154,18 @@ def _cos_power(sin_sq: np.ndarray, cos: np.ndarray, k: int) -> np.ndarray:
         return np.where(cos < 0.0, (-1.0) ** k, 1.0) * np.exp(0.5 * k * np.log1p(-sin_sq))
 
 
-def oat_moments(n_spins: int, chi_t: np.ndarray) -> OatMoments:
-    """z^2 twisting exp(-i chi t J_z^2) of the x-polarized state in closed form, per chi*t.
+def oat_moments(n_spins: int, t: np.ndarray) -> OatMoments:
+    """z^2 twisting exp(-i t J_z^2) of the x-polarized state in closed form, per time t in units of 1/chi.
 
-    Kitagawa and Ueda, PRA 47, 5138 (1993).  With mu = 2 chi t, A = 1 - cos^(N-2) mu
+    Kitagawa and Ueda, PRA 47, 5138 (1993).  With mu = 2t, A = 1 - cos^(N-2) mu
     and B = 4 sin(mu/2) cos^(N-2)(mu/2): <J_x> = J cos^(N-1)(mu/2), Var J_y =
     N/4 (1 + (N-1) A/2), Var J_z = N/4, Cov(J_y, J_z) = N(N-1) B/16 and xi^2 =
-    1 - (N-1)/4 B^2 / (A + sqrt(A^2 + B^2)), +inf where |cos chi t|^(N-1) <=
+    1 - (N-1)/4 B^2 / (A + sqrt(A^2 + B^2)), +inf where |cos t|^(N-1) <=
     MEAN_SPIN_EPS_FACTOR.  A (where cos mu > 0) and |B| go through log1p, which
     keeps xi^2 within 2e-13 of exact up to N = 10^4.
     """
     n = int(n_spins)
-    sin_h, cos_h = np.sin(chi_t), np.cos(chi_t)
+    sin_h, cos_h = np.sin(t), np.cos(t)
     sin_sq = sin_h**2
     k = max(n - 2, 0)  # N = 1 enters only through factors N - 1 = 0
     cos_mu = 1.0 - 2.0 * sin_sq
@@ -174,7 +174,7 @@ def oat_moments(n_spins: int, chi_t: np.ndarray) -> OatMoments:
         b = 4.0 * sin_h * _cos_power(sin_sq, cos_h, k)
         denom = a + np.hypot(a, b)
         xi2 = 1.0 - (n - 1) / 4.0 * np.where(denom > 0.0, b * b / denom, 0.0)
-    if n == 2:  # xi^2 = 1 - |sin chi t|, written without its cancellation at chi t = pi/2
+    if n == 2:  # xi^2 = 1 - |sin t|, written without its cancellation at t = pi/2
         xi2 = cos_h**2 / (1.0 + np.abs(sin_h))
     mean = _cos_power(sin_sq, cos_h, n - 1)
     xi2 = np.where(np.abs(mean) <= MEAN_SPIN_EPS_FACTOR, np.inf, np.maximum(xi2, 0.0))

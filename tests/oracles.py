@@ -389,7 +389,7 @@ def full_window(n_spins: int) -> DenseFactorization:
 
 def evolve_free(ops: SpinOperators, amps: np.ndarray, chi: float, t: float) -> np.ndarray:
     """exp(-i chi J_z^2 t) on an even-sector amplitude vector."""
-    return amps * step_phases(ops.n_spins, "", chi, [t])[0]
+    return amps * step_phases(ops.n_spins, "", [chi * t])[0]
 
 
 def pair_twist(n_spins: int, coeffs: np.ndarray, chi: float, ts) -> np.ndarray:
@@ -400,7 +400,7 @@ def pair_twist(n_spins: int, coeffs: np.ndarray, chi: float, ts) -> np.ndarray:
     V times a row; at t = tau, the pair's free time, the closing pulse undoes
     it.  A row's bits do not depend on the other times.
     """
-    return step_phases(n_spins, "y", chi, ts) * coeffs
+    return step_phases(n_spins, "y", chi * np.asarray(ts, dtype=float)) * coeffs
 
 
 def pair_evolve(n_spins: int, axis: str, coeffs: np.ndarray, chi: float, t: float) -> np.ndarray:
@@ -588,11 +588,11 @@ def chebyshev_pulse_trace(spec) -> tuple[np.ndarray, np.ndarray]:
 
     Runs the compiled period of `spec` from |J,J> on the even sector, from its
     own ladder, sharing no code with `propagate`.  A sample inside a pair is the
-    state in the frame of the pair's opening pulse, exp(-i chi s J_b^2) psi at
+    state in the frame of the pair's opening pulse, exp(-i s J_b^2) psi at
     s into the pair (b = x in a y pair, y in an x pair), whose xi^2 is the
     lab frame's; <J_z> is also read in that frame.
     """
-    n, chi = spec.n_spins, spec.chi
+    n = spec.n_spins
     delta_t = delta_t_for(spec.scheme, spec.t_total, spec.n_cycles, spec.order)
     steps = compile_scheme(spec.scheme, delta_t, 1, spec.order).steps
     period = spec.t_total / spec.n_cycles
@@ -604,8 +604,8 @@ def chebyshev_pulse_trace(spec) -> tuple[np.ndarray, np.ndarray]:
 
     def evolve(psi: np.ndarray, axis: str, s: float) -> np.ndarray:
         if not axis:
-            return psi * np.exp(-1j * chi * s * m_squared)
-        return chebyshev_evolve(psi, diag, off if axis == "y" else -off, center, chi * s)
+            return psi * np.exp(-1j * s * m_squared)
+        return chebyshev_evolve(psi, diag, off if axis == "y" else -off, center, s)
 
     psi = np.zeros(n // 2 + 1, dtype=complex)
     psi[0] = 1.0

@@ -182,8 +182,8 @@ def test_criterion_5_convergence_claim(opt1250):
     # chosen so a stroboscopic instant lands on the effective optimum.
     t_a = (50 / 44) * 3.0 * opt1250.t_opt
     t_l = 3.0 * opt1250.t_opt
-    e_a = nc_convergence("schemeA", 1250, 1.0, t_a, [50])[0].rel_error
-    liu = nc_convergence("liu1", 1250, 1.0, t_l, [50, 1000])
+    e_a = nc_convergence("schemeA", 1250, t_a, [50])[0].rel_error
+    liu = nc_convergence("liu1", 1250, t_l, [50, 1000])
     e_l50, e_l1000 = liu[0].rel_error, liu[1].rel_error
     ok = (e_a <= 0.10) and (e_l50 >= 2 * e_a) and (e_a / 2 <= e_l1000 <= 2 * e_a)
     report(

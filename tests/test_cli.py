@@ -28,7 +28,6 @@ SMALL = ["--n-spins", "10", "--n-cycles", "3"]
 def test_parse_minimal_config():
     spec, out = parse_config(MINIMAL)
     assert (spec.scheme, spec.n_spins, spec.n_cycles) == ("schemeA", 1250, 50)
-    assert spec.chi == 1.0
     assert spec.sampling == "stroboscopic"
     assert out is None
 
@@ -51,8 +50,6 @@ def test_parse_reports_missing_keys():
 def test_parse_rejects_type_mismatch():
     with pytest.raises(ValueError, match="n_spins"):
         parse_config({**MINIMAL, "n_spins": "many"})
-    with pytest.raises(ValueError, match="chi"):
-        parse_config({**MINIMAL, "chi": -2.0})
 
 
 def test_parse_sampling_tags():
@@ -183,6 +180,7 @@ REMOVED_MEMBERS = {
     "spin_ops.SpinOperators": ["jx", "jy", "jz", "twist_xy", "_dense"],
     "propagate.Bands": ["transverse", "twist"],
     "squeezing.SqueezingTrace": ["sampling", "scheme"],
+    "experiments.ExperimentSpec": ["chi"],
 }
 
 
@@ -350,19 +348,6 @@ def test_timecost_output(capsys):
     assert "schemeA" in out and "schemeB" in out and "ratio" in out
 
 
-@pytest.mark.parametrize("chi", ["-1", "0", "nan"])
-@pytest.mark.parametrize(
-    "command",
-    [["timecost", "--n-spins", "100"], ["scaling", "--scheme", "ideal-TAT", "--n-list", "30,60,120"]],
-    ids=["timecost", "scaling"],
-)
-def test_chi_of_timecost_and_scaling_must_be_finite_and_positive(command, chi, capsys):
-    assert main([*command, "--chi", chi]) == 2
-    captured = capsys.readouterr()
-    assert "field 'chi' must be finite and positive" in captured.err
-    assert captured.out == ""
-
-
 @pytest.mark.parametrize(
     "command",
     [["simulate", "--scheme", "schemeA", "--n-spins", "0", "--n-cycles", "4"],
@@ -492,6 +477,58 @@ def test_commands_say_which_schemes_they_take(argv, message, tmp_path, capsys, n
     assert f"error: {message}\n" == captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+# A run of each subcommand that exits 0; time is in units of 1/chi, so no command takes chi.
+VALID_ARGV = {
+    "simulate": ["simulate", "--scheme", "schemeA", *SMALL],
+    "compare": ["compare", "--scheme", "schemeA", *SMALL, "--out", "{out}"],
+    "converge": ["converge", "--scheme", "schemeA", "--n-spins", "10", "--nc-list", "3"],
+    "scaling": ["scaling", "--n-list", "20,40,80"],
+    "schedule": ["schedule", "--scheme", "schemeA", *SMALL],
+    "timecost": ["timecost", "--n-spins", "10"],
+}
+CONFIG_COMMANDS = ("simulate", "compare", "converge", "schedule")
+
+
+@pytest.mark.parametrize(
+    "command, flags, config, message",
+    [(command, ["--chi", "1"], None, "unrecognized arguments: --chi 1") for command in VALID_ARGV]
+    + [(command, [], {"chi": 1.0}, "unknown config keys: chi") for command in CONFIG_COMMANDS]
+    + [(command, ["--sampling", "fine(3)"], None, "unrecognized arguments: --sampling fine(3)")
+       for command in ("converge", "schedule")]
+    + [(command, [], {"sampling": "fine(3)"}, f"{command} takes no config keys: sampling")
+       for command in ("converge", "schedule")],
+    ids=[f"{command}-flag-chi" for command in VALID_ARGV] + [f"{command}-config-chi" for command in CONFIG_COMMANDS]
+    + ["converge-flag-sampling", "schedule-flag-sampling", "converge-config-sampling", "schedule-config-sampling"],
+)
+def test_commands_refuse_inputs_they_would_ignore(command, flags, config, message, tmp_path, capsys, no_optimum_scan):
+    """A flag or config key the command does not read exits 2 before any optimum scan, and prints nothing."""
+    argv = [arg.replace("{out}", str(tmp_path / "cmp")) for arg in VALID_ARGV[command]] + flags
+    if config is not None:
+        (tmp_path / "run.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "run.json")]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses a flag the subcommand does not define
+        code = exc.code
+    assert code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [(["converge", "--scheme", "schemeA", "--n-spins", "10", "--nc-list", ",5"], "--nc-list", ",5"),
+     (["scaling", "--n-list", "1.5,2,3"], "--n-list", "1.5,2,3")],
+    ids=["nc-list", "n-list"],
+)
+def test_malformed_number_lists_name_their_flag(argv, flag, value, capsys, no_optimum_scan):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"error: {flag} must be comma-separated integers, got {value!r}\n" == captured.err
+    assert captured.out == ""
 
 
 def test_compare_without_out_exits_2_before_any_optimum_scan(capsys, no_optimum_scan):

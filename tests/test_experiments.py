@@ -57,8 +57,6 @@ def test_spec_validation():
         ExperimentSpec("schemeA", 10, 0, 0.1),
         ExperimentSpec("schemeA", 10, 5, 0.0),
         ExperimentSpec("schemeA", 10, 5, math.inf),
-        ExperimentSpec("schemeA", 10, 5, 0.1, chi=-1.0),
-        ExperimentSpec("schemeA", 10, 5, 0.1, chi=math.inf),
         ExperimentSpec("general", 10, 5, 0.1, order=3),
         ExperimentSpec("schemeA", 10, 5, 0.1, sampling="sometimes"),
         ExperimentSpec("schemeA", 10, 5, 0.1, sampling="fine", subsamples=0),
@@ -183,7 +181,7 @@ def test_nc_convergence_compiles_each_period_once(monkeypatch):
     compile per count, and the rows of one `run_trace` per count."""
     want = [find_optimum(run_trace(ExperimentSpec("schemeA", 40, nc, 0.01))).xi2_min for nc in (5, 10, 20)]
     compiles = counting(monkeypatch, experiments, "compile_scheme")
-    rows = nc_convergence("schemeA", 40, 1.0, 0.01, [5, 10, 20])
+    rows = nc_convergence("schemeA", 40, 0.01, [5, 10, 20])
     assert len(compiles) == 3
     assert [(r.n_cycles, r.xi2_best_strobe) for r in rows] == list(zip((5, 10, 20), want))
 
@@ -224,7 +222,7 @@ def test_nc_convergence_refuses_ideal_schemes_before_any_optimum_scan(scheme, mo
 
     monkeypatch.setattr(experiments, "tat_optimum", scan)
     with pytest.raises(ValueError, match=f"convergence needs a pulse scheme, one of .*, got '{scheme}'"):
-        nc_convergence(scheme, 100, 1.0, 0.2, [5, 10])
+        nc_convergence(scheme, 100, 0.2, [5, 10])
 
 
 @pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="the mapped size is read from /proc/self/statm")
@@ -331,7 +329,7 @@ def test_nc_convergence_trend():
     ideal = tat_optimum(n)
     t_total = 1.2 * 3 * ideal.t_opt
     for scheme in ("schemeA", "liu1"):
-        rows = nc_convergence(scheme, n, 1.0, t_total, [10, 20, 40, 80])
+        rows = nc_convergence(scheme, n, t_total, [10, 20, 40, 80])
         errors = [r.rel_error for r in rows]
         for coarse, finer in zip(errors, errors[1:]):
             assert finer <= coarse * 1.05  # non-increasing up to 5% jitter
@@ -497,6 +495,17 @@ def test_one_spin_has_no_optimum_time():
         time_cost("schemeA", 1)
 
 
+def test_scaling_fit_refuses_one_spin_before_any_optimum_scan(monkeypatch):
+    """N = 1 is refused with every N's validation, so an earlier N's optimum is not scanned first."""
+
+    def scan(n_spins):
+        raise AssertionError("an optimum scan ran")
+
+    monkeypatch.setattr(experiments, "tat_optimum", scan)
+    with pytest.raises(ValueError, match="n_spins = 1 has no squeezing optimum"):
+        scaling_fit("ideal-TAT", [40, 1, 2])
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 13, 40])
 def test_oat_trace_matches_the_state_vector_path(n):
     """Closed-form ideal-OAT samples against squeezing_parameter of the evolved state.
@@ -513,9 +522,9 @@ def test_oat_trace_matches_the_state_vector_path(n):
     chi = 1.3
     times = np.append(np.linspace(0.0, 2.6, 97), HALF_PI / chi)
 
-    def trace_sample(t):
-        spec = ExperimentSpec("ideal-OAT", n, 1, t if t > 0 else 1e-3, chi=chi)
-        return run_trace(spec).samples[1 if t > 0 else 0]
+    def trace_sample(chi_t):  # time in units of 1/chi
+        spec = ExperimentSpec("ideal-OAT", n, 1, chi_t if chi_t > 0 else 1e-3)
+        return run_trace(spec).samples[1 if chi_t > 0 else 0]
 
     vanished = 0
     for t, xi2_closed in zip(times, oat_moments(n, chi * times).xi2):
@@ -525,10 +534,10 @@ def test_oat_trace_matches_the_state_vector_path(n):
             vanished += 1
             assert np.isinf(xi2_closed)
             with pytest.raises(MeanSpinVanishing, match="sample 1"):
-                trace_sample(t)
+                trace_sample(chi * t)
             continue
-        got = trace_sample(t)
-        assert got.t == t and got.xi2 == xi2_closed
+        got = trace_sample(chi * t)
+        assert got.t == chi * t and got.xi2 == xi2_closed
         assert abs(got.xi2 - want.xi2) <= 1e-12 * want.xi2 + 1e-15
         assert np.abs(got.mean_spin - want.mean_spin).max() <= 1e-12 * n / 2.0
         assert got.mean_spin[1] == got.mean_spin[2] == 0.0
@@ -584,10 +593,10 @@ def _dense_pulse_trace(spec, segments):
                 while pending and offsets[pending[0]] <= elapsed + seg.duration + tol:
                     i = pending.pop(0)
                     partial = max(offsets[i] - elapsed, 0.0)
-                    states.append(expm(-1j * spec.chi * partial * (jz @ jz)) @ state)
+                    states.append(expm(-1j * partial * (jz @ jz)) @ state)
                     times.append(cycle * period + (i + 1) * period / (k + 1))
                 elapsed += seg.duration
-                state = expm(-1j * spec.chi * seg.duration * (jz @ jz)) @ state
+                state = expm(-1j * seg.duration * (jz @ jz)) @ state
             else:
                 generator = jx if seg.axis == "x" else jy
                 state = expm(-1j * seg.sign * HALF_PI * generator) @ state

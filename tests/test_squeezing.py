@@ -317,7 +317,7 @@ def _scheme_a_steps(n):
         for step in spec.schedule.steps:
             coeffs = pair_coefficients(n, step.axis, psi) if step.axis else psi
             steps.append((t, step, coeffs))
-            end = step_phases(n, step.axis, spec.chi, [step.duration])[0]
+            end = step_phases(n, step.axis, [step.duration])[0]
             psi = pair_amplitudes(n, step.axis, end * coeffs) if step.axis else coeffs * end
             t += step.duration
     return steps
@@ -378,7 +378,7 @@ def test_pulse_samples_match_40_digit_arithmetic(n):
     (_, free, psi), (_, pair, coeffs), _ = _scheme_a_optimum_period(n)
     assert not free.axis and pair.axis == "y"
     dicke = np.array([psi, _scheme_a_steps(n)[-3][2]])
-    inside = step_phases(n, "y", 1.0, [pair.duration / 3, 2 * pair.duration / 3]) * coeffs
+    inside = step_phases(n, "y", [pair.duration / 3, 2 * pair.duration / 3]) * coeffs
     cases = ((dicke, dicke_bands(n), _exact_dicke_lambda), (inside, pair_bands(n), _exact_pair_lambda))
     for rows, bands, exact in cases:
         xi2 = sector_xi2(*sector_moments(rows, bands), j)
@@ -404,7 +404,7 @@ def test_pulse_samples_are_smooth_inside_a_step(basis):
     ts = step.duration / 2 + u * 2e-4 * strength_divisor("schemeA") * tat_optimum(n).t_opt
     assert 0.0 < ts[0] and ts[-1] < step.duration
     bands = pair_bands(n) if step.axis else dicke_bands(n)
-    xi2 = sector_xi2(*sector_moments(step_phases(n, step.axis, 1.0, ts) * coeffs, bands), n / 2)
+    xi2 = sector_xi2(*sector_moments(step_phases(n, step.axis, ts) * coeffs, bands), n / 2)
     fit = np.polyval(np.polyfit(u, xi2, 6), u)
     assert np.abs(xi2 - fit).max() <= 1e-12 * xi2.min()
 
